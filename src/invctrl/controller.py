@@ -1,12 +1,14 @@
 """Online reference selection and control over precomputed level families.
 
-Each step: find the first (accuracy, level) pair containing the current
-augmented state, scanning accuracies ascending and levels ascending within
-each accuracy.  A hit at level 0 only certifies position, not an action, so
-the search is repeated over levels >= 1.  Among the covering entries of the
-chosen level the controller picks the one maximizing the slack
-``cert_radius - dist(state, entry state)`` (ties by lowest record index),
-reads off the entry's stored target as the reference, and applies the
+Each step: find the first (accuracy, level >= 1) pair whose ball union
+contains the current augmented state, scanning accuracies ascending and
+levels ascending within each accuracy.  Level 0 is never searched: its
+balls certify position only, not an action.  The scan is one pass per
+accuracy over a running maximum of the certified-radius table along the
+levels, so a record's first covering level is a count of rows.  Among the
+records of the chosen level the controller picks the one maximizing the
+slack ``cert_radius - dist(state, record state)`` (ties by lowest record
+index), reads off its stored target as the reference, and applies the
 interpolant at ``[reference; state]``.
 
 When no family covers the state the nearest-training-neighbour fallback is
@@ -43,7 +45,7 @@ class StepCertificate:
 class Controller:
     """Immutable online controller over one dataset's families."""
 
-    def __init__(self, families, interpolant, fallback="nearest"):
+    def __init__(self, families, interpolant):
         """``families``: list of LevelFamily with strictly ascending,
         positive accuracies, all built over the same dataset."""
         families = sorted(families, key=lambda f: f.delta)
@@ -52,44 +54,28 @@ class Controller:
             raise ValueError("accuracies must be positive")
         if any(b <= a for a, b in zip(deltas, deltas[1:])):
             raise ValueError("duplicate accuracy values")
-        if fallback != "nearest":
-            raise ValueError(f"unknown fallback policy {fallback!r}")
         self.families = families
         self.interpolant = interpolant
-        self.fallback = fallback
         self.dataset = families[0].dataset
         for f in families:
             if f.dataset is not self.dataset:
                 raise ValueError("families must share one dataset")
-        # stacked per-family arrays for fast location
-        self._stacks = [self._stack(f) for f in families]
+        # reach[k, i]: largest certified radius of record i over levels 1..k+1
+        self._reach = [np.maximum.accumulate(f.cert_radius[1:], axis=0)
+                       for f in families]
 
-    @staticmethod
-    def _stack(family: LevelFamily):
-        lv, ii, rr = [], [], []
-        for j, e in enumerate(family.levels):
-            if len(e) == 0:
-                continue
-            lv.append(np.full(len(e), j))
-            ii.append(e.idx)
-            rr.append(e.inradius if j == 0 else e.cert_radius)
-        if not lv:
-            return (np.array([], dtype=int), np.array([], dtype=int), np.array([]))
-        return (np.concatenate(lv), np.concatenate(ii), np.concatenate(rr))
-
-    def locate(self, state, min_level=0):
-        """First (delta, level) containing the state, scanning accuracies
-        ascending then levels ascending; None when uncovered."""
+    def locate(self, state):
+        """First (delta, level >= 1) containing the state, scanning
+        accuracies ascending then levels ascending; None when uncovered."""
         state = np.asarray(state, dtype=float)
-        d_state = np.linalg.norm(self.dataset.states - state, axis=1)
-        d_succ = np.linalg.norm(self.dataset.succ_states - state, axis=1)
-        for fam, (lv, ii, rr) in zip(self.families, self._stacks):
-            if len(lv) == 0:
+        d = np.linalg.norm(self.dataset.states - state, axis=1)
+        for fam, reach in zip(self.families, self._reach):
+            if len(reach) == 0:
                 continue
-            dist = np.where(lv == 0, d_succ[ii], d_state[ii])
-            hit = (dist <= rr) & (lv >= min_level)
-            if hit.any():
-                return fam.delta, int(lv[hit].min())
+            cand = np.flatnonzero(d <= reach[-1])
+            if cand.size:
+                # a record's first covering level counts the rows before it
+                return fam.delta, 1 + int((reach[:, cand] < d[cand]).sum(axis=0).min())
         return None
 
     def family(self, delta) -> LevelFamily:
@@ -99,26 +85,22 @@ class Controller:
         raise KeyError(f"no family with accuracy {delta}")
 
     def select_reference(self, state, delta, kappa):
-        """Max-slack covering entry of the level; returns the certificate
-        and the entry's stored target."""
+        """Max-slack covering record of the level; returns the certificate
+        and the record's stored target."""
         if kappa < 1:
             raise ValueError("reference selection needs level >= 1")
         fam = self.family(delta)
-        e = fam.levels[kappa]
         state = np.asarray(state, dtype=float)
-        d = np.linalg.norm(self.dataset.states[e.idx] - state, axis=1)
-        slack = e.cert_radius - d
-        ok = np.flatnonzero(slack >= 0)
-        if ok.size == 0:
+        slack = (fam.cert_radius[kappa]
+                 - np.linalg.norm(self.dataset.states - state, axis=1))
+        k = int(np.argmax(slack))  # first maximum: ties by lowest record index
+        if not slack[k] >= 0:
             raise RuntimeError(
                 "containment reported but no covering entry found; "
                 "tolerance inconsistency between locate and select")
-        # argmax slack, ties by lowest record index
-        order = np.lexsort((e.idx[ok], -slack[ok]))
-        k = ok[order[0]]
-        cert = StepCertificate(delta=delta, kappa=int(kappa), index=int(e.idx[k]),
+        cert = StepCertificate(delta=delta, kappa=int(kappa), index=k,
                                slack=float(slack[k]), certified=True)
-        return cert, float(self.dataset.targets[e.idx[k]])
+        return cert, float(self.dataset.targets[k])
 
     def _fallback(self, state):
         state = np.asarray(state, dtype=float)
@@ -133,8 +115,6 @@ class Controller:
     def control(self, state):
         """(input, certificate) for the current state."""
         loc = self.locate(state)
-        if loc is not None and loc[1] == 0:
-            loc = self.locate(state, min_level=1)
         if loc is None:
             cert, reference = self._fallback(state)
         else:

@@ -1,4 +1,4 @@
-"""Backward-reachable level families stored as indexed ball unions.
+"""Backward-reachable level families stored as radius tables.
 
 For an accuracy ``delta`` the output slab is the set of augmented states
 whose most recent output has magnitude at most ``delta``.  Level 0 collects,
@@ -14,29 +14,31 @@ single-ball underestimate ``max_j (radius_j - dist(p, center_j))`` is used
 throughout; every certificate built on it stays sound.  Entries with
 inradius below 1e-12 are dropped (zero-measure certificates).
 
-Families store (record index, inradius, certified radius) tuples per level;
-balls are reconstructed on demand from the dataset.  Membership queries are
-vectorized exhaustive scans over a level's entries.
+A family is two float64 tables indexed ``[level, record]``: ``inradius``
+and ``cert_radius``, with ``ABSENT`` (-inf) where a record has no ball at
+that level.  Rows stop at the first empty level, so every stored row holds
+at least one ball.  Balls are reconstructed on demand from the dataset;
+membership queries are vectorized scans over a row.  The tables are
+persisted as one raw ``.npy`` array of shape ``(2, levels, records)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .narx import FLOAT_FMT, NarxDataset
+from .config import ConfigError
+from .narx import NarxDataset
 
 __all__ = [
+    "ABSENT",
     "Ball",
-    "LevelEntries",
     "LevelFamily",
     "slab_inradius",
     "union_inradius",
     "index_set_slab",
-    "index_set_level",
     "build_level_family",
     "pairwise_distances",
     "check_nesting",
@@ -45,6 +47,7 @@ __all__ = [
 ]
 
 MIN_INRADIUS = 1e-12
+ABSENT = -np.inf
 
 
 @dataclass(frozen=True)
@@ -59,50 +62,50 @@ class Ball:
 
 
 @dataclass
-class LevelEntries:
-    """Entries of one level: parallel arrays over records."""
-
-    idx: np.ndarray          # record indices into the dataset
-    inradius: np.ndarray     # r_i > 0, inradius in the previous target set
-    cert_radius: np.ndarray  # state_dev_inv(r_i)
-
-    def __len__(self):
-        return len(self.idx)
-
-    @staticmethod
-    def empty():
-        return LevelEntries(np.array([], dtype=int), np.array([]), np.array([]))
-
-
-@dataclass
 class LevelFamily:
     """Levels 0..depth for one accuracy value.
 
-    Level 0 balls: (successor state, inradius).  Level j >= 1 balls:
-    (record state, certified radius).  ``truncated_at`` records the first
-    empty level when construction stopped early (remaining levels are empty).
+    ``inradius`` and ``cert_radius`` have shape (stored levels, records),
+    ``ABSENT`` where a record has no ball.  Level 0 balls: (successor
+    state, inradius).  Level j >= 1 balls: (record state, certified
+    radius).  Levels past the stored rows are empty.
     """
 
     delta: float
     depth: int
-    levels: List[LevelEntries]
+    inradius: np.ndarray
+    cert_radius: np.ndarray
     dataset: NarxDataset
-    truncated_at: Optional[int] = None
+
+    @property
+    def truncated_at(self):
+        """First empty level when construction stopped early, else None."""
+        rows = len(self.inradius)
+        return None if rows == self.depth + 1 else rows
+
+    def present(self, level):
+        """Record indices with a ball at ``level``, ascending."""
+        if level >= len(self.inradius):
+            return np.zeros(0, dtype=int)
+        return np.flatnonzero(self.inradius[level] != ABSENT)
+
+    def sizes(self):
+        """Ball count per level 0..depth."""
+        return [len(self.present(j)) for j in range(self.depth + 1)]
 
     def centers_radii(self, level):
         """Ball centers and radii realizing level ``level``."""
-        e = self.levels[level]
+        idx = self.present(level)
         if level == 0:
-            return self.dataset.succ_states[e.idx], e.inradius
-        return self.dataset.states[e.idx], e.cert_radius
+            centers, table = self.dataset.succ_states, self.inradius
+        else:
+            centers, table = self.dataset.states, self.cert_radius
+        return centers[idx], (table[level, idx] if idx.size else np.zeros(0))
 
     def contains(self, level, point):
         """Closed-ball membership of ``point`` in the level's union."""
         if not 0 <= level <= self.depth:
             raise IndexError(f"level {level} outside 0..{self.depth}")
-        e = self.levels[level]
-        if len(e) == 0:
-            return False
         centers, radii = self.centers_radii(level)
         d = np.linalg.norm(centers - np.asarray(point, dtype=float), axis=1)
         return bool((d <= radii).any())
@@ -126,28 +129,14 @@ def union_inradius(point, balls):
     return best if best > 0 else None
 
 
-def _entries_from_inradii(inradii, bounds):
-    idx = np.flatnonzero(inradii > MIN_INRADIUS)
-    r = inradii[idx]
-    return LevelEntries(idx=idx, inradius=r, cert_radius=bounds.state_dev_inv(r))
+def _inradius_row(inradii):
+    return np.where(inradii > MIN_INRADIUS, inradii, ABSENT)
 
 
-def index_set_slab(dataset: NarxDataset, delta, bounds) -> LevelEntries:
-    """Records whose successor lies strictly inside the output slab."""
-    inr = delta - np.abs(dataset.succ_states[:, dataset.order - 1])
-    return _entries_from_inradii(inr, bounds)
-
-
-def index_set_level(dataset: NarxDataset, family: LevelFamily, level,
-                    bounds) -> LevelEntries:
-    """Records whose successor lies inside the given level's ball union,
-    with the single-ball inradius underestimate."""
-    centers, radii = family.centers_radii(level)
-    if len(radii) == 0:
-        return LevelEntries.empty()
-    d = cdist(dataset.succ_states, centers)
-    inr = (radii[None, :] - d).max(axis=1)
-    return _entries_from_inradii(inr, bounds)
+def index_set_slab(dataset: NarxDataset, delta):
+    """Level-0 inradius row: each record's successor inradius in the
+    output slab, ``ABSENT`` unless strictly inside."""
+    return _inradius_row(delta - np.abs(dataset.succ_states[:, dataset.order - 1]))
 
 
 def build_level_family(dataset: NarxDataset, bounds, delta, depth,
@@ -166,27 +155,26 @@ def build_level_family(dataset: NarxDataset, bounds, delta, depth,
     if _dists is None:
         _dists = pairwise_distances(dataset)
     D_ss, D_sz = _dists
-    fam = LevelFamily(delta=float(delta), depth=int(depth), levels=[], dataset=dataset)
-    fam.levels.append(index_set_slab(dataset, delta, bounds))
-    for j in range(depth):
-        prev = fam.levels[j]
-        if len(prev) == 0:
-            if fam.truncated_at is None:
-                fam.truncated_at = j
-            fam.levels.append(LevelEntries.empty())
-            continue
-        if j == 0:
-            D, radii = D_ss[:, prev.idx], prev.inradius
-        else:
-            D, radii = D_sz[:, prev.idx], prev.cert_radius
-        inr = (radii[None, :] - D).max(axis=1)
-        fam.levels.append(_entries_from_inradii(inr, bounds))
-    if fam.truncated_at is None:
-        for j, e in enumerate(fam.levels):
-            if len(e) == 0:
-                fam.truncated_at = j
-                break
-    return fam
+    rows_r, rows_c = [], []
+    r = index_set_slab(dataset, delta)
+    while True:
+        idx = np.flatnonzero(r != ABSENT)
+        if idx.size == 0:
+            break
+        c = np.full_like(r, ABSENT)
+        c[idx] = bounds.state_dev_inv(r[idx])
+        rows_r.append(r)
+        rows_c.append(c)
+        if len(rows_r) == depth + 1:
+            break
+        # level j+1 from the present balls of level j only
+        D, radii = (D_ss, r) if len(rows_r) == 1 else (D_sz, c)
+        r = _inradius_row((radii[idx][None, :] - D[:, idx]).max(axis=1))
+    shape = (len(rows_r), len(dataset))
+    return LevelFamily(delta=float(delta), depth=int(depth),
+                       inradius=np.array(rows_r).reshape(shape),
+                       cert_radius=np.array(rows_c).reshape(shape),
+                       dataset=dataset)
 
 
 def pairwise_distances(dataset: NarxDataset):
@@ -200,58 +188,34 @@ def check_nesting(family: LevelFamily) -> bool:
     """Sufficient single-ball test that every level-0 ball lies inside some
     level-1 ball.  True certifies the nesting needed for indefinite
     regulation; False is inconclusive and only reported."""
-    e0, e1 = family.levels[0], family.levels[1]
-    if len(e0) == 0:
-        return True
-    if len(e1) == 0:
-        return False
     c0, r0 = family.centers_radii(0)
     c1, r1 = family.centers_radii(1)
+    if len(r0) == 0:
+        return True
+    if len(r1) == 0:
+        return False
     d = cdist(c0, c1)
     return bool(((d + r0[:, None]) <= r1[None, :]).any(axis=1).all())
 
 
 def dump_family(path, family: LevelFamily):
-    """Rows ``level,record,inradius,cert_radius`` after a small header."""
-    with open(path, "w") as fh:
-        fh.write(f"delta = {format(family.delta, FLOAT_FMT)}\n")
-        fh.write(f"depth = {family.depth}\n")
-        trunc = "" if family.truncated_at is None else str(family.truncated_at)
-        fh.write(f"truncated_at = {trunc}\n")
-        fh.write("j,i,r_i,gamma_inv_r_i\n")
-        for j, e in enumerate(family.levels):
-            for i, r, c in zip(e.idx, e.inradius, e.cert_radius):
-                fh.write(f"{j},{i},{format(r, FLOAT_FMT)},{format(c, FLOAT_FMT)}\n")
+    """Both radius tables as one raw ``.npy`` array (2, levels, records);
+    the bytes depend on the table values only."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.stack([family.inradius, family.cert_radius]))
 
 
-def load_family(path, dataset: NarxDataset) -> LevelFamily:
-    """Rebuild a family from its dump and the dataset it references."""
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("j,"):
-                continue
-            if "=" in line:
-                key, _, val = line.partition("=")
-                meta[key.strip()] = val.strip()
-            else:
-                j, i, r, c = line.split(",")
-                rows.append((int(j), int(i), float(r), float(c)))
-    depth = int(meta["depth"])
-    per_level = [[] for _ in range(depth + 1)]
-    for j, i, r, c in rows:
-        per_level[j].append((i, r, c))
-    levels = []
-    for entries in per_level:
-        if entries:
-            idx, r, c = (np.array(v) for v in zip(*entries))
-            levels.append(LevelEntries(idx=idx.astype(int), inradius=r, cert_radius=c))
-        else:
-            levels.append(LevelEntries.empty())
-    trunc = meta.get("truncated_at", "")
-    return LevelFamily(
-        delta=float(meta["delta"]), depth=depth, levels=levels, dataset=dataset,
-        truncated_at=int(trunc) if trunc else None,
-    )
+def load_family(path, dataset: NarxDataset, delta, depth) -> LevelFamily:
+    """Rebuild a family from its dump and the dataset and config it was
+    built under; a table of another shape raises ``ConfigError``."""
+    try:
+        tables = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: not a radius table dump ({exc})") from None
+    if (tables.dtype != np.float64 or tables.ndim != 3 or tables.shape[0] != 2
+            or tables.shape[1] > depth + 1 or tables.shape[2] != len(dataset)):
+        raise ConfigError(
+            f"{path}: radius tables of shape {tables.shape} ({tables.dtype}) do "
+            f"not fit {len(dataset)} records and depth {depth}; rebuild the families")
+    return LevelFamily(delta=float(delta), depth=int(depth), inradius=tables[0],
+                       cert_radius=tables[1], dataset=dataset)

@@ -5,14 +5,15 @@ Stage outputs live under the configured output directory:
     trajectories/traj_NNNN.csv   collect
     manifest.txt
     model.txt                    build
-    families/delta_*.txt
+    families/delta_*.npy
     build_report.txt
     runs/ic_NN.csv               simulate
     summary.txt
     verify_report.txt            verify
 
-All files are plain delimiter-separated text with full-precision floats, so
-repeated runs with one config and seed are byte-identical (wall-clock
+The family files are raw ``.npy`` radius tables (see ``levelsets``); every
+other file is plain delimiter-separated text with full-precision floats.
+Repeated runs with one config and seed are byte-identical (wall-clock
 timings go to stdout only).
 """
 
@@ -110,8 +111,9 @@ def _paths(cfg: RunConfig):
     }
 
 
-def _delta_tag(delta):
-    return format(delta, "g").replace(".", "p")
+def _family_path(paths, delta):
+    tag = format(delta, "g").replace(".", "p")
+    return os.path.join(paths["famdir"], f"delta_{tag}.npy")
 
 
 # ---------------------------------------------------------------- collect
@@ -199,8 +201,8 @@ def cmd_build(cfg: RunConfig, log=print):
     empty_warned = False
     for delta in cfg.deltas:
         fam = build_level_family(dataset, bounds, delta, cfg.depth, _dists=dists)
-        dump_family(os.path.join(paths["famdir"], f"delta_{_delta_tag(delta)}.txt"), fam)
-        sizes = [len(e) for e in fam.levels]
+        dump_family(_family_path(paths, delta), fam)
+        sizes = fam.sizes()
         nested = check_nesting(fam)
         trunc = fam.truncated_at if fam.truncated_at is not None else ""
         lines.append(
@@ -222,11 +224,8 @@ def load_artifacts(cfg: RunConfig):
     paths = _paths(cfg)
     dataset = load_dataset(cfg)
     model = load_interpolant(paths["model"])
-    families = []
-    for delta in cfg.deltas:
-        fam = load_family(
-            os.path.join(paths["famdir"], f"delta_{_delta_tag(delta)}.txt"), dataset)
-        families.append(fam)
+    families = [load_family(_family_path(paths, delta), dataset, delta, cfg.depth)
+                for delta in cfg.deltas]
     controller = Controller(families, model)
     return dataset, model, controller
 
@@ -352,7 +351,8 @@ def read_run_log(path):
         first = fh.readline().strip()
         ic = tuple(float(v) for v in first.partition("=")[2].split(","))
         header = fh.readline()
-        assert header.startswith("t,")
+        if not header.startswith("t,"):
+            raise ConfigError(f"{path}: not a run log (header {header.strip()!r})")
         for line in fh:
             t, delta, kappa, i1, slack, certified, u, y_next, desc = line.strip().split(",")
             rows.append((int(t),

@@ -153,22 +153,22 @@ def run_all(cfg, log=print):
     # level families ---------------------------------------------------------
     neg = slab_bad = cert_bad = None
     for fam in controller.families:
-        for j, e in enumerate(fam.levels):
-            if len(e) == 0:
+        for j in range(len(fam.inradius)):
+            idx = fam.present(j)
+            if idx.size == 0:
                 continue
-            if np.any(e.inradius <= 0):
-                i = int(e.idx[np.argmin(e.inradius)])
-                neg = (fam.delta, j, i, float(e.inradius.min()))
+            r, c = fam.inradius[j, idx], fam.cert_radius[j, idx]
+            if np.any(r <= 0):
+                neg = (fam.delta, j, int(idx[np.argmin(r)]), float(r.min()))
             if j == 0:
-                margin = (np.abs(dataset.succ_states[e.idx, dataset.order - 1])
-                          + e.inradius)
+                margin = np.abs(dataset.succ_states[idx, dataset.order - 1]) + r
                 if np.any(margin > fam.delta + 1e-12):
                     k = int(np.argmax(margin))
-                    slab_bad = (fam.delta, int(e.idx[k]), float(margin[k]))
-            gap = bounds.state_dev(e.cert_radius) - e.inradius
+                    slab_bad = (fam.delta, int(idx[k]), float(margin[k]))
+            gap = bounds.state_dev(c) - r
             if np.any(gap > 1e-9):
                 k = int(np.argmax(gap))
-                cert_bad = (fam.delta, j, int(e.idx[k]), float(gap[k]))
+                cert_bad = (fam.delta, j, int(idx[k]), float(gap[k]))
     add("family_positive_radii", neg is None,
         "all entry inradii positive" if neg is None
         else f"delta={neg[0]:g} level={neg[1]} record={neg[2]} r={neg[3]:g}")
@@ -183,15 +183,15 @@ def run_all(cfg, log=print):
     samples = 200 if not big else 50
     fail = None
     for fam in controller.families:
-        for j in range(1, len(fam.levels)):
-            e = fam.levels[j]
-            if len(e) == 0:
+        for j in range(1, len(fam.inradius)):
+            idx = fam.present(j)
+            if idx.size == 0:
                 continue
-            take = (np.arange(len(e)) if per_level is None else
-                    np.unique(np.linspace(0, len(e) - 1, per_level).astype(int)))
-            centers, radii = fam.dataset.succ_states[e.idx[take]], e.inradius[take]
+            if per_level is not None:
+                idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
+            centers, radii = fam.dataset.succ_states[idx], fam.inradius[j, idx]
             prev_c, prev_r = fam.centers_radii(j - 1)
-            for c, r, rec in zip(centers, radii, e.idx[take]):
+            for c, r, rec in zip(centers, radii, idx):
                 pts = _sample_in_ball(rng, c, r, samples)
                 d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
                 inside = (d <= prev_r[None, :]).any(axis=1)

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from invctrl.config import default_config
+from invctrl.levelsets import ABSENT, LevelFamily
+from invctrl.narx import NarxDataset
 from invctrl import pipeline
 
 
@@ -70,3 +72,26 @@ def sampled_inradius(point, balls, directions=2000, seed=0):
         cur[mask] = -proj[mask] + np.sqrt(disc[mask])
         best = np.maximum(best, cur)
     return max(float(best.min()), 0.0)
+
+
+def synth_dataset(states, targets, controls):
+    """Order-2, delay-1 dataset from explicit records."""
+    states = np.atleast_2d(np.asarray(states, dtype=float))
+    targets = np.asarray(targets, dtype=float)
+    controls = np.asarray(controls, dtype=float)
+    succ = np.stack([states[:, 1], targets, controls], axis=1)
+    feats = np.concatenate([targets[:, None], states], axis=1)
+    return NarxDataset(order=2, delay=1, features=feats, states=states,
+                       targets=targets, controls=controls, succ_states=succ)
+
+
+def synth_family(ds, delta, levels):
+    """Hand-built family; levels: list of [(idx, inradius, cert_radius), ...]
+    per level 0..depth, written into the radius tables."""
+    r = np.full((len(levels), len(ds)), ABSENT)
+    c = np.full((len(levels), len(ds)), ABSENT)
+    for j, entries in enumerate(levels):
+        for i, ri, ci in entries:
+            r[j, i], c[j, i] = ri, ci
+    return LevelFamily(delta=delta, depth=len(levels) - 1, inradius=r,
+                       cert_radius=c, dataset=ds)

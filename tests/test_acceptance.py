@@ -202,12 +202,10 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
     rng2 = rng_stream(numerical_artifacts["cfg"].seed, 91)
     for fam in numerical_artifacts["controller"].families:
         ds = fam.dataset
-        for j in range(1, len(fam.levels)):
-            e = fam.levels[j]
-            if len(e) == 0:
-                continue
+        for j in range(1, len(fam.inradius)):
+            idx = fam.present(j)
             prev_c, prev_r = fam.centers_radii(j - 1)
-            for i, r in zip(e.idx, e.inradius):
+            for i, r in zip(idx, fam.inradius[j, idx]):
                 pts = sample_ball(rng2, ds.succ_states[i], r, 200)
                 d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
                 inside = (d <= prev_r[None, :]).any(axis=1)

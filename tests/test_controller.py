@@ -2,31 +2,9 @@ import numpy as np
 import pytest
 
 from invctrl.controller import Controller
-from invctrl.levelsets import LevelEntries, LevelFamily
-from invctrl.narx import NarxDataset, shift_state
 from invctrl import pipeline
 
-
-def synth_dataset(states, targets, controls):
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    succ = np.column_stack([states[:, 1], targets, controls])
-    feats = np.column_stack([targets, states])
-    return NarxDataset(order=2, delay=1, features=feats, states=states,
-                       targets=targets, controls=controls, succ_states=succ)
-
-
-def synth_family(ds, delta, levels):
-    """levels: list of [(idx, inradius, cert_radius), ...] per level."""
-    built = []
-    for entries in levels:
-        if entries:
-            idx, r, c = (np.asarray(v) for v in zip(*entries))
-            built.append(LevelEntries(idx.astype(int), r.astype(float), c.astype(float)))
-        else:
-            built.append(LevelEntries.empty())
-    return LevelFamily(delta=delta, depth=len(levels) - 1, dataset=ds, levels=built)
+from conftest import synth_dataset, synth_family
 
 
 class IdentityModel:
@@ -68,10 +46,10 @@ def test_locate_prefers_smaller_accuracy_then_level(synth):
     ds, fam_01, fam_05 = synth
     ctl = Controller([fam_01, fam_05], IdentityModel())
     # state at record 0's state: contained in 0.1's level 1 and 0.5's level 1
-    assert ctl.locate(ds.states[0], min_level=1) == (0.1, 1)
+    assert ctl.locate(ds.states[0]) == (0.1, 1)
     # state only slightly off: outside 0.1's tiny certificates, inside 0.5's
     off = ds.states[0] + np.array([0.01, 0.0, 0.0])
-    assert ctl.locate(off, min_level=1) == (0.5, 1)
+    assert ctl.locate(off) == (0.5, 1)
     # a state in level 2 of the small accuracy but level 1 of the large one
     # still resolves to the smaller accuracy first
     fam_01b = synth_family(ds, 0.1, [
@@ -80,7 +58,70 @@ def test_locate_prefers_smaller_accuracy_then_level(synth):
         [(0, 0.03, 0.002)],
     ])
     ctl2 = Controller([fam_01b, fam_05], IdentityModel())
-    assert ctl2.locate(ds.states[0], min_level=1) == (0.1, 2)
+    assert ctl2.locate(ds.states[0]) == (0.1, 2)
+
+
+def brute_locate(families, state):
+    """Reference for ``Controller.locate``: the first accuracy (ascending)
+    with any level >= 1 ball holding the state, then its lowest such level."""
+    state = np.asarray(state, dtype=float)
+    for fam in sorted(families, key=lambda f: f.delta):
+        for level in range(1, fam.depth + 1):
+            centers, radii = fam.centers_radii(level)
+            if np.any(np.linalg.norm(centers - state, axis=1) <= radii):
+                return fam.delta, level
+    return None
+
+
+def assert_locate_matches_brute(ctl, states):
+    """locate and the certificate of control() both equal the reference."""
+    hits = 0
+    for state in states:
+        want = brute_locate(ctl.families, state)
+        assert ctl.locate(state) == want
+        _, cert = ctl.control(state)
+        assert (cert.delta, cert.kappa) == (want if cert.certified else (None, None))
+        assert cert.certified == (want is not None)
+        hits += want is not None
+    return hits
+
+
+def test_locate_matches_brute_force_synth(synth):
+    ds, fam_01, fam_05 = synth
+    # accuracy 0.2 holds record 2 at level 0 only, record 1 from level 2 on
+    fam_02 = synth_family(ds, 0.2, [
+        [(2, 0.15, 0.01)],
+        [],
+        [(1, 0.15, 0.3)],
+    ])
+    ctl = Controller([fam_01, fam_05, fam_02], IdentityModel())
+    level0_only = ds.succ_states[2]
+    assert fam_02.contains(0, level0_only)
+    assert brute_locate(ctl.families, level0_only) is None
+    rng = np.random.default_rng(11)
+    states = [level0_only, ds.states[0], ds.states[1], ds.states[2]]
+    for center in np.concatenate([ds.states, ds.succ_states]):
+        for scale in (0.001, 0.01, 0.05, 0.3):
+            states.extend(center + rng.normal(scale=scale, size=(5, 3)))
+    hits = assert_locate_matches_brute(ctl, states)
+    assert 0 < hits < len(states)
+
+
+@pytest.mark.parametrize("plant,count", [("numerical", 300), ("pendulum", 100)])
+def test_locate_matches_brute_force_benchmark(plant, count, request):
+    # states uniform over the data box and near records; the pendulum
+    # families have 100 levels, the numerical ones at most 3
+    art = request.getfixturevalue(f"{plant}_artifacts")
+    ctl, ds = art["controller"], art["dataset"]
+    rng = np.random.default_rng(5)
+    dim = ds.states.shape[1]
+    spread = ds.states.max(axis=0) - ds.states.min(axis=0)
+    uniform = rng.uniform(ds.states.min(axis=0), ds.states.max(axis=0),
+                          size=(count, dim))
+    near = (ds.states[rng.integers(len(ds), size=count)]
+            + rng.normal(scale=0.01, size=(count, dim)) * spread)
+    hits = assert_locate_matches_brute(ctl, np.concatenate([uniform, near]))
+    assert 0 < hits < 2 * count
 
 
 def test_select_reference_single_and_argmax(synth):
@@ -180,8 +221,6 @@ def test_controller_rejects_bad_families(synth):
     ds, fam_01, fam_05 = synth
     with pytest.raises(ValueError):
         Controller([fam_01, fam_01], IdentityModel())
-    with pytest.raises(ValueError):
-        Controller([fam_01], IdentityModel(), fallback="abort")
 
 
 def test_closed_loop_determinism(numerical_artifacts):
@@ -221,8 +260,7 @@ def test_certified_step_lands_in_reference_ball(numerical_artifacts):
     u, cert = ctl.control(state)
     assert cert.certified
     fam = ctl.family(cert.delta)
-    e = fam.levels[cert.kappa]
-    r = float(e.inradius[list(e.idx).index(cert.index)])
+    r = float(fam.inradius[cert.kappa, cert.index])
     _, nxt = plant.advance(state, u)
     assert np.linalg.norm(ds.succ_states[cert.index] - nxt) <= r + 1e-9
     assert ctl.assert_descent(cert, nxt) is True

@@ -6,28 +6,17 @@ from hypothesis import given, settings, strategies as st
 
 from invctrl.bounds import DeviationBounds
 from invctrl.kernels import IsotropicKernel
-from invctrl.levelsets import (Ball, LevelEntries, LevelFamily,
-                               build_level_family, check_nesting, dump_family,
-                               index_set_slab, load_family, slab_inradius,
-                               union_inradius)
-from invctrl.narx import NarxDataset
+from invctrl.levelsets import (ABSENT, Ball, build_level_family,
+                               check_nesting, dump_family, index_set_slab,
+                               load_family, slab_inradius, union_inradius)
 
-from conftest import sample_ball, sampled_inradius
+from conftest import (sample_ball, sampled_inradius, synth_dataset,
+                      synth_family)
 
 SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
                          eta_mode="profile", profile=SE.profile,
                          profile_deficit=SE.profile_deficit)
-
-
-def dataset_from(states, targets, controls):
-    states = np.atleast_2d(np.asarray(states, dtype=float))
-    targets = np.asarray(targets, dtype=float)
-    controls = np.asarray(controls, dtype=float)
-    succ = np.column_stack([states[:, 1], targets, controls])
-    feats = np.column_stack([targets, states])
-    return NarxDataset(order=2, delay=1, features=feats, states=states,
-                       targets=targets, controls=controls, succ_states=succ)
 
 
 # ------------------------------------------------------------- primitives
@@ -80,21 +69,22 @@ def test_union_inradius_is_underestimate(seed):
 
 
 def test_index_set_empty_dataset():
-    empty = dataset_from(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
-    assert len(index_set_slab(empty, 1.0, BOUNDS)) == 0
+    empty = synth_dataset(np.zeros((0, 3)), np.zeros(0), np.zeros(0))
+    assert len(index_set_slab(empty, 1.0)) == 0
 
 
 def test_index_set_all_outside():
-    ds = dataset_from([[0, 0, 0]] * 3, [2.0, -3.0, 5.0], [0.5] * 3)
-    assert len(index_set_slab(ds, 1.0, BOUNDS)) == 0
+    ds = synth_dataset([[0, 0, 0]] * 3, [2.0, -3.0, 5.0], [0.5] * 3)
+    assert np.all(index_set_slab(ds, 1.0) == ABSENT)
 
 
 def test_index_set_on_benchmark(numerical_artifacts):
     ds = numerical_artifacts["dataset"]
-    entries = index_set_slab(ds, 3.0, BOUNDS)
-    assert len(entries) > 0
+    row = index_set_slab(ds, 3.0)
+    idx = np.flatnonzero(row != ABSENT)
+    assert len(idx) > 0
     # recheck containment per entry: |y component| + r <= delta
-    reach = np.abs(ds.succ_states[entries.idx, 1]) + entries.inradius
+    reach = np.abs(ds.succ_states[idx, 1]) + row[idx]
     assert np.all(reach <= 3.0 + 1e-12)
 
 
@@ -102,19 +92,19 @@ def test_index_set_on_benchmark(numerical_artifacts):
 
 
 def test_family_all_levels_empty_when_unreachable():
-    ds = dataset_from([[0, 0, 0]] * 4, [2.0, 2.5, -2.2, 3.0], [0.5] * 4)
+    ds = synth_dataset([[0, 0, 0]] * 4, [2.0, 2.5, -2.2, 3.0], [0.5] * 4)
     fam = build_level_family(ds, BOUNDS, delta=1.0, depth=5)
     assert fam.truncated_at == 0
-    assert all(len(e) == 0 for e in fam.levels)
+    assert fam.sizes() == [0] * 6
 
 
 def test_family_level1_balls_contained_in_level0(numerical_artifacts):
     fam = next(f for f in numerical_artifacts["controller"].families
                if f.delta == 3.0)
     ds = fam.dataset
-    e1 = fam.levels[1]
+    idx = fam.present(1)[:50]
     c0, r0 = fam.centers_radii(0)
-    for i, r in zip(e1.idx[:50], e1.inradius[:50]):
+    for i, r in zip(idx, fam.inradius[1, idx]):
         # the defining ball around the successor must sit inside some
         # level-0 ball: dist + r <= r0 for at least one of them
         d = np.linalg.norm(c0 - ds.succ_states[i], axis=1)
@@ -126,48 +116,44 @@ def test_family_recursion_soundness_sampled(numerical_artifacts):
                if f.delta == 1.0)
     rng = np.random.default_rng(42)
     ds = fam.dataset
-    for j in range(1, 4):
-        e = fam.levels[j]
-        for i, r in zip(e.idx[:20], e.inradius[:20]):
+    for j in range(1, min(4, len(fam.inradius))):  # later levels are empty
+        idx = fam.present(j)[:20]
+        for i, r in zip(idx, fam.inradius[j, idx]):
             pts = sample_ball(rng, ds.succ_states[i], r, 50)
             assert all(fam.contains(j - 1, p) for p in pts)
 
 
 def test_contains_levels():
-    ds = dataset_from([[0.0, 0.0, 0.5], [0.4, 0.1, 0.6]], [0.05, 0.2], [0.5, 0.6])
+    ds = synth_dataset([[0.0, 0.0, 0.5], [0.4, 0.1, 0.6]], [0.05, 0.2], [0.5, 0.6])
     fam = build_level_family(ds, BOUNDS, delta=1.0, depth=3)
-    e1 = fam.levels[1]
-    assert len(e1) > 0
-    center = ds.states[e1.idx[0]]
+    idx = fam.present(1)
+    assert len(idx) > 0
+    center = ds.states[idx[0]]
     assert fam.contains(1, center)
     # boundary point of a closed ball is inside
-    edge = center + np.array([e1.cert_radius[0], 0.0, 0.0])
+    edge = center + np.array([fam.cert_radius[1, idx[0]], 0.0, 0.0])
     assert fam.contains(1, edge)
     assert not fam.contains(1, center + 10.0)
-    empty_level = LevelEntries.empty()
-    fam.levels[3] = empty_level
+    if len(fam.inradius) > 3:
+        fam.inradius[3] = fam.cert_radius[3] = ABSENT
     assert not fam.contains(3, center)
 
 
 def test_certificate_radii_consistent(numerical_artifacts):
     for fam in numerical_artifacts["controller"].families:
-        for e in fam.levels:
-            if len(e) == 0:
-                continue
-            back = BOUNDS.state_dev(e.cert_radius)
-            assert np.all(back <= e.inradius + 1e-9)
+        for j in range(len(fam.inradius)):
+            idx = fam.present(j)
+            back = BOUNDS.state_dev(fam.cert_radius[j, idx])
+            assert np.all(back <= fam.inradius[j, idx] + 1e-9)
 
 
 def test_nesting_vacuous_and_identity():
-    ds = dataset_from([[0, 0, 0]] * 2, [3.0, 3.0], [0.5, 0.5])
+    ds = synth_dataset([[0, 0, 0]] * 2, [3.0, 3.0], [0.5, 0.5])
     fam = build_level_family(ds, BOUNDS, delta=1.0, depth=2)
     assert check_nesting(fam)  # level 0 empty: vacuously true
     # hand-built family where the level-1 ball coincides with level 0
-    ds2 = dataset_from([[0.0, 0.0, 0.0]], [0.0], [0.0])
-    fam2 = LevelFamily(delta=1.0, depth=1, dataset=ds2, levels=[
-        LevelEntries(np.array([0]), np.array([0.5]), np.array([0.05])),
-        LevelEntries(np.array([0]), np.array([0.5]), np.array([0.5])),
-    ])
+    ds2 = synth_dataset([[0.0, 0.0, 0.0]], [0.0], [0.0])
+    fam2 = synth_family(ds2, 1.0, [[(0, 0.5, 0.05)], [(0, 0.5, 0.5)]])
     # level-1 ball centered at the state (origin) radius 0.5 equals level-0 ball
     assert check_nesting(fam2)
 
@@ -175,11 +161,8 @@ def test_nesting_vacuous_and_identity():
 def test_nesting_counterexample_with_witness():
     # a level-0 ball off to the side of the only level-1 ball
     states = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
-    ds = dataset_from(states, [0.0, 0.0], [0.0, 0.0])
-    fam = LevelFamily(delta=1.0, depth=1, dataset=ds, levels=[
-        LevelEntries(np.array([1]), np.array([0.4]), np.array([0.04])),
-        LevelEntries(np.array([0]), np.array([0.4]), np.array([0.4])),
-    ])
+    ds = synth_dataset(states, [0.0, 0.0], [0.0, 0.0])
+    fam = synth_family(ds, 1.0, [[(1, 0.4, 0.04)], [(0, 0.4, 0.4)]])
     assert not check_nesting(fam)
     # rejection-sample a witness point in level 0 but not level 1
     rng = np.random.default_rng(1)
@@ -193,15 +176,17 @@ def test_nesting_counterexample_with_witness():
 
 def test_dump_load_round_trip(tmp_path, numerical_artifacts):
     fam = numerical_artifacts["controller"].families[0]
-    p = tmp_path / "fam.txt"
+    p = tmp_path / "fam.npy"
     dump_family(p, fam)
-    back = load_family(p, fam.dataset)
+    back = load_family(p, fam.dataset, fam.delta, fam.depth)
     assert back.delta == fam.delta and back.depth == fam.depth
     assert back.truncated_at == fam.truncated_at
-    for a, b in zip(fam.levels, back.levels):
-        assert np.array_equal(a.idx, b.idx)
-        assert np.array_equal(a.inradius, b.inradius)
-        assert np.array_equal(a.cert_radius, b.cert_radius)
+    assert np.array_equal(back.inradius, fam.inradius)
+    assert np.array_equal(back.cert_radius, fam.cert_radius)
+    # the dump's bytes depend on the tables only
+    again = tmp_path / "again.npy"
+    dump_family(again, fam)
+    assert p.read_bytes() == again.read_bytes()
 
 
 def test_build_argument_validation(numerical_artifacts):

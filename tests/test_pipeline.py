@@ -128,14 +128,11 @@ def test_verify_catches_fault_injection(numerical_cfg, tmp_path):
     shutil.copytree(numerical_cfg.outdir, out)
     cfg = default_config("numerical")
     cfg.outdir = out
-    fam_path = os.path.join(out, "families", "delta_0p1.txt")
-    lines = open(fam_path).read().splitlines()
-    for i, line in enumerate(lines):
-        if line and line[0].isdigit() and "," in line:
-            j, idx, r, c = line.split(",")
-            lines[i] = ",".join([j, idx, str(-float(r)), c])  # negate a radius
-            break
-    open(fam_path, "w").write("\n".join(lines) + "\n")
+    fam_path = os.path.join(out, "families", "delta_0p1.npy")
+    tables = np.load(fam_path)
+    j, i = np.argwhere(np.isfinite(tables[0]))[0]
+    tables[0, j, i] = -tables[0, j, i]  # negate a radius
+    np.save(fam_path, tables)
     assert pipeline.cmd_verify(cfg, log=lambda *a: None) is False
     report = open(os.path.join(out, "verify_report.txt")).read()
     assert "FAIL family_positive_radii" in report
@@ -155,6 +152,42 @@ def test_report_detects_corrupted_log(numerical_cfg, tmp_path):
     lines[2] = ",".join(cols)
     open(log_path, "w").write("\n".join(lines) + "\n")
     assert pipeline.cmd_report(cfg, log=lambda *a: None) is False
+
+
+def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
+    import shutil
+    out = str(tmp_path / "broken_header")
+    shutil.copytree(numerical_cfg.outdir, out)
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
+    log_path = os.path.join(out, "runs", "ic_00.csv")
+    lines = open(log_path).read().splitlines()
+    lines[1] = "time;delta;kappa"
+    open(log_path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "ic_00.csv" in err and "not a run log" in err
+
+
+@pytest.mark.parametrize("damage,message", [
+    ("one_record_short", "280 records"),
+    ("cut_off", "not a radius table dump"),
+])
+def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
+                                               damage, message):
+    import shutil
+    out = str(tmp_path / damage)
+    shutil.copytree(numerical_cfg.outdir, out)
+    fam_path = os.path.join(out, "families", "delta_0p1.npy")
+    if damage == "one_record_short":
+        np.save(fam_path, np.load(fam_path)[:, :, :-1])
+    else:
+        raw = open(fam_path, "rb").read()
+        open(fam_path, "wb").write(raw[:len(raw) // 2])
+    capsys.readouterr()
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "delta_0p1.npy" in err and message in err
 
 
 def test_rmse_displayed_formula():
