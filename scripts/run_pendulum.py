@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Inverted-pendulum study: expert-mimicking data from PI controllers,
-inverse-model fit, certificate families, and 500-step closed-loop runs.
+inverse-model fit, certificate families, 500-step closed-loop runs, and
+artifact verification after each seed.
 
 Noise-free by default; ``--noisy`` switches to the measurement-noise study
 (ridge fit on noise-corrupted data, noisy online measurements), and
@@ -19,13 +20,15 @@ from invctrl.config import default_config
 
 
 def run_once(outdir, seed, noisy):
+    """(closed-loop results, verify passed) for one seed."""
     cfg = default_config("pendulum")
     cfg.outdir = outdir
     cfg.seed = seed
     cfg.noisy = noisy
     pipeline.cmd_collect(cfg, log=lambda *a: None)
     pipeline.cmd_build(cfg, log=lambda *a: None)
-    return pipeline.cmd_simulate(cfg, log=lambda *a: None)
+    results = pipeline.cmd_simulate(cfg, log=lambda *a: None)
+    return results, pipeline.cmd_verify(cfg)
 
 
 def main():
@@ -40,7 +43,8 @@ def main():
     all_ok = True
     for seed in seeds:
         out = args.out if len(list(seeds)) == 1 else f"{args.out}_seed{seed}"
-        results = run_once(out, seed, args.noisy)
+        results, verified = run_once(out, seed, args.noisy)
+        all_ok = all_ok and verified
         print(f"\nseed {seed} ({'noisy' if args.noisy else 'noise-free'})")
         print(f"{'initial condition':>22} {'metric':>10} {'certified':>10} "
               f"{'|y| tail (t>=400)':>18}")

@@ -345,23 +345,31 @@ def cmd_simulate(cfg: RunConfig, log=print) -> List[RunResult]:
 
 
 def read_run_log(path):
-    """(ic, rows) from a run log; rows as typed tuples."""
+    """(ic, rows) from a run log; rows as typed tuples.  A malformed line
+    raises ``ConfigError`` naming the file and line number."""
     rows = []
     with open(path) as fh:
         first = fh.readline().strip()
-        ic = tuple(float(v) for v in first.partition("=")[2].split(","))
+        try:
+            ic = tuple(float(v) for v in first.partition("=")[2].split(","))
+        except ValueError:
+            raise ConfigError(f"{path}:1: bad initial condition {first!r}") from None
         header = fh.readline()
         if not header.startswith("t,"):
             raise ConfigError(f"{path}: not a run log (header {header.strip()!r})")
-        for line in fh:
-            t, delta, kappa, i1, slack, certified, u, y_next, desc = line.strip().split(",")
-            rows.append((int(t),
-                         float(delta) if delta else None,
-                         int(kappa) if kappa else None,
-                         int(i1),
-                         float(slack) if slack else None,
-                         certified == "1",
-                         float(u), float(y_next), desc))
+        for lineno, line in enumerate(fh, start=3):
+            try:
+                t, delta, kappa, i1, slack, certified, u, y_next, desc = line.strip().split(",")
+                rows.append((int(t),
+                             float(delta) if delta else None,
+                             int(kappa) if kappa else None,
+                             int(i1),
+                             float(slack) if slack else None,
+                             certified == "1",
+                             float(u), float(y_next), desc))
+            except ValueError:
+                raise ConfigError(
+                    f"{path}:{lineno}: bad run log row {line.strip()!r}") from None
     return ic, rows
 
 

@@ -2,7 +2,10 @@
 
 Each check returns (name, passed, detail).  Checks run against the files a
 ``build`` (and optionally ``simulate``) left on disk, so corrupted dumps are
-caught; failures carry the offending entry as a counterexample.
+caught; failures carry the offending entry as a counterexample.  The
+recursion-soundness check draws its samples entry by entry, then tests each
+level's samples at once with one ``cdist`` over row blocks of at most
+``CDIST_CELLS`` distances.
 """
 
 from __future__ import annotations
@@ -10,19 +13,38 @@ from __future__ import annotations
 import os
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .levelsets import check_nesting
 from .plants import rng_stream
 
 STREAM_VERIFY = 7
+CDIST_CELLS = 1 << 20  # largest (samples x balls) distance block held at once
 
 
-def _sample_in_ball(rng, center, radius, count):
+def sample_in_ball(rng, center, radius, count):
+    """Uniform samples from a closed ball (for soundness spot checks)."""
+    center = np.asarray(center, dtype=float)
     d = len(center)
     dirs = rng.normal(size=(count, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / d)
     return center + dirs * radii[:, None]
+
+
+def recursion_escapes(fam, level, idx, samples, rng):
+    """Per record of ``idx`` (ascending, present at ``level`` >= 1): whether
+    any of ``samples`` uniform draws from its level ball lies outside the
+    level-(level-1) union.  Draws entry by entry, in ``idx`` order."""
+    pts = np.concatenate([
+        sample_in_ball(rng, c, r, samples)
+        for c, r in zip(fam.dataset.succ_states[idx], fam.inradius[level, idx])])
+    prev_c, prev_r = fam.centers_radii(level - 1)
+    rows = max(1, CDIST_CELLS // max(1, len(prev_c)))
+    inside = np.concatenate([
+        (cdist(pts[s:s + rows], prev_c) <= prev_r).any(axis=1)
+        for s in range(0, len(pts), rows)])
+    return ~inside.reshape(len(idx), samples).all(axis=1)
 
 
 def run_all(cfg, log=print):
@@ -189,16 +211,9 @@ def run_all(cfg, log=print):
                 continue
             if per_level is not None:
                 idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
-            centers, radii = fam.dataset.succ_states[idx], fam.inradius[j, idx]
-            prev_c, prev_r = fam.centers_radii(j - 1)
-            for c, r, rec in zip(centers, radii, idx):
-                pts = _sample_in_ball(rng, c, r, samples)
-                d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
-                inside = (d <= prev_r[None, :]).any(axis=1)
-                if not np.all(inside):
-                    fail = (fam.delta, j, int(rec))
-                    break
-            if fail:
+            escaped = recursion_escapes(fam, j, idx, samples, rng)
+            if escaped.any():
+                fail = (fam.delta, j, int(idx[np.argmax(escaped)]))
                 break
         if fail:
             break

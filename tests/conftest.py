@@ -43,16 +43,6 @@ def pendulum_artifacts(pendulum_cfg):
                 controller=controller, bounds=bounds, plant=plant)
 
 
-def sample_ball(rng, center, radius, count):
-    """Uniform samples from a closed ball (for soundness spot checks)."""
-    center = np.asarray(center, dtype=float)
-    d = len(center)
-    dirs = rng.normal(size=(count, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / d)
-    return center + dirs * radii[:, None]
-
-
 def sampled_inradius(point, balls, directions=2000, seed=0):
     """Direction-sampled estimate of the true inradius of ``point`` in a
     ball union (an overestimate: the min over sampled rays of the union's

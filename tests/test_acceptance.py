@@ -21,8 +21,9 @@ from invctrl.interpolant import fit_interpolant
 from invctrl.levelsets import Ball, union_inradius
 from invctrl.narx import shift_state
 from invctrl.plants import rng_stream
+from invctrl.verify import sample_in_ball
 
-from conftest import sample_ball, sampled_inradius
+from conftest import sampled_inradius
 
 
 def report(num, passed, detail):
@@ -206,7 +207,7 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
             idx = fam.present(j)
             prev_c, prev_r = fam.centers_radii(j - 1)
             for i, r in zip(idx, fam.inradius[j, idx]):
-                pts = sample_ball(rng2, ds.succ_states[i], r, 200)
+                pts = sample_in_ball(rng2, ds.succ_states[i], r, 200)
                 d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
                 inside = (d <= prev_r[None, :]).any(axis=1)
                 checked += 1

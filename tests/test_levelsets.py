@@ -10,8 +10,9 @@ from invctrl.levelsets import (ABSENT, Ball, build_level_family,
                                check_nesting, dump_family, index_set_slab,
                                load_family, slab_inradius, union_inradius)
 
-from conftest import (sample_ball, sampled_inradius, synth_dataset,
-                      synth_family)
+from invctrl.verify import sample_in_ball
+
+from conftest import sampled_inradius, synth_dataset, synth_family
 
 SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
@@ -119,7 +120,7 @@ def test_family_recursion_soundness_sampled(numerical_artifacts):
     for j in range(1, min(4, len(fam.inradius))):  # later levels are empty
         idx = fam.present(j)[:20]
         for i, r in zip(idx, fam.inradius[j, idx]):
-            pts = sample_ball(rng, ds.succ_states[i], r, 50)
+            pts = sample_in_ball(rng, ds.succ_states[i], r, 50)
             assert all(fam.contains(j - 1, p) for p in pts)
 
 
@@ -167,7 +168,7 @@ def test_nesting_counterexample_with_witness():
     # rejection-sample a witness point in level 0 but not level 1
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p = sample_ball(rng, ds.succ_states[1], 0.4, 1)[0]
+        p = sample_in_ball(rng, ds.succ_states[1], 0.4, 1)[0]
         if fam.contains(0, p) and not fam.contains(1, p):
             break
     else:

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from invctrl import pipeline
+from invctrl import pipeline, verify
 from invctrl.cli import main
 from invctrl.config import ConfigError, default_config, load_config
+from invctrl.levelsets import LevelFamily
 
 
 def test_default_configs_validate():
@@ -154,6 +155,103 @@ def test_report_detects_corrupted_log(numerical_cfg, tmp_path):
     assert pipeline.cmd_report(cfg, log=lambda *a: None) is False
 
 
+def test_verify_catches_recursion_escape(numerical_cfg, tmp_path):
+    import shutil
+    out = str(tmp_path / "shrunk")
+    shutil.copytree(numerical_cfg.outdir, out)
+    cfg = default_config("numerical")
+    cfg.outdir = out
+    fam_path = os.path.join(out, "families", "delta_1.npy")
+    tables = np.load(fam_path)
+    level2 = np.flatnonzero(np.isfinite(tables[0, 2]))
+    assert level2.size > 1
+    level1 = np.isfinite(tables[1, 1])
+    tables[1, 1, level1] *= 1e-3  # shrink the level-1 certified balls
+    np.save(fam_path, tables)
+    assert pipeline.cmd_verify(cfg, log=lambda *a: None) is False
+    report = open(os.path.join(out, "verify_report.txt")).read()
+    fail = next(line for line in report.splitlines()
+                if line.startswith("FAIL family_recursion_soundness"))
+    # every level-2 ball now escapes; the first record is the one named
+    assert fail.endswith(f"escape at delta=1 level=2 record={level2[0]}")
+    assert "PASS family_positive_radii" in report
+    assert "PASS family_certificate_consistency" in report
+
+
+def _reference_escapes(fam, level, idx, samples, rng):
+    """Per-entry broadcast-norm loop: the reference for the batched check."""
+    prev_c, prev_r = fam.centers_radii(level - 1)
+    escaped = []
+    for i in idx:
+        pts = verify.sample_in_ball(rng, fam.dataset.succ_states[i],
+                                    fam.inradius[level, i], samples)
+        d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
+        escaped.append(not (d <= prev_r[None, :]).any(axis=1).all())
+    return np.array(escaped)
+
+
+def _compare_escapes(families, samples, per_level=None, level_step=1):
+    """Batched and reference verdicts on the same seeded draws; returns the
+    number of entries compared and of escapes seen."""
+    entries = escapes = 0
+    for k, fam in enumerate(families):
+        for j in range(1, len(fam.inradius), level_step):
+            idx = fam.present(j)
+            if idx.size == 0:
+                continue
+            if per_level is not None:
+                idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
+            got = verify.recursion_escapes(fam, j, idx, samples,
+                                           np.random.default_rng((k, j)))
+            want = _reference_escapes(fam, j, idx, samples,
+                                      np.random.default_rng((k, j)))
+            assert np.array_equal(got, want), (fam.delta, j)
+            entries += len(idx)
+            escapes += int(want.sum())
+    return entries, escapes
+
+
+def test_recursion_escapes_matches_norm_loop_numerical(numerical_artifacts):
+    # 200 samples/entry against up to 280 balls spans several distance
+    # blocks, and entries straddle the block edges
+    families = numerical_artifacts["controller"].families
+    entries, escapes = _compare_escapes(families, 200)
+    assert entries == sum(sum(f.sizes()[1:]) for f in families)
+    assert escapes == 0
+    # inflated balls: some samples of an entry escape and some do not
+    fam = next(f for f in families if f.delta == 1.0)
+    inradius = fam.inradius.copy()
+    inradius[1:] *= 1.03
+    fat = LevelFamily(delta=fam.delta, depth=fam.depth, inradius=inradius,
+                      cert_radius=fam.cert_radius, dataset=fam.dataset)
+    entries, escapes = _compare_escapes([fat], 200)
+    assert 0 < escapes < entries
+
+
+def test_recursion_escapes_matches_norm_loop_pendulum(pendulum_artifacts):
+    # verify's selection for large datasets; every 5th level keeps the
+    # reference loop to a few seconds
+    families = pendulum_artifacts["controller"].families
+    entries, escapes = _compare_escapes(families, 50, per_level=8, level_step=5)
+    assert entries > 1000 and escapes == 0
+
+
+def test_recursion_escapes_reports_first_injected_escape(numerical_artifacts):
+    fam = next(f for f in numerical_artifacts["controller"].families
+               if f.delta == 1.0)
+    idx = fam.present(1)
+    recs = [int(idx[len(idx) // 3]), int(idx[2 * len(idx) // 3])]
+    inradius = fam.inradius.copy()
+    inradius[1, recs] *= 100.0  # two level-1 balls far beyond level 0
+    bad = LevelFamily(delta=fam.delta, depth=fam.depth, inradius=inradius,
+                      cert_radius=fam.cert_radius, dataset=fam.dataset)
+    _, escapes = _compare_escapes([bad], 200)
+    assert escapes == 2
+    escaped = verify.recursion_escapes(bad, 1, idx, 200, np.random.default_rng(0))
+    assert list(idx[escaped]) == recs
+    assert int(idx[np.argmax(escaped)]) == recs[0]
+
+
 def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
     import shutil
     out = str(tmp_path / "broken_header")
@@ -167,6 +265,26 @@ def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
     assert main(["report", "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "ic_00.csv" in err and "not a run log" in err
+
+
+@pytest.mark.parametrize("line,edit,message", [
+    (0, "# ic = nan_here,1", "ic_00.csv:1:"),
+    (2, "1,0.5,1", "ic_00.csv:3:"),
+])
+def test_cli_report_rejects_malformed_log_line(numerical_cfg, tmp_path, capsys,
+                                               line, edit, message):
+    import shutil
+    out = str(tmp_path / f"malformed_{line}")
+    shutil.copytree(numerical_cfg.outdir, out)
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
+    log_path = os.path.join(out, "runs", "ic_00.csv")
+    lines = open(log_path).read().splitlines()
+    lines[line] = edit
+    open(log_path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert message in err
 
 
 @pytest.mark.parametrize("damage,message", [
