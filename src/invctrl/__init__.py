@@ -10,8 +10,7 @@ from .bounds import DeviationBounds
 from .controller import Controller, StepCertificate
 from .interpolant import (Interpolant, fit_interpolant, select_hyperparameters)
 from .kernels import ArdMatern52Kernel, IsotropicKernel, make_kernel
-from .levelsets import (Ball, LevelFamily, build_level_family, check_nesting,
-                        slab_inradius, union_inradius)
+from .levelsets import LevelFamily, build_level_family, check_nesting
 from .narx import (NarxDataset, Trajectory, build_dataset, merge_datasets,
                    shift_state)
 from .plants import (NoiseSpec, NumericalPlant, PendulumPlant, add_noise,
@@ -23,9 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "DeviationBounds", "Controller", "StepCertificate", "Interpolant",
     "fit_interpolant", "select_hyperparameters", "ArdMatern52Kernel",
-    "IsotropicKernel", "make_kernel", "Ball", "LevelFamily",
-    "build_level_family", "check_nesting", "slab_inradius", "union_inradius",
-    "NarxDataset", "Trajectory", "build_dataset", "merge_datasets",
+    "IsotropicKernel", "make_kernel", "LevelFamily", "build_level_family",
+    "check_nesting", "NarxDataset", "Trajectory", "build_dataset", "merge_datasets",
     "shift_state", "NoiseSpec", "NumericalPlant", "PendulumPlant",
     "add_noise", "collect_numerical_trajectories",
     "collect_pendulum_trajectories",

@@ -10,9 +10,19 @@ radius ``state_dev_inv(r)``: from anywhere in that ball, replaying the
 record's target provably lands the successor inside level j.
 
 Inradius of a point in a ball union is NP-hard to compute exactly, so the
-single-ball underestimate ``max_j (radius_j - dist(p, center_j))`` is used
+single-ball underestimate ``max_k (radius_k - dist(p, center_k))`` is used
 throughout; every certificate built on it stays sound.  Entries with
 inradius below 1e-12 are dropped (zero-measure certificates).
+
+Each level step is the max-plus product ``r_new[i] = max_k (radii[k] -
+D[i, k])`` over a distance table fixed for the build; ``ABSENT`` radii are
+neutral.  ``pairwise_distances`` keeps, per row, the ``NEAR_K`` nearest
+columns and ``beyond``, the smallest distance to any other column.
+``max_plus`` takes ``best`` over the nearest columns, then scans in full,
+``SCAN_ROWS`` rows at a time, only rows with ``max(radii) - beyond > best``.
+This is exact: any other column has ``D[i, k] >= beyond`` and ``radii[k] <=
+max(radii)``, and rounded subtraction is monotone, so ``radii[k] - D[i, k]
+<= best``; the result is bit-identical to the product over all columns.
 
 A family is two float64 tables indexed ``[level, record]``: ``inradius``
 and ``cert_radius``, with ``ABSENT`` (-inf) where a record has no ball at
@@ -34,12 +44,11 @@ from .narx import NarxDataset
 
 __all__ = [
     "ABSENT",
-    "Ball",
     "LevelFamily",
-    "slab_inradius",
-    "union_inradius",
     "index_set_slab",
     "build_level_family",
+    "max_plus",
+    "nearest_table",
     "pairwise_distances",
     "check_nesting",
     "dump_family",
@@ -48,17 +57,8 @@ __all__ = [
 
 MIN_INRADIUS = 1e-12
 ABSENT = -np.inf
-
-
-@dataclass(frozen=True)
-class Ball:
-    center: np.ndarray
-    radius: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "center", np.asarray(self.center, dtype=float))
-        if self.radius < 0:
-            raise ValueError("radius must be >= 0")
+NEAR_K = 32       # nearest columns kept per row of a distance table
+SCAN_ROWS = 64    # rows per block of the full scan in ``max_plus``
 
 
 @dataclass
@@ -111,24 +111,6 @@ class LevelFamily:
         return bool((d <= radii).any())
 
 
-def slab_inradius(succ_state, delta, order):
-    """Inradius of a successor state in the output slab, or None if the
-    point is not strictly inside (slab geometry: ``delta - |y component|``)."""
-    p = np.asarray(succ_state, dtype=float)
-    r = delta - abs(p[order - 1])
-    return r if r > 0 else None
-
-
-def union_inradius(point, balls):
-    """Single-ball underestimate of the inradius of ``point`` in a ball
-    union, or None if no ball contains it with positive margin."""
-    if not balls:
-        return None
-    p = np.asarray(point, dtype=float)
-    best = max(b.radius - float(np.linalg.norm(p - b.center)) for b in balls)
-    return best if best > 0 else None
-
-
 def _inradius_row(inradii):
     return np.where(inradii > MIN_INRADIUS, inradii, ABSENT)
 
@@ -139,22 +121,50 @@ def index_set_slab(dataset: NarxDataset, delta):
     return _inradius_row(delta - np.abs(dataset.succ_states[:, dataset.order - 1]))
 
 
+def nearest_table(dist):
+    """``(dist, near, near_dist, beyond)``: per row of ``dist``, partitioned
+    once, the indices and distances of the ``NEAR_K`` nearest columns (all
+    if no more) and the smallest distance to any other column."""
+    n, m = dist.shape
+    if m <= NEAR_K:
+        return dist, np.broadcast_to(np.arange(m), (n, m)), dist, np.full(n, np.inf)
+    # a copy, so that the full N x M index array is not kept alive
+    part = np.argpartition(dist, NEAR_K, axis=1)[:, :NEAR_K + 1].copy()
+    part_dist = np.take_along_axis(dist, part, axis=1)
+    return dist, part[:, :NEAR_K], part_dist[:, :NEAR_K], part_dist[:, NEAR_K]
+
+
+def max_plus(radii, table):
+    """``max_k (radii[k] - dist[i, k])`` per row ``i`` of a ``nearest_table``,
+    exactly (see the module docstring): on point-to-center distances, each
+    point's single-ball inradius underestimate in the union of the balls."""
+    dist, near, near_dist, beyond = table
+    best = (radii[near] - near_dist).max(axis=1)
+    rows = np.flatnonzero(radii.max() - beyond > best)
+    buf = np.empty((min(SCAN_ROWS, len(rows)), len(radii)))
+    for start in range(0, len(rows), SCAN_ROWS):
+        block = rows[start:start + SCAN_ROWS]
+        out = buf[:len(block)]
+        # rows are valid indices; "clip" skips the buffered copy of "raise"
+        np.take(dist, block, axis=0, out=out, mode="clip")
+        np.subtract(radii, out, out=out)
+        best[block] = out.max(axis=1)
+    return best
+
+
 def build_level_family(dataset: NarxDataset, bounds, delta, depth,
                        _dists=None) -> LevelFamily:
     """Construct levels 0..depth; stops early once a level comes out empty
     (an empty family is a valid, reported outcome).
 
-    ``_dists`` optionally carries the two pairwise distance matrices
-    (successors-to-successors, successors-to-states) so that a batch build
-    over several accuracies shares them.
+    ``_dists`` optionally carries ``pairwise_distances(dataset)`` so that a
+    batch build over several accuracies shares it.
     """
     if delta <= 0:
         raise ValueError("delta must be > 0")
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    if _dists is None:
-        _dists = pairwise_distances(dataset)
-    D_ss, D_sz = _dists
+    ss, sz = pairwise_distances(dataset) if _dists is None else _dists
     rows_r, rows_c = [], []
     r = index_set_slab(dataset, delta)
     while True:
@@ -167,9 +177,7 @@ def build_level_family(dataset: NarxDataset, bounds, delta, depth,
         rows_c.append(c)
         if len(rows_r) == depth + 1:
             break
-        # level j+1 from the present balls of level j only
-        D, radii = (D_ss, r) if len(rows_r) == 1 else (D_sz, c)
-        r = _inradius_row((radii[idx][None, :] - D[:, idx]).max(axis=1))
+        r = _inradius_row(max_plus(r, ss) if len(rows_r) == 1 else max_plus(c, sz))
     shape = (len(rows_r), len(dataset))
     return LevelFamily(delta=float(delta), depth=int(depth),
                        inradius=np.array(rows_r).reshape(shape),
@@ -178,10 +186,10 @@ def build_level_family(dataset: NarxDataset, bounds, delta, depth,
 
 
 def pairwise_distances(dataset: NarxDataset):
-    """(successor-to-successor, successor-to-state) distance matrices,
-    shared across family builds over one dataset."""
-    return (cdist(dataset.succ_states, dataset.succ_states),
-            cdist(dataset.succ_states, dataset.states))
+    """(successor-to-successor, successor-to-state) nearest tables, shared
+    across family builds over one dataset."""
+    return (nearest_table(cdist(dataset.succ_states, dataset.succ_states)),
+            nearest_table(cdist(dataset.succ_states, dataset.states)))
 
 
 def check_nesting(family: LevelFamily) -> bool:

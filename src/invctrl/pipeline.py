@@ -387,7 +387,13 @@ def cmd_report(cfg: RunConfig, log=print):
     ok = True
     for k in range(len(cfg.initial_conditions)):
         tag = f"ic_{k:02d}"
-        ic, rows = read_run_log(os.path.join(paths["rundir"], f"{tag}.csv"))
+        path = os.path.join(paths["rundir"], f"{tag}.csv")
+        ic, rows = read_run_log(path)
+        if len(ic) != 2 * cfg.order - 1:
+            raise ConfigError(f"{path}:1: initial condition has {len(ic)} values, "
+                              f"the order-{cfg.order} state has {2 * cfg.order - 1}")
+        if tag not in stored:
+            raise ConfigError(f"{paths['summary']}: no rmse for {tag}")
         outputs = [ic[cfg.order - 1]] + [r[7] for r in rows]
         rmse = displayed_rmse(outputs)
         match = abs(rmse - stored[tag]) <= 1e-12

@@ -101,9 +101,6 @@ class NumericalPlant:
         rad = self.radicand(state, u)
         return self.BAND_LO - _BAND_GRACE <= rad <= self.BAND_HI + _BAND_GRACE
 
-    def output_feasible(self, y):
-        return -1.0 <= y <= 1.0
-
     def step(self, state, u):
         """Next output; raises InfeasibleInput outside the band."""
         if u <= 0:
@@ -126,12 +123,6 @@ class NumericalPlant:
         zpart = np.sum(f[..., 1:] ** 2, axis=-1)
         out = np.exp(-(ypart + zpart) / 16.0)
         return float(out) if out.ndim == 0 else out
-
-    def feasible_input_bounds(self, state):
-        """The input band [u_lo, u_hi] for a given state."""
-        z2 = float(np.asarray(state, dtype=float) @ np.asarray(state, dtype=float))
-        return (math.exp(-(self.BAND_HI + z2) / 16.0),
-                math.exp(-(self.BAND_LO + z2) / 16.0))
 
     def sample_feasible_input(self, state, rng):
         """Draw the radicand uniformly in the band and solve for the input,
@@ -192,9 +183,6 @@ class PendulumPlant:
         return y1, np.array([s[1], y1, u])
 
     def input_feasible(self, state, u):
-        return True
-
-    def output_feasible(self, y):
         return True
 
     def oracle(self, features):

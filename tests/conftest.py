@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from invctrl.config import default_config
-from invctrl.levelsets import ABSENT, LevelFamily
+from invctrl.levelsets import ABSENT, LevelFamily, max_plus, nearest_table
 from invctrl.narx import NarxDataset
 from invctrl import pipeline
 
@@ -43,7 +44,7 @@ def pendulum_artifacts(pendulum_cfg):
                 controller=controller, bounds=bounds, plant=plant)
 
 
-def sampled_inradius(point, balls, directions=2000, seed=0):
+def sampled_inradius(point, centers, radii, directions=2000, seed=0):
     """Direction-sampled estimate of the true inradius of ``point`` in a
     ball union (an overestimate: the min over sampled rays of the union's
     reach along the ray)."""
@@ -53,15 +54,23 @@ def sampled_inradius(point, balls, directions=2000, seed=0):
     dirs = rng.normal(size=(directions, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     best = np.full(directions, -np.inf)
-    for b in balls:
-        w = point - np.asarray(b.center, dtype=float)
+    for center, radius in zip(np.asarray(centers, dtype=float), radii):
+        w = point - center
         proj = dirs @ w
-        disc = proj**2 - (w @ w - b.radius * b.radius)
+        disc = proj**2 - (w @ w - radius * radius)
         mask = disc >= 0
         cur = np.full(directions, -np.inf)
         cur[mask] = -proj[mask] + np.sqrt(disc[mask])
         best = np.maximum(best, cur)
     return max(float(best.min()), 0.0)
+
+
+def single_ball_inradius(points, centers, radii):
+    """The builder's single-ball inradius underestimate of each point in
+    the union of balls (centers, radii): the max-plus product over the
+    point-to-center distances."""
+    return max_plus(np.asarray(radii, dtype=float),
+                    nearest_table(cdist(np.atleast_2d(points), np.atleast_2d(centers))))
 
 
 def synth_dataset(states, targets, controls):

@@ -18,12 +18,11 @@ from invctrl.bounds import DeviationBounds
 from invctrl.cli import main
 from invctrl.config import default_config
 from invctrl.interpolant import fit_interpolant
-from invctrl.levelsets import Ball, union_inradius
 from invctrl.narx import shift_state
 from invctrl.plants import rng_stream
 from invctrl.verify import sample_in_ball
 
-from conftest import sampled_inradius
+from conftest import sampled_inradius, single_ball_inradius
 
 
 def report(num, passed, detail):
@@ -187,14 +186,16 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
     rng = np.random.default_rng(2024)
     worst_gap = -np.inf
     for trial in range(100):
-        balls = [Ball(rng.uniform(-1, 1, size=3), rng.uniform(0.2, 1.0))
+        balls = [(rng.uniform(-1, 1, size=3), rng.uniform(0.2, 1.0))
                  for _ in range(int(rng.integers(1, 7)))]
+        centers = np.array([c for c, _ in balls])
+        radii = np.array([r for _, r in balls])
         k = int(rng.integers(len(balls)))
-        p = balls[k].center + rng.normal(size=3) * balls[k].radius * 0.3
-        est = union_inradius(p, balls)
-        if est is None:
+        p = centers[k] + rng.normal(size=3) * radii[k] * 0.3
+        est = single_ball_inradius([p], centers, radii)[0]
+        if est <= 0:
             continue
-        true_est = sampled_inradius(p, balls, seed=trial)
+        true_est = sampled_inradius(p, centers, radii, seed=trial)
         worst_gap = max(worst_gap, est - true_est)
     under_ok = worst_gap <= 1e-9
 

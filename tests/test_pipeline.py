@@ -269,6 +269,7 @@ def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
 
 @pytest.mark.parametrize("line,edit,message", [
     (0, "# ic = nan_here,1", "ic_00.csv:1:"),
+    (0, "# ic = 0.1", "ic_00.csv:1: initial condition has 1 values"),
     (2, "1,0.5,1", "ic_00.csv:3:"),
 ])
 def test_cli_report_rejects_malformed_log_line(numerical_cfg, tmp_path, capsys,
@@ -285,6 +286,20 @@ def test_cli_report_rejects_malformed_log_line(numerical_cfg, tmp_path, capsys,
     assert main(["report", "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert message in err
+
+
+def test_cli_report_rejects_summary_without_run(numerical_cfg, tmp_path, capsys):
+    import shutil
+    out = str(tmp_path / "summary_short")
+    shutil.copytree(numerical_cfg.outdir, out)
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
+    summary = os.path.join(out, "summary.txt")
+    lines = open(summary).read().splitlines()
+    open(summary, "w").write("\n".join(l for l in lines if not l.startswith("ic_00:")) + "\n")
+    capsys.readouterr()
+    assert main(["report", "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert "summary.txt" in err and "ic_00" in err
 
 
 @pytest.mark.parametrize("damage,message", [
