@@ -8,7 +8,7 @@ benchmark plants.
 
 from .bounds import DeviationBounds
 from .controller import Controller, StepCertificate
-from .interpolant import (Interpolant, fit_interpolant, select_hyperparameters)
+from .interpolant import Interpolant, fit_interpolant
 from .kernels import ArdMatern52Kernel, IsotropicKernel, make_kernel
 from .levelsets import LevelFamily, build_level_family, check_nesting
 from .narx import (NarxDataset, Trajectory, build_dataset, merge_datasets,
@@ -21,7 +21,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeviationBounds", "Controller", "StepCertificate", "Interpolant",
-    "fit_interpolant", "select_hyperparameters", "ArdMatern52Kernel",
+    "fit_interpolant", "ArdMatern52Kernel",
     "IsotropicKernel", "make_kernel", "LevelFamily", "build_level_family",
     "check_nesting", "NarxDataset", "Trajectory", "build_dataset", "merge_datasets",
     "shift_state", "NoiseSpec", "NumericalPlant", "PendulumPlant",

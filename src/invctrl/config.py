@@ -8,14 +8,31 @@ the keys it overrides.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+import math
+from dataclasses import dataclass, fields, replace
 from typing import Tuple
+
+from .bounds import DeviationBounds
+from .kernels import ArdMatern52Kernel, make_kernel
+from .plants import NumericalPlant, PendulumPlant
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "load_config"]
 
 
 class ConfigError(ValueError):
     """Malformed or inconsistent run configuration (CLI exit code 2)."""
+
+
+PLANTS = {"numerical": NumericalPlant, "pendulum": PendulumPlant}
+
+
+def _floats(value):
+    """Every float in a field value, nested tuples included."""
+    if isinstance(value, float):
+        yield value
+    elif isinstance(value, tuple):
+        for v in value:
+            yield from _floats(v)
 
 
 @dataclass
@@ -44,10 +61,17 @@ class RunConfig:
     outdir: str
 
     def validate(self):
-        if self.plant not in ("numerical", "pendulum"):
+        """Raise ``ConfigError`` on a config the stages cannot run; builds
+        the kernel and the bounds so that their own checks apply here."""
+        for f in fields(self):
+            if not all(math.isfinite(v) for v in _floats(getattr(self, f.name))):
+                raise ConfigError(f"{f.name} must be finite")
+        if self.plant not in PLANTS:
             raise ConfigError(f"unknown plant {self.plant!r}")
-        if self.delay not in (1, 2):
-            raise ConfigError("delay must be 1 or 2")
+        plant = PLANTS[self.plant]
+        if (self.order, self.delay) != (plant.order, plant.delay):
+            raise ConfigError(f"the {self.plant} plant has order n = {plant.order} "
+                              f"and delay nu = {plant.delay}")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.depth < 1:
@@ -70,6 +94,22 @@ class RunConfig:
                 raise ConfigError(
                     f"initial condition {ic} has dimension {len(ic)}, "
                     f"expected {dim}")
+        if self.eta_mode != "profile":
+            raise ConfigError("[bounds] eta_mode: only 'profile' can be configured")
+        try:
+            kernel = make_kernel(self.kernel_family, self.sigma_f, self.sigma_l)
+        except ValueError as exc:
+            raise ConfigError(f"[kernel] {exc}") from None
+        try:
+            DeviationBounds(
+                lip_f=self.lip_f, lip_c=self.lip_c, rkhs_bound=self.rkhs_bound,
+                delay=self.delay, eta_mode=self.eta_mode, profile=kernel.profile,
+                gamma_mode=self.gamma_mode, gamma_slope=self.gamma_slope)
+        except ValueError as exc:
+            raise ConfigError(f"[bounds] {exc}") from None
+        if isinstance(kernel, ArdMatern52Kernel) and kernel.dim != dim + 1:
+            raise ConfigError(f"[kernel] ard_matern52 needs {dim + 1} length scales, "
+                              f"one per feature")
         return self
 
 

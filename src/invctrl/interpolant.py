@@ -37,7 +37,6 @@ __all__ = [
     "Interpolant",
     "FitError",
     "fit_interpolant",
-    "select_hyperparameters",
     "dump_interpolant",
     "load_interpolant",
 ]
@@ -132,46 +131,6 @@ def fit_interpolant(kernel, dataset: NarxDataset, lam: float = 0.0) -> Interpola
     alpha = cho_solve(chol, u)
     return Interpolant(kernel=kernel, train_x=X.copy(), train_u=u.copy(),
                        alpha=alpha, lam=float(lam), jitter=jitter, _chol=chol)
-
-
-def loo_log_density(kernel, X, u, lam):
-    """Leave-one-out log predictive density of the (ridge) interpolant.
-
-    Uses the closed form from the inverse Gram matrix: with C = (K+lam I)^{-1}
-    the LOO residual at i is alpha_i / C_ii and the LOO variance 1 / C_ii.
-    """
-    K = kernel.gram(X)
-    chol, _ = _factor(K, lam, _signal_variance(kernel))
-    N = len(u)
-    Cinv = cho_solve(chol, np.eye(N))
-    diag = np.diag(Cinv)
-    alpha = Cinv @ u
-    resid = alpha / diag
-    var = 1.0 / diag
-    return float(np.sum(-0.5 * np.log(2.0 * np.pi * var) - resid**2 / (2.0 * var)))
-
-
-def select_hyperparameters(candidates, dataset: NarxDataset, lam: float = 0.0):
-    """Pick the kernel from ``candidates`` maximizing the leave-one-out log
-    predictive density at fixed ``lam``.  Deterministic: ties broken by the
-    candidate's parameter tuple, so a permuted grid selects the same kernel.
-    """
-    candidates = list(candidates)
-    if not candidates:
-        raise ValueError("empty hyperparameter grid")
-
-    def params(k):
-        if isinstance(k, ArdMatern52Kernel):
-            return (k.sigma_f,) + tuple(k.sigma_l)
-        return (k.sigma_f, k.sigma_l)
-
-    best = None
-    for cand in candidates:
-        score = loo_log_density(cand, dataset.features, dataset.controls, lam)
-        key = (score, tuple(-p for p in params(cand)))
-        if best is None or key > best[0]:
-            best = (key, cand)
-    return best[1]
 
 
 def dump_interpolant(path, model: Interpolant):

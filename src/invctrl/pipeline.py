@@ -27,7 +27,7 @@ from typing import List
 import numpy as np
 
 from .bounds import DeviationBounds
-from .config import PENDULUM_NOISY_LAM, ConfigError, RunConfig
+from .config import PENDULUM_NOISY_LAM, PLANTS, ConfigError, RunConfig
 from .controller import Controller
 from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
 from .kernels import ArdMatern52Kernel, make_kernel
@@ -35,8 +35,8 @@ from .levelsets import (build_level_family, check_nesting, dump_family,
                         load_family, pairwise_distances)
 from .narx import (FLOAT_FMT, NarxDataset, build_dataset, merge_datasets,
                    read_trajectory, shift_state, write_trajectory)
-from .plants import (STREAM_ONLINE_NOISE, NoiseSpec, NumericalPlant,
-                     PendulumPlant, add_noise, collect_numerical_trajectories,
+from .plants import (STREAM_ONLINE_NOISE, NoiseSpec, add_noise,
+                     collect_numerical_trajectories,
                      collect_pendulum_trajectories, rng_stream)
 
 __all__ = [
@@ -60,9 +60,7 @@ def _fmt(x):
 
 
 def make_plant(cfg: RunConfig):
-    if cfg.plant == "numerical":
-        return NumericalPlant()
-    return PendulumPlant()
+    return PLANTS[cfg.plant]()
 
 
 def make_kernel_from_config(cfg: RunConfig):

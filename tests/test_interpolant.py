@@ -6,8 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
 from invctrl.interpolant import (FitError, dump_interpolant, fit_interpolant,
-                                 load_interpolant, loo_log_density,
-                                 select_hyperparameters)
+                                 load_interpolant)
 from invctrl.kernels import IsotropicKernel
 from invctrl.narx import NarxDataset
 
@@ -163,32 +162,6 @@ def test_empty_dataset_rejected():
                         controls=ds.controls[:0], succ_states=ds.succ_states[:0])
     with pytest.raises(ValueError):
         fit_interpolant(SE, empty)
-
-
-def test_hyperparameter_selection_single_candidate():
-    ds = random_dataset(12, seed=9)
-    assert select_hyperparameters([SE], ds, lam=1e-8) is SE
-
-
-def test_hyperparameter_selection_recovers_scale():
-    # data built as an explicit kernel combination with the true scale
-    rng = np.random.default_rng(10)
-    true = IsotropicKernel("squared_exponential", 1.0, 0.5)
-    centers = rng.uniform(-1, 1, size=(8, 4))
-    weights = rng.normal(size=8)
-    X = rng.uniform(-1, 1, size=(60, 4))
-    u = true.cross(X, centers) @ weights
-    ds = make_dataset(X, u)
-    wrong = IsotropicKernel("squared_exponential", 1.0, 5.0)
-    picked = select_hyperparameters([true, wrong], ds, lam=1e-8)
-    assert picked is true
-    assert select_hyperparameters([wrong, true], ds, lam=1e-8) is true  # order-free
-
-
-def test_loo_log_density_finite():
-    ds = random_dataset(15, seed=11)
-    val = loo_log_density(SE, ds.features, ds.controls, lam=1e-6)
-    assert np.isfinite(val)
 
 
 def test_dump_load_round_trip(tmp_path):

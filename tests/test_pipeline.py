@@ -1,13 +1,16 @@
 import filecmp
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from conftest import synth_dataset, synth_family
 from invctrl import pipeline, verify
 from invctrl.cli import main
 from invctrl.config import ConfigError, default_config, load_config
-from invctrl.levelsets import LevelFamily
+from invctrl.levelsets import NEAR_K, LevelFamily
+from invctrl.plants import rng_stream
 
 
 def test_default_configs_validate():
@@ -57,6 +60,28 @@ def test_cli_exit_code_on_config_error(tmp_path):
     bad.write_text("[plant]\nid = numerical\n[levels]\ndeltas = -1\n")
     assert main(["build", "--config", str(bad)]) == 2
     assert main(["collect"]) == 2  # neither --config nor --plant
+
+
+@pytest.mark.parametrize("text,message", [
+    ("id = numerical\n[kernel]\nfamily = foo\n", "unknown kernel family"),
+    ("id = numerical\n[bounds]\neta_mode = explicit\n", "eta_mode"),
+    ("id = numerical\n[bounds]\ngamma_mode = linear\n",
+     "linear gamma mode needs a positive slope"),
+    ("id = numerical\nnu = 2\n", "delay nu = 1"),
+    ("id = numerical\n[kernel]\nsigma_l = 1, 1, 1, 1\n", "takes a single length scale"),
+    ("id = numerical\n[simulate]\ninitial_conditions = nan, 0, 0\n",
+     "initial_conditions must be finite"),
+    ("id = numerical\n[levels]\ndeltas = 0.5, inf\n", "deltas must be finite"),
+    ("id = pendulum\n[kernel]\nsigma_l = 1, 1, 1\n", "needs 4 length scales"),
+])
+def test_cli_config_error_exits_2(tmp_path, capsys, text, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("[plant]\n" + text)
+    capsys.readouterr()
+    assert main(["collect", "--config", str(bad), "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "x").exists()
 
 
 def test_cli_rejects_noisy_numerical(tmp_path):
@@ -121,6 +146,13 @@ def test_build_report_contents(numerical_cfg):
 
 def test_verify_passes_on_clean_artifacts(numerical_cfg):
     assert pipeline.cmd_verify(numerical_cfg, log=lambda *a: None) is True
+    # the sampled suites' lines are pinned: a faster verify must not move
+    # a draw or a count
+    report = open(os.path.join(numerical_cfg.outdir, "verify_report.txt")).read()
+    lines = report.splitlines()
+    assert ("PASS bound_validity_oracle: violations u/y/state 0/0/0, "
+            "0 infeasible-pair skips of 1000") in lines
+    assert "PASS family_recursion_soundness: 200 samples/entry" in lines
 
 
 def test_verify_catches_fault_injection(numerical_cfg, tmp_path):
@@ -250,6 +282,122 @@ def test_recursion_escapes_reports_first_injected_escape(numerical_artifacts):
     escaped = verify.recursion_escapes(bad, 1, idx, 200, np.random.default_rng(0))
     assert list(idx[escaped]) == recs
     assert int(idx[np.argmax(escaped)]) == recs[0]
+
+
+def _cover_family(extra, entry_center, entry_radius):
+    """Level 0: NEAR_K balls of radius 0.9 at the origin (slack 0.9 each
+    from an entry at the origin) followed by ``extra`` (center, radius)
+    balls; level 1: one entry ball.  Returns the family and the entry's
+    record index."""
+    balls = [((0.0, 0.0, 0.0), 0.9)] * NEAR_K + list(extra)
+    succ = np.array([c for c, _ in balls] + [entry_center])
+    ds = synth_dataset(np.stack([np.zeros(len(succ)), succ[:, 0],
+                                 np.zeros(len(succ))], axis=1),
+                       succ[:, 1], succ[:, 2])
+    last = len(balls)
+    fam = synth_family(ds, 1.0, [
+        [(i, r, r) for i, (_, r) in enumerate(balls)],
+        [(last, entry_radius, entry_radius)]])
+    return fam, last
+
+
+# six balls centered 10 out on the coordinate axes, reaching to 0.15 of
+# the origin: together they cover the shell 0.9 < |p| <= 1
+AXIS_BALLS = [(tuple(s * 10.0 * np.eye(3)[a]), 9.85) for a in range(3) for s in (1, -1)]
+
+
+def test_recursion_escapes_full_scan_finds_non_candidate_ball():
+    # the six covering balls have slack -0.15, below every candidate's
+    # 0.9: the shell samples are found inside only by the full scan
+    fam, rec = _cover_family(AXIS_BALLS, (0.0, 0.0, 0.0), 1.0)
+    pts = verify.sample_in_ball(np.random.default_rng(3), np.zeros(3), 1.0, 200)
+    assert (np.linalg.norm(pts, axis=1) > 0.9).sum() > 10
+    got = verify.recursion_escapes(fam, 1, np.array([rec]), 200,
+                                   np.random.default_rng(3))
+    want = _reference_escapes(fam, 1, [rec], 200, np.random.default_rng(3))
+    assert not want[0] and np.array_equal(got, want)
+    # without the covering balls the same samples escape
+    bare, rec = _cover_family([], (0.0, 0.0, 0.0), 1.0)
+    got = verify.recursion_escapes(bare, 1, np.array([rec]), 200,
+                                   np.random.default_rng(3))
+    assert got[0] and np.array_equal(
+        got, _reference_escapes(bare, 1, [rec], 200, np.random.default_rng(3)))
+
+
+def test_recursion_escapes_entry_with_every_sample_outside():
+    fam, rec = _cover_family(AXIS_BALLS, (50.0, 50.0, 50.0), 0.5)
+    idx = np.array([0, rec])
+    fam.inradius[1, 0] = fam.cert_radius[1, 0] = 0.5  # one entry inside
+    got = verify.recursion_escapes(fam, 1, idx, 200, np.random.default_rng(4))
+    want = _reference_escapes(fam, 1, idx, 200, np.random.default_rng(4))
+    assert list(want) == [False, True] and np.array_equal(got, want)
+
+
+def test_recursion_escapes_fewer_previous_balls_than_candidates():
+    # three previous balls: every one is a candidate
+    ds = synth_dataset(np.zeros((5, 3)), [0.0, 0.0, 0.0, 0.0, 0.0],
+                       [0.0, 1.0, 2.0, 0.5, 1.9])
+    fam = synth_family(ds, 1.0, [
+        [(0, 0.6, 0.6), (1, 0.6, 0.6), (2, 0.6, 0.6)],
+        [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
+    assert len(fam.present(0)) < NEAR_K
+    idx = fam.present(1)
+    for seed in range(5):
+        got = verify.recursion_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
+        want = _reference_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
+        assert list(want) == [True, False] and np.array_equal(got, want)
+
+
+def _reference_oracle(plant, ds, model, bounds, rng):
+    """Per-sample oracle loop: the reference for the batched oracle."""
+    if plant.delay == 1:
+        box = plant.state_box()
+        lo, hi = box[:, 0], box[:, 1]
+    else:
+        lo = ds.states.min(axis=0) - 0.05 * np.abs(ds.states).max(axis=0)
+        hi = ds.states.max(axis=0) + 0.05 * np.abs(ds.states).max(axis=0)
+    viol_u = viol_y = viol_g = skipped = 0
+    for _ in range(1000):
+        i = int(rng.integers(len(ds)))
+        z = rng.uniform(lo, hi)
+        eps = float(np.linalg.norm(ds.states[i] - z))
+        u_hat = model.predict(np.concatenate([[ds.targets[i]], z]))
+        if abs(ds.controls[i] - u_hat) > bounds.input_dev(eps) + 1e-9:
+            viol_u += 1
+        if not plant.input_feasible(z, u_hat):
+            skipped += 1
+            continue
+        if plant.delay == 1:
+            if abs(ds.targets[i] - plant.step(z, u_hat)) > bounds.output_dev(eps) + 1e-9:
+                viol_y += 1
+            lim = bounds.state_dev(eps)
+        else:
+            lim = bounds.input_dev(eps) + (1.0 + bounds.lip_f) * eps
+        _, z_next = plant.advance(z, u_hat)
+        if float(np.linalg.norm(ds.succ_states[i] - z_next)) > lim + 1e-9:
+            viol_g += 1
+    return viol_u, viol_y, viol_g, skipped
+
+
+@pytest.mark.parametrize("artifacts,scale", [
+    ("numerical_artifacts", dict(lip_c=1e-9, rkhs_bound=1e-9, lip_f=1e-9)),
+    ("pendulum_artifacts", dict(lip_c=1e-6, rkhs_bound=1e-2)),
+])
+def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale):
+    # shrinking lip_c alone is not enough: the RKHS-norm term saturates
+    # at rkhs_bound, above every stored control, and the successor bound
+    # holds through its own eps term
+    art = request.getfixturevalue(artifacts)
+    cfg = replace(art["cfg"], **{k: getattr(art["cfg"], k) * v for k, v in scale.items()})
+    bounds = pipeline.make_bounds(cfg, art["model"].kernel)
+    args = (art["plant"], art["dataset"], art["model"], bounds)
+    got = verify.oracle_violations(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY))
+    want = _reference_oracle(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY))
+    assert got == want
+    assert sum(count > 0 for count in got[:3]) == 2  # input and output or state
+    lines = []
+    verify.run_all(cfg, log=lines.append)
+    assert any(line.startswith("verify FAIL bound_validity_oracle") for line in lines)
 
 
 def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
