@@ -181,11 +181,12 @@ def default_config(plant) -> RunConfig:
     raise ConfigError(f"unknown plant {plant!r}")
 
 
+# lower case: configparser lower-cases option names (``L_f`` is read as ``l_f``)
 _SCHEMA = {
     "plant": {"id": str, "n": int, "nu": int},
     "kernel": {"family": str, "sigma_f": float, "sigma_l": "floats"},
     "interpolant": {"lambda": float},
-    "bounds": {"L_f": float, "L_c": float, "Gamma": float, "eta_mode": str,
+    "bounds": {"l_f": float, "l_c": float, "gamma": float, "eta_mode": str,
                "gamma_mode": str, "gamma_slope": float},
     "levels": {"deltas": "floats", "kappa_bar": int},
     "simulate": {"initial_conditions": "vectors", "horizon": int},
@@ -198,8 +199,8 @@ _KEYMAP = {
     ("kernel", "family"): "kernel_family", ("kernel", "sigma_f"): "sigma_f",
     ("kernel", "sigma_l"): "sigma_l",
     ("interpolant", "lambda"): "lam",
-    ("bounds", "L_f"): "lip_f", ("bounds", "L_c"): "lip_c",
-    ("bounds", "Gamma"): "rkhs_bound", ("bounds", "eta_mode"): "eta_mode",
+    ("bounds", "l_f"): "lip_f", ("bounds", "l_c"): "lip_c",
+    ("bounds", "gamma"): "rkhs_bound", ("bounds", "eta_mode"): "eta_mode",
     ("bounds", "gamma_mode"): "gamma_mode",
     ("bounds", "gamma_slope"): "gamma_slope",
     ("levels", "deltas"): "deltas", ("levels", "kappa_bar"): "depth",

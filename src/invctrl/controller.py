@@ -1,15 +1,15 @@
 """Online reference selection and control over precomputed level families.
 
-Each step: find the first (accuracy, level >= 1) pair whose ball union
-contains the current augmented state, scanning accuracies ascending and
-levels ascending within each accuracy.  Level 0 is never searched: its
-balls certify position only, not an action.  The scan is one pass per
-accuracy over a running maximum of the certified-radius table along the
-levels, so a record's first covering level is a count of rows.  Among the
-records of the chosen level the controller picks the one maximizing the
-slack ``cert_radius - dist(state, record state)`` (ties by lowest record
-index), reads off its stored target as the reference, and applies the
-interpolant at ``[reference; state]``.
+Each step computes the state's distance to every record state once; all of
+the step's decisions read that row.  One comparison with each family's
+largest certified radius per record finds the first accuracy (ascending)
+with a level >= 1 ball holding the state; level 0 certifies position, not
+an action, and is never searched.  Along the levels, ``reach`` (the running
+maximum of the certified-radius table) makes "some record reaches the
+state" monotone, so the lowest such level is found by bisection.  The
+reference is the stored target of the level's record of largest slack
+``cert_radius - dist`` (ties by lowest index); the interpolant is applied
+at ``[reference; state]``.
 
 When no family covers the state the nearest-training-neighbour fallback is
 used: the record minimizing the state distance supplies the reference
@@ -21,12 +21,13 @@ family one level down.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .levelsets import LevelFamily
+from .levelsets import ABSENT, LevelFamily, distances
 
 __all__ = ["StepCertificate", "Controller"]
 
@@ -60,23 +61,24 @@ class Controller:
         for f in families:
             if f.dataset is not self.dataset:
                 raise ValueError("families must share one dataset")
-        # reach[k, i]: largest certified radius of record i over levels 1..k+1
+        # reach[k, i]: largest certified radius of record i over levels 1..k+1;
+        # top[f, i]: the same over all levels of family f (ABSENT if none)
         self._reach = [np.maximum.accumulate(f.cert_radius[1:], axis=0)
                        for f in families]
+        self._top = np.array([f.cert_radius[1:].max(axis=0, initial=ABSENT)
+                              for f in families])
 
-    def locate(self, state):
-        """First (delta, level >= 1) containing the state, scanning
-        accuracies ascending then levels ascending; None when uncovered."""
-        state = np.asarray(state, dtype=float)
-        d = np.linalg.norm(self.dataset.states - state, axis=1)
-        for fam, reach in zip(self.families, self._reach):
-            if len(reach) == 0:
-                continue
-            cand = np.flatnonzero(d <= reach[-1])
-            if cand.size:
-                # a record's first covering level counts the rows before it
-                return fam.delta, 1 + int((reach[:, cand] < d[cand]).sum(axis=0).min())
-        return None
+    def locate(self, state, _d=None):
+        """First (delta, level >= 1) containing the state, scanning accuracies
+        then levels ascending; None when uncovered.  ``_d``: the distance row."""
+        d = distances(self.dataset.states, state) if _d is None else _d
+        covered = (d <= self._top).any(axis=1)
+        f = int(np.argmax(covered))
+        if not covered[f]:
+            return None
+        reach = self._reach[f]  # its last row reaches the state
+        row = bisect_left(range(len(reach)), True, key=lambda r: (reach[r] >= d).any())
+        return self.families[f].delta, 1 + row
 
     def family(self, delta) -> LevelFamily:
         for f in self.families:
@@ -84,15 +86,14 @@ class Controller:
                 return f
         raise KeyError(f"no family with accuracy {delta}")
 
-    def select_reference(self, state, delta, kappa):
+    def select_reference(self, state, delta, kappa, _d=None):
         """Max-slack covering record of the level; returns the certificate
-        and the record's stored target."""
+        and the record's stored target.  ``_d`` as in ``locate``."""
         if kappa < 1:
             raise ValueError("reference selection needs level >= 1")
         fam = self.family(delta)
-        state = np.asarray(state, dtype=float)
-        slack = (fam.cert_radius[kappa]
-                 - np.linalg.norm(self.dataset.states - state, axis=1))
+        d = distances(self.dataset.states, state) if _d is None else _d
+        slack = fam.cert_radius[kappa] - d
         k = int(np.argmax(slack))  # first maximum: ties by lowest record index
         if not slack[k] >= 0:
             raise RuntimeError(
@@ -102,24 +103,23 @@ class Controller:
                                slack=float(slack[k]), certified=True)
         return cert, float(self.dataset.targets[k])
 
-    def _fallback(self, state):
-        state = np.asarray(state, dtype=float)
-        d = np.linalg.norm(self.dataset.states - state, axis=1)
-        targets = self.dataset.targets
-        order = np.lexsort((np.arange(len(d)), np.abs(targets), d))
-        j = int(order[0])
+    def _fallback(self, d):
+        near = np.flatnonzero(d == d.min())
+        j = int(near[np.argmin(np.abs(self.dataset.targets[near]))])
         cert = StepCertificate(delta=None, kappa=None, index=j, slack=None,
                                certified=False)
-        return cert, float(targets[j])
+        return cert, float(self.dataset.targets[j])
 
     def control(self, state):
         """(input, certificate) for the current state."""
-        loc = self.locate(state)
+        state = np.asarray(state, dtype=float)
+        d = distances(self.dataset.states, state)
+        loc = self.locate(state, _d=d)
         if loc is None:
-            cert, reference = self._fallback(state)
+            cert, reference = self._fallback(d)
         else:
-            cert, reference = self.select_reference(state, *loc)
-        x = np.concatenate([[reference], np.asarray(state, dtype=float)])
+            cert, reference = self.select_reference(state, *loc, _d=d)
+        x = np.concatenate([[reference], state])
         return self.interpolant.predict(x), cert
 
     def assert_descent(self, certificate: StepCertificate, next_state):

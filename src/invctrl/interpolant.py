@@ -25,10 +25,11 @@ Diagnostics:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.spatial.distance import cdist
 
 from .kernels import ArdMatern52Kernel, make_kernel
 from .narx import FLOAT_FMT, NarxDataset
@@ -76,8 +77,8 @@ def _factor(K, lam, sf2):
 
 @dataclass
 class Interpolant:
-    """Fitted inverse-model estimate; immutable after fit, safe for
-    concurrent prediction."""
+    """Fitted inverse-model estimate; immutable after fit but for the factor
+    that ``power`` caches, safe for concurrent prediction."""
 
     kernel: object
     train_x: np.ndarray     # (N, d)
@@ -85,7 +86,11 @@ class Interpolant:
     alpha: np.ndarray       # (N,) solves (K + lam I) alpha = u
     lam: float
     jitter: float
-    _chol: object = None    # cached factor of K + lam I + jitter I
+    _chol: object = None    # factor of K + lam I + jitter I, made on first use
+    _train_e: np.ndarray = field(init=False, repr=False)  # kernel.embed(train_x)
+
+    def __post_init__(self):
+        self._train_e = self.kernel.embed(self.train_x)
 
     def __len__(self):
         return self.train_x.shape[0]
@@ -93,10 +98,9 @@ class Interpolant:
     def predict(self, x):
         """chat(x) = k(x)^T alpha; x is one point (d,) or a batch (M, d)."""
         x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        kx = self.kernel.cross(np.atleast_2d(x), self.train_x)
+        kx = self.kernel.profile(cdist(self.kernel.embed(x), self._train_e))
         out = kx @ self.alpha
-        return float(out[0]) if single else out
+        return float(out[0]) if x.ndim == 1 else out
 
     def rkhs_norm(self):
         """sqrt(u^T K^{-1} u); defined for exact interpolation only."""
@@ -108,6 +112,9 @@ class Interpolant:
         """Pointwise error multiplier sqrt(k(x,x) - k(x)^T K^{-1} k(x)) >= 0."""
         if self.lam != 0:
             raise ValueError("power function is undefined for lam > 0")
+        if self._chol is None:
+            K = self.kernel.gram(self.train_x) + (self.lam + self.jitter) * np.eye(len(self))
+            self._chol = cho_factor(K, lower=True)
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         pts = np.atleast_2d(x)
@@ -166,8 +173,8 @@ def dump_interpolant(path, model: Interpolant):
 
 
 def load_interpolant(path) -> Interpolant:
-    """Reload a dumped model; the factorization is rebuilt only if a
-    diagnostic (power function) is requested later."""
+    """Reload a dumped model without refitting; the Cholesky factor is
+    rebuilt on the first ``power`` call."""
     meta = {}
     rows = []
     with open(path) as fh:
@@ -191,8 +198,5 @@ def load_interpolant(path) -> Interpolant:
     alpha = data[:, dim + 1]
     lam = float(meta["lambda"])
     jitter = float(meta["jitter"])
-    K = kernel.gram(X)
-    N = len(u)
-    chol = cho_factor(K + (lam + jitter) * np.eye(N), lower=True)
     return Interpolant(kernel=kernel, train_x=X, train_u=u, alpha=alpha,
-                       lam=lam, jitter=jitter, _chol=chol)
+                       lam=lam, jitter=jitter)

@@ -18,6 +18,9 @@ All kernels are immutable values; evaluation is pure and thread-safe.  The
 scalar profile of an isotropic kernel is exposed separately because the
 error-bound machinery needs ``kbar(0) - kbar(eps)`` without constructing
 points.
+
+Every ``cross`` is ``profile(cdist(embed(a), embed(b)))``, ``embed`` being the
+identity or the ARD scaling, so a fixed point set can be embedded once.
 """
 
 from __future__ import annotations
@@ -104,17 +107,16 @@ class IsotropicKernel:
             raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
         return float(self.profile(np.linalg.norm(a - b)))
 
+    def embed(self, points):
+        """Points as an (N, d) float array; the profile takes plain radii."""
+        return np.atleast_2d(np.asarray(points, dtype=float))
+
     def cross(self, rows, cols):
         """Matrix k(rows_i, cols_j); rows (N,d), cols (M,d) -> (N,M)."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        cols = np.atleast_2d(np.asarray(cols, dtype=float))
-        if rows.shape[1] != cols.shape[1]:
-            raise ValueError("dimension mismatch between point sets")
-        return self.profile(cdist(rows, cols))
+        return self.profile(cdist(self.embed(rows), self.embed(cols)))
 
     def gram(self, points):
         """Symmetric N x N kernel matrix of a point set."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
         K = self.cross(points, points)
         return 0.5 * (K + K.T)
 
@@ -140,7 +142,8 @@ class ArdMatern52Kernel:
     def dim(self):
         return len(self.sigma_l)
 
-    def _scaled(self, pts):
+    def embed(self, pts):
+        """Points (N, dim) scaled per dimension by 1 / (sqrt(2) sigma_l_i)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {pts.shape[1]}")
@@ -165,7 +168,7 @@ class ArdMatern52Kernel:
         return float(self.profile(s))
 
     def cross(self, rows, cols):
-        return self.profile(cdist(self._scaled(rows), self._scaled(cols)))
+        return self.profile(cdist(self.embed(rows), self.embed(cols)))
 
     def gram(self, points):
         K = self.cross(points, points)

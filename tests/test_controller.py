@@ -1,7 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from invctrl.controller import Controller
+from invctrl.levelsets import distances
 from invctrl import pipeline
 
 from conftest import synth_dataset, synth_family
@@ -124,6 +127,61 @@ def test_locate_matches_brute_force_benchmark(plant, count, request):
     assert 0 < hits < 2 * count
 
 
+def test_locate_skips_family_without_action_levels(synth):
+    ds, fam_01, fam_05 = synth
+    # accuracy 0.05 stores only level 0, which holds every record's state
+    level0 = synth_family(ds, 0.05, [[(i, 0.04, 0.003) for i in range(3)], [], []])
+    level0 = replace(level0, inradius=level0.inradius[:1],
+                     cert_radius=level0.cert_radius[:1])
+    assert level0.truncated_at == 1
+    ctl = Controller([level0, fam_01, fam_05], IdentityModel())
+    assert ctl.locate(ds.states[0]) == (0.1, 1)
+    assert ctl.locate(ds.states[1]) == (0.5, 1)
+    assert ctl.locate(ds.states[2]) is None
+    assert_locate_matches_brute(ctl, [ds.states[0], ds.states[1], ds.states[2]])
+
+
+def test_locate_deepest_stored_level(synth):
+    ds, _, fam_05 = synth
+    # record 1 reaches the probe, on the sphere of its ball, only at the last
+    # stored level, 4 (2.5 - 2.0 = 0.5 exactly, so the closed ball holds it)
+    fam = synth_family(ds, 0.1, [
+        [(0, 0.05, 0.004)],
+        [(0, 0.05, 0.004), (1, 0.05, 0.004)],
+        [(1, 0.05, 0.01)],
+        [(0, 0.05, 0.02)],
+        [(2, 0.05, 0.001), (1, 0.05, 0.5)],
+    ])
+    ctl = Controller([fam, fam_05], IdentityModel())
+    probe = ds.states[1] + np.array([0.5, 0.0, 0.0])
+    assert brute_locate(ctl.families, probe) == (0.1, 4)
+    assert ctl.locate(probe) == (0.1, 4)
+    _, cert = ctl.control(probe)
+    assert (cert.delta, cert.kappa, cert.index) == (0.1, 4, 1)
+    assert_locate_matches_brute(ctl, [ds.states[0], ds.states[1], probe,
+                                      ds.states[1] + np.array([0.6, 0.0, 0.0])])
+
+
+def test_control_calls_locate_and_select_by_attribute(synth):
+    # a wrapper set on the instance sees every call control() makes
+    ds, fam_01, fam_05 = synth
+    ctl = Controller([fam_01, fam_05], IdentityModel())
+    calls = []
+
+    def wrap(name):
+        fn = getattr(ctl, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+        return wrapper
+    ctl.locate = wrap("locate")
+    ctl.select_reference = wrap("select_reference")
+    ctl.control(ds.states[0])
+    ctl.control(np.array([50.0, 50.0, 50.0]))
+    assert calls == ["locate", "select_reference", "locate"]
+
+
 def test_select_reference_single_and_argmax(synth):
     ds, fam_01, fam_05 = synth
     ctl = Controller([fam_01, fam_05], IdentityModel())
@@ -202,6 +260,16 @@ def test_fallback_nearest_with_tie_break(synth):
     ctl_tie = Controller([fam_tie], IdentityModel())
     _, cert_tie = ctl_tie.control(np.array([30.0, 0.0, 0.0]))
     assert cert_tie.index == 1
+    # distance and |target| both tie: the lowest index wins
+    ds_tie2 = synth_dataset(
+        states=[[1.0, 1.0, 0.0]] * 4,
+        targets=[0.9, 0.05, -0.05, 0.05],
+        controls=[0.5] * 4,
+    )
+    fam_tie2 = synth_family(ds_tie2, 0.5, [[(0, 0.1, 0.01)], []])
+    _, cert_tie2 = Controller([fam_tie2], IdentityModel()).control(
+        np.array([30.0, 0.0, 0.0]))
+    assert cert_tie2.index == 1
 
 
 def test_assert_descent(synth):
@@ -271,3 +339,63 @@ def test_all_benchmark_initial_states_covered(numerical_artifacts):
     ctl = numerical_artifacts["controller"]
     for ic in numerical_artifacts["cfg"].initial_conditions:
         assert ctl.locate(np.asarray(ic)) is not None
+
+
+def scan_locate(families, reaches, d):
+    """The per-family scan that ``Controller.locate`` replaced: the first
+    accuracy with a record whose running-maximum row reaches the state, then
+    one plus the fewest rows before a candidate is reached."""
+    for fam, reach in zip(families, reaches):
+        if len(reach) == 0:
+            continue
+        cand = np.flatnonzero(d <= reach[-1])
+        if cand.size:
+            return fam.delta, 1 + int((reach[:, cand] < d[cand]).sum(axis=0).min())
+    return None
+
+
+def reference_control(ctl, reaches, state):
+    """One control step by the earlier path: the scan above, max slack over
+    the level's present records, the 3-key ``lexsort`` fallback and
+    ``kernel.cross(x, train_x) @ alpha``.  Returns (u, delta, kappa, index,
+    slack)."""
+    ds, model = ctl.dataset, ctl.interpolant
+    d = np.linalg.norm(ds.states - state, axis=1)
+    loc = scan_locate(ctl.families, reaches, d)
+    if loc is None:
+        delta = kappa = slack = None
+        j = int(np.lexsort((np.arange(len(d)), np.abs(ds.targets), d))[0])
+    else:
+        delta, kappa = loc
+        fam = ctl.family(delta)
+        idx = fam.present(kappa)
+        slacks = (fam.cert_radius[kappa, idx]
+                  - np.linalg.norm(ds.states[idx] - state, axis=1))
+        k = int(np.argmax(slacks))
+        j, slack = int(idx[k]), float(slacks[k])
+    x = np.concatenate([[ds.targets[j]], state])
+    u = float((model.kernel.cross(x, model.train_x) @ model.alpha)[0])
+    return u, delta, kappa, j, slack
+
+
+@pytest.mark.parametrize("ic", [(-0.0859, -0.0881, 0.0), (0.1, 0.1, 0.0)])
+def test_closed_loop_matches_reference_path(pendulum_artifacts, ic):
+    # the first IC holds certified steps, then falls back from step 240 on;
+    # the second is a study IC, certified throughout at many levels
+    ctl, plant = pendulum_artifacts["controller"], pendulum_artifacts["plant"]
+    reaches = [np.maximum.accumulate(f.cert_radius[1:], axis=0)
+               for f in ctl.families]
+    state = np.array(ic)
+    fallbacks = 0
+    for t in range(300):
+        u, cert = ctl.control(state)
+        got = (u, cert.delta, cert.kappa, cert.index, cert.slack)
+        assert np.array_equal(distances(ctl.dataset.states, state),
+                              np.linalg.norm(ctl.dataset.states - state, axis=1))
+        assert got == reference_control(ctl, reaches, state), t
+        if t % 20 == 0:
+            want = brute_locate(ctl.families, state)
+            assert (cert.delta, cert.kappa) == (want or (None, None))
+        fallbacks += not cert.certified
+        _, state = plant.advance(state, u)
+    assert fallbacks == (60 if ic[0] < 0 else 0)

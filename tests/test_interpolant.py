@@ -173,6 +173,31 @@ def test_dump_load_round_trip(tmp_path):
     q = np.random.default_rng(13).uniform(-1, 1, size=(7, 4))
     assert np.array_equal(back.predict(q), m.predict(q))  # bitwise, 17g round-trip
     assert back.lam == m.lam and back.jitter == m.jitter
+    assert np.array_equal(back.power(q), m.power(q))
+
+
+@pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
+def test_benchmark_loaded_power_equals_fitted(request, artifacts, tmp_path):
+    # the loaded model factors on its first power call, to the fitted bits
+    art = request.getfixturevalue(artifacts)
+    ds = art["dataset"]
+    m = fit_interpolant(art["model"].kernel, ds, lam=0.0)
+    dump_interpolant(tmp_path / "model.txt", m)
+    back = load_interpolant(tmp_path / "model.txt")
+    q = ds.features[::5] + 1e-3
+    assert np.array_equal(back.power(q), m.power(q))
+    assert np.array_equal(back.power(q[0]), m.power(q[0]))
+
+
+@pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
+def test_benchmark_predict_equals_cross_times_alpha(request, artifacts):
+    m = request.getfixturevalue(artifacts)["model"]
+    rng = np.random.default_rng(21)
+    q = (m.train_x[rng.integers(len(m), size=40)]
+         + rng.normal(scale=0.01, size=(40, m.train_x.shape[1])))
+    assert np.array_equal(m.predict(q), m.kernel.cross(q, m.train_x) @ m.alpha)
+    for x in q[:8]:
+        assert m.predict(x) == (m.kernel.cross(x, m.train_x) @ m.alpha)[0]
 
 
 @given(st.integers(0, 10**6))

@@ -8,7 +8,7 @@ from scipy.spatial.distance import cdist
 from invctrl.bounds import DeviationBounds
 from invctrl.kernels import IsotropicKernel
 from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, build_level_family,
-                               check_nesting, dump_family, index_set_slab,
+                               check_nesting, distances, dump_family, index_set_slab,
                                load_family, max_plus, nearest_table,
                                pairwise_distances)
 
@@ -292,6 +292,19 @@ def test_contains_levels():
     if len(fam.inradius) > 3:
         fam.inradius[3] = fam.cert_radius[3] = ABSENT
     assert not fam.contains(3, center)
+    with pytest.raises(ValueError):
+        fam.contains(1, center[:2])
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
+def test_distances_equal_norm_bitwise(dim):
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        points = rng.normal(size=(300, dim)) * rng.uniform(1e-3, 1e3, size=dim)
+        p = rng.normal(size=dim)
+        assert np.array_equal(distances(points, p), np.linalg.norm(points - p, axis=1))
+    with pytest.raises(ValueError):
+        distances(points, np.zeros(dim + 1))
 
 
 def test_certificate_radii_consistent(numerical_artifacts):

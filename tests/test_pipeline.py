@@ -1,6 +1,7 @@
 import filecmp
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +31,22 @@ def test_config_file_overrides(tmp_path):
     assert cfg.deltas == (0.5, 1.0) and cfg.depth == 5
     assert cfg.seed == 7 and cfg.outdir == "somewhere"
     assert cfg.kernel_family == "squared_exponential"  # untouched default
+
+
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "example.cfg"
+    p.write_text(block)
+    cfg = load_config(p)
+    assert cfg.validate() is cfg
+    assert cfg.initial_conditions == ((-1.0, -1.0, 0.0), (0.0, 0.0, 0.0),
+                                      (1.0, 1.0, 0.0))
+    # the three bound constants are read under their documented spelling
+    p.write_text(block.replace("L_f = 6.5", "L_f = 7.25")
+                 .replace("L_c = 0.22", "L_c = 0.3").replace("Gamma = 1.0", "Gamma = 2.5"))
+    cfg = load_config(p)
+    assert (cfg.lip_f, cfg.lip_c, cfg.rkhs_bound) == (7.25, 0.3, 2.5)
 
 
 def test_config_rejects_unknown_keys(tmp_path):
