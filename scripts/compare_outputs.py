@@ -1,0 +1,99 @@
+#!/usr/bin/env python3
+"""Run the three studies from two source trees and compare their outputs.
+
+Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
+
+Each tree is a checkout (holding ``src/invctrl``) or a directory holding
+``invctrl`` itself.  For each tree, in a temporary directory, the numerical
+study, the noise-free pendulum study and the noisy pendulum study run with
+``--seed 3`` through the CLI stages collect, build, simulate, verify and
+report.  Every output file (trajectories, manifest, model, families, build
+report, run logs, summary, verify report) is then compared byte for byte,
+as is each stage's exit code; stdout is not, since it carries wall-clock
+timings.  Exits 0 when everything matches and 1 after naming each
+difference.
+"""
+
+import argparse
+import filecmp
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+STUDIES = {
+    "numerical": ["--plant", "numerical"],
+    "pendulum": ["--plant", "pendulum"],
+    "pendulum-noisy": ["--plant", "pendulum", "--noisy"],
+}
+STAGES = ("collect", "build", "simulate", "verify", "report")
+SEED = "3"
+
+
+def package_root(tree):
+    tree = Path(tree).resolve()
+    for root in (tree / "src", tree):
+        if (root / "invctrl" / "__init__.py").is_file():
+            return root
+    sys.exit(f"compare_outputs: no invctrl package under {tree}")
+
+
+def run_study(root, args, out):
+    """Run every stage into ``out``; returns the exit codes by stage."""
+    env = dict(os.environ, PYTHONPATH=str(root))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        env[var] = "1"  # reductions summed in one order on any host
+    codes = {}
+    for stage in STAGES:
+        cmd = [sys.executable, "-m", "invctrl.cli", stage, *args,
+               "--seed", SEED, "--out", str(out)]
+        codes[stage] = subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL,
+                                      stderr=subprocess.DEVNULL).returncode
+    return codes
+
+
+def files_under(top):
+    return {str(p.relative_to(top)) for p in Path(top).rglob("*") if p.is_file()}
+
+
+def compare(old_root, new_root, work):
+    """Differences between the two trees' studies, as readable lines."""
+    diffs = []
+    for name, args in STUDIES.items():
+        old, new = Path(work, "old", name), Path(work, "new", name)
+        old_codes = run_study(old_root, args, old)
+        new_codes = run_study(new_root, args, new)
+        for stage in STAGES:
+            if old_codes[stage] != new_codes[stage]:
+                diffs.append(f"{name}: {stage} exit code "
+                             f"{old_codes[stage]} -> {new_codes[stage]}")
+        old_files, new_files = files_under(old), files_under(new)
+        for rel in sorted(old_files | new_files):
+            if rel not in new_files or rel not in old_files:
+                side = "new" if rel not in new_files else "old"
+                diffs.append(f"{name}: {rel} missing from the {side} tree")
+            elif not filecmp.cmp(old / rel, new / rel, shallow=False):
+                diffs.append(f"{name}: {rel} differs")
+        print(f"{name}: {len(old_files)} files compared, exit codes "
+              + " ".join(f"{s}={old_codes[s]}" for s in STAGES))
+    return diffs
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("old_src")
+    ap.add_argument("new_src")
+    args = ap.parse_args(argv)
+    old_root, new_root = package_root(args.old_src), package_root(args.new_src)
+    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
+        diffs = compare(old_root, new_root, work)
+    for line in diffs:
+        print(f"DIFFERS {line}")
+    print("identical" if not diffs else f"{len(diffs)} differences")
+    return 1 if diffs else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

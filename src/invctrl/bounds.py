@@ -5,9 +5,8 @@ Lipschitz constant of the inverse model ``lip_c``, RKHS-norm bound
 ``rkhs_bound``) and derives the class-K functions:
 
 * ``interp_err(eps)``  -- bound on the inverse-model estimation error at
-  distance ``eps`` from the training features.  Default ("profile" mode):
+  distance ``eps`` from the training features:
   ``rkhs_bound * sqrt(1 - kbar(eps)/kbar(0))`` from the kernel profile.
-  An explicit closed form or a linear slope can be configured instead.
 * ``input_dev(eps)  = lip_c * eps + interp_err(eps)``
 * ``output_dev(eps) = lip_f * (eps + input_dev(eps))``   (delay 1 only)
 * ``state_dev(eps)``:  ``input_dev + output_dev + eps`` for delay 1,
@@ -15,8 +14,10 @@ Lipschitz constant of the inverse model ``lip_c``, RKHS-norm bound
   slope overriding both.
 * ``state_dev_inv(r)`` -- the inverse of ``state_dev``, exact division in
   linear mode, monotone bisection otherwise (relative tolerance 1e-10).
+  One ``state_dev`` evaluation per bisection step serves the step's stopping
+  test and the next step's side test; delay 1 evaluates ``input_dev`` once.
 
-The profile-mode ``interp_err`` is one concrete choice of class-K error
+The profile ``interp_err`` is one concrete choice of class-K error
 bound; tighter bounds exist for specific kernels.  For anisotropic kernels
 pass the profile evaluated at the most conservative (smallest) length scale.
 """
@@ -39,8 +40,6 @@ _BISECT_ITERS = 200
 class DeviationBounds:
     """Immutable bound set; all evaluations are pure.
 
-    ``eta_mode``: "profile" (needs ``profile``), "explicit" (needs
-    ``explicit_eta``), or "linear" (needs ``eta_slope``).
     ``gamma_mode``: "composed" or "linear" (needs ``gamma_slope``).
     """
 
@@ -48,11 +47,8 @@ class DeviationBounds:
     lip_c: float
     rkhs_bound: float
     delay: int = 1
-    eta_mode: str = "profile"
     profile: Optional[Callable] = None          # scalar kernel profile kbar(r)
-    profile_deficit: Optional[Callable] = None  # stable kbar(0) - kbar(r)
-    explicit_eta: Optional[Callable] = None
-    eta_slope: float = 0.0
+    profile_deficit: Optional[Callable] = None  # kbar(0) - kbar(r), stably
     gamma_mode: str = "composed"
     gamma_slope: float = 0.0
 
@@ -63,16 +59,10 @@ class DeviationBounds:
             raise ValueError("rkhs_bound must be >= 0")
         if self.delay not in (1, 2):
             raise ValueError("delay must be 1 or 2")
-        if self.eta_mode not in ("profile", "explicit", "linear"):
-            raise ValueError(f"unknown eta_mode {self.eta_mode!r}")
         if self.gamma_mode not in ("composed", "linear"):
             raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.eta_mode == "profile" and self.profile is None:
-            raise ValueError("profile mode needs a kernel profile")
-        if self.eta_mode == "explicit" and self.explicit_eta is None:
-            raise ValueError("explicit mode needs the closed form")
-        if self.eta_mode == "linear" and self.eta_slope <= 0:
-            raise ValueError("linear eta mode needs a positive slope")
+        if self.profile is None or self.profile_deficit is None:
+            raise ValueError("interp_err needs the kernel profile and its deficit")
         if self.gamma_mode == "linear" and self.gamma_slope <= 0:
             raise ValueError("linear gamma mode needs a positive slope")
 
@@ -86,17 +76,9 @@ class DeviationBounds:
     def interp_err(self, eps):
         """Class-K bound on |c(x) - chat(x)| given distance-to-data eps."""
         eps = self._check_eps(eps)
-        if self.eta_mode == "explicit":
-            out = np.asarray(self.explicit_eta(eps), dtype=float)
-        elif self.eta_mode == "linear":
-            out = self.eta_slope * eps
-        else:
-            k0 = float(self.profile(0.0))
-            if self.profile_deficit is not None:
-                deficit = np.asarray(self.profile_deficit(eps), dtype=float)
-            else:
-                deficit = k0 - np.asarray(self.profile(eps), dtype=float)
-            out = self.rkhs_bound * np.sqrt(np.maximum(0.0, deficit / k0))
+        k0 = float(self.profile(0.0))
+        deficit = np.asarray(self.profile_deficit(eps), dtype=float)
+        out = self.rkhs_bound * np.sqrt(np.maximum(0.0, deficit / k0))
         return float(out) if out.ndim == 0 else out
 
     def input_dev(self, eps):
@@ -120,7 +102,8 @@ class DeviationBounds:
         if self.gamma_mode == "linear":
             out = self.gamma_slope * eps
         elif self.delay == 1:
-            out = self.input_dev(eps) + self.output_dev(eps) + eps
+            u = self.input_dev(eps)
+            out = u + self.lip_f * (eps + u) + eps
         else:
             out = self.input_dev(eps) + (1.0 + self.lip_f) * eps
         return float(out) if np.ndim(out) == 0 else out
@@ -131,6 +114,11 @@ class DeviationBounds:
         Linear mode divides exactly.  Otherwise brackets by doubling and
         bisects; a bracket that fails to grow past the target signals a
         non-class-K-infinity configuration and raises.
+
+        The radii of one call bisect together until every one meets the
+        tolerance, so a result depends on its batch: a radius inverted alone
+        or with others can differ by about 1e-9 relative.  The builder
+        inverts each family row in one call.
         """
         r = np.asarray(r, dtype=float)
         if np.any(r < 0):
@@ -158,12 +146,14 @@ class DeviationBounds:
                 raise ValueError("bracket growth exceeded the doubling budget")
             lo = np.zeros_like(rp)
             mid = 0.5 * (lo + hi)
+            at_mid = self.state_dev(mid)
             for _ in range(_BISECT_ITERS):
-                le = self.state_dev(mid) <= rp
+                le = at_mid <= rp
                 lo = np.where(le, mid, lo)
                 hi = np.where(le, hi, mid)
                 mid = 0.5 * (lo + hi)
-                if np.all(np.abs(self.state_dev(mid) - rp)
+                at_mid = self.state_dev(mid)
+                if np.all(np.abs(at_mid - rp)
                           <= 0.1 * _INV_REL_TOL * np.maximum(1.0, rp)):
                     break
             out[pos] = mid

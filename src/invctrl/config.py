@@ -47,7 +47,6 @@ class RunConfig:
     lip_f: float
     lip_c: float
     rkhs_bound: float
-    eta_mode: str
     gamma_mode: str
     gamma_slope: float
     deltas: Tuple[float, ...]
@@ -94,8 +93,6 @@ class RunConfig:
                 raise ConfigError(
                     f"initial condition {ic} has dimension {len(ic)}, "
                     f"expected {dim}")
-        if self.eta_mode != "profile":
-            raise ConfigError("[bounds] eta_mode: only 'profile' can be configured")
         try:
             kernel = make_kernel(self.kernel_family, self.sigma_f, self.sigma_l)
         except ValueError as exc:
@@ -103,7 +100,8 @@ class RunConfig:
         try:
             DeviationBounds(
                 lip_f=self.lip_f, lip_c=self.lip_c, rkhs_bound=self.rkhs_bound,
-                delay=self.delay, eta_mode=self.eta_mode, profile=kernel.profile,
+                delay=self.delay, profile=kernel.profile,
+                profile_deficit=kernel.profile_deficit,
                 gamma_mode=self.gamma_mode, gamma_slope=self.gamma_slope)
         except ValueError as exc:
             raise ConfigError(f"[bounds] {exc}") from None
@@ -124,7 +122,6 @@ _NUMERICAL = RunConfig(
     lip_f=6.5,
     lip_c=0.22,
     rkhs_bound=1.0,
-    eta_mode="profile",
     gamma_mode="composed",
     gamma_slope=0.0,
     deltas=(0.1, 0.2, 0.3, 0.4, 0.5, 1.0, 1.5, 2.0, 3.0),
@@ -154,7 +151,6 @@ _PENDULUM = RunConfig(
     lip_f=3.59,          # closed-form gradient bound of the two-step map
     lip_c=336000.0,      # closed-form gradient bound of the inverse model
     rkhs_bound=20.0,     # safety-scaled interpolant norm estimate (~8.1)
-    eta_mode="profile",
     gamma_mode="linear",
     gamma_slope=1.005,
     deltas=(0.01, 0.02, 0.03, 0.04, 0.05, 0.06, 0.08, 0.1, 0.3, 0.6),
@@ -186,7 +182,7 @@ _SCHEMA = {
     "plant": {"id": str, "n": int, "nu": int},
     "kernel": {"family": str, "sigma_f": float, "sigma_l": "floats"},
     "interpolant": {"lambda": float},
-    "bounds": {"l_f": float, "l_c": float, "gamma": float, "eta_mode": str,
+    "bounds": {"l_f": float, "l_c": float, "gamma": float,
                "gamma_mode": str, "gamma_slope": float},
     "levels": {"deltas": "floats", "kappa_bar": int},
     "simulate": {"initial_conditions": "vectors", "horizon": int},
@@ -200,7 +196,7 @@ _KEYMAP = {
     ("kernel", "sigma_l"): "sigma_l",
     ("interpolant", "lambda"): "lam",
     ("bounds", "l_f"): "lip_f", ("bounds", "l_c"): "lip_c",
-    ("bounds", "gamma"): "rkhs_bound", ("bounds", "eta_mode"): "eta_mode",
+    ("bounds", "gamma"): "rkhs_bound",
     ("bounds", "gamma_mode"): "gamma_mode",
     ("bounds", "gamma_slope"): "gamma_slope",
     ("levels", "deltas"): "deltas", ("levels", "kappa_bar"): "depth",

@@ -21,7 +21,6 @@ family one level down.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Optional
 
@@ -76,9 +75,12 @@ class Controller:
         f = int(np.argmax(covered))
         if not covered[f]:
             return None
-        reach = self._reach[f]  # its last row reaches the state
-        row = bisect_left(range(len(reach)), True, key=lambda r: (reach[r] >= d).any())
-        return self.families[f].delta, 1 + row
+        reach = self._reach[f]
+        lo, hi = 0, len(reach) - 1  # the last row reaches the state
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if (reach[mid] >= d).any() else (mid + 1, hi)
+        return self.families[f].delta, 1 + lo
 
     def family(self, delta) -> LevelFamily:
         for f in self.families:

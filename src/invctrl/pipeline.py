@@ -80,7 +80,7 @@ def make_bounds(cfg: RunConfig, kernel) -> DeviationBounds:
         deficit = kernel.profile_deficit
     return DeviationBounds(
         lip_f=cfg.lip_f, lip_c=cfg.lip_c, rkhs_bound=cfg.rkhs_bound,
-        delay=cfg.delay, eta_mode=cfg.eta_mode, profile=profile,
+        delay=cfg.delay, profile=profile,
         profile_deficit=deficit,
         gamma_mode=cfg.gamma_mode, gamma_slope=cfg.gamma_slope,
     )

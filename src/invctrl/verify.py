@@ -4,16 +4,14 @@ Each check returns (name, passed, detail).  Checks run against the files a
 ``build`` (and optionally ``simulate``) left on disk, so corrupted dumps are
 caught; failures carry the offending entry as a counterexample.
 
-The recursion-soundness check draws its samples entry by entry.  It then
-tests each entry's samples against that entry's ``NEAR_K`` previous-level
-balls of largest slack ``radius - dist(entry center, ball center)``, one
-``cdist`` per entry; a sample drawn from a ball inside the union lies in its
-largest-slack ball, so the candidates almost always decide.  Only samples
-that no candidate contains go to the full scan, one ``cdist`` over row
-blocks of at most ``CDIST_CELLS`` distances.  The verdicts equal the full
-scan's: ``cdist`` computes each distance independently of the rest of its
-call, a sample counts as inside only by a real ``dist <= radius``
-comparison, and as escaped only after the full scan.
+The recursion-soundness check draws a level's samples as per-entry
+``sample_in_ball`` calls would and tests each entry's samples first against
+its previous-level ball of largest slack ``radius - dist(entry center, ball
+center)``, in one vectorised distance summed as ``cdist`` sums; that ball
+almost always decides.  Only samples it leaves go to the full scan, one
+``cdist`` over row blocks of at most ``CDIST_CELLS`` distances.  The verdicts
+equal the full scan's: a sample counts as inside only by a real ``dist <=
+radius`` comparison on a ``cdist`` distance, as escaped only after the scan.
 
 The bound-validity oracle draws its ``ORACLE_DRAWS`` (record, state) pairs
 one pair at a time, so the random stream interleaves as in a per-sample
@@ -28,7 +26,7 @@ import os
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .levelsets import check_nesting, nearest_table
+from .levelsets import check_nesting
 from .plants import rng_stream
 
 STREAM_VERIFY = 7
@@ -39,11 +37,26 @@ ORACLE_DRAWS = 1000
 def sample_in_ball(rng, center, radius, count):
     """Uniform samples from a closed ball (for soundness spot checks)."""
     center = np.asarray(center, dtype=float)
-    d = len(center)
-    dirs = rng.normal(size=(count, d))
-    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / d)
-    return center + dirs * radii[:, None]
+    return sample_in_balls(rng, center[None], [radius], count)[0]
+
+
+def sample_in_balls(rng, centers, radii, count):
+    """``count`` uniform samples from each closed ball, shape (balls, count,
+    dim).  Drawn ball by ball, directions then radii, so each ball's samples
+    equal a ``sample_in_ball`` call's at that point of the stream."""
+    dim = centers.shape[1]
+    dirs, u = map(np.stack, zip(*[(rng.normal(size=(count, dim)),
+                                   rng.uniform(0.0, 1.0, size=count)) for _ in centers]))
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    r = np.asarray(radii, dtype=float)[:, None] * u ** (1.0 / dim)
+    return centers[:, None, :] + dirs * r[:, :, None]
+
+
+def paired_distances(pts, centers):
+    """Distance of each ``pts[i, s]`` to ``centers[i]``, summed coordinate by
+    coordinate as ``cdist`` sums, hence equal to its distances bit for bit."""
+    return np.sqrt(sum((pts[..., k] - centers[:, None, k]) ** 2
+                       for k in range(pts.shape[-1])))
 
 
 def recursion_escapes(fam, level, idx, samples, rng):
@@ -51,17 +64,16 @@ def recursion_escapes(fam, level, idx, samples, rng):
     any of ``samples`` uniform draws from its level ball lies outside the
     level-(level-1) union.  Draws entry by entry, in ``idx`` order."""
     centers = fam.dataset.succ_states[idx]
-    pts = np.stack([sample_in_ball(rng, c, r, samples)
-                    for c, r in zip(centers, fam.inradius[level, idx])])
+    pts = sample_in_balls(rng, centers, fam.inradius[level, idx], samples)
     prev_c, prev_r = fam.centers_radii(level - 1)
-    # the NEAR_K smallest ``dist - radius`` are the largest slacks
-    near = nearest_table(cdist(centers, prev_c) - prev_r)[1]
-    inside = np.stack([(cdist(p, prev_c[k]) <= prev_r[k]).any(axis=1)
-                       for p, k in zip(pts, near)])
+    if not len(prev_c):
+        return np.ones(len(idx), dtype=bool)
+    best = np.argmax(prev_r - cdist(centers, prev_c), axis=1)  # largest slack
+    inside = paired_distances(pts, prev_c[best]) <= prev_r[best, None]
     miss = np.flatnonzero(~inside.ravel())
     if miss.size:
         rest = pts.reshape(-1, pts.shape[2])[miss]
-        rows = max(1, CDIST_CELLS // max(1, len(prev_c)))
+        rows = max(1, CDIST_CELLS // len(prev_c))
         inside.flat[miss] = np.concatenate([
             (cdist(rest[s:s + rows], prev_c) <= prev_r).any(axis=1)
             for s in range(0, len(rest), rows)])

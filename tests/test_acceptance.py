@@ -112,7 +112,6 @@ def test_criterion_04_delayed_map_bounds(pendulum_artifacts):
     scale = math.sqrt(2.0) * smin
     honest = DeviationBounds(
         lip_f=cfg.lip_f, lip_c=cfg.lip_c, rkhs_bound=cfg.rkhs_bound, delay=2,
-        eta_mode="profile",
         profile=lambda r: kernel.profile(np.asarray(r) / scale),
         profile_deficit=lambda r: kernel.profile_deficit(np.asarray(r) / scale),
         gamma_mode="composed")

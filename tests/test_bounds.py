@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,15 +12,10 @@ SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 
 # the benchmark's constants: lip_f = 6.5, lip_c = 0.22, norm bound 1
 BENCH = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
-                     eta_mode="profile", profile=SE.profile,
-                     profile_deficit=SE.profile_deficit)
-
-EXPLICIT = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
-                           eta_mode="explicit",
-                           explicit_eta=lambda e: np.sqrt(-np.expm1(-np.asarray(e) ** 2 / 16.0)))
+                        profile=SE.profile, profile_deficit=SE.profile_deficit)
 
 LINEAR = DeviationBounds(lip_f=3.59, lip_c=336000.0, rkhs_bound=20.0, delay=2,
-                         eta_mode="profile", profile=SE.profile,
+                         profile=SE.profile,
                          profile_deficit=SE.profile_deficit,
                          gamma_mode="linear", gamma_slope=1.005)
 
@@ -31,12 +27,12 @@ def eta_closed_form(eps):
 
 def test_interp_err_zero_at_zero():
     assert BENCH.interp_err(0.0) == 0.0
-    assert EXPLICIT.interp_err(0.0) == 0.0
+    assert eta_closed_form(0.0) == 0.0
 
 
 def test_interp_err_known_value():
-    assert EXPLICIT.interp_err(4.0) == pytest.approx(eta_closed_form(4.0), rel=1e-12)
-    assert EXPLICIT.interp_err(4.0) == pytest.approx(0.7950600976206501, rel=1e-12)
+    assert BENCH.interp_err(4.0) == pytest.approx(eta_closed_form(4.0), rel=1e-12)
+    assert BENCH.interp_err(4.0) == pytest.approx(0.7950600976206501, rel=1e-12)
 
 
 def test_interp_err_saturates_at_norm_bound():
@@ -47,8 +43,8 @@ def test_profile_mode_reproduces_closed_form():
     # with the squared-exponential profile at scale 2*sqrt(2) and norm bound 1
     # the profile-derived bound equals sqrt(1 - exp(-eps^2/16)) exactly
     eps = np.concatenate([np.logspace(-8, 1.3, 200), [0.0]])
-    assert np.allclose(BENCH.interp_err(eps), EXPLICIT.interp_err(eps),
-                       rtol=1e-12, atol=1e-15)
+    want = np.array([eta_closed_form(e) for e in eps])
+    assert np.allclose(BENCH.interp_err(eps), want, rtol=1e-12, atol=1e-15)
 
 
 def test_input_dev_values():
@@ -81,7 +77,7 @@ def test_state_dev_composed_identity():
 
 def test_state_dev_delay_two_form():
     b = DeviationBounds(lip_f=3.0, lip_c=2.0, rkhs_bound=1.0, delay=2,
-                        eta_mode="profile", profile=SE.profile,
+                        profile=SE.profile,
                         profile_deficit=SE.profile_deficit)
     e = 0.37
     expected = b.input_dev(e) + (1.0 + 3.0) * e
@@ -126,13 +122,13 @@ def test_invalid_configurations_rejected():
     with pytest.raises(ValueError):
         DeviationBounds(lip_f=0.0, lip_c=1.0, rkhs_bound=1.0)
     with pytest.raises(ValueError):
-        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0, eta_mode="profile")
+        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0)  # no profile
     with pytest.raises(ValueError):
         DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0, delay=3,
-                        eta_mode="linear", eta_slope=1.0)
+                        profile=SE.profile)
     with pytest.raises(ValueError):
         DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0,
-                        eta_mode="linear", eta_slope=1.0, gamma_mode="linear")
+                        profile=SE.profile, gamma_mode="linear")
 
 
 @given(st.floats(1e-8, 1e3), st.floats(1.01, 3.0))
@@ -146,3 +142,113 @@ def test_state_dev_strictly_monotone(eps, factor):
 def test_inverse_round_trip_property(r):
     eps = BENCH.state_dev_inv(r)
     assert abs(BENCH.state_dev(eps) - r) <= 1e-9 * max(1.0, r)
+
+
+def reference_state_dev_inv(bounds, r):
+    """Reference bisection: composed ``state_dev`` evaluated as
+    ``input_dev + output_dev + eps`` (delay 1), twice per step (side test,
+    then stopping test at the new midpoint).  Returns the inverses and the
+    numbers of doublings and of bisection steps."""
+    def state_dev(e):
+        if bounds.delay == 1:
+            return bounds.input_dev(e) + bounds.output_dev(e) + e
+        return bounds.input_dev(e) + (1.0 + bounds.lip_f) * e
+
+    r = np.asarray(r, dtype=float)
+    out = np.zeros_like(r)
+    pos = r > 0
+    doublings = steps = 0
+    if pos.any():
+        rp = r[pos]
+        hi = np.ones_like(rp)
+        while (bad := state_dev(hi) < rp).any():
+            hi[bad] *= 2.0
+            doublings += 1
+        lo = np.zeros_like(rp)
+        mid = 0.5 * (lo + hi)
+        for _ in range(200):
+            steps += 1
+            le = state_dev(mid) <= rp
+            lo = np.where(le, mid, lo)
+            hi = np.where(le, hi, mid)
+            mid = 0.5 * (lo + hi)
+            if np.all(np.abs(state_dev(mid) - rp) <= 0.1 * 1e-10 * np.maximum(1.0, rp)):
+                break
+        out[pos] = mid
+    return out, doublings, steps
+
+
+def counting_deficit(bounds):
+    """``bounds`` with its kernel-deficit calls counted in the returned list."""
+    calls = []
+
+    def deficit(e):
+        calls.append(np.size(e))
+        return bounds.profile_deficit(e)
+    return replace(bounds, profile_deficit=deficit), calls
+
+
+DELAY2_COMPOSED = DeviationBounds(lip_f=3.59, lip_c=2.0, rkhs_bound=20.0, delay=2,
+                                  profile=SE.profile, profile_deficit=SE.profile_deficit)
+
+
+def inversion_cases(numerical_artifacts):
+    """(bounds, radii) batches: every level row of the numerical build, a
+    random batch with a zero, and the same batch under a delay-2 bound."""
+    bounds = numerical_artifacts["bounds"]
+    for fam in numerical_artifacts["controller"].families:
+        for j in range(len(fam.inradius)):
+            yield bounds, fam.inradius[j, fam.present(j)]
+    rng = np.random.default_rng(11)
+    batch = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 40),
+                            10.0 ** rng.uniform(-6.0, 3.0, 40)])
+    yield BENCH, rng.permutation(batch)
+    yield DELAY2_COMPOSED, batch
+
+
+def test_state_dev_evaluates_input_dev_once_bitwise():
+    eps = np.concatenate([[0.0], np.logspace(-9, 3, 500)])
+    assert np.array_equal(BENCH.state_dev(eps),
+                          BENCH.input_dev(eps) + BENCH.output_dev(eps) + eps)
+    for e in (0.0, 1e-7, 0.3, 2.0):
+        assert BENCH.state_dev(e) == BENCH.input_dev(e) + BENCH.output_dev(e) + e
+
+
+def test_state_dev_inv_equals_reference_bisection(numerical_artifacts):
+    rows = 0
+    for bounds, r in inversion_cases(numerical_artifacts):
+        assert np.array_equal(bounds.state_dev_inv(r), reference_state_dev_inv(bounds, r)[0])
+        rows += 1
+    families = numerical_artifacts["controller"].families
+    assert rows == sum(len(f.inradius) for f in families) + 2
+
+
+def test_state_dev_inv_one_deficit_evaluation_per_step(numerical_artifacts):
+    for bounds, r in inversion_cases(numerical_artifacts):
+        if not np.any(r > 0):
+            continue
+        _, doublings, steps = reference_state_dev_inv(bounds, r)
+        counted, calls = counting_deficit(bounds)
+        counted.state_dev_inv(r)
+        assert len(calls) <= doublings + steps + 2
+        ref_counted, ref_calls = counting_deficit(bounds)
+        reference_state_dev_inv(ref_counted, r)
+        assert len(ref_calls) >= (3 if bounds.delay == 1 else 2) * steps
+
+
+def test_stored_cert_radius_rows_are_one_inversion(numerical_artifacts):
+    # a stored row is one batched inversion of the row's inradii; the
+    # same radii inverted one at a time stop elsewhere in the last digits
+    bounds = numerical_artifacts["bounds"]
+    families = numerical_artifacts["controller"].families
+    assert len(families) == 9
+    for fam in families:
+        for j in range(len(fam.inradius)):
+            idx = fam.present(j)
+            assert np.array_equal(fam.cert_radius[j, idx],
+                                  bounds.state_dev_inv(fam.inradius[j, idx]))
+    fam = families[-1]
+    idx = fam.present(1)
+    alone = np.array([bounds.state_dev_inv(x) for x in fam.inradius[1, idx]])
+    assert len(idx) > 10 and not np.array_equal(alone, fam.cert_radius[1, idx])
+    assert np.allclose(alone, fam.cert_radius[1, idx], rtol=1e-8, atol=0.0)

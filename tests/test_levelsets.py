@@ -19,7 +19,7 @@ from conftest import (sampled_inradius, single_ball_inradius, synth_dataset,
 
 SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
-                         eta_mode="profile", profile=SE.profile,
+                         profile=SE.profile,
                          profile_deficit=SE.profile_deficit)
 
 

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from conftest import synth_dataset, synth_family
 from invctrl import pipeline, verify
@@ -56,6 +57,10 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_config(p)
     p.write_text("[plant]\nid = numerical\n[widgets]\nx = 1\n")
     with pytest.raises(ConfigError):
+        load_config(p)
+    # eta comes from the kernel profile alone: no mode key, not even "profile"
+    p.write_text("[plant]\nid = numerical\n[bounds]\neta_mode = profile\n")
+    with pytest.raises(ConfigError, match="unknown key 'eta_mode'"):
         load_config(p)
 
 
@@ -301,6 +306,67 @@ def test_recursion_escapes_reports_first_injected_escape(numerical_artifacts):
     assert int(idx[np.argmax(escaped)]) == recs[0]
 
 
+def _reference_sample_in_ball(rng, center, radius, count):
+    """Reference per-ball draws: directions, then radii."""
+    center = np.asarray(center, dtype=float)
+    d = len(center)
+    dirs = rng.normal(size=(count, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / d)
+    return center + dirs * radii[:, None]
+
+
+def _benchmark_levels(artifacts, per_level):
+    """(family, level, idx) as verify's recursion check selects them."""
+    for fam in artifacts["controller"].families:
+        for j in range(1, len(fam.inradius)):
+            idx = fam.present(j)
+            if idx.size and per_level is not None:
+                idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
+            if idx.size:
+                yield fam, j, idx
+
+
+@pytest.mark.parametrize("artifacts,per_level,samples", [
+    ("numerical_artifacts", None, 200), ("pendulum_artifacts", 8, 50)])
+def test_recursion_draws_equal_per_entry_draws(request, monkeypatch, artifacts,
+                                               per_level, samples):
+    # the points the check tests, and the stream left behind, equal those
+    # of one reference draw per entry in idx order
+    drawn = []
+    batched = verify.sample_in_balls
+    monkeypatch.setattr(verify, "sample_in_balls",
+                        lambda *a: drawn.append(batched(*a)) or drawn[-1])
+    levels = list(_benchmark_levels(request.getfixturevalue(artifacts), per_level))[::3]
+    got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
+    for fam, j, idx in levels:
+        drawn.clear()
+        verify.recursion_escapes(fam, j, idx, samples, got_rng)
+        want = np.stack([_reference_sample_in_ball(want_rng, fam.dataset.succ_states[i],
+                                                   fam.inradius[j, i], samples)
+                         for i in idx])
+        assert len(drawn) == 1 and np.array_equal(drawn[0], want)
+    assert len(levels) >= 5 and got_rng.random() == want_rng.random()
+    one = verify.sample_in_ball(np.random.default_rng(6), [0.1, -0.2, 0.3], 0.7, 40)
+    assert np.array_equal(one, _reference_sample_in_ball(
+        np.random.default_rng(6), [0.1, -0.2, 0.3], 0.7, 40))
+
+
+@pytest.mark.parametrize("artifacts,per_level,samples", [
+    ("numerical_artifacts", None, 200), ("pendulum_artifacts", 8, 50)])
+def test_paired_distances_equal_cdist(request, artifacts, per_level, samples):
+    rng = np.random.default_rng(8)
+    levels = list(_benchmark_levels(request.getfixturevalue(artifacts), per_level))[::4]
+    for fam, j, idx in levels:
+        centers = fam.dataset.succ_states[idx]
+        pts = verify.sample_in_balls(rng, centers, fam.inradius[j, idx], samples)
+        prev_c, prev_r = fam.centers_radii(j - 1)
+        best = np.argmax(prev_r - cdist(centers, prev_c), axis=1)
+        want = np.stack([cdist(p, prev_c[[k]])[:, 0] for p, k in zip(pts, best)])
+        assert np.array_equal(verify.paired_distances(pts, prev_c[best]), want)
+    assert len(levels) > 3
+
+
 def _cover_family(extra, entry_center, entry_radius):
     """Level 0: NEAR_K balls of radius 0.9 at the origin (slack 0.9 each
     from an entry at the origin) followed by ``extra`` (center, radius)
@@ -324,8 +390,9 @@ AXIS_BALLS = [(tuple(s * 10.0 * np.eye(3)[a]), 9.85) for a in range(3) for s in 
 
 
 def test_recursion_escapes_full_scan_finds_non_candidate_ball():
-    # the six covering balls have slack -0.15, below every candidate's
-    # 0.9: the shell samples are found inside only by the full scan
+    # the six covering balls have slack -0.15, below the 0.9 of the
+    # largest-slack ball: the shell samples are found inside only by the
+    # full scan
     fam, rec = _cover_family(AXIS_BALLS, (0.0, 0.0, 0.0), 1.0)
     pts = verify.sample_in_ball(np.random.default_rng(3), np.zeros(3), 1.0, 200)
     assert (np.linalg.norm(pts, axis=1) > 0.9).sum() > 10
@@ -351,7 +418,7 @@ def test_recursion_escapes_entry_with_every_sample_outside():
 
 
 def test_recursion_escapes_fewer_previous_balls_than_candidates():
-    # three previous balls: every one is a candidate
+    # three previous balls, fewer than NEAR_K
     ds = synth_dataset(np.zeros((5, 3)), [0.0, 0.0, 0.0, 0.0, 0.0],
                        [0.0, 1.0, 2.0, 0.5, 1.9])
     fam = synth_family(ds, 1.0, [
@@ -363,6 +430,11 @@ def test_recursion_escapes_fewer_previous_balls_than_candidates():
         got = verify.recursion_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
         want = _reference_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
         assert list(want) == [True, False] and np.array_equal(got, want)
+    # no previous ball at all: every entry escapes
+    bare = synth_family(ds, 1.0, [[], [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
+    got = verify.recursion_escapes(bare, 1, idx, 20, np.random.default_rng(0))
+    want = _reference_escapes(bare, 1, idx, 20, np.random.default_rng(0))
+    assert list(want) == [True, True] and np.array_equal(got, want)
 
 
 def _reference_oracle(plant, ds, model, bounds, rng):
