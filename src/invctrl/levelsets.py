@@ -18,8 +18,11 @@ Each level step is the max-plus product ``r_new[i] = max_k (radii[k] -
 D[i, k])`` over a distance table fixed for the build; ``ABSENT`` radii are
 neutral.  ``pairwise_distances`` keeps, per row, the ``NEAR_K`` nearest
 columns and ``beyond``, the smallest distance to any other column.
-``max_plus`` takes ``best`` over the nearest columns, then scans in full,
-``SCAN_ROWS`` rows at a time, only rows with ``max(radii) - beyond > best``.
+The nearest columns are stored level-major, as ``(NEAR_K, rows)`` index and
+distance arrays, so that ``max_plus`` gathers them with one flat ``take`` and
+reduces over the leading axis.  ``max_plus`` takes ``best`` over the nearest
+columns, then scans in full, ``SCAN_ROWS`` rows at a time, only rows with
+``max(radii) - beyond > best``.
 This is exact: any other column has ``D[i, k] >= beyond`` and ``radii[k] <=
 max(radii)``, and rounded subtraction is monotone, so ``radii[k] - D[i, k]
 <= best``; the result is bit-identical to the product over all columns.
@@ -136,22 +139,29 @@ def index_set_slab(dataset: NarxDataset, delta):
 def nearest_table(dist):
     """``(dist, near, near_dist, beyond)``: per row of ``dist``, partitioned
     once, the indices and distances of the ``NEAR_K`` nearest columns (all
-    if no more) and the smallest distance to any other column."""
+    if no more), level-major as C-contiguous ``(NEAR_K, rows)`` arrays, and
+    the smallest distance to any other column."""
     n, m = dist.shape
     if m <= NEAR_K:
-        return dist, np.broadcast_to(np.arange(m), (n, m)), dist, np.full(n, np.inf)
-    # a copy, so that the full N x M index array is not kept alive
-    part = np.argpartition(dist, NEAR_K, axis=1)[:, :NEAR_K + 1].copy()
+        return (dist, np.repeat(np.arange(m)[:, None], n, axis=1),
+                np.ascontiguousarray(dist.T), np.full(n, np.inf))
+    part = np.argpartition(dist, NEAR_K, axis=1)[:, :NEAR_K + 1]
     part_dist = np.take_along_axis(dist, part, axis=1)
-    return dist, part[:, :NEAR_K], part_dist[:, :NEAR_K], part_dist[:, NEAR_K]
+    # copies, so that the full N x M index array is not kept alive
+    return (dist, np.ascontiguousarray(part[:, :NEAR_K].T),
+            np.ascontiguousarray(part_dist[:, :NEAR_K].T), part_dist[:, NEAR_K].copy())
 
 
 def max_plus(radii, table):
     """``max_k (radii[k] - dist[i, k])`` per row ``i`` of a ``nearest_table``,
     exactly (see the module docstring): on point-to-center distances, each
-    point's single-ball inradius underestimate in the union of the balls."""
+    point's single-ball inradius underestimate in the union of the balls.
+    The nearest stage gathers the level-major table in one flat ``take`` and
+    reduces over its ``NEAR_K`` leading rows."""
     dist, near, near_dist, beyond = table
-    best = (radii[near] - near_dist).max(axis=1)
+    g = np.take(radii, near)
+    np.subtract(g, near_dist, out=g)
+    best = g.max(axis=0)
     rows = np.flatnonzero(radii.max() - beyond > best)
     buf = np.empty((min(SCAN_ROWS, len(rows)), len(radii)))
     for start in range(0, len(rows), SCAN_ROWS):
@@ -207,15 +217,13 @@ def pairwise_distances(dataset: NarxDataset):
 def check_nesting(family: LevelFamily) -> bool:
     """Sufficient single-ball test that every level-0 ball lies inside some
     level-1 ball.  True certifies the nesting needed for indefinite
-    regulation; False is inconclusive and only reported."""
+    regulation; False is inconclusive and only reported.  Level-0 balls are
+    tested ``SCAN_ROWS`` at a time, stopping at the first block holding a
+    ball that no level-1 ball contains."""
     c0, r0 = family.centers_radii(0)
     c1, r1 = family.centers_radii(1)
-    if len(r0) == 0:
-        return True
-    if len(r1) == 0:
-        return False
-    d = cdist(c0, c1)
-    return bool(((d + r0[:, None]) <= r1[None, :]).any(axis=1).all())
+    return all(((cdist(c0[s:s + SCAN_ROWS], c1) + r0[s:s + SCAN_ROWS, None]) <= r1)
+               .any(axis=1).all() for s in range(0, len(r0), SCAN_ROWS))
 
 
 def dump_family(path, family: LevelFamily):

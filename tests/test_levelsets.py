@@ -7,9 +7,9 @@ from scipy.spatial.distance import cdist
 
 from invctrl.bounds import DeviationBounds
 from invctrl.kernels import IsotropicKernel
-from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, build_level_family,
-                               check_nesting, distances, dump_family, index_set_slab,
-                               load_family, max_plus, nearest_table,
+from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFamily,
+                               build_level_family, check_nesting, distances, dump_family,
+                               index_set_slab, load_family, max_plus, nearest_table,
                                pairwise_distances)
 
 from invctrl.verify import sample_in_ball
@@ -128,13 +128,34 @@ def test_max_plus_exact_few_columns(n):
                           gathered_max_plus(radii, dist))
 
 
+@pytest.mark.parametrize("m", [1, NEAR_K - 1, NEAR_K, NEAR_K + 1, 3 * NEAR_K])
+def test_nearest_table_level_major(m):
+    rng = np.random.default_rng(m)
+    dist = rng.uniform(0.0, 2.0, size=(70, m))
+    dist[:, m // 2:] = np.round(dist[:, m // 2:], 1)  # ties among the distances
+    table = nearest_table(dist)
+    assert table[0] is dist
+    near, near_dist, beyond = table[1:]
+    k = min(m, NEAR_K)
+    for a in (near, near_dist):
+        assert a.shape == (k, len(dist)) and a.flags.c_contiguous
+    for i, row in enumerate(dist):
+        cols = near[:, i]
+        assert len(set(cols)) == k
+        assert np.array_equal(near_dist[:, i], row[cols])
+        assert np.array_equal(np.sort(row[cols]), np.sort(row)[:k])
+        assert beyond[i] == (np.sort(row)[NEAR_K] if m > NEAR_K else np.inf)
+    if m <= NEAR_K:
+        assert (np.sort(near, axis=0) == np.arange(m)[:, None]).all()
+
+
 def test_max_plus_exact_single_present_column():
     rng = np.random.default_rng(5)
     dist = rng.uniform(0.0, 3.0, size=(300, 200))
     radii = np.full(200, ABSENT)
     radii[117] = 2.0
     table = nearest_table(dist)
-    near = table[1]
+    near = table[1].T  # row-major view of the level-major table
     # most rows do not have column 117 among their nearest: they rely on
     # the full scan, whose only finite value is the one present column
     assert (near != 117).all(axis=1).sum() > 200
@@ -146,7 +167,7 @@ def test_max_plus_exact_absent_nearest_and_far_maximum():
     dist = rng.uniform(0.0, 1.0, size=(120, 150))
     radii = rng.uniform(0.05, 0.1, size=150)
     table = nearest_table(dist)
-    near = table[1]
+    near = table[1].T  # row-major view of the level-major table
     # row 0: every nearest column absent; row 1: a far column with a large
     # radius holds the maximum
     radii[near[0]] = ABSENT
@@ -340,6 +361,57 @@ def test_nesting_counterexample_with_witness():
             break
     else:
         pytest.fail("no witness found although nesting test failed")
+
+
+def reference_nesting(family):
+    """The nesting predicate over the full level-0 x level-1 distance matrix."""
+    c0, r0 = family.centers_radii(0)
+    c1, r1 = family.centers_radii(1)
+    return bool(((cdist(c0, c1) + r0[:, None]) <= r1[None, :]).any(axis=1).all())
+
+
+def paired_family(n, level1_scale):
+    """``2 n`` records: the successors of records ``0..n-1`` carry level-0 balls
+    of radius 0.05; records ``n..2n-1`` have those successors as states and
+    carry level-1 balls of radius ``0.05 * level1_scale``.  At scale 1 each
+    level-1 ball contains its level-0 ball with equality in ``d + r0 <= r1``;
+    no level-1 ball contains any other level-0 ball."""
+    rng = np.random.default_rng(n)
+    states = rng.uniform(-1, 1, size=(n, 3))
+    targets, controls = rng.uniform(-1, 1, size=n), rng.uniform(-1, 1, size=n)
+    succ = np.stack([states[:, 1], targets, controls], axis=1)
+    pad = np.zeros(n)
+    ds = synth_dataset(np.concatenate([states, succ]), np.concatenate([targets, pad]),
+                       np.concatenate([controls, pad]))
+    assert np.array_equal(ds.succ_states[:n], ds.states[n:])
+    r = np.full((2, 2 * n), ABSENT)
+    c = np.full((2, 2 * n), ABSENT)
+    r[0, :n] = c[0, :n] = r[1, n:] = 0.05
+    c[1, n:] = 0.05 * np.asarray(level1_scale)
+    return LevelFamily(delta=1.0, depth=1, inradius=r, cert_radius=c, dataset=ds)
+
+
+def nesting_cases():
+    n = 3 * SCAN_ROWS + 5  # four blocks, the last one partial
+    last_fails, first_fails = np.ones(n), np.ones(n)
+    last_fails[-1] = first_fails[0] = 0.5
+    empty0 = paired_family(n, 1.0)
+    empty0.inradius, empty0.cert_radius = empty0.inradius[:0], empty0.cert_radius[:0]
+    empty1 = paired_family(n, 1.0)
+    empty1.inradius, empty1.cert_radius = empty1.inradius[:1], empty1.cert_radius[:1]
+    return {"all_nested": (paired_family(n, 1.0), True),
+            "last_fails": (paired_family(n, last_fails), False),
+            "first_fails": (paired_family(n, first_fails), False),
+            "level0_empty": (empty0, True),
+            "level1_empty": (empty1, False)}
+
+
+@pytest.mark.parametrize("case", sorted(nesting_cases()))
+def test_nesting_equals_full_matrix_reference(case):
+    fam, expected = nesting_cases()[case]
+    assert len(fam.present(0)) in (0, 3 * SCAN_ROWS + 5)
+    assert reference_nesting(fam) is expected
+    assert check_nesting(fam) is expected
 
 
 def test_dump_load_round_trip(tmp_path, numerical_artifacts):
