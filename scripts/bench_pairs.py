@@ -8,11 +8,16 @@ runs once in each checkout, one after the other: the parent goes first on
 even seeds, the change on odd ones, so that a drift of the host does not
 favour one side.  Each run's ``correct`` and ``failed`` and its end-to-end
 metrics are printed as it ends.  At the end, for every end-to-end metric of
-the change's ``BENCHMARK.json``, the script prints both medians, the
-parent's quartiles and interquartile range, the median change and the
-number of pairs in which the change did better.  Runs write nothing in
-either checkout beyond perfbench's own work directory (bytecode caching is
-off).  Exits 1 if a run fails or reports ``correct`` false, else 0.
+the change's ``BENCHMARK.json``, the script prints a verdict, both medians,
+the parent's quartiles and interquartile range, the median change and the
+number of pairs in which the change did better.  The verdict is ``gain``
+when the change did better in at least 9 of 10 pairs and its median is
+better than the parent's by more than the parent's interquartile range,
+``worse`` when its median is worse than the parent's by more than the
+metric's ``bound`` (a share of the parent's median), else ``-``.  Runs
+write nothing in either checkout beyond perfbench's own work directory
+(bytecode caching is off).  Exits 1 if a run fails or reports ``correct``
+false, else 0.
 """
 
 import argparse
@@ -39,7 +44,7 @@ def run(checkout, workload, seed, seconds):
 
 
 def summary(metrics, results):
-    """Per metric: parent and change medians, parent quartiles, wins."""
+    """Per metric: verdict, parent and change medians, parent quartiles, wins."""
     rows = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -53,7 +58,10 @@ def summary(metrics, results):
         wins = int(np.sum(new < old if lower else new > old))
         ties = int(np.sum(new == old))
         change = 100.0 * (med_new - med_old) / med_old if med_old else 0.0
-        rows.append(f"{name:14s} {m['unit']:3s} parent {med_old:.6g} "
+        gained = med_old - med_new if lower else med_new - med_old
+        verdict = ("gain" if 10 * wins >= 9 * len(pairs) and gained > q3 - q1
+                   else "worse" if -gained > m["bound"] * abs(med_old) else "-")
+        rows.append(f"{verdict:5s} {name:14s} {m['unit']:3s} parent {med_old:.6g} "
                     f"[q1 {q1:.6g}, q3 {q3:.6g}, iqr {q3 - q1:.3g}]  change {med_new:.6g} "
                     f"({change:+.1f} %)  wins {wins}/{len(pairs)}"
                     + (f" ties {ties}" if ties else ""))

@@ -12,20 +12,23 @@ record's target provably lands the successor inside level j.
 Inradius of a point in a ball union is NP-hard to compute exactly, so the
 single-ball underestimate ``max_k (radius_k - dist(p, center_k))`` is used
 throughout; every certificate built on it stays sound.  Entries with
-inradius below 1e-12 are dropped (zero-measure certificates).
+inradius at or below ``MIN_INRADIUS`` = 1e-12 are dropped (zero-measure
+certificates).
 
-Each level step is the max-plus product ``r_new[i] = max_k (radii[k] -
-D[i, k])`` over a distance table fixed for the build; ``ABSENT`` radii are
-neutral.  ``pairwise_distances`` keeps, per row, the ``NEAR_K`` nearest
-columns and ``beyond``, the smallest distance to any other column.
-The nearest columns are stored level-major, as ``(NEAR_K, rows)`` index and
-distance arrays, so that ``max_plus`` gathers them with one flat ``take`` and
-reduces over the leading axis.  ``max_plus`` takes ``best`` over the nearest
+Each level step is the inradius row of the max-plus product ``r_new[i] =
+max_k (radii[k] - D[i, k])`` over a distance table fixed for the build (the
+product where above ``MIN_INRADIUS``, else ``ABSENT``; ``ABSENT`` radii are
+neutral).  ``pairwise_distances`` keeps, per row, the ``NEAR_K`` nearest
+columns, level-major as ``(NEAR_K, rows)`` index and distance arrays that
+``max_plus`` gathers with one flat ``take``, and ``beyond``, the smallest
+distance to any other column.  ``max_plus`` takes ``best`` over the nearest
 columns, then scans in full, ``SCAN_ROWS`` rows at a time, only rows with
-``max(radii) - beyond > best``.
-This is exact: any other column has ``D[i, k] >= beyond`` and ``radii[k] <=
-max(radii)``, and rounded subtraction is monotone, so ``radii[k] - D[i, k]
-<= best``; the result is bit-identical to the product over all columns.
+``max(radii) - beyond > max(best, MIN_INRADIUS)``.  This is exact: any
+other column has ``D[i, k] >= beyond`` and ``radii[k] <= max(radii)``, and
+rounded subtraction is monotone, so on a skipped row ``radii[k] - D[i, k]
+<= max(best, MIN_INRADIUS)``: the product is ``best`` if that exceeds the
+floor, else at most the floor, and the row is ``ABSENT`` either way.  Every
+inradius row is bit-identical to the one from the product over all columns.
 
 A family is two float64 tables indexed ``[level, record]``: ``inradius``
 and ``cert_radius``, with ``ABSENT`` (-inf) where a record has no ball at
@@ -95,7 +98,8 @@ class LevelFamily:
 
     def sizes(self):
         """Ball count per level 0..depth."""
-        return [len(self.present(j)) for j in range(self.depth + 1)]
+        counts = np.count_nonzero(self.inradius != ABSENT, axis=1)
+        return np.pad(counts, (0, self.depth + 1 - len(counts))).tolist()
 
     def _balls(self, level):
         """Every record's center at ``level`` and the table of its radii."""
@@ -126,14 +130,11 @@ def distances(points, p):
     return np.sqrt(sum((points[:, k] - p[k]) ** 2 for k in range(len(p))))
 
 
-def _inradius_row(inradii):
-    return np.where(inradii > MIN_INRADIUS, inradii, ABSENT)
-
-
 def index_set_slab(dataset: NarxDataset, delta):
     """Level-0 inradius row: each record's successor inradius in the
-    output slab, ``ABSENT`` unless strictly inside."""
-    return _inradius_row(delta - np.abs(dataset.succ_states[:, dataset.order - 1]))
+    output slab, ``ABSENT`` unless above ``MIN_INRADIUS``."""
+    inradii = delta - np.abs(dataset.succ_states[:, dataset.order - 1])
+    return np.where(inradii > MIN_INRADIUS, inradii, ABSENT)
 
 
 def nearest_table(dist):
@@ -153,17 +154,20 @@ def nearest_table(dist):
 
 
 def max_plus(radii, table):
-    """``max_k (radii[k] - dist[i, k])`` per row ``i`` of a ``nearest_table``,
-    exactly (see the module docstring): on point-to-center distances, each
-    point's single-ball inradius underestimate in the union of the balls.
-    The nearest stage gathers the level-major table in one flat ``take`` and
-    reduces over its ``NEAR_K`` leading rows."""
+    """Inradius row of ``max_k (radii[k] - dist[i, k])`` per row ``i`` of a
+    ``nearest_table``: the exact product where above ``MIN_INRADIUS``, else
+    ``ABSENT``; on point-to-center distances, each point's single-ball
+    inradius underestimate in the union of the balls.  With ``best`` over a
+    row's ``NEAR_K`` nearest columns, the row is scanned in full only if
+    ``max(radii) - beyond > max(best, MIN_INRADIUS)``: on any other, every
+    far column gives at most that, so the row is ``best`` or ``ABSENT``."""
     dist, near, near_dist, beyond = table
     g = np.take(radii, near)
     np.subtract(g, near_dist, out=g)
     best = g.max(axis=0)
-    rows = np.flatnonzero(radii.max() - beyond > best)
-    buf = np.empty((min(SCAN_ROWS, len(rows)), len(radii)))
+    rows = np.flatnonzero(radii.max() - beyond > np.maximum(best, MIN_INRADIUS))
+    # one shape on every call, so the heap the build leaves does not vary with the rows
+    buf = np.empty((SCAN_ROWS, len(radii)))
     for start in range(0, len(rows), SCAN_ROWS):
         block = rows[start:start + SCAN_ROWS]
         out = buf[:len(block)]
@@ -171,7 +175,7 @@ def max_plus(radii, table):
         np.take(dist, block, axis=0, out=out, mode="clip")
         np.subtract(radii, out, out=out)
         best[block] = out.max(axis=1)
-    return best
+    return np.where(best > MIN_INRADIUS, best, ABSENT)
 
 
 def build_level_family(dataset: NarxDataset, bounds, delta, depth,
@@ -199,7 +203,7 @@ def build_level_family(dataset: NarxDataset, bounds, delta, depth,
         rows_c.append(c)
         if len(rows_r) == depth + 1:
             break
-        r = _inradius_row(max_plus(r, ss) if len(rows_r) == 1 else max_plus(c, sz))
+        r = max_plus(r, ss) if len(rows_r) == 1 else max_plus(c, sz)
     shape = (len(rows_r), len(dataset))
     return LevelFamily(delta=float(delta), depth=int(depth),
                        inradius=np.array(rows_r).reshape(shape),

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .narx import Trajectory
 
@@ -130,11 +129,6 @@ class NumericalPlant:
         z2 = float(np.asarray(state, dtype=float) @ np.asarray(state, dtype=float))
         s = rng.uniform(self.BAND_LO, self.BAND_HI)
         return math.exp(-(s + z2) / 16.0)
-
-    def equilibrium_input(self):
-        """Input holding the output at zero from the zero-output state."""
-        return brentq(lambda u: u * u + 16.0 * math.log(u) + 9.0, 0.2, 0.9999,
-                      xtol=1e-14)
 
     def state_box(self):
         """Realizable augmented-state box [-1,1]^2 x [u_lo, u_hi]: past

@@ -68,7 +68,7 @@ def sampled_inradius(point, centers, radii, directions=2000, seed=0):
 def single_ball_inradius(points, centers, radii):
     """The builder's single-ball inradius underestimate of each point in
     the union of balls (centers, radii): the max-plus product over the
-    point-to-center distances."""
+    point-to-center distances, ``ABSENT`` at or below ``MIN_INRADIUS``."""
     return max_plus(np.asarray(radii, dtype=float),
                     nearest_table(cdist(np.atleast_2d(points), np.atleast_2d(centers))))
 

@@ -75,10 +75,12 @@ def test_union_inradius_is_underestimate(seed):
 
 
 def gathered_max_plus(radii, dist):
-    """Product over the present columns only, by one column gather: the
-    formula the nearest-K pruning must reproduce bit for bit."""
+    """Inradius row of the product over the present columns only, by one
+    column gather: the formula the nearest-K pruning must reproduce bit for
+    bit."""
     idx = np.flatnonzero(radii != ABSENT)
-    return (radii[idx][None, :] - dist[:, idx]).max(axis=1)
+    g = (radii[idx][None, :] - dist[:, idx]).max(axis=1)
+    return np.where(g > MIN_INRADIUS, g, ABSENT)
 
 
 def reference_family(ds, bounds, delta, depth):
@@ -95,9 +97,8 @@ def reference_family(ds, bounds, delta, depth):
         rows_c.append(c)
         if len(rows_r) == depth + 1:
             break
-        g = (gathered_max_plus(r, d_ss) if len(rows_r) == 1
+        r = (gathered_max_plus(r, d_ss) if len(rows_r) == 1
              else gathered_max_plus(c, d_sz))
-        r = np.where(g > MIN_INRADIUS, g, ABSENT)
     shape = (len(rows_r), len(ds))
     return np.array(rows_r).reshape(shape), np.array(rows_c).reshape(shape)
 
@@ -159,7 +160,10 @@ def test_max_plus_exact_single_present_column():
     # most rows do not have column 117 among their nearest: they rely on
     # the full scan, whose only finite value is the one present column
     assert (near != 117).all(axis=1).sum() > 200
-    assert np.array_equal(max_plus(radii, table), 2.0 - dist[:, 117])
+    product = 2.0 - dist[:, 117]
+    assert (product > MIN_INRADIUS).sum() > 150
+    assert np.array_equal(max_plus(radii, table),
+                          np.where(product > MIN_INRADIUS, product, ABSENT))
 
 
 def test_max_plus_exact_absent_nearest_and_far_maximum():
@@ -180,20 +184,60 @@ def test_max_plus_exact_absent_nearest_and_far_maximum():
 
 
 def test_max_plus_exact_bound_open_by_one_bit():
-    # the maximum sits in the first column past the nearest ones and beats
-    # the nearest-column best by 2**-40 only: the pruning bound must use
-    # that column's exact distance and a strict comparison
+    # the maximum sits in the first column past the nearest ones, above the
+    # inradius floor, and beats the nearest-column best by 2**-40 only: the
+    # pruning bound must use that column's exact distance and a strict
+    # comparison
     m = NEAR_K + 8
     d = np.where(np.arange(m) < NEAR_K, 0.9, 2.0) + np.arange(m) / 1024.0
     d[NEAR_K - 1], d[NEAR_K] = 1.0, 1.0 + 2.0**-20
-    radii = np.full(m, 0.25)
-    radii[NEAR_K - 1], radii[NEAR_K] = 0.5, 0.5 + 2.0**-20 + 2.0**-40
+    radii = np.full(m, 1.25)
+    radii[NEAR_K - 1], radii[NEAR_K] = 1.5, 1.5 + 2.0**-20 + 2.0**-40
     for seed in range(4):  # the same row under column permutations
         perm = np.random.default_rng(seed).permutation(m)
         dist, r = d[perm][None, :], radii[perm]
         best = max_plus(r, nearest_table(dist))
         assert np.array_equal(best, gathered_max_plus(r, dist))
-        assert best[0] == -0.5 + 2.0**-40
+        assert best[0] == 0.5 + 2.0**-40
+
+
+def floor_rows():
+    """Rows of ``NEAR_K`` absent nearest columns at distance 0 and far
+    columns of radius ``MIN_INRADIUS + 2**-60``, whose far product is exactly
+    the floor, one ulp above it, below it but positive, and negative."""
+    far = MIN_INRADIUS + 2.0**-60  # exact: 2**-60 is a multiple of its ulp
+    above = np.nextafter(MIN_INRADIUS, np.inf)
+    m = NEAR_K + 4
+    radii = np.full(m, far)
+    radii[:NEAR_K] = ABSENT
+    beyond = np.array([far - MIN_INRADIUS, far - above, far - MIN_INRADIUS / 2, 2.0**-30])
+    dist = np.zeros((len(beyond), m))
+    dist[:, NEAR_K:] = beyond[:, None] * np.array([1.0, 1.5, 2.0, 3.0])
+    assert np.array_equal(far - beyond, [MIN_INRADIUS, above, MIN_INRADIUS / 2, far - 2.0**-30])
+    return radii, dist, above
+
+
+def test_max_plus_floor_boundary():
+    # every nearest column is absent; only the far product decides the row:
+    # exactly the floor and below it give ABSENT, one ulp above it is exact
+    radii, dist, above = floor_rows()
+    best = max_plus(radii, nearest_table(dist))
+    assert np.array_equal(best, gathered_max_plus(radii, dist))
+    assert np.array_equal(best, [ABSENT, above, ABSENT, ABSENT])
+    # the same products from nearest columns only, with no full scan
+    near_only = max_plus(radii[NEAR_K:], nearest_table(dist[:, NEAR_K:]))
+    assert np.array_equal(near_only, [ABSENT, above, ABSENT, ABSENT])
+
+
+def test_max_plus_scans_only_rows_that_can_clear_the_floor():
+    # the full scan reads the distance rows it is given: a poisoned copy
+    # shows which rows were scanned.  Only the row whose far product can
+    # exceed the floor may be; rows at or below it must be skipped
+    radii, dist, _ = floor_rows()
+    _, near, near_dist, beyond = nearest_table(dist)
+    poison = np.full_like(dist, -1e300)
+    best = max_plus(radii, (poison, near, near_dist, beyond))
+    assert np.array_equal(best == 1e300, [False, True, False, False])
 
 
 def test_max_plus_exact_with_ties():
@@ -210,6 +254,15 @@ def test_max_plus_exact_with_ties():
 @pytest.mark.parametrize("n", [1, 10, 3 * NEAR_K])
 def test_family_exact_synthetic(n):
     assert_family_exact(random_records(np.random.default_rng(n), n), BOUNDS, 0.5, 6)
+
+
+def test_family_exact_small_delta():
+    # few successors inside the narrow slab: most columns are absent at
+    # every level and most rows are below the floor
+    ds = random_records(np.random.default_rng(10), 300)
+    fam = assert_family_exact(ds, BOUNDS, 0.03, 6)
+    sizes = fam.sizes()
+    assert 0 < sizes[0] < len(ds) / 10 and sizes[1] > 0
 
 
 def test_family_exact_duplicate_states():
@@ -272,6 +325,15 @@ def test_family_all_levels_empty_when_unreachable():
     fam = build_level_family(ds, BOUNDS, delta=1.0, depth=5)
     assert fam.truncated_at == 0
     assert fam.sizes() == [0] * 6
+
+
+@pytest.mark.parametrize("delta,depth,truncated", [(0.5, 2, False), (0.5, 6, True)])
+def test_sizes_equal_present_counts(delta, depth, truncated):
+    fam = build_level_family(random_records(np.random.default_rng(11), 200), BOUNDS,
+                             delta, depth)
+    assert (fam.truncated_at is not None) is truncated
+    assert fam.sizes() == [len(fam.present(j)) for j in range(depth + 1)]
+    assert all(type(n) is int for n in fam.sizes())
 
 
 def test_family_level1_balls_contained_in_level0(numerical_artifacts):
