@@ -148,8 +148,13 @@ _PENDULUM = RunConfig(
     sigma_f=2.0,
     sigma_l=_PEND_SIGMA_L,
     lam=0.0,
-    lip_f=3.59,          # closed-form gradient bound of the two-step map
-    lip_c=336000.0,      # closed-form gradient bound of the inverse model
+    # Closed-form gradient bounds of PendulumPlant's two-step map y(t+2) =
+    # (A^2 + B) y(t) + C sin y(t) + A (B y(t-1) + C sin y(t-1) + D u(t-1)) + D u(t)
+    # and of its inverse in (y(t+2), y(t), y(t-1), u(t-1)), the sine slopes s in
+    # [-1, 1]: with g0 = max_s |A^2 + B + C s| and g1 = max_s |A (B + C s)|,
+    # lip_f = |(g1, g0, |A| D, D)| = 3.5872 and lip_c = |(1, g0, g1, |A| D)| / D = 335154.
+    lip_f=3.59,
+    lip_c=336000.0,
     rkhs_bound=20.0,     # safety-scaled interpolant norm estimate (~8.1)
     gamma_mode="linear",
     gamma_slope=1.005,
@@ -177,43 +182,26 @@ def default_config(plant) -> RunConfig:
     raise ConfigError(f"unknown plant {plant!r}")
 
 
-# lower case: configparser lower-cases option names (``L_f`` is read as ``l_f``)
+# section -> key -> (RunConfig field, kind); keys are lower case, as
+# configparser delivers option names (``L_f`` is read as ``l_f``)
 _SCHEMA = {
-    "plant": {"id": str, "n": int, "nu": int},
-    "kernel": {"family": str, "sigma_f": float, "sigma_l": "floats"},
-    "interpolant": {"lambda": float},
-    "bounds": {"l_f": float, "l_c": float, "gamma": float,
-               "gamma_mode": str, "gamma_slope": float},
-    "levels": {"deltas": "floats", "kappa_bar": int},
-    "simulate": {"initial_conditions": "vectors", "horizon": int},
-    "noise": {"sigma_d": float, "sigma": float},
-    "run": {"seed": int, "out": str},
-}
-
-_KEYMAP = {
-    ("plant", "id"): "plant", ("plant", "n"): "order", ("plant", "nu"): "delay",
-    ("kernel", "family"): "kernel_family", ("kernel", "sigma_f"): "sigma_f",
-    ("kernel", "sigma_l"): "sigma_l",
-    ("interpolant", "lambda"): "lam",
-    ("bounds", "l_f"): "lip_f", ("bounds", "l_c"): "lip_c",
-    ("bounds", "gamma"): "rkhs_bound",
-    ("bounds", "gamma_mode"): "gamma_mode",
-    ("bounds", "gamma_slope"): "gamma_slope",
-    ("levels", "deltas"): "deltas", ("levels", "kappa_bar"): "depth",
-    ("simulate", "initial_conditions"): "initial_conditions",
-    ("simulate", "horizon"): "horizon",
-    ("noise", "sigma_d"): "sigma_d", ("noise", "sigma"): "sigma",
-    ("run", "seed"): "seed", ("run", "out"): "outdir",
+    "plant": {"id": ("plant", str), "n": ("order", int), "nu": ("delay", int)},
+    "kernel": {"family": ("kernel_family", str), "sigma_f": ("sigma_f", float),
+               "sigma_l": ("sigma_l", "floats")},
+    "interpolant": {"lambda": ("lam", float)},
+    "bounds": {"l_f": ("lip_f", float), "l_c": ("lip_c", float),
+               "gamma": ("rkhs_bound", float), "gamma_mode": ("gamma_mode", str),
+               "gamma_slope": ("gamma_slope", float)},
+    "levels": {"deltas": ("deltas", "floats"), "kappa_bar": ("depth", int)},
+    "simulate": {"initial_conditions": ("initial_conditions", "vectors"),
+                 "horizon": ("horizon", int)},
+    "noise": {"sigma_d": ("sigma_d", float), "sigma": ("sigma", float)},
+    "run": {"seed": ("seed", int), "out": ("outdir", str)},
 }
 
 
 def _parse_value(kind, raw):
-    if kind is str:
-        return raw
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
+    """``raw`` as ``kind``: "floats", "vectors", or a type to call."""
     if kind == "floats":
         return tuple(float(v) for v in raw.replace(";", ",").split(",") if v.strip())
     if kind == "vectors":
@@ -223,7 +211,7 @@ def _parse_value(kind, raw):
             if chunk:
                 vecs.append(tuple(float(v) for v in chunk.split(",")))
         return tuple(vecs)
-    raise AssertionError(kind)
+    return kind(raw)
 
 
 def load_config(path, base_plant=None) -> RunConfig:
@@ -248,11 +236,12 @@ def load_config(path, base_plant=None) -> RunConfig:
         for key, raw in parser.items(section):
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key {key!r} in section [{section}]")
+            name, kind = _SCHEMA[section][key]
             try:
-                value = _parse_value(_SCHEMA[section][key], raw)
+                value = _parse_value(kind, raw)
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
-            setattr(cfg, _KEYMAP[(section, key)], value)
+            setattr(cfg, name, value)
     if isinstance(cfg.sigma_l, float):
         cfg.sigma_l = (cfg.sigma_l,)
     return cfg.validate()

@@ -101,7 +101,7 @@ class LevelFamily:
         counts = np.count_nonzero(self.inradius != ABSENT, axis=1)
         return np.pad(counts, (0, self.depth + 1 - len(counts))).tolist()
 
-    def _balls(self, level):
+    def balls(self, level):
         """Every record's center at ``level`` and the table of its radii."""
         if level == 0:
             return self.dataset.succ_states, self.inradius
@@ -110,14 +110,14 @@ class LevelFamily:
     def centers_radii(self, level):
         """Ball centers and radii realizing level ``level``."""
         idx = self.present(level)
-        centers, table = self._balls(level)
+        centers, table = self.balls(level)
         return centers[idx], (table[level, idx] if idx.size else np.zeros(0))
 
     def contains(self, level, point):
         """Closed-ball membership of ``point`` in the level's union."""
         if not 0 <= level <= self.depth:
             raise IndexError(f"level {level} outside 0..{self.depth}")
-        centers, table = self._balls(level)
+        centers, table = self.balls(level)
         # no distance is <= ABSENT, so the whole row can be compared
         return level < len(table) and bool((distances(centers, point) <= table[level]).any())
 

@@ -26,6 +26,7 @@ from typing import List
 
 import numpy as np
 
+from . import verify
 from .bounds import DeviationBounds
 from .config import PENDULUM_NOISY_LAM, PLANTS, ConfigError, RunConfig
 from .controller import Controller
@@ -405,14 +406,17 @@ def cmd_report(cfg: RunConfig, log=print):
 
 # ---------------------------------------------------------------- verify
 
-from . import verify as _verify  # noqa: E402  (cycle-free: verify imports nothing back)
-
 
 def cmd_verify(cfg: RunConfig, log=print):
-    """Run the property suites against the built artifacts; returns True
-    when every checked property holds.  Details land in verify_report.txt."""
+    """Run the property suites against the built artifacts and any run logs;
+    returns True when every checked property holds (see verify_report.txt)."""
     paths = _paths(cfg)
-    report = _verify.run_all(cfg, log=log)
+    dataset, model, controller = load_artifacts(cfg)
+    report = verify.run_all(cfg, dataset, model, controller, make_plant(cfg),
+                            make_bounds(cfg, model.kernel), log=log)
+    if os.path.exists(paths["summary"]):
+        verify.add_check(report, log, "rmse_recompute", cmd_report(cfg, log=lambda *_: None),
+                      "summary matches recomputed metric")
     with open(paths["verify_report"], "w") as fh:
         for name, passed, detail in report:
             fh.write(f"{'PASS' if passed else 'FAIL'} {name}: {detail}\n")

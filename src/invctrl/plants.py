@@ -19,9 +19,8 @@ Inverted pendulum (order 2, delay 2)
     ``D = Ts^2/(m l^2)``.  Solving for ``u(t)`` after eliminating
     ``y(t+1)`` gives the analytic inverse model used as the oracle.
 
-Global gradient bounds for the pendulum two-step map and its inverse are
-computed in closed form (``lipschitz_bounds``); the numerical benchmark's
-constants hold over the constraint-induced compact domain.
+``config`` derives the pendulum's Lipschitz constants in closed form; the
+numerical ones hold over the constraint-induced compact domain.
 
 Random number use is via the counter-based Philox generator keyed by
 (seed, stream) so dataset and online noise are independent but reproducible.
@@ -188,22 +187,6 @@ class PendulumPlant:
         out = (y2 - (a * a + b) * y_cur - c * np.sin(y_cur)
                - a * (b * y_old + c * np.sin(y_old) + d * u_old)) / d
         return float(out) if out.ndim == 0 else out
-
-    def lipschitz_bounds(self):
-        """(lip_f, lip_c): global gradient bounds of the two-step map and
-        its inverse, from the closed-form partial derivatives with the
-        sine slope ranging over [-1, 1]."""
-        a, b, c, d = self.coef_a, self.coef_b, self.coef_c, abs(self.coef_d)
-
-        def over(lo_term, spread):
-            return max(abs(lo_term - spread), abs(lo_term + spread))
-
-        dy_cur = over(a * a + b, c)          # d/dy(t) of the two-step map
-        dy_old = abs(a) * over(b, c)         # d/dy(t-1)
-        lip_f = float(np.linalg.norm([dy_old, dy_cur, abs(a) * d, d]))
-        g_c = np.array([1.0, dy_cur, dy_old, abs(a) * d]) / d
-        lip_c = float(np.linalg.norm(g_c))
-        return lip_f, lip_c
 
 
 def collect_numerical_trajectories(seed=0, grid_outputs=7, grid_inputs=4,

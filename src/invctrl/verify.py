@@ -1,32 +1,35 @@
 """Artifact property suites behind the ``verify`` subcommand.
 
-Each check returns (name, passed, detail).  Checks run against the files a
-``build`` (and optionally ``simulate``) left on disk, so corrupted dumps are
-caught; failures carry the offending entry as a counterexample.
+Each check returns (name, passed, detail) over artifacts that a ``build``
+left on disk, loaded by the caller, so corrupted dumps are caught; failures
+carry the offending entry as a counterexample.
 
-The recursion-soundness check draws a level's samples as per-entry
-``sample_in_ball`` calls would and tests each entry's samples first against
-its previous-level ball of largest slack ``radius - dist(entry center, ball
-center)``, in one vectorised distance summed as ``cdist`` sums; that ball
-almost always decides.  Only samples it leaves go to the full scan, one
-``cdist`` over row blocks of at most ``CDIST_CELLS`` distances.  The verdicts
-equal the full scan's: a sample counts as inside only by a real ``dist <=
-radius`` comparison on a ``cdist`` distance, as escaped only after the scan.
+The family suites make one pass per family.  The radius, slab and
+certificate checks compare whole ``(levels, records)`` tables and name what
+a level-by-level loop names: the first extreme of the last offending
+(family, level).  The recursion check draws a family's entries in (level,
+record) order into buffers, where ``standard_normal(out=...)`` and
+``random(out=...)`` give the bits of ``normal`` and ``uniform(0, 1)``.  Each
+entry's samples are tested first against its previous-level ball of largest
+slack ``radius - dist(entry center, ball center)`` (an argmax over the whole
+radius row, which ``ABSENT`` never wins), by distances summed as ``cdist``
+sums.  Samples left outside go to the full scan, ``cdist`` blocks of at most
+``CDIST_CELLS`` distances.  So a sample counts as inside only by a real
+``dist <= radius`` on a ``cdist`` distance, as escaped only after the scan.
 
-The bound-validity oracle draws its ``ORACLE_DRAWS`` (record, state) pairs
-one pair at a time, so the random stream interleaves as in a per-sample
-loop, then evaluates the model and the bounds once over all of them; only
-the plant steps stay per sample.
+The bound oracle draws its ``ORACLE_DRAWS`` (record, state) pairs one at a
+time, as a per-sample loop would, and evaluates their kernel rows at once;
+each estimate is a one-row product, bit for bit the single-point ``predict``.
 """
 
 from __future__ import annotations
 
-import os
+from functools import partial
 
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .levelsets import check_nesting
+from .levelsets import ABSENT, check_nesting
 from .plants import rng_stream
 
 STREAM_VERIFY = 7
@@ -44,12 +47,15 @@ def sample_in_balls(rng, centers, radii, count):
     """``count`` uniform samples from each closed ball, shape (balls, count,
     dim).  Drawn ball by ball, directions then radii, so each ball's samples
     equal a ``sample_in_ball`` call's at that point of the stream."""
-    dim = centers.shape[1]
-    dirs, u = map(np.stack, zip(*[(rng.normal(size=(count, dim)),
-                                   rng.uniform(0.0, 1.0, size=count)) for _ in centers]))
+    balls, dim = centers.shape
+    dirs, u = np.empty((balls, count, dim)), np.empty((balls, count))
+    for d, v in zip(dirs, u):
+        rng.standard_normal(out=d)
+        rng.random(out=v)
     dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    r = np.asarray(radii, dtype=float)[:, None] * u ** (1.0 / dim)
-    return centers[:, None, :] + dirs * r[:, :, None]
+    dirs *= (np.asarray(radii, dtype=float)[:, None] * u ** (1.0 / dim))[:, :, None]
+    dirs += centers[:, None, :]
+    return dirs
 
 
 def paired_distances(pts, centers):
@@ -59,25 +65,79 @@ def paired_distances(pts, centers):
                        for k in range(pts.shape[-1])))
 
 
-def recursion_escapes(fam, level, idx, samples, rng):
-    """Per record of ``idx`` (ascending, present at ``level`` >= 1): whether
-    any of ``samples`` uniform draws from its level ball lies outside the
-    level-(level-1) union.  Draws entry by entry, in ``idx`` order."""
-    centers = fam.dataset.succ_states[idx]
-    pts = sample_in_balls(rng, centers, fam.inradius[level, idx], samples)
-    prev_c, prev_r = fam.centers_radii(level - 1)
-    if not len(prev_c):
-        return np.ones(len(idx), dtype=bool)
-    best = np.argmax(prev_r - cdist(centers, prev_c), axis=1)  # largest slack
-    inside = paired_distances(pts, prev_c[best]) <= prev_r[best, None]
-    miss = np.flatnonzero(~inside.ravel())
-    if miss.size:
-        rest = pts.reshape(-1, pts.shape[2])[miss]
-        rows = max(1, CDIST_CELLS // len(prev_c))
-        inside.flat[miss] = np.concatenate([
-            (cdist(rest[s:s + rows], prev_c) <= prev_r).any(axis=1)
-            for s in range(0, len(rest), rows)])
-    return ~inside.all(axis=1)
+def recursion_entries(fam, per_level):
+    """(levels, records) the recursion check samples, in (level, record)
+    order: each present entry of levels >= 1, or ``per_level`` of each
+    level's ``n``, at ``np.unique(np.linspace(0, n - 1, per_level).astype(int))``."""
+    present = fam.inradius[1:] != ABSENT
+    flat = np.flatnonzero(present)
+    if per_level is not None and flat.size:
+        n = np.count_nonzero(present, axis=1)
+        n = n[n > 0]
+        # linspace's arithmetic for every level at once, last point exact
+        pos = (np.arange(per_level) * ((n - 1) / (per_level - 1))[:, None]).astype(int)
+        pos[:, -1] = n - 1
+        keep = np.diff(pos, axis=1, prepend=-1) != 0  # rows ascend: unique drops repeats
+        flat = flat[((np.cumsum(n) - n)[:, None] + pos)[keep]]
+    lev, rec = np.divmod(flat, present.shape[1])
+    return lev + 1, rec
+
+
+def recursion_escapes(fam, samples, per_level, rng):
+    """First (level, record) of ``recursion_entries`` with one of ``samples``
+    uniform draws from its ball outside the previous level's union, or None.
+    Every entry is drawn, so the stream moves on as per-entry draws would."""
+    lev, rec = recursion_entries(fam, per_level)
+    centers = fam.dataset.succ_states[rec]
+    pts = sample_in_balls(rng, centers, fam.inradius[lev, rec], samples)
+    cand_c, cand_r = np.empty_like(centers), np.empty(len(lev))
+    starts = np.flatnonzero(np.diff(lev, prepend=0))
+    for s, e in zip(starts, np.append(starts[1:], len(lev))):
+        all_c, table = fam.balls(lev[s] - 1)
+        row = table[lev[s] - 1]
+        slack = cdist(centers[s:e], all_c)
+        best = np.subtract(row, slack, out=slack).argmax(axis=1)
+        cand_c[s:e], cand_r[s:e] = all_c[best], row[best]
+    inside = paired_distances(pts, cand_c) <= cand_r[:, None]
+    for j in np.unique(lev[~inside.all(axis=1)]):
+        s, e = np.searchsorted(lev, [j, j + 1])
+        miss = np.flatnonzero(~inside[s:e].ravel())
+        prev_c, prev_r = fam.centers_radii(j - 1)  # may be empty: all stay outside
+        rest = pts[s:e].reshape(-1, pts.shape[2])[miss]
+        rows = max(1, CDIST_CELLS // max(1, len(prev_c)))
+        inside[s:e].flat[miss] = np.concatenate([
+            (cdist(rest[k:k + rows], prev_c) <= prev_r).any(axis=1)
+            for k in range(0, len(rest), rows)])
+        escaped = ~inside[s:e].all(axis=1)
+        if escaped.any():
+            return int(j), int(rec[s + np.argmax(escaped)])
+    return None
+
+
+def family_offenders(families, bounds):
+    """Details of the negative radius, slab reach and certificate gap checks,
+    each None or the first extreme of the last offending (family, level), as
+    a level-by-level loop over present entries names it."""
+    found = [None, None, None]
+    for fam in families:
+        present = fam.inradius != ABSENT
+        radius = np.where(present, fam.inradius, np.inf)
+        gap = np.full(radius.shape, ABSENT)
+        gap[present] = bounds.state_dev(fam.cert_radius[present]) - fam.inradius[present]
+        rows = np.flatnonzero((radius <= 0).any(axis=1))
+        if rows.size:
+            j, k = rows[-1], np.argmin(radius[rows[-1]])
+            found[0] = f"delta={fam.delta:g} level={j} record={k} r={radius[j, k]:g}"
+        if len(radius):  # an ABSENT inradius keeps an ABSENT margin
+            ds = fam.dataset
+            margin = np.abs(ds.succ_states[:, ds.order - 1]) + fam.inradius[0]
+            if np.any(margin > fam.delta + 1e-12):
+                k = np.argmax(margin)
+                found[1] = f"delta={fam.delta:g} record={k} reach={margin[k]:g}"
+        rows = np.flatnonzero((gap > 1e-9).any(axis=1))
+        if rows.size:
+            found[2] = f"delta={fam.delta:g} level={rows[-1]} record={np.argmax(gap[rows[-1]])}"
+    return found
 
 
 def oracle_violations(plant, dataset, model, bounds, rng):
@@ -103,7 +163,10 @@ def oracle_violations(plant, dataset, model, bounds, rng):
         rec[k] = rng.integers(len(dataset))
         z[k] = rng.uniform(lo, hi)
     eps = np.linalg.norm(dataset.states[rec] - z, axis=1)
-    u_hat = model.predict(np.concatenate([dataset.targets[rec, None], z], axis=1))
+    kx = model.kernel.cross(np.concatenate([dataset.targets[rec, None], z], axis=1),
+                            model.train_x)
+    # one row per product: a batched gemv differs from ``predict(x)`` in the last bits
+    u_hat = np.array([(kx[k:k + 1] @ model.alpha)[0] for k in range(ORACLE_DRAWS)])
     viol_u = np.abs(dataset.controls[rec] - u_hat) > bounds.input_dev(eps) + 1e-9
     feasible = np.array([plant.input_feasible(zk, uk) for zk, uk in zip(z, u_hat)])
     y_next = np.zeros(ORACLE_DRAWS)
@@ -122,22 +185,20 @@ def oracle_violations(plant, dataset, model, bounds, rng):
             int((viol_g & feasible).sum()), int((~feasible).sum()))
 
 
-def run_all(cfg, log=print):
-    from . import pipeline  # lazy: pipeline imports this module at bottom
+def add_check(checks, log, name, passed, detail=""):
+    """Append one check to ``checks`` and log its verdict line."""
+    checks.append((name, bool(passed), detail))
+    log(f"verify {'PASS' if passed else 'FAIL'} {name}"
+        + (f": {detail}" if detail else ""))
 
+
+def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
+    """Every artifact suite over loaded artifacts, as (name, passed, detail)
+    checks in report order."""
     checks = []
-
-    def add(name, passed, detail=""):
-        checks.append((name, bool(passed), detail))
-        log(f"verify {'PASS' if passed else 'FAIL'} {name}"
-            + (f": {detail}" if detail else ""))
-
-    dataset, model, controller = pipeline.load_artifacts(cfg)
-    plant = pipeline.make_plant(cfg)
+    add = partial(add_check, checks, log)
     kernel = model.kernel
-    bounds = pipeline.make_bounds(cfg, kernel)
     rng = rng_stream(cfg.seed, STREAM_VERIFY)
-    big = len(dataset) > 400
 
     # kernels -------------------------------------------------------------
     pts = rng.uniform(-1.0, 1.0, size=(40, dataset.feature_dim))
@@ -215,49 +276,18 @@ def run_all(cfg, log=print):
             f"{viol} violations over {ORACLE_DRAWS} delayed-map samples")
 
     # level families ---------------------------------------------------------
-    neg = slab_bad = cert_bad = None
-    for fam in controller.families:
-        for j in range(len(fam.inradius)):
-            idx = fam.present(j)
-            if idx.size == 0:
-                continue
-            r, c = fam.inradius[j, idx], fam.cert_radius[j, idx]
-            if np.any(r <= 0):
-                neg = (fam.delta, j, int(idx[np.argmin(r)]), float(r.min()))
-            if j == 0:
-                margin = np.abs(dataset.succ_states[idx, dataset.order - 1]) + r
-                if np.any(margin > fam.delta + 1e-12):
-                    k = int(np.argmax(margin))
-                    slab_bad = (fam.delta, int(idx[k]), float(margin[k]))
-            gap = bounds.state_dev(c) - r
-            if np.any(gap > 1e-9):
-                k = int(np.argmax(gap))
-                cert_bad = (fam.delta, j, int(idx[k]), float(gap[k]))
-    add("family_positive_radii", neg is None,
-        "all entry inradii positive" if neg is None
-        else f"delta={neg[0]:g} level={neg[1]} record={neg[2]} r={neg[3]:g}")
-    add("family_slab_soundness", slab_bad is None,
-        "level-0 balls inside the output slab" if slab_bad is None
-        else f"delta={slab_bad[0]:g} record={slab_bad[1]} reach={slab_bad[2]:g}")
-    add("family_certificate_consistency", cert_bad is None,
-        "state_dev(cert_radius) <= inradius + 1e-9" if cert_bad is None
-        else f"delta={cert_bad[0]:g} level={cert_bad[1]} record={cert_bad[2]}")
+    neg, slab, cert = family_offenders(controller.families, bounds)
+    add("family_positive_radii", neg is None, neg or "all entry inradii positive")
+    add("family_slab_soundness", slab is None, slab or "level-0 balls inside the output slab")
+    add("family_certificate_consistency", cert is None,
+        cert or "state_dev(cert_radius) <= inradius + 1e-9")
 
-    per_level = None if not big else 8
-    samples = 200 if not big else 50
+    per_level, samples = (8, 50) if len(dataset) > 400 else (None, 200)
     fail = None
     for fam in controller.families:
-        for j in range(1, len(fam.inradius)):
-            idx = fam.present(j)
-            if idx.size == 0:
-                continue
-            if per_level is not None:
-                idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
-            escaped = recursion_escapes(fam, j, idx, samples, rng)
-            if escaped.any():
-                fail = (fam.delta, j, int(idx[np.argmax(escaped)]))
-                break
-        if fail:
+        escape = recursion_escapes(fam, samples, per_level, rng)
+        if escape:
+            fail = (fam.delta, *escape)
             break
     add("family_recursion_soundness", fail is None,
         f"{samples} samples/entry"
@@ -269,11 +299,5 @@ def run_all(cfg, log=print):
         f"{fam.delta:g}:{'yes' if check_nesting(fam) else 'unverified'}"
         for fam in controller.families)
     add("family_nesting_status", True, nest)
-
-    # run logs ----------------------------------------------------------------
-    paths = pipeline._paths(cfg)
-    if os.path.exists(paths["summary"]):
-        ok = pipeline.cmd_report(cfg, log=lambda *_: None)
-        add("rmse_recompute", ok, "summary matches recomputed metric")
 
     return checks

@@ -1,5 +1,7 @@
 import filecmp
 import os
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from conftest import synth_dataset, synth_family
 from invctrl import pipeline, verify
 from invctrl.cli import main
 from invctrl.config import ConfigError, default_config, load_config
-from invctrl.levelsets import NEAR_K, LevelFamily
+from invctrl.levelsets import ABSENT, NEAR_K, LevelFamily
 from invctrl.plants import rng_stream
 
 
@@ -177,6 +179,14 @@ def test_verify_passes_on_clean_artifacts(numerical_cfg):
     assert "PASS family_recursion_soundness: 200 samples/entry" in lines
 
 
+def test_verify_passes_on_clean_pendulum_artifacts(pendulum_cfg):
+    assert pipeline.cmd_verify(pendulum_cfg, log=lambda *a: None) is True
+    report = open(os.path.join(pendulum_cfg.outdir, "verify_report.txt")).read()
+    lines = report.splitlines()
+    assert "PASS bound_validity_oracle: 0 violations over 1000 delayed-map samples" in lines
+    assert "PASS family_recursion_soundness: 50 samples/entry, 8 entries/level" in lines
+
+
 def test_verify_catches_fault_injection(numerical_cfg, tmp_path):
     import shutil
     out = str(tmp_path / "tampered")
@@ -244,25 +254,53 @@ def _reference_escapes(fam, level, idx, samples, rng):
     return np.array(escaped)
 
 
-def _compare_escapes(families, samples, per_level=None, level_step=1):
-    """Batched and reference verdicts on the same seeded draws; returns the
-    number of entries compared and of escapes seen."""
+def _selected_levels(fam, per_level):
+    """(level, idx) as a level-by-level loop selects the recursion check's
+    entries: every present one, or ``per_level`` spread by linspace."""
+    for j in range(1, len(fam.inradius)):
+        idx = fam.present(j)
+        if idx.size and per_level is not None:
+            idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
+        if idx.size:
+            yield j, idx
+
+
+def _reference_family(fam, samples, per_level, rng):
+    """Level-by-level reference for ``recursion_escapes``: (first escape or
+    None, entries, escapes), drawing every entry."""
+    first, entries, escapes = None, 0, 0
+    for j, idx in _selected_levels(fam, per_level):
+        escaped = _reference_escapes(fam, j, idx, samples, rng)
+        if first is None and escaped.any():
+            first = (j, int(idx[np.argmax(escaped)]))
+        entries += len(idx)
+        escapes += int(escaped.sum())
+    return first, entries, escapes
+
+
+def _compare_escapes(families, samples, per_level=None):
+    """Per-family and reference first escapes on the same seeded draws,
+    with the same stream left behind for a family without an escape;
+    returns the number of entries compared and of escapes seen."""
     entries = escapes = 0
     for k, fam in enumerate(families):
-        for j in range(1, len(fam.inradius), level_step):
-            idx = fam.present(j)
-            if idx.size == 0:
-                continue
-            if per_level is not None:
-                idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
-            got = verify.recursion_escapes(fam, j, idx, samples,
-                                           np.random.default_rng((k, j)))
-            want = _reference_escapes(fam, j, idx, samples,
-                                      np.random.default_rng((k, j)))
-            assert np.array_equal(got, want), (fam.delta, j)
-            entries += len(idx)
-            escapes += int(want.sum())
+        got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
+        got = verify.recursion_escapes(fam, samples, per_level, got_rng)
+        want, n, e = _reference_family(fam, samples, per_level, want_rng)
+        assert got == want, fam.delta
+        if want is None:
+            assert got_rng.random() == want_rng.random()
+        entries += n
+        escapes += e
     return entries, escapes
+
+
+def _scaled(fam, level, records, factor):
+    """Copy of ``fam`` with the inradii of ``records`` at ``level`` scaled."""
+    inradius = fam.inradius.copy()
+    inradius[level, records] *= factor
+    return LevelFamily(delta=fam.delta, depth=fam.depth, inradius=inradius,
+                       cert_radius=fam.cert_radius, dataset=fam.dataset)
 
 
 def test_recursion_escapes_matches_norm_loop_numerical(numerical_artifacts):
@@ -274,19 +312,16 @@ def test_recursion_escapes_matches_norm_loop_numerical(numerical_artifacts):
     assert escapes == 0
     # inflated balls: some samples of an entry escape and some do not
     fam = next(f for f in families if f.delta == 1.0)
-    inradius = fam.inradius.copy()
-    inradius[1:] *= 1.03
-    fat = LevelFamily(delta=fam.delta, depth=fam.depth, inradius=inradius,
-                      cert_radius=fam.cert_radius, dataset=fam.dataset)
+    fat = _scaled(fam, slice(1, None), slice(None), 1.03)
     entries, escapes = _compare_escapes([fat], 200)
     assert 0 < escapes < entries
 
 
 def test_recursion_escapes_matches_norm_loop_pendulum(pendulum_artifacts):
-    # verify's selection for large datasets; every 5th level keeps the
+    # verify's selection for large datasets; two whole families keep the
     # reference loop to a few seconds
-    families = pendulum_artifacts["controller"].families
-    entries, escapes = _compare_escapes(families, 50, per_level=8, level_step=5)
+    families = pendulum_artifacts["controller"].families[::5]
+    entries, escapes = _compare_escapes(families, 50, per_level=8)
     assert entries > 1000 and escapes == 0
 
 
@@ -295,15 +330,31 @@ def test_recursion_escapes_reports_first_injected_escape(numerical_artifacts):
                if f.delta == 1.0)
     idx = fam.present(1)
     recs = [int(idx[len(idx) // 3]), int(idx[2 * len(idx) // 3])]
-    inradius = fam.inradius.copy()
-    inradius[1, recs] *= 100.0  # two level-1 balls far beyond level 0
-    bad = LevelFamily(delta=fam.delta, depth=fam.depth, inradius=inradius,
-                      cert_radius=fam.cert_radius, dataset=fam.dataset)
+    bad = _scaled(fam, 1, recs, 100.0)  # two level-1 balls far beyond level 0
     _, escapes = _compare_escapes([bad], 200)
     assert escapes == 2
-    escaped = verify.recursion_escapes(bad, 1, idx, 200, np.random.default_rng(0))
-    assert list(idx[escaped]) == recs
-    assert int(idx[np.argmax(escaped)]) == recs[0]
+    assert verify.recursion_escapes(bad, 200, None, np.random.default_rng(0)) == (1, recs[0])
+    later = _scaled(fam, 1, recs[1:], 100.0)
+    assert verify.recursion_escapes(later, 200, None, np.random.default_rng(0)) == (1, recs[1])
+
+
+def test_recursion_escapes_reports_first_level_first(numerical_artifacts):
+    # an escape at level 2 with a lower record than the level-1 escape:
+    # levels come first in the reported order
+    fam = next(f for f in numerical_artifacts["controller"].families
+               if f.delta == 1.0)
+    low2 = int(fam.present(2)[0])
+    high1 = int(fam.present(1)[-1])
+    assert low2 < high1
+    bad = _scaled(_scaled(fam, 2, [low2], 100.0), 1, [high1], 100.0)
+    _, escapes = _compare_escapes([bad], 200)
+    assert escapes == 2
+    assert verify.recursion_escapes(bad, 200, None, np.random.default_rng(1)) == (1, high1)
+    only2 = _scaled(fam, 2, [low2], 100.0)
+    assert verify.recursion_escapes(only2, 200, None, np.random.default_rng(1)) == (2, low2)
+    # the selection of large datasets keeps the order
+    assert verify.recursion_escapes(bad, 200, 8, np.random.default_rng(1)) == _reference_family(
+        bad, 200, 8, np.random.default_rng(1))[0]
 
 
 def _reference_sample_in_ball(rng, center, radius, count):
@@ -319,37 +370,51 @@ def _reference_sample_in_ball(rng, center, radius, count):
 def _benchmark_levels(artifacts, per_level):
     """(family, level, idx) as verify's recursion check selects them."""
     for fam in artifacts["controller"].families:
-        for j in range(1, len(fam.inradius)):
-            idx = fam.present(j)
-            if idx.size and per_level is not None:
-                idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
-            if idx.size:
-                yield fam, j, idx
+        for j, idx in _selected_levels(fam, per_level):
+            yield fam, j, idx
 
 
 @pytest.mark.parametrize("artifacts,per_level,samples", [
     ("numerical_artifacts", None, 200), ("pendulum_artifacts", 8, 50)])
 def test_recursion_draws_equal_per_entry_draws(request, monkeypatch, artifacts,
                                                per_level, samples):
-    # the points the check tests, and the stream left behind, equal those
-    # of one reference draw per entry in idx order
+    # one draw per family: the points the check tests, and the stream left
+    # behind, equal those of one reference draw per entry in (level, idx) order
     drawn = []
     batched = verify.sample_in_balls
     monkeypatch.setattr(verify, "sample_in_balls",
                         lambda *a: drawn.append(batched(*a)) or drawn[-1])
-    levels = list(_benchmark_levels(request.getfixturevalue(artifacts), per_level))[::3]
+    families = request.getfixturevalue(artifacts)["controller"].families
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for fam, j, idx in levels:
+    for fam in families:
         drawn.clear()
-        verify.recursion_escapes(fam, j, idx, samples, got_rng)
+        assert verify.recursion_escapes(fam, samples, per_level, got_rng) is None
         want = np.stack([_reference_sample_in_ball(want_rng, fam.dataset.succ_states[i],
                                                    fam.inradius[j, i], samples)
-                         for i in idx])
+                         for j, idx in _selected_levels(fam, per_level) for i in idx])
         assert len(drawn) == 1 and np.array_equal(drawn[0], want)
-    assert len(levels) >= 5 and got_rng.random() == want_rng.random()
+    assert len(families) >= 9 and got_rng.random() == want_rng.random()
     one = verify.sample_in_ball(np.random.default_rng(6), [0.1, -0.2, 0.3], 0.7, 40)
     assert np.array_equal(one, _reference_sample_in_ball(
         np.random.default_rng(6), [0.1, -0.2, 0.3], 0.7, 40))
+
+
+@pytest.mark.parametrize("per_level", [None, 8, 3])
+def test_recursion_entries_equal_per_level_selection(per_level):
+    # levels of every size from empty to 200 present records, and larger ones
+    rng = np.random.default_rng(11)
+    sizes = list(range(201)) + [371, 700, 1187, 1200]
+    inradius = np.full((len(sizes) + 1, 1200), ABSENT)
+    inradius[0, 0] = 1.0
+    for j, n in enumerate(sizes, start=1):
+        inradius[j, np.sort(rng.choice(1200, size=n, replace=False))] = 1.0
+    fam = LevelFamily(delta=1.0, depth=len(sizes), inradius=inradius,
+                      cert_radius=inradius, dataset=None)
+    lev, rec = verify.recursion_entries(fam, per_level)
+    want = [(j, i) for j, idx in _selected_levels(fam, per_level) for i in idx]
+    assert list(zip(lev.tolist(), rec.tolist())) == want
+    if per_level is None:
+        assert len(want) == sum(sizes)
 
 
 @pytest.mark.parametrize("artifacts,per_level,samples", [
@@ -389,6 +454,12 @@ def _cover_family(extra, entry_center, entry_radius):
 AXIS_BALLS = [(tuple(s * 10.0 * np.eye(3)[a]), 9.85) for a in range(3) for s in (1, -1)]
 
 
+def _first_escape(fam, samples, seed):
+    """(per-family verdict, reference verdict) on one seed, all levels."""
+    return (verify.recursion_escapes(fam, samples, None, np.random.default_rng(seed)),
+            _reference_family(fam, samples, None, np.random.default_rng(seed))[0])
+
+
 def test_recursion_escapes_full_scan_finds_non_candidate_ball():
     # the six covering balls have slack -0.15, below the 0.9 of the
     # largest-slack ball: the shell samples are found inside only by the
@@ -396,25 +467,18 @@ def test_recursion_escapes_full_scan_finds_non_candidate_ball():
     fam, rec = _cover_family(AXIS_BALLS, (0.0, 0.0, 0.0), 1.0)
     pts = verify.sample_in_ball(np.random.default_rng(3), np.zeros(3), 1.0, 200)
     assert (np.linalg.norm(pts, axis=1) > 0.9).sum() > 10
-    got = verify.recursion_escapes(fam, 1, np.array([rec]), 200,
-                                   np.random.default_rng(3))
-    want = _reference_escapes(fam, 1, [rec], 200, np.random.default_rng(3))
-    assert not want[0] and np.array_equal(got, want)
+    assert _first_escape(fam, 200, 3) == (None, None)
     # without the covering balls the same samples escape
     bare, rec = _cover_family([], (0.0, 0.0, 0.0), 1.0)
-    got = verify.recursion_escapes(bare, 1, np.array([rec]), 200,
-                                   np.random.default_rng(3))
-    assert got[0] and np.array_equal(
-        got, _reference_escapes(bare, 1, [rec], 200, np.random.default_rng(3)))
+    assert _first_escape(bare, 200, 3) == ((1, rec), (1, rec))
 
 
 def test_recursion_escapes_entry_with_every_sample_outside():
     fam, rec = _cover_family(AXIS_BALLS, (50.0, 50.0, 50.0), 0.5)
-    idx = np.array([0, rec])
     fam.inradius[1, 0] = fam.cert_radius[1, 0] = 0.5  # one entry inside
-    got = verify.recursion_escapes(fam, 1, idx, 200, np.random.default_rng(4))
-    want = _reference_escapes(fam, 1, idx, 200, np.random.default_rng(4))
-    assert list(want) == [False, True] and np.array_equal(got, want)
+    want = _reference_escapes(fam, 1, [0, rec], 200, np.random.default_rng(4))
+    assert list(want) == [False, True]
+    assert _first_escape(fam, 200, 4) == ((1, rec), (1, rec))
 
 
 def test_recursion_escapes_fewer_previous_balls_than_candidates():
@@ -427,14 +491,83 @@ def test_recursion_escapes_fewer_previous_balls_than_candidates():
     assert len(fam.present(0)) < NEAR_K
     idx = fam.present(1)
     for seed in range(5):
-        got = verify.recursion_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
         want = _reference_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
-        assert list(want) == [True, False] and np.array_equal(got, want)
+        assert list(want) == [True, False]
+        assert _first_escape(fam, 200, seed) == ((1, 3), (1, 3))
     # no previous ball at all: every entry escapes
     bare = synth_family(ds, 1.0, [[], [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
-    got = verify.recursion_escapes(bare, 1, idx, 20, np.random.default_rng(0))
     want = _reference_escapes(bare, 1, idx, 20, np.random.default_rng(0))
-    assert list(want) == [True, True] and np.array_equal(got, want)
+    assert list(want) == [True, True]
+    assert _first_escape(bare, 20, 0) == ((1, 3), (1, 3))
+
+
+def test_recursion_escapes_empty_previous_level():
+    # level 1 holds no ball, so the level-2 entries escape from an empty
+    # union; their draws still leave the stream of per-entry draws
+    ds = synth_dataset(np.zeros((5, 3)), [0.0] * 5, [0.0, 1.0, 2.0, 0.5, 1.9])
+    fam = synth_family(ds, 1.0, [[(0, 0.6, 0.6), (1, 0.6, 0.6)], [],
+                                 [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
+    assert _first_escape(fam, 20, 2) == ((2, 3), (2, 3))
+    got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
+    verify.recursion_escapes(fam, 20, None, got_rng)
+    for i in (3, 4):
+        verify.sample_in_ball(want_rng, ds.succ_states[i], fam.inradius[2, i], 20)
+    assert got_rng.random() == want_rng.random()
+
+
+def _reference_offenders(families, dataset, bounds):
+    """Level-by-level loop over present entries: the reference for the
+    per-family radius, slab and certificate details."""
+    neg = slab_bad = cert_bad = None
+    for fam in families:
+        for j in range(len(fam.inradius)):
+            idx = fam.present(j)
+            if idx.size == 0:
+                continue
+            r, c = fam.inradius[j, idx], fam.cert_radius[j, idx]
+            if np.any(r <= 0):
+                neg = (f"delta={fam.delta:g} level={j} record={int(idx[np.argmin(r)])} "
+                       f"r={float(r.min()):g}")
+            if j == 0:
+                margin = np.abs(dataset.succ_states[idx, dataset.order - 1]) + r
+                if np.any(margin > fam.delta + 1e-12):
+                    k = int(np.argmax(margin))
+                    slab_bad = (f"delta={fam.delta:g} record={int(idx[k])} "
+                                f"reach={float(margin[k]):g}")
+            gap = bounds.state_dev(c) - r
+            if np.any(gap > 1e-9):
+                cert_bad = f"delta={fam.delta:g} level={j} record={int(idx[np.argmax(gap)])}"
+    return neg, slab_bad, cert_bad
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_family_offenders_name_the_level_loop_entry(numerical_artifacts, seed):
+    # random mutations of the radius tables: negated and zeroed radii,
+    # level-0 balls pushed out of the slab, inflated certified radii
+    art = numerical_artifacts
+    rng = np.random.default_rng(seed)
+    families = []
+    for fam in art["controller"].families:
+        r, c = fam.inradius.copy(), fam.cert_radius.copy()
+        for _ in range(rng.integers(0, 4)):
+            kind = rng.integers(4)
+            j = 0 if kind == 2 else rng.integers(len(r))
+            i = rng.choice(np.flatnonzero(r[j] != ABSENT))
+            if kind == 0:
+                r[j, i] = -r[j, i]
+            elif kind == 1:
+                r[j, i] = 0.0
+            elif kind == 2:
+                r[0, i] += 1e-10  # just past the slab tolerance
+            else:
+                c[j, i] *= 1.0 + rng.random()
+        families.append(LevelFamily(delta=fam.delta, depth=fam.depth, inradius=r,
+                                    cert_radius=c, dataset=fam.dataset))
+    got = verify.family_offenders(families, art["bounds"])
+    want = _reference_offenders(families, art["dataset"], art["bounds"])
+    assert tuple(got) == want and None not in want
+    clean = verify.family_offenders(art["controller"].families, art["bounds"])
+    assert clean == [None, None, None]
 
 
 def _reference_oracle(plant, ds, model, bounds, rng):
@@ -485,8 +618,24 @@ def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale
     assert got == want
     assert sum(count > 0 for count in got[:3]) == 2  # input and output or state
     lines = []
-    verify.run_all(cfg, log=lines.append)
+    verify.run_all(cfg, art["dataset"], art["model"], art["controller"], art["plant"],
+                   bounds, log=lines.append)
     assert any(line.startswith("verify FAIL bound_validity_oracle") for line in lines)
+
+
+def test_bound_oracle_matches_reference_with_one_blas_thread():
+    # perfbench and scripts/compare_outputs.py pin one BLAS thread, under
+    # which a batched gemv and single-point predict differ in the last bits
+    root = Path(__file__).resolve().parents[1]
+    path = os.pathsep.join([str(root / "src"), os.environ.get("PYTHONPATH", "")])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=path)
+    test = f"{__file__}::test_verify_fails_bound_oracle_on_shrunk_constants"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", test],
+        cwd=root, env=env, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-3000:]
+    assert "2 passed" in proc.stdout
 
 
 def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
