@@ -1,7 +1,7 @@
 """Command-line entry point.
 
 Subcommands: ``collect``, ``build``, ``simulate``, ``verify``, ``report``.
-Exit codes: 0 success, 1 property/report failure, 2 configuration error.
+Exit codes: 0 success, 1 property/report failure, 2 bad config or artifact.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ def build_parser():
         description="Certified inverse-model control of NARX benchmarks.")
     sub = p.add_subparsers(dest="command", required=True)
     for name, fn in _STAGES.items():
-        sp = sub.add_parser(name, help=fn.__doc__.splitlines()[0].lower())
+        sp = sub.add_parser(name, help=fn.__doc__.splitlines()[0])
         sp.add_argument("--config", help="config file (key=value sections)")
         sp.add_argument("--plant", choices=["numerical", "pendulum"],
                         help="benchmark plant; defaults come from it")

@@ -1,22 +1,22 @@
 """Online reference selection and control over precomputed level families.
 
-Each step computes the state's distance to every record state once; all of
-the step's decisions read that row.  One comparison with each family's
-largest certified radius per record finds the first accuracy (ascending)
-with a level >= 1 ball holding the state; level 0 certifies position, not
-an action, and is never searched.  Along the levels, ``reach`` (the running
-maximum of the certified-radius table) makes "some record reaches the
-state" monotone, so the lowest such level is found by bisection.  The
-reference is the stored target of the level's record of largest slack
-``cert_radius - dist`` (ties by lowest index); the interpolant is applied
-at ``[reference; state]``.
+Each step computes one ``cdist`` row of the state's distances to the record
+states, which ``locate`` and ``select_reference`` read.  One comparison with
+each family's largest certified radius per record finds the first accuracy
+(ascending) with a level >= 1 ball holding the state; level 0 certifies
+position, not an action, and is never searched.  Along the levels, ``reach``
+(the running maximum of the certified-radius table) makes "some record
+reaches the state" monotone, so the lowest such level is found by bisection.
+The reference is the stored target of the level's record of largest slack
+``cert_radius - dist`` (ties by lowest index); the interpolant is applied at
+``[reference; state]``.
 
 When no family covers the state the nearest-training-neighbour fallback is
 used: the record minimizing the state distance supplies the reference
 (distance ties broken toward the smallest-magnitude target, then lowest
 index) and the step is flagged uncertified.  Certificate bookkeeping stays
 honest either way; descent of a certified step is asserted against the same
-family one level down.
+family one level down, as ``margin >= 0`` there.
 """
 
 from __future__ import annotations
@@ -25,8 +25,9 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
-from .levelsets import ABSENT, LevelFamily, distances
+from .levelsets import ABSENT, LevelFamily
 
 __all__ = ["StepCertificate", "Controller"]
 
@@ -67,10 +68,9 @@ class Controller:
         self._top = np.array([f.cert_radius[1:].max(axis=0, initial=ABSENT)
                               for f in families])
 
-    def locate(self, state, _d=None):
-        """First (delta, level >= 1) containing the state, scanning accuracies
-        then levels ascending; None when uncovered.  ``_d``: the distance row."""
-        d = distances(self.dataset.states, state) if _d is None else _d
+    def locate(self, d):
+        """First (delta, level >= 1) holding the state at record distances
+        ``d``, scanning accuracies then levels ascending; None if uncovered."""
         covered = (d <= self._top).any(axis=1)
         f = int(np.argmax(covered))
         if not covered[f]:
@@ -88,13 +88,12 @@ class Controller:
                 return f
         raise KeyError(f"no family with accuracy {delta}")
 
-    def select_reference(self, state, delta, kappa, _d=None):
-        """Max-slack covering record of the level; returns the certificate
-        and the record's stored target.  ``_d`` as in ``locate``."""
+    def select_reference(self, d, delta, kappa):
+        """Max-slack covering record of the level for the state at distances
+        ``d``; returns the certificate and the record's stored target."""
         if kappa < 1:
             raise ValueError("reference selection needs level >= 1")
         fam = self.family(delta)
-        d = distances(self.dataset.states, state) if _d is None else _d
         slack = fam.cert_radius[kappa] - d
         k = int(np.argmax(slack))  # first maximum: ties by lowest record index
         if not slack[k] >= 0:
@@ -115,12 +114,12 @@ class Controller:
     def control(self, state):
         """(input, certificate) for the current state."""
         state = np.asarray(state, dtype=float)
-        d = distances(self.dataset.states, state)
-        loc = self.locate(state, _d=d)
+        d = cdist(state[None], self.dataset.states)[0]
+        loc = self.locate(d)
         if loc is None:
             cert, reference = self._fallback(d)
         else:
-            cert, reference = self.select_reference(state, *loc, _d=d)
+            cert, reference = self.select_reference(d, *loc)
         x = np.concatenate([[reference], state])
         return self.interpolant.predict(x), cert
 

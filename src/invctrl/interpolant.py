@@ -31,6 +31,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
+from .config import ConfigError
 from .kernels import ArdMatern52Kernel, make_kernel
 from .narx import FLOAT_FMT, NarxDataset
 
@@ -173,30 +174,31 @@ def dump_interpolant(path, model: Interpolant):
 
 
 def load_interpolant(path) -> Interpolant:
-    """Reload a dumped model without refitting; the Cholesky factor is
-    rebuilt on the first ``power`` call."""
+    """Reload a dumped model without refitting (the Cholesky factor is rebuilt
+    on the first ``power`` call); a malformed dump raises ``ConfigError``."""
     meta = {}
     rows = []
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             if "=" in line and not line[0].isdigit() and not line.startswith("-"):
                 key, _, val = line.partition("=")
                 meta[key.strip()] = val.strip()
-            else:
+                continue
+            try:
                 rows.append([float(v) for v in line.split(",")])
-    kernel = make_kernel(
-        meta["family"], float(meta["sigma_f"]),
-        [float(v) for v in meta["sigma_l"].split(",")],
-    )
-    data = np.array(rows)
-    dim = int(meta["dim"])
-    X = data[:, :dim]
-    u = data[:, dim]
-    alpha = data[:, dim + 1]
-    lam = float(meta["lambda"])
-    jitter = float(meta["jitter"])
-    return Interpolant(kernel=kernel, train_x=X, train_u=u, alpha=alpha,
-                       lam=lam, jitter=jitter)
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: bad model row {line!r}") from None
+    try:
+        kernel = make_kernel(meta["family"], float(meta["sigma_f"]),
+                             [float(v) for v in meta["sigma_l"].split(",")])
+        dim, lam, jitter = int(meta["dim"]), float(meta["lambda"]), float(meta["jitter"])
+        data = np.array(rows)
+        if data.shape != (int(meta["N"]), dim + 2):
+            raise ValueError(f"rows of shape {data.shape}, N = {meta['N']}, dim = {dim}")
+    except (KeyError, ValueError) as exc:
+        raise ConfigError(f"{path}: not a model dump ({type(exc).__name__}: {exc})") from None
+    return Interpolant(kernel=kernel, train_x=data[:, :dim], train_u=data[:, dim],
+                       alpha=data[:, dim + 1], lam=lam, jitter=jitter)

@@ -33,9 +33,9 @@ inradius row is bit-identical to the one from the product over all columns.
 A family is two float64 tables indexed ``[level, record]``: ``inradius``
 and ``cert_radius``, with ``ABSENT`` (-inf) where a record has no ball at
 that level.  Rows stop at the first empty level, so every stored row holds
-at least one ball.  Balls are reconstructed on demand from the dataset;
-membership queries are vectorized scans over a row.  The tables are
-persisted as one raw ``.npy`` array of shape ``(2, levels, records)``.
+at least one ball.  Balls are reconstructed on demand from the dataset, and
+ball-union queries read ``margin`` over a level's whole radius row.  The tables
+are persisted as one raw ``.npy`` array of shape ``(2, levels, records)``.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .narx import NarxDataset
 __all__ = [
     "ABSENT",
     "LevelFamily",
-    "distances",
+    "margin",
     "index_set_slab",
     "build_level_family",
     "max_plus",
@@ -113,21 +113,26 @@ class LevelFamily:
         centers, table = self.balls(level)
         return centers[idx], (table[level, idx] if idx.size else np.zeros(0))
 
-    def contains(self, level, point):
-        """Closed-ball membership of ``point`` in the level's union."""
+    def margin(self, level, points):
+        """``margin`` of each row of ``points`` in the level's union."""
         if not 0 <= level <= self.depth:
             raise IndexError(f"level {level} outside 0..{self.depth}")
         centers, table = self.balls(level)
-        # no distance is <= ABSENT, so the whole row can be compared
-        return level < len(table) and bool((distances(centers, point) <= table[level]).any())
+        return margin(points, centers, table[level] if level < len(table) else ABSENT)
+
+    def contains(self, level, point):
+        """Closed-ball membership of ``point`` in the level's union."""
+        return bool(self.margin(level, np.reshape(point, (1, -1)))[0] >= 0)
 
 
-def distances(points, p):
-    """``np.linalg.norm(points - p, axis=1)`` bit for bit below 8 columns (NumPy
-    sums longer rows pairwise), summed column by column in a third of its time."""
-    if len(p) != points.shape[1]:
-        raise ValueError(f"point of dimension {len(p)}, rows of {points.shape[1]}")
-    return np.sqrt(sum((points[:, k] - p[k]) ** 2 for k in range(len(p))))
+def margin(points, centers, radii):
+    """Signed margin ``max_k (radii[k] - dist(p, centers[k]))`` of each row
+    ``p`` of ``points``, ``ABSENT`` for an empty union: the single-ball
+    inradius underestimate, and >= 0 exactly in the closed union, since the
+    rounded ``r - d`` is >= 0 exactly when ``d <= r``."""
+    out = cdist(points, centers)
+    np.subtract(radii, out, out=out)
+    return out.max(axis=1, initial=ABSENT)
 
 
 def index_set_slab(dataset: NarxDataset, delta):

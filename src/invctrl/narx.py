@@ -123,14 +123,10 @@ class NarxDataset:
 def _dedup_rows(features):
     """Indices of first occurrences of bitwise-distinct feature rows,
     in original order."""
-    seen = {}
-    keep = []
+    first = {}
     for i, row in enumerate(features):
-        key = row.tobytes()
-        if key not in seen:
-            seen[key] = i
-            keep.append(i)
-    return np.array(keep, dtype=int)
+        first.setdefault(row.tobytes(), i)
+    return np.array(list(first.values()), dtype=int)
 
 
 def build_dataset(traj: Trajectory, order: int, delay: int = 1,
@@ -219,19 +215,26 @@ def write_trajectory(path, traj: Trajectory):
 
 
 def read_trajectory(path) -> Trajectory:
+    """Read ``write_trajectory`` rows; a bad line raises ``ConfigError`` at path:line."""
+    from .config import ConfigError  # config imports this module through plants
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r)
+        header = next(r, [])
         if header[:3] != ["t", "u", "y"]:
-            raise ValueError(f"{path}: unexpected trajectory header {header}")
+            raise ConfigError(f"{path}:1: unexpected trajectory header {header}")
         noisy = len(header) > 3 and header[3] == "y_noisy"
         us, ys, yn = [], [], []
         for row in r:
-            if row[1] != "":
-                us.append(float(row[1]))
-            ys.append(float(row[2]))
-            if noisy:
-                yn.append(float(row[3]))
+            try:
+                if row[1] != "":
+                    us.append(float(row[1]))
+                ys.append(float(row[2]))
+                if noisy:
+                    yn.append(float(row[3]))
+            except (IndexError, ValueError):
+                raise ConfigError(f"{path}:{r.line_num}: bad trajectory row {row}") from None
+    if len(us) != len(ys) - 1:  # only the last row leaves its input empty
+        raise ConfigError(f"{path}: {len(ys)} outputs need {len(ys) - 1} inputs, not {len(us)}")
     return Trajectory(
         inputs=np.array(us),
         outputs=np.array(ys),

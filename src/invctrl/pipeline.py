@@ -119,8 +119,7 @@ def _family_path(paths, delta):
 
 
 def cmd_collect(cfg: RunConfig, log=print):
-    """Write trajectory files and a sidecar manifest; idempotent for a
-    fixed seed."""
+    """Write trajectory files and a manifest; idempotent for a fixed seed."""
     if cfg.noisy and cfg.plant != "pendulum":
         raise ConfigError("the measurement-noise study is defined for the "
                           "pendulum benchmark only")
@@ -177,8 +176,7 @@ def load_dataset(cfg: RunConfig) -> NarxDataset:
 
 
 def cmd_build(cfg: RunConfig, log=print):
-    """Fit the inverse-model interpolant, build one level family per
-    accuracy, dump everything, and report the level-0-in-level-1 status."""
+    """Fit the interpolant, build and dump the families, and report nesting."""
     paths = _paths(cfg)
     os.makedirs(paths["famdir"], exist_ok=True)
     t0 = time.perf_counter()
@@ -258,11 +256,9 @@ def simulate_one(cfg: RunConfig, plant, controller, ic, ic_index) -> RunResult:
     n = cfg.order
     noisy = cfg.noisy
     rng = rng_stream(cfg.seed, STREAM_ONLINE_NOISE, ic_index) if noisy else None
+    meas = state_true.copy()
     if noisy:
-        meas = state_true.copy()
-        meas[:n] = meas[:n] + rng.normal(0.0, cfg.sigma, size=n)
-    else:
-        meas = state_true.copy()
+        meas[:n] += rng.normal(0.0, cfg.sigma, size=n)
     outputs = [float(state_true[n - 1])]
     rows = []
     ncert = nviol = nfall = 0
@@ -314,8 +310,7 @@ def _write_run_log(path, ic, result: RunResult):
 
 
 def cmd_simulate(cfg: RunConfig, log=print) -> List[RunResult]:
-    """Run the closed loop from every configured initial condition, write
-    per-run logs and the summary, and print timing to stdout."""
+    """Run the closed loop from each initial condition; write logs and summary."""
     paths = _paths(cfg)
     os.makedirs(paths["rundir"], exist_ok=True)
     dataset, model, controller = load_artifacts(cfg)
@@ -373,8 +368,7 @@ def read_run_log(path):
 
 
 def cmd_report(cfg: RunConfig, log=print):
-    """Summarize runs, recomputing the error metric from the logged outputs
-    and cross-checking the stored summary; exit nonzero on mismatch."""
+    """Recompute each run's error metric and check it against the summary."""
     paths = _paths(cfg)
     stored = {}
     with open(paths["summary"]) as fh:
@@ -408,8 +402,7 @@ def cmd_report(cfg: RunConfig, log=print):
 
 
 def cmd_verify(cfg: RunConfig, log=print):
-    """Run the property suites against the built artifacts and any run logs;
-    returns True when every checked property holds (see verify_report.txt)."""
+    """Run the property suites over the artifacts; True when all of them pass."""
     paths = _paths(cfg)
     dataset, model, controller = load_artifacts(cfg)
     report = verify.run_all(cfg, dataset, model, controller, make_plant(cfg),

@@ -13,13 +13,14 @@ record) order into buffers, where ``standard_normal(out=...)`` and
 entry's samples are tested first against its previous-level ball of largest
 slack ``radius - dist(entry center, ball center)`` (an argmax over the whole
 radius row, which ``ABSENT`` never wins), by distances summed as ``cdist``
-sums.  Samples left outside go to the full scan, ``cdist`` blocks of at most
-``CDIST_CELLS`` distances.  So a sample counts as inside only by a real
-``dist <= radius`` on a ``cdist`` distance, as escaped only after the scan.
+sums.  Samples left outside go to the full scan: the previous level's
+``margin``, in blocks of at most ``CDIST_CELLS`` distances.  So a sample
+counts as inside only by a real ``dist <= radius`` on a ``cdist`` distance,
+as escaped only after the scan.
 
-The bound oracle draws its ``ORACLE_DRAWS`` (record, state) pairs one at a
-time, as a per-sample loop would, and evaluates their kernel rows at once;
-each estimate is a one-row product, bit for bit the single-point ``predict``.
+The bound oracle draws its ``ORACLE_DRAWS`` (record, state) pairs from a
+box one at a time, as a per-sample loop would, and evaluates their kernel
+rows at once; each estimate is a one-row product, bit for bit ``predict``.
 """
 
 from __future__ import annotations
@@ -101,13 +102,12 @@ def recursion_escapes(fam, samples, per_level, rng):
     inside = paired_distances(pts, cand_c) <= cand_r[:, None]
     for j in np.unique(lev[~inside.all(axis=1)]):
         s, e = np.searchsorted(lev, [j, j + 1])
+        rows = max(1, CDIST_CELLS // len(fam.dataset))
         miss = np.flatnonzero(~inside[s:e].ravel())
-        prev_c, prev_r = fam.centers_radii(j - 1)  # may be empty: all stay outside
         rest = pts[s:e].reshape(-1, pts.shape[2])[miss]
-        rows = max(1, CDIST_CELLS // max(1, len(prev_c)))
+        # an empty previous level has margin ABSENT: every sample stays outside
         inside[s:e].flat[miss] = np.concatenate([
-            (cdist(rest[k:k + rows], prev_c) <= prev_r).any(axis=1)
-            for k in range(0, len(rest), rows)])
+            fam.margin(j - 1, rest[k:k + rows]) >= 0 for k in range(0, len(rest), rows)])
         escaped = ~inside[s:e].all(axis=1)
         if escaped.any():
             return int(j), int(rec[s + np.argmax(escaped)])
@@ -140,28 +140,20 @@ def family_offenders(families, bounds):
     return found
 
 
-def oracle_violations(plant, dataset, model, bounds, rng):
-    """Deviation-bound violations against the true plant over
-    ``ORACLE_DRAWS`` (record, state) draws, as (input, output, state,
-    infeasible skips).
+def oracle_violations(plant, dataset, model, bounds, rng, box):
+    """Deviation-bound violations against the true plant over ``ORACLE_DRAWS``
+    (record, state) draws, states uniform in ``box`` (a (low, high) row per
+    coordinate), as (input, output, state, infeasible skips).
 
-    States are drawn from ``plant.state_box()`` for the delay-1 plant and
-    from the data's state range widened by 5 % otherwise.  A delay-1 plant
-    checks ``input_dev``, ``output_dev`` and ``state_dev`` on feasible
-    pairs; a delay-2 plant checks ``input_dev`` and the composed successor
-    bound ``input_dev + (1 + lip_f) eps``, never the configured slope."""
-    if plant.delay == 1:
-        box = plant.state_box()
-        lo, hi = box[:, 0], box[:, 1]
-    else:
-        spread = 0.05 * np.abs(dataset.states).max(axis=0)
-        lo = dataset.states.min(axis=0) - spread
-        hi = dataset.states.max(axis=0) + spread
+    A delay-1 plant checks ``input_dev``, ``output_dev`` and ``state_dev``
+    on feasible pairs; a delay-2 plant checks ``input_dev`` and the composed
+    successor bound ``input_dev + (1 + lip_f) eps``, never the configured
+    slope."""
     rec = np.empty(ORACLE_DRAWS, dtype=int)
-    z = np.empty((ORACLE_DRAWS, len(lo)))
+    z = np.empty((ORACLE_DRAWS, len(box)))
     for k in range(ORACLE_DRAWS):
         rec[k] = rng.integers(len(dataset))
-        z[k] = rng.uniform(lo, hi)
+        z[k] = rng.uniform(box[:, 0], box[:, 1])
     eps = np.linalg.norm(dataset.states[rec] - z, axis=1)
     kx = model.kernel.cross(np.concatenate([dataset.targets[rec, None], z], axis=1),
                             model.train_x)
@@ -263,9 +255,15 @@ def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
     inv_err = np.max(np.abs(back - rs) / np.maximum(1.0, rs))
     add("bounds_inversion", inv_err <= 1e-9, f"max relative error {inv_err:.2e}")
 
-    # oracle-backed deviation bounds ----------------------------------------
+    # oracle-backed deviation bounds; delay 2: the data range widened 5 % ---
+    if plant.delay == 1:
+        box = plant.state_box()
+    else:
+        spread = 0.05 * np.abs(dataset.states).max(axis=0)
+        box = np.stack([dataset.states.min(axis=0) - spread,
+                        dataset.states.max(axis=0) + spread], axis=1)
     viol_u, viol_y, viol_g, skipped = oracle_violations(
-        plant, dataset, model, bounds, rng)
+        plant, dataset, model, bounds, rng, box)
     if cfg.plant == "numerical":
         add("bound_validity_oracle", viol_u + viol_y + viol_g == 0,
             f"violations u/y/state {viol_u}/{viol_y}/{viol_g}, "

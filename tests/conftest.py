@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
-from scipy.spatial.distance import cdist
 
 from invctrl.config import default_config
-from invctrl.levelsets import ABSENT, LevelFamily, max_plus, nearest_table
+from invctrl.levelsets import ABSENT, LevelFamily
 from invctrl.narx import NarxDataset
 from invctrl import pipeline
 
@@ -63,14 +62,6 @@ def sampled_inradius(point, centers, radii, directions=2000, seed=0):
         cur[mask] = -proj[mask] + np.sqrt(disc[mask])
         best = np.maximum(best, cur)
     return max(float(best.min()), 0.0)
-
-
-def single_ball_inradius(points, centers, radii):
-    """The builder's single-ball inradius underestimate of each point in
-    the union of balls (centers, radii): the max-plus product over the
-    point-to-center distances, ``ABSENT`` at or below ``MIN_INRADIUS``."""
-    return max_plus(np.asarray(radii, dtype=float),
-                    nearest_table(cdist(np.atleast_2d(points), np.atleast_2d(centers))))
 
 
 def synth_dataset(states, targets, controls):

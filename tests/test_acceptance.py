@@ -6,23 +6,21 @@ stated.
 """
 
 import filecmp
-import math
 import os
 import time
 
 import numpy as np
 import pytest
 
-from invctrl import pipeline
-from invctrl.bounds import DeviationBounds
+from invctrl import pipeline, verify
 from invctrl.cli import main
 from invctrl.config import default_config
 from invctrl.interpolant import fit_interpolant
+from invctrl.levelsets import margin
 from invctrl.narx import shift_state
 from invctrl.plants import rng_stream
-from invctrl.verify import sample_in_ball
 
-from conftest import sampled_inradius, single_ball_inradius
+from conftest import sampled_inradius
 
 
 def report(num, passed, detail):
@@ -72,66 +70,32 @@ def test_criterion_02_inverse_oracle_agreement(numerical_artifacts):
            f"{elapsed:.1f}s (<30s)")
 
 
+def oracle(art, stream, box):
+    """``verify.oracle_violations`` over the artifacts on its own stream."""
+    return verify.oracle_violations(art["plant"], art["dataset"], art["model"],
+                                    art["bounds"], rng_stream(art["cfg"].seed, stream), box)
+
+
 def test_criterion_03_deviation_bounds_oracle(numerical_artifacts):
-    plant = numerical_artifacts["plant"]
-    model = numerical_artifacts["model"]
-    ds = numerical_artifacts["dataset"]
-    bounds = numerical_artifacts["bounds"]
     t0 = time.perf_counter()
-    rng = rng_stream(numerical_artifacts["cfg"].seed, 31)
-    box = plant.state_box()
-    worst = -np.inf
-    skipped = 0
-    for _ in range(1000):
-        i = int(rng.integers(len(ds)))
-        z = rng.uniform(box[:, 0], box[:, 1])
-        eps = float(np.linalg.norm(ds.states[i] - z))
-        u_hat = model.predict(np.concatenate([[ds.targets[i]], z]))
-        worst = max(worst, abs(ds.controls[i] - u_hat) - bounds.input_dev(eps))
-        if not plant.input_feasible(z, u_hat):
-            skipped += 1  # dynamics not evaluable for this pair
-            continue
-        y_act = plant.step(z, u_hat)
-        worst = max(worst, abs(ds.targets[i] - y_act) - bounds.output_dev(eps))
-        _, z_next = plant.advance(z, u_hat)
-        gap = float(np.linalg.norm(ds.succ_states[i] - z_next))
-        worst = max(worst, gap - bounds.state_dev(eps))
+    viol_u, viol_y, viol_g, skipped = oracle(numerical_artifacts, 31,
+                                             numerical_artifacts["plant"].state_box())
     elapsed = time.perf_counter() - t0
-    report(3, worst <= 1e-9 and skipped <= 50 and elapsed < 10.0,
-           f"1000 samples, worst bound slack {worst:.2e} (tol 1e-9), "
-           f"{skipped} non-evaluable pairs, {elapsed:.1f}s (<10s)")
+    report(3, viol_u + viol_y + viol_g == 0 and skipped <= 50 and elapsed < 10.0,
+           f"{verify.ORACLE_DRAWS} samples, violations u/y/state "
+           f"{viol_u}/{viol_y}/{viol_g} (tol 1e-9), {skipped} non-evaluable pairs, "
+           f"{elapsed:.1f}s (<10s)")
 
 
 def test_criterion_04_delayed_map_bounds(pendulum_artifacts):
-    cfg = pendulum_artifacts["cfg"]
-    plant = pendulum_artifacts["plant"]
-    model = pendulum_artifacts["model"]
-    ds = pendulum_artifacts["dataset"]
-    kernel = model.kernel
-    smin = min(kernel.sigma_l)
-    scale = math.sqrt(2.0) * smin
-    honest = DeviationBounds(
-        lip_f=cfg.lip_f, lip_c=cfg.lip_c, rkhs_bound=cfg.rkhs_bound, delay=2,
-        profile=lambda r: kernel.profile(np.asarray(r) / scale),
-        profile_deficit=lambda r: kernel.profile_deficit(np.asarray(r) / scale),
-        gamma_mode="composed")
-    rng = rng_stream(cfg.seed, 41)
-    lo = ds.states.min(axis=0) - 0.02
-    hi = ds.states.max(axis=0) + 0.02
-    violations = 0
-    for _ in range(1000):
-        i = int(rng.integers(len(ds)))
-        z = rng.uniform(lo, hi)
-        eps = float(np.linalg.norm(ds.states[i] - z))
-        u_hat = model.predict(np.concatenate([[ds.targets[i]], z]))
-        if abs(ds.controls[i] - u_hat) > honest.input_dev(eps) + 1e-9:
-            violations += 1
-        _, z_next = plant.advance(z, u_hat)
-        gap = float(np.linalg.norm(ds.succ_states[i] - z_next))
-        if gap > honest.input_dev(eps) + (1.0 + cfg.lip_f) * eps + 1e-9:
-            violations += 1
-    report(4, violations == 0,
-           f"1000 samples of the two-step-delay bounds, {violations} violations")
+    # the delay-2 oracle checks input_dev and input_dev + (1 + lip_f) eps,
+    # which do not depend on the configured slope
+    states = pendulum_artifacts["dataset"].states
+    box = np.stack([states.min(axis=0) - 0.02, states.max(axis=0) + 0.02], axis=1)
+    viol_u, _, viol_g, _ = oracle(pendulum_artifacts, 41, box)
+    report(4, viol_u + viol_g == 0,
+           f"{verify.ORACLE_DRAWS} samples of the two-step-delay bounds, "
+           f"{viol_u + viol_g} violations")
 
 
 def test_criterion_05_certified_descent(numerical_runs):
@@ -191,31 +155,22 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
         radii = np.array([r for _, r in balls])
         k = int(rng.integers(len(balls)))
         p = centers[k] + rng.normal(size=3) * radii[k] * 0.3
-        est = single_ball_inradius([p], centers, radii)[0]
+        est = margin([p], centers, radii)[0]
         if est <= 0:
             continue
         true_est = sampled_inradius(p, centers, radii, seed=trial)
         worst_gap = max(worst_gap, est - true_est)
     under_ok = worst_gap <= 1e-9
 
-    escapes = 0
-    checked = 0
     rng2 = rng_stream(numerical_artifacts["cfg"].seed, 91)
-    for fam in numerical_artifacts["controller"].families:
-        ds = fam.dataset
-        for j in range(1, len(fam.inradius)):
-            idx = fam.present(j)
-            prev_c, prev_r = fam.centers_radii(j - 1)
-            for i, r in zip(idx, fam.inradius[j, idx]):
-                pts = sample_in_ball(rng2, ds.succ_states[i], r, 200)
-                d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
-                inside = (d <= prev_r[None, :]).any(axis=1)
-                checked += 1
-                if not np.all(inside):
-                    escapes += 1
+    families = numerical_artifacts["controller"].families
+    first = [verify.recursion_escapes(fam, 200, None, rng2) for fam in families]
+    escapes = sum(e is not None for e in first)
+    checked = sum(len(verify.recursion_entries(fam, None)[0]) for fam in families)
     report(9, under_ok and escapes == 0,
            f"union-inradius underestimate gap {worst_gap:.2e} over 100 configs; "
-           f"level recursion: {escapes} escapes over {checked} entries x200 samples")
+           f"level recursion: {escapes} families with an escape over "
+           f"{checked} entries x200 samples")
 
 
 def test_criterion_10_inversion(numerical_artifacts, pendulum_artifacts):

@@ -2,12 +2,18 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.spatial.distance import cdist
 
 from invctrl.controller import Controller
-from invctrl.levelsets import distances
 from invctrl import pipeline
 
 from conftest import synth_dataset, synth_family
+
+
+def row(ctl, state):
+    """The distance row ``Controller.control`` passes to ``locate`` and
+    ``select_reference``."""
+    return cdist(np.atleast_2d(np.asarray(state, dtype=float)), ctl.dataset.states)[0]
 
 
 class IdentityModel:
@@ -42,17 +48,17 @@ def synth():
 def test_locate_uncovered(synth):
     ds, fam_01, fam_05 = synth
     ctl = Controller([fam_01, fam_05], IdentityModel())
-    assert ctl.locate(np.array([100.0, 100.0, 100.0])) is None
+    assert ctl.locate(row(ctl, np.array([100.0, 100.0, 100.0]))) is None
 
 
 def test_locate_prefers_smaller_accuracy_then_level(synth):
     ds, fam_01, fam_05 = synth
     ctl = Controller([fam_01, fam_05], IdentityModel())
     # state at record 0's state: contained in 0.1's level 1 and 0.5's level 1
-    assert ctl.locate(ds.states[0]) == (0.1, 1)
+    assert ctl.locate(row(ctl, ds.states[0])) == (0.1, 1)
     # state only slightly off: outside 0.1's tiny certificates, inside 0.5's
     off = ds.states[0] + np.array([0.01, 0.0, 0.0])
-    assert ctl.locate(off) == (0.5, 1)
+    assert ctl.locate(row(ctl, off)) == (0.5, 1)
     # a state in level 2 of the small accuracy but level 1 of the large one
     # still resolves to the smaller accuracy first
     fam_01b = synth_family(ds, 0.1, [
@@ -61,7 +67,7 @@ def test_locate_prefers_smaller_accuracy_then_level(synth):
         [(0, 0.03, 0.002)],
     ])
     ctl2 = Controller([fam_01b, fam_05], IdentityModel())
-    assert ctl2.locate(ds.states[0]) == (0.1, 2)
+    assert ctl2.locate(row(ctl2, ds.states[0])) == (0.1, 2)
 
 
 def brute_locate(families, state):
@@ -81,7 +87,7 @@ def assert_locate_matches_brute(ctl, states):
     hits = 0
     for state in states:
         want = brute_locate(ctl.families, state)
-        assert ctl.locate(state) == want
+        assert ctl.locate(row(ctl, state)) == want
         _, cert = ctl.control(state)
         assert (cert.delta, cert.kappa) == (want if cert.certified else (None, None))
         assert cert.certified == (want is not None)
@@ -135,9 +141,9 @@ def test_locate_skips_family_without_action_levels(synth):
                      cert_radius=level0.cert_radius[:1])
     assert level0.truncated_at == 1
     ctl = Controller([level0, fam_01, fam_05], IdentityModel())
-    assert ctl.locate(ds.states[0]) == (0.1, 1)
-    assert ctl.locate(ds.states[1]) == (0.5, 1)
-    assert ctl.locate(ds.states[2]) is None
+    assert ctl.locate(row(ctl, ds.states[0])) == (0.1, 1)
+    assert ctl.locate(row(ctl, ds.states[1])) == (0.5, 1)
+    assert ctl.locate(row(ctl, ds.states[2])) is None
     assert_locate_matches_brute(ctl, [ds.states[0], ds.states[1], ds.states[2]])
 
 
@@ -155,7 +161,7 @@ def test_locate_deepest_stored_level(synth):
     ctl = Controller([fam, fam_05], IdentityModel())
     probe = ds.states[1] + np.array([0.5, 0.0, 0.0])
     assert brute_locate(ctl.families, probe) == (0.1, 4)
-    assert ctl.locate(probe) == (0.1, 4)
+    assert ctl.locate(row(ctl, probe)) == (0.1, 4)
     _, cert = ctl.control(probe)
     assert (cert.delta, cert.kappa, cert.index) == (0.1, 4, 1)
     assert_locate_matches_brute(ctl, [ds.states[0], ds.states[1], probe,
@@ -185,7 +191,7 @@ def test_control_calls_locate_and_select_by_attribute(synth):
 def test_select_reference_single_and_argmax(synth):
     ds, fam_01, fam_05 = synth
     ctl = Controller([fam_01, fam_05], IdentityModel())
-    cert, ref = ctl.select_reference(ds.states[0], 0.1, 1)
+    cert, ref = ctl.select_reference(row(ctl, ds.states[0]), 0.1, 1)
     assert cert.index == 0 and ref == ds.targets[0] and cert.certified
     # two covering entries: pick the larger slack
     mid = 0.5 * (ds.states[0] + ds.states[1])
@@ -194,7 +200,7 @@ def test_select_reference_single_and_argmax(synth):
         [(0, 0.45, 1.80), (1, 0.4, 1.87)],
     ])
     ctl2 = Controller([fam_wide], IdentityModel())
-    cert2, _ = ctl2.select_reference(mid, 0.5, 1)
+    cert2, _ = ctl2.select_reference(row(ctl2, mid), 0.5, 1)
     d0 = np.linalg.norm(ds.states[0] - mid)
     d1 = np.linalg.norm(ds.states[1] - mid)
     assert 1.87 - d1 > 1.80 - d0
@@ -211,7 +217,7 @@ def test_slack_scaling_invariance(synth):
             [(0, 0.45, 1.80 * scale), (1, 0.4, 1.87 * scale)],
         ])
         ctl = Controller([fam], IdentityModel())
-        cert, _ = ctl.select_reference(mid, 0.5, 1)
+        cert, _ = ctl.select_reference(row(ctl, mid), 0.5, 1)
         assert cert.index == 1  # argmax invariant under positive scaling
 
 
@@ -338,7 +344,7 @@ def test_all_benchmark_initial_states_covered(numerical_artifacts):
     # every study initial condition is locatable in some family
     ctl = numerical_artifacts["controller"]
     for ic in numerical_artifacts["cfg"].initial_conditions:
-        assert ctl.locate(np.asarray(ic)) is not None
+        assert ctl.locate(row(ctl, np.asarray(ic))) is not None
 
 
 def scan_locate(families, reaches, d):
@@ -390,7 +396,7 @@ def test_closed_loop_matches_reference_path(pendulum_artifacts, ic):
     for t in range(300):
         u, cert = ctl.control(state)
         got = (u, cert.delta, cert.kappa, cert.index, cert.slack)
-        assert np.array_equal(distances(ctl.dataset.states, state),
+        assert np.array_equal(row(ctl, state),
                               np.linalg.norm(ctl.dataset.states - state, axis=1))
         assert got == reference_control(ctl, reaches, state), t
         if t % 20 == 0:

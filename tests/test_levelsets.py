@@ -8,14 +8,13 @@ from scipy.spatial.distance import cdist
 from invctrl.bounds import DeviationBounds
 from invctrl.kernels import IsotropicKernel
 from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFamily,
-                               build_level_family, check_nesting, distances, dump_family,
-                               index_set_slab, load_family, max_plus, nearest_table,
-                               pairwise_distances)
+                               build_level_family, check_nesting, dump_family,
+                               index_set_slab, load_family, margin, max_plus,
+                               nearest_table, pairwise_distances)
 
 from invctrl.verify import sample_in_ball
 
-from conftest import (sampled_inradius, single_ball_inradius, synth_dataset,
-                      synth_family)
+from conftest import sampled_inradius, synth_dataset, synth_family
 
 SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
@@ -37,14 +36,15 @@ def test_slab_inradius_boundary_and_outside():
 
 
 def test_union_inradius_isolated_center():
-    est = single_ball_inradius([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]], [0.8])
+    est = margin([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]], [0.8])
     assert est[0] == pytest.approx(0.8)
 
 
 def test_union_inradius_outside():
-    assert single_ball_inradius([[3.0, 0.0, 0.0]], np.zeros((1, 3)), [1.0])[0] <= 0
-    # a union whose balls are all absent holds no point
-    assert single_ball_inradius(np.zeros((1, 3)), np.zeros((2, 3)), [ABSENT] * 2)[0] == ABSENT
+    assert margin([[3.0, 0.0, 0.0]], np.zeros((1, 3)), [1.0])[0] == -2.0
+    # a union whose balls are all absent, or that has none, holds no point
+    assert margin(np.zeros((1, 3)), np.zeros((2, 3)), [ABSENT] * 2)[0] == ABSENT
+    assert margin(np.zeros((1, 3)), np.zeros((0, 3)), [])[0] == ABSENT
 
 
 def test_union_inradius_two_overlapping_balls():
@@ -52,7 +52,7 @@ def test_union_inradius_two_overlapping_balls():
     # never exceeding the direction-sampled true inradius
     centers, radii = np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]), np.array([1.0, 1.0])
     p = np.zeros(3)
-    est = single_ball_inradius([p], centers, radii)[0]
+    est = margin([p], centers, radii)[0]
     assert est == pytest.approx(0.5)
     assert est <= sampled_inradius(p, centers, radii) + 1e-12
 
@@ -66,7 +66,7 @@ def test_union_inradius_is_underestimate(seed):
     centers, radii = np.array([c for c, _ in balls]), np.array([r for _, r in balls])
     k = rng.integers(len(balls))
     p = centers[k] + rng.normal(size=3) * radii[k] * 0.3
-    est = single_ball_inradius([p], centers, radii)[0]
+    est = margin([p], centers, radii)[0]
     if est > 0:
         assert est <= sampled_inradius(p, centers, radii, seed=seed) + 1e-9
 
@@ -381,13 +381,64 @@ def test_contains_levels():
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 5, 7])
 def test_distances_equal_norm_bitwise(dim):
+    # the controller's distance row is one cdist row; its decisions and
+    # logs stay byte-identical because that row is np.linalg.norm's
     rng = np.random.default_rng(dim)
     for _ in range(20):
         points = rng.normal(size=(300, dim)) * rng.uniform(1e-3, 1e3, size=dim)
         p = rng.normal(size=dim)
-        assert np.array_equal(distances(points, p), np.linalg.norm(points - p, axis=1))
+        assert np.array_equal(cdist(p[None], points)[0], np.linalg.norm(points - p, axis=1))
+
+
+def _probe_points(fam, level, rng, count):
+    """Points around the level's balls: inside, outside and on the boundary
+    of a random present ball, or around record 0 if the level is empty."""
+    centers, radii = fam.centers_radii(level)
+    if not len(radii):
+        centers, radii = fam.dataset.states[:1], np.ones(1)
+    k = rng.integers(len(radii), size=count)
+    dirs = rng.normal(size=(count, centers.shape[1]))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    scale = rng.uniform(0.0, 2.0, size=count)
+    scale[::5] = 1.0  # on the sphere of the chosen ball
+    return centers[k] + dirs * (radii[k] * scale)[:, None]
+
+
+@pytest.mark.parametrize("artifacts,stride", [("numerical_artifacts", 1),
+                                              ("pendulum_artifacts", 3)])
+def test_margin_sign_equals_contains(request, artifacts, stride):
+    rng = np.random.default_rng(12)
+    inside = outside = 0
+    for fam in request.getfixturevalue(artifacts)["controller"].families[::stride]:
+        for level in range(min(fam.depth, len(fam.inradius)) + 1):
+            pts = _probe_points(fam, level, rng, 40)
+            got = fam.margin(level, pts)
+            centers, table = fam.balls(level)
+            row = table[level] if level < len(table) else np.full(len(centers), ABSENT)
+            # the membership test before the margin: any norm distance <= radius
+            want = [bool((np.linalg.norm(centers - p, axis=1) <= row).any()) for p in pts]
+            assert (got >= 0).tolist() == want
+            assert [fam.contains(level, p) for p in pts] == want
+            inside += sum(want)
+            outside += len(want) - sum(want)
+    assert inside > 100 and outside > 100
+
+
+def test_margin_level_range_and_dimension(numerical_artifacts):
+    fam = next(f for f in numerical_artifacts["controller"].families
+               if f.truncated_at is not None)
+    pts = fam.dataset.states[:4]
+    assert fam.margin(0, pts).shape == (4,)
+    for level in (fam.truncated_at, fam.depth):
+        assert np.all(fam.margin(level, pts) == ABSENT)
+        assert not fam.contains(level, pts[0])
+    for level in (-1, fam.depth + 1):
+        with pytest.raises(IndexError):
+            fam.margin(level, pts)
     with pytest.raises(ValueError):
-        distances(points, np.zeros(dim + 1))
+        fam.margin(0, pts[:, :2])
+    with pytest.raises(ValueError):
+        fam.margin(fam.depth, pts[:, :2])
 
 
 def test_certificate_radii_consistent(numerical_artifacts):

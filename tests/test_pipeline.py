@@ -1,3 +1,4 @@
+import argparse
 import filecmp
 import os
 import subprocess
@@ -11,7 +12,7 @@ from scipy.spatial.distance import cdist
 
 from conftest import synth_dataset, synth_family
 from invctrl import pipeline, verify
-from invctrl.cli import main
+from invctrl.cli import build_parser, main
 from invctrl.config import ConfigError, default_config, load_config
 from invctrl.levelsets import ABSENT, NEAR_K, LevelFamily
 from invctrl.plants import rng_stream
@@ -570,14 +571,19 @@ def test_family_offenders_name_the_level_loop_entry(numerical_artifacts, seed):
     assert clean == [None, None, None]
 
 
-def _reference_oracle(plant, ds, model, bounds, rng):
-    """Per-sample oracle loop: the reference for the batched oracle."""
+def _reference_box(plant, ds):
+    """The box ``run_all`` draws oracle states from: the delay-1 plant's
+    state box, else the data's state range widened by 5 % of its magnitude."""
     if plant.delay == 1:
-        box = plant.state_box()
-        lo, hi = box[:, 0], box[:, 1]
-    else:
-        lo = ds.states.min(axis=0) - 0.05 * np.abs(ds.states).max(axis=0)
-        hi = ds.states.max(axis=0) + 0.05 * np.abs(ds.states).max(axis=0)
+        return plant.state_box()
+    lo = ds.states.min(axis=0) - 0.05 * np.abs(ds.states).max(axis=0)
+    hi = ds.states.max(axis=0) + 0.05 * np.abs(ds.states).max(axis=0)
+    return np.stack([lo, hi], axis=1)
+
+
+def _reference_oracle(plant, ds, model, bounds, rng, box):
+    """Per-sample oracle loop: the reference for the batched oracle."""
+    lo, hi = box[:, 0], box[:, 1]
     viol_u = viol_y = viol_g = skipped = 0
     for _ in range(1000):
         i = int(rng.integers(len(ds)))
@@ -613,8 +619,9 @@ def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale
     cfg = replace(art["cfg"], **{k: getattr(art["cfg"], k) * v for k, v in scale.items()})
     bounds = pipeline.make_bounds(cfg, art["model"].kernel)
     args = (art["plant"], art["dataset"], art["model"], bounds)
-    got = verify.oracle_violations(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY))
-    want = _reference_oracle(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY))
+    box = _reference_box(art["plant"], art["dataset"])
+    got = verify.oracle_violations(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY), box)
+    want = _reference_oracle(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY), box)
     assert got == want
     assert sum(count > 0 for count in got[:3]) == 2  # input and output or state
     lines = []
@@ -707,6 +714,45 @@ def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
     assert main(["simulate", "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "delta_0p1.npy" in err and message in err
+
+
+@pytest.mark.parametrize("name,line,text,message", [
+    ("trajectories/traj_0000.csv", None, "garbage",
+     "traj_0000.csv:5: bad trajectory row ['garbage']"),
+    ("trajectories/traj_0000.csv", 3, "1,abc,0.5", "traj_0000.csv:3: bad trajectory row"),
+    ("model.txt", 10, "0.1,-1,-1,0,abc,146.3", "model.txt:10: bad model row"),
+    ("trajectories/traj_0000.csv", 3, "1,,-1", "traj_0000.csv: 3 outputs need 2 inputs, not 1"),
+    ("model.txt", 1, None, "model.txt: not a model dump (KeyError: 'family')"),
+    ("model.txt", 9, None, "model.txt: not a model dump (ValueError: rows of shape (279, 6)"),
+], ids=["trajectory_extra_line", "trajectory_text_value", "trajectory_input_missing",
+        "model_text_value", "model_without_family", "model_row_missing"])
+def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
+                                       name, line, text, message):
+    # ``line`` is replaced by ``text`` (appended if None, deleted if ``text`` is None)
+    import shutil
+    out = str(tmp_path / "damaged")
+    shutil.copytree(numerical_cfg.outdir, out)
+    path = os.path.join(out, name)
+    lines = open(path).read().splitlines()
+    if line is None:
+        lines.append(text)
+    else:
+        lines[line - 1:line] = [] if text is None else [text]
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+
+
+def test_cli_help_lines_are_whole_sentences():
+    # each stage's help is the first line of its docstring, a full sentence
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    assert sorted(helps) == sorted(["collect", "build", "simulate", "verify", "report"])
+    for name, text in helps.items():
+        assert text.endswith(".") and text[0].isupper(), (name, text)
 
 
 def test_rmse_displayed_formula():
