@@ -38,6 +38,10 @@ def main():
     ap.add_argument("--seeds", type=int, default=1,
                     help="number of noise seeds (noisy mode)")
     args = ap.parse_args()
+    if args.seeds < 1:
+        ap.error("--seeds must be at least 1")
+    if args.seeds != 1 and not args.noisy:
+        ap.error("--seeds needs --noisy: the noise-free study is deterministic")
 
     seeds = range(args.seeds) if args.noisy else [0]
     all_ok = True

@@ -13,7 +13,7 @@ from .kernels import ArdMatern52Kernel, IsotropicKernel, make_kernel
 from .levelsets import LevelFamily, build_level_family, check_nesting
 from .narx import (NarxDataset, Trajectory, build_dataset, merge_datasets,
                    shift_state)
-from .plants import (NoiseSpec, NumericalPlant, PendulumPlant, add_noise,
+from .plants import (NumericalPlant, PendulumPlant, add_noise,
                      collect_numerical_trajectories,
                      collect_pendulum_trajectories)
 
@@ -24,7 +24,7 @@ __all__ = [
     "fit_interpolant", "ArdMatern52Kernel",
     "IsotropicKernel", "make_kernel", "LevelFamily", "build_level_family",
     "check_nesting", "NarxDataset", "Trajectory", "build_dataset", "merge_datasets",
-    "shift_state", "NoiseSpec", "NumericalPlant", "PendulumPlant",
+    "shift_state", "NumericalPlant", "PendulumPlant",
     "add_noise", "collect_numerical_trajectories",
     "collect_pendulum_trajectories",
 ]

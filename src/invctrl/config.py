@@ -1,4 +1,5 @@
-"""Run configuration: flat key=value sections, schema-checked at startup.
+"""Run configuration: flat key=value sections, schema-checked at startup,
+and the plant, kernel and deviation bounds every stage builds from it.
 
 Defaults reproduce the two benchmark studies, so a bare ``--plant`` flag
 without a config file runs the full experiment.  A config file only needs
@@ -13,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
 from .bounds import DeviationBounds
-from .kernels import ArdMatern52Kernel, make_kernel
+from .kernels import make_kernel
 from .plants import NumericalPlant, PendulumPlant
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "load_config"]
@@ -37,9 +38,10 @@ def _floats(value):
 
 @dataclass
 class RunConfig:
+    """A run's settings; the plant fixes the NARX order n and delay nu, and
+    the methods below turn the rest into the objects every stage uses."""
+
     plant: str
-    order: int
-    delay: int
     kernel_family: str
     sigma_f: float
     sigma_l: Tuple[float, ...]
@@ -59,6 +61,37 @@ class RunConfig:
     seed: int
     outdir: str
 
+    @property
+    def order(self):
+        return PLANTS[self.plant].order
+
+    @property
+    def delay(self):
+        return PLANTS[self.plant].delay
+
+    def make_plant(self):
+        return PLANTS[self.plant]()
+
+    def make_kernel(self):
+        return make_kernel(self.kernel_family, self.sigma_f, self.sigma_l)
+
+    def make_bounds(self, kernel) -> DeviationBounds:
+        """Bounds on the kernel's scalar profile, taken at the radius
+        ``distance / kernel.radius_scale``."""
+        scale = kernel.radius_scale
+        return DeviationBounds(
+            lip_f=self.lip_f, lip_c=self.lip_c, rkhs_bound=self.rkhs_bound,
+            delay=self.delay, profile=lambda r: kernel.profile(r / scale),
+            profile_deficit=lambda r: kernel.profile_deficit(r / scale),
+            gamma_mode=self.gamma_mode, gamma_slope=self.gamma_slope)
+
+    def effective_lam(self):
+        """Ridge weight actually used by build: noisy pendulum runs default to
+        the calibrated ridge when the config leaves lambda at zero."""
+        if self.noisy and self.plant == "pendulum" and self.lam == 0.0:
+            return PENDULUM_NOISY_LAM
+        return self.lam
+
     def validate(self):
         """Raise ``ConfigError`` on a config the stages cannot run; builds
         the kernel and the bounds so that their own checks apply here."""
@@ -67,10 +100,6 @@ class RunConfig:
                 raise ConfigError(f"{f.name} must be finite")
         if self.plant not in PLANTS:
             raise ConfigError(f"unknown plant {self.plant!r}")
-        plant = PLANTS[self.plant]
-        if (self.order, self.delay) != (plant.order, plant.delay):
-            raise ConfigError(f"the {self.plant} plant has order n = {plant.order} "
-                              f"and delay nu = {plant.delay}")
         if self.horizon < 1:
             raise ConfigError("horizon must be >= 1")
         if self.depth < 1:
@@ -94,18 +123,14 @@ class RunConfig:
                     f"initial condition {ic} has dimension {len(ic)}, "
                     f"expected {dim}")
         try:
-            kernel = make_kernel(self.kernel_family, self.sigma_f, self.sigma_l)
+            kernel = self.make_kernel()
         except ValueError as exc:
             raise ConfigError(f"[kernel] {exc}") from None
         try:
-            DeviationBounds(
-                lip_f=self.lip_f, lip_c=self.lip_c, rkhs_bound=self.rkhs_bound,
-                delay=self.delay, profile=kernel.profile,
-                profile_deficit=kernel.profile_deficit,
-                gamma_mode=self.gamma_mode, gamma_slope=self.gamma_slope)
+            self.make_bounds(kernel)
         except ValueError as exc:
             raise ConfigError(f"[bounds] {exc}") from None
-        if isinstance(kernel, ArdMatern52Kernel) and kernel.dim != dim + 1:
+        if kernel.family == "ard_matern52" and len(self.sigma_l) != dim + 1:
             raise ConfigError(f"[kernel] ard_matern52 needs {dim + 1} length scales, "
                               f"one per feature")
         return self
@@ -113,8 +138,6 @@ class RunConfig:
 
 _NUMERICAL = RunConfig(
     plant="numerical",
-    order=2,
-    delay=1,
     kernel_family="squared_exponential",
     sigma_f=1.0,
     sigma_l=(2.8284271247461903,),  # 2*sqrt(2)
@@ -142,8 +165,6 @@ _PEND_SIGMA_L = (0.057, 0.058, 0.058, 0.97)
 
 _PENDULUM = RunConfig(
     plant="pendulum",
-    order=2,
-    delay=2,
     kernel_family="ard_matern52",
     sigma_f=2.0,
     sigma_l=_PEND_SIGMA_L,
@@ -185,7 +206,7 @@ def default_config(plant) -> RunConfig:
 # section -> key -> (RunConfig field, kind); keys are lower case, as
 # configparser delivers option names (``L_f`` is read as ``l_f``)
 _SCHEMA = {
-    "plant": {"id": ("plant", str), "n": ("order", int), "nu": ("delay", int)},
+    "plant": {"id": ("plant", str)},
     "kernel": {"family": ("kernel_family", str), "sigma_f": ("sigma_f", float),
                "sigma_l": ("sigma_l", "floats")},
     "interpolant": {"lambda": ("lam", float)},
@@ -242,6 +263,4 @@ def load_config(path, base_plant=None) -> RunConfig:
             except ValueError as exc:
                 raise ConfigError(f"bad value for [{section}] {key}: {raw!r}") from exc
             setattr(cfg, name, value)
-    if isinstance(cfg.sigma_l, float):
-        cfg.sigma_l = (cfg.sigma_l,)
     return cfg.validate()

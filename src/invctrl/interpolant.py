@@ -32,7 +32,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .config import ConfigError
-from .kernels import ArdMatern52Kernel, make_kernel
+from .kernels import make_kernel
 from .narx import FLOAT_FMT, NarxDataset
 
 __all__ = [
@@ -121,8 +121,8 @@ class Interpolant:
         pts = np.atleast_2d(x)
         kx = self.kernel.cross(self.train_x, pts)  # (N, M)
         sol = cho_solve(self._chol, kx)
-        diag = np.array([self.kernel(p, p) for p in pts])
-        val = np.sqrt(np.maximum(0.0, diag - np.sum(kx * sol, axis=0)))
+        k0 = float(self.kernel.profile(0.0))  # k(x, x) for both kernel classes
+        val = np.sqrt(np.maximum(0.0, k0 - np.sum(kx * sol, axis=0)))
         return float(val[0]) if single else val
 
 
@@ -148,16 +148,10 @@ def dump_interpolant(path, model: Interpolant):
     the feature coordinates and the weight ``alpha_i``.
     """
     k = model.kernel
-    if isinstance(k, ArdMatern52Kernel):
-        family = "ard_matern52"
-        sl = ",".join(format(v, FLOAT_FMT) for v in k.sigma_l)
-    else:
-        family = k.family
-        sl = format(k.sigma_l, FLOAT_FMT)
     lines = [
-        f"family = {family}",
+        f"family = {k.family}",
         f"sigma_f = {format(k.sigma_f, FLOAT_FMT)}",
-        f"sigma_l = {sl}",
+        f"sigma_l = {','.join(format(v, FLOAT_FMT) for v in np.atleast_1d(k.sigma_l))}",
         f"lambda = {format(model.lam, FLOAT_FMT)}",
         f"jitter = {format(model.jitter, FLOAT_FMT)}",
         f"N = {len(model)}",

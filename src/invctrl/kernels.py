@@ -73,6 +73,9 @@ class IsotropicKernel:
     sigma_f: float
     sigma_l: float
 
+    # distance / radius_scale is the profile's radius
+    radius_scale = 1.0
+
     def __post_init__(self):
         if self.family not in ISOTROPIC_FAMILIES:
             raise ValueError(f"unknown kernel family {self.family!r}")
@@ -132,6 +135,8 @@ class ArdMatern52Kernel:
     sigma_f: float
     sigma_l: tuple = field()  # per-dimension length scales
 
+    family = "ard_matern52"
+
     def __post_init__(self):
         sl = tuple(float(v) for v in np.atleast_1d(self.sigma_l))
         object.__setattr__(self, "sigma_l", sl)
@@ -142,6 +147,13 @@ class ArdMatern52Kernel:
     def dim(self):
         return len(self.sigma_l)
 
+    @property
+    def radius_scale(self):
+        """Divisor that turns a distance into a profile radius: ``s(a, b) <=
+        ||a - b|| / (sqrt(2) min sigma_l)`` and the profile is non-increasing,
+        so the profile at that radius over-estimates the deficit."""
+        return np.sqrt(2.0) * min(self.sigma_l)
+
     def embed(self, pts):
         """Points (N, dim) scaled per dimension by 1 / (sqrt(2) sigma_l_i)."""
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
@@ -150,8 +162,8 @@ class ArdMatern52Kernel:
         return pts / (np.sqrt(2.0) * np.asarray(self.sigma_l))
 
     def profile(self, s):
-        """Profile in the ARD-scaled radius s (used by conservative bounds
-        via the smallest length scale; see bounds module)."""
+        """Profile in the ARD-scaled radius s (the bounds take a distance
+        through ``radius_scale``)."""
         s = np.asarray(s, dtype=float)
         return self.sigma_f**2 * _matern52_profile(s)
 

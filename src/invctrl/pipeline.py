@@ -27,24 +27,19 @@ from typing import List
 import numpy as np
 
 from . import verify
-from .bounds import DeviationBounds
-from .config import PENDULUM_NOISY_LAM, PLANTS, ConfigError, RunConfig
+from .config import ConfigError, RunConfig
 from .controller import Controller
 from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
-from .kernels import ArdMatern52Kernel, make_kernel
 from .levelsets import (build_level_family, check_nesting, dump_family,
                         load_family, pairwise_distances)
 from .narx import (FLOAT_FMT, NarxDataset, build_dataset, merge_datasets,
                    read_trajectory, shift_state, write_trajectory)
-from .plants import (STREAM_ONLINE_NOISE, NoiseSpec, add_noise,
+from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
                      collect_numerical_trajectories,
                      collect_pendulum_trajectories, rng_stream)
 
 __all__ = [
     "RunResult",
-    "make_plant",
-    "make_bounds",
-    "effective_lam",
     "cmd_collect",
     "cmd_build",
     "cmd_simulate",
@@ -58,41 +53,6 @@ __all__ = [
 
 def _fmt(x):
     return format(float(x), FLOAT_FMT)
-
-
-def make_plant(cfg: RunConfig):
-    return PLANTS[cfg.plant]()
-
-
-def make_kernel_from_config(cfg: RunConfig):
-    return make_kernel(cfg.kernel_family, cfg.sigma_f, cfg.sigma_l)
-
-
-def make_bounds(cfg: RunConfig, kernel) -> DeviationBounds:
-    """Bounds with the kernel's scalar profile; anisotropic kernels use the
-    conservative profile at their smallest length scale."""
-    if isinstance(kernel, ArdMatern52Kernel):
-        smin = min(kernel.sigma_l)
-        scale = np.sqrt(2.0) * smin
-        profile = lambda r: kernel.profile(np.asarray(r) / scale)
-        deficit = lambda r: kernel.profile_deficit(np.asarray(r) / scale)
-    else:
-        profile = kernel.profile
-        deficit = kernel.profile_deficit
-    return DeviationBounds(
-        lip_f=cfg.lip_f, lip_c=cfg.lip_c, rkhs_bound=cfg.rkhs_bound,
-        delay=cfg.delay, profile=profile,
-        profile_deficit=deficit,
-        gamma_mode=cfg.gamma_mode, gamma_slope=cfg.gamma_slope,
-    )
-
-
-def effective_lam(cfg: RunConfig):
-    """Ridge weight actually used by build: noisy pendulum runs default to
-    the calibrated ridge when the config leaves lambda at zero."""
-    if cfg.noisy and cfg.plant == "pendulum" and cfg.lam == 0.0:
-        return PENDULUM_NOISY_LAM
-    return cfg.lam
 
 
 def _paths(cfg: RunConfig):
@@ -130,8 +90,7 @@ def cmd_collect(cfg: RunConfig, log=print):
     else:
         trajs = collect_pendulum_trajectories()
         if cfg.noisy:
-            spec = NoiseSpec(sigma_d=cfg.sigma_d, sigma=cfg.sigma, seed=cfg.seed)
-            trajs = [add_noise(t, spec, stream_offset=k)
+            trajs = [add_noise(t, cfg.sigma_d, cfg.seed, stream_offset=k)
                      for k, t in enumerate(trajs)]
     names = []
     for k, traj in enumerate(trajs):
@@ -181,11 +140,11 @@ def cmd_build(cfg: RunConfig, log=print):
     os.makedirs(paths["famdir"], exist_ok=True)
     t0 = time.perf_counter()
     dataset = load_dataset(cfg)
-    kernel = make_kernel_from_config(cfg)
-    lam = effective_lam(cfg)
+    kernel = cfg.make_kernel()
+    lam = cfg.effective_lam()
     model = fit_interpolant(kernel, dataset, lam=lam)
     dump_interpolant(paths["model"], model)
-    bounds = make_bounds(cfg, kernel)
+    bounds = cfg.make_bounds(kernel)
     dists = pairwise_distances(dataset)
     lines = [
         f"plant = {cfg.plant}",
@@ -264,7 +223,11 @@ def simulate_one(cfg: RunConfig, plant, controller, ic, ic_index) -> RunResult:
     ncert = nviol = nfall = 0
     for t in range(cfg.horizon):
         u, cert = controller.control(meas)
-        y_next, state_true = plant.advance(state_true, u)
+        try:
+            y_next, state_true = plant.advance(state_true, u)
+        except InfeasibleInput as exc:
+            raise ConfigError(f"{_paths(cfg)['model']}: infeasible input at step {t} "
+                              f"from initial condition {ic_index} ({exc})") from None
         y_meas = y_next + (rng.normal(0.0, cfg.sigma) if noisy else 0.0)
         meas = shift_state(meas, y_meas, u)
         descent = controller.assert_descent(cert, meas)
@@ -314,7 +277,7 @@ def cmd_simulate(cfg: RunConfig, log=print) -> List[RunResult]:
     paths = _paths(cfg)
     os.makedirs(paths["rundir"], exist_ok=True)
     dataset, model, controller = load_artifacts(cfg)
-    plant = make_plant(cfg)
+    plant = cfg.make_plant()
     results = []
     summary = []
     for k, ic in enumerate(cfg.initial_conditions):
@@ -405,8 +368,8 @@ def cmd_verify(cfg: RunConfig, log=print):
     """Run the property suites over the artifacts; True when all of them pass."""
     paths = _paths(cfg)
     dataset, model, controller = load_artifacts(cfg)
-    report = verify.run_all(cfg, dataset, model, controller, make_plant(cfg),
-                            make_bounds(cfg, model.kernel), log=log)
+    report = verify.run_all(cfg, dataset, model, controller, cfg.make_plant(),
+                            cfg.make_bounds(model.kernel), log=log)
     if os.path.exists(paths["summary"]):
         verify.add_check(report, log, "rmse_recompute", cmd_report(cfg, log=lambda *_: None),
                       "summary matches recomputed metric")

@@ -29,14 +29,12 @@ Random number use is via the counter-based Philox generator keyed by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .narx import Trajectory
 
 __all__ = [
-    "NoiseSpec",
     "NumericalPlant",
     "PendulumPlant",
     "InfeasibleInput",
@@ -63,20 +61,6 @@ def rng_stream(seed, stream, *extra):
     (seed, stream, *extra)."""
     key = [int(seed), int(stream)] + [int(v) for v in extra]
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(key)))
-
-
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Measurement-noise standard deviations for dataset collection and the
-    online loop, plus the seed that keys both streams."""
-
-    sigma_d: float = 0.0
-    sigma: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.sigma_d < 0 or self.sigma < 0:
-            raise ValueError("noise standard deviations must be >= 0")
 
 
 class NumericalPlant:
@@ -247,11 +231,11 @@ def collect_pendulum_trajectories(horizon=200):
     return [pi_trajectory(plant, kp, ki, a, horizon) for kp, ki, a in PI_GAIN_TRIPLES]
 
 
-def add_noise(traj: Trajectory, spec: NoiseSpec, stream_offset=0) -> Trajectory:
-    """Attach noisy outputs: seeded zero-mean Gaussian of std ``sigma_d``
-    on every output sample; inputs untouched.  ``stream_offset``
+def add_noise(traj: Trajectory, sigma_d, seed, stream_offset=0) -> Trajectory:
+    """Attach noisy outputs: zero-mean Gaussian of std ``sigma_d``, keyed by
+    ``seed``, on every output sample; inputs untouched.  ``stream_offset``
     distinguishes trajectories within one collection."""
-    rng = rng_stream(spec.seed, STREAM_DATA_NOISE + 10 * stream_offset)
-    noisy = traj.outputs + rng.normal(0.0, spec.sigma_d, size=traj.outputs.shape)
+    rng = rng_stream(seed, STREAM_DATA_NOISE + 10 * stream_offset)
+    noisy = traj.outputs + rng.normal(0.0, sigma_d, size=traj.outputs.shape)
     return Trajectory(inputs=traj.inputs.copy(), outputs=traj.outputs.copy(),
                       noisy_outputs=noisy)

@@ -38,16 +38,10 @@ CDIST_CELLS = 1 << 20  # largest (samples x balls) distance block held at once
 ORACLE_DRAWS = 1000
 
 
-def sample_in_ball(rng, center, radius, count):
-    """Uniform samples from a closed ball (for soundness spot checks)."""
-    center = np.asarray(center, dtype=float)
-    return sample_in_balls(rng, center[None], [radius], count)[0]
-
-
 def sample_in_balls(rng, centers, radii, count):
     """``count`` uniform samples from each closed ball, shape (balls, count,
     dim).  Drawn ball by ball, directions then radii, so each ball's samples
-    equal a ``sample_in_ball`` call's at that point of the stream."""
+    equal a one-ball call's at that point of the stream."""
     balls, dim = centers.shape
     dirs, u = np.empty((balls, count, dim)), np.empty((balls, count))
     for d, v in zip(dirs, u):
@@ -230,7 +224,7 @@ def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
     names = [("interp_err", bounds.interp_err, False),
              ("input_dev", bounds.input_dev, True),
              ("state_dev", bounds.state_dev, True)]
-    if cfg.delay == 1:
+    if plant.delay == 1:
         names.append(("output_dev", bounds.output_dev, True))
     kinf_ok, kinf_detail = True, []
     for nm, fn, strict_all in names:
@@ -264,7 +258,7 @@ def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
                         dataset.states.max(axis=0) + spread], axis=1)
     viol_u, viol_y, viol_g, skipped = oracle_violations(
         plant, dataset, model, bounds, rng, box)
-    if cfg.plant == "numerical":
+    if plant.delay == 1:
         add("bound_validity_oracle", viol_u + viol_y + viol_g == 0,
             f"violations u/y/state {viol_u}/{viol_y}/{viol_g}, "
             f"{skipped} infeasible-pair skips of {ORACLE_DRAWS}")

@@ -19,8 +19,8 @@ def numerical_cfg(tmp_path_factory):
 @pytest.fixture(scope="session")
 def numerical_artifacts(numerical_cfg):
     dataset, model, controller = pipeline.load_artifacts(numerical_cfg)
-    bounds = pipeline.make_bounds(numerical_cfg, model.kernel)
-    plant = pipeline.make_plant(numerical_cfg)
+    bounds = numerical_cfg.make_bounds(model.kernel)
+    plant = numerical_cfg.make_plant()
     return dict(cfg=numerical_cfg, dataset=dataset, model=model,
                 controller=controller, bounds=bounds, plant=plant)
 
@@ -37,8 +37,8 @@ def pendulum_cfg(tmp_path_factory):
 @pytest.fixture(scope="session")
 def pendulum_artifacts(pendulum_cfg):
     dataset, model, controller = pipeline.load_artifacts(pendulum_cfg)
-    bounds = pipeline.make_bounds(pendulum_cfg, model.kernel)
-    plant = pipeline.make_plant(pendulum_cfg)
+    bounds = pendulum_cfg.make_bounds(model.kernel)
+    plant = pendulum_cfg.make_plant()
     return dict(cfg=pendulum_cfg, dataset=dataset, model=model,
                 controller=controller, bounds=bounds, plant=plant)
 

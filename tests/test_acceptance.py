@@ -41,7 +41,7 @@ def test_criterion_01_interpolation_exactness(numerical_cfg, pendulum_cfg):
     worst = 0.0
     for cfg in (numerical_cfg, pendulum_cfg):
         ds = pipeline.load_dataset(cfg)
-        kernel = pipeline.make_kernel_from_config(cfg)
+        kernel = cfg.make_kernel()
         model = fit_interpolant(kernel, ds, lam=0.0)
         worst = max(worst, float(np.max(np.abs(model.predict(ds.features)
                                                - ds.controls))))

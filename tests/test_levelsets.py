@@ -12,7 +12,7 @@ from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFam
                                index_set_slab, load_family, margin, max_plus,
                                nearest_table, pairwise_distances)
 
-from invctrl.verify import sample_in_ball
+from invctrl.verify import sample_in_balls
 
 from conftest import sampled_inradius, synth_dataset, synth_family
 
@@ -357,7 +357,7 @@ def test_family_recursion_soundness_sampled(numerical_artifacts):
     for j in range(1, min(4, len(fam.inradius))):  # later levels are empty
         idx = fam.present(j)[:20]
         for i, r in zip(idx, fam.inradius[j, idx]):
-            pts = sample_in_ball(rng, ds.succ_states[i], r, 50)
+            pts = sample_in_balls(rng, ds.succ_states[i:i + 1], [r], 50)[0]
             assert all(fam.contains(j - 1, p) for p in pts)
 
 
@@ -469,7 +469,7 @@ def test_nesting_counterexample_with_witness():
     # rejection-sample a witness point in level 0 but not level 1
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p = sample_in_ball(rng, ds.succ_states[1], 0.4, 1)[0]
+        p = sample_in_balls(rng, ds.succ_states[1:2], [0.4], 1)[0, 0]
         if fam.contains(0, p) and not fam.contains(1, p):
             break
     else:

@@ -15,7 +15,7 @@ from invctrl import pipeline, verify
 from invctrl.cli import build_parser, main
 from invctrl.config import ConfigError, default_config, load_config
 from invctrl.levelsets import ABSENT, NEAR_K, LevelFamily
-from invctrl.plants import rng_stream
+from invctrl.plants import NumericalPlant, PendulumPlant, rng_stream
 
 
 def test_default_configs_validate():
@@ -23,6 +23,16 @@ def test_default_configs_validate():
     default_config("pendulum").validate()
     with pytest.raises(ConfigError):
         default_config("robot")
+
+
+@pytest.mark.parametrize("plant,cls", [("numerical", NumericalPlant),
+                                       ("pendulum", PendulumPlant)])
+def test_order_and_delay_come_from_the_plant(plant, cls):
+    cfg = default_config(plant)
+    assert (cfg.order, cfg.delay) == (cls.order, cls.delay)
+    assert type(cfg.make_plant()) is cls
+    with pytest.raises(AttributeError):
+        cfg.delay = 1
 
 
 def test_config_file_overrides(tmp_path):
@@ -92,7 +102,8 @@ def test_cli_exit_code_on_config_error(tmp_path):
     ("id = numerical\n[bounds]\neta_mode = explicit\n", "eta_mode"),
     ("id = numerical\n[bounds]\ngamma_mode = linear\n",
      "linear gamma mode needs a positive slope"),
-    ("id = numerical\nnu = 2\n", "delay nu = 1"),
+    ("id = numerical\nnu = 2\n", "unknown key 'nu'"),
+    ("id = numerical\nn = 2\n", "unknown key 'n'"),
     ("id = numerical\n[kernel]\nsigma_l = 1, 1, 1, 1\n", "takes a single length scale"),
     ("id = numerical\n[simulate]\ninitial_conditions = nan, 0, 0\n",
      "initial_conditions must be finite"),
@@ -248,8 +259,8 @@ def _reference_escapes(fam, level, idx, samples, rng):
     prev_c, prev_r = fam.centers_radii(level - 1)
     escaped = []
     for i in idx:
-        pts = verify.sample_in_ball(rng, fam.dataset.succ_states[i],
-                                    fam.inradius[level, i], samples)
+        pts = verify.sample_in_balls(rng, fam.dataset.succ_states[i:i + 1],
+                                     [fam.inradius[level, i]], samples)[0]
         d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
         escaped.append(not (d <= prev_r[None, :]).any(axis=1).all())
     return np.array(escaped)
@@ -395,7 +406,8 @@ def test_recursion_draws_equal_per_entry_draws(request, monkeypatch, artifacts,
                          for j, idx in _selected_levels(fam, per_level) for i in idx])
         assert len(drawn) == 1 and np.array_equal(drawn[0], want)
     assert len(families) >= 9 and got_rng.random() == want_rng.random()
-    one = verify.sample_in_ball(np.random.default_rng(6), [0.1, -0.2, 0.3], 0.7, 40)
+    one = verify.sample_in_balls(np.random.default_rng(6), np.array([[0.1, -0.2, 0.3]]),
+                                 [0.7], 40)[0]
     assert np.array_equal(one, _reference_sample_in_ball(
         np.random.default_rng(6), [0.1, -0.2, 0.3], 0.7, 40))
 
@@ -466,7 +478,7 @@ def test_recursion_escapes_full_scan_finds_non_candidate_ball():
     # largest-slack ball: the shell samples are found inside only by the
     # full scan
     fam, rec = _cover_family(AXIS_BALLS, (0.0, 0.0, 0.0), 1.0)
-    pts = verify.sample_in_ball(np.random.default_rng(3), np.zeros(3), 1.0, 200)
+    pts = verify.sample_in_balls(np.random.default_rng(3), np.zeros((1, 3)), [1.0], 200)[0]
     assert (np.linalg.norm(pts, axis=1) > 0.9).sum() > 10
     assert _first_escape(fam, 200, 3) == (None, None)
     # without the covering balls the same samples escape
@@ -512,7 +524,7 @@ def test_recursion_escapes_empty_previous_level():
     got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
     verify.recursion_escapes(fam, 20, None, got_rng)
     for i in (3, 4):
-        verify.sample_in_ball(want_rng, ds.succ_states[i], fam.inradius[2, i], 20)
+        verify.sample_in_balls(want_rng, ds.succ_states[i:i + 1], [fam.inradius[2, i]], 20)
     assert got_rng.random() == want_rng.random()
 
 
@@ -617,7 +629,7 @@ def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale
     # holds through its own eps term
     art = request.getfixturevalue(artifacts)
     cfg = replace(art["cfg"], **{k: getattr(art["cfg"], k) * v for k, v in scale.items()})
-    bounds = pipeline.make_bounds(cfg, art["model"].kernel)
+    bounds = cfg.make_bounds(art["model"].kernel)
     args = (art["plant"], art["dataset"], art["model"], bounds)
     box = _reference_box(art["plant"], art["dataset"])
     got = verify.oracle_violations(*args, rng_stream(cfg.seed, verify.STREAM_VERIFY), box)
@@ -745,6 +757,36 @@ def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
     assert err.startswith("config error:") and message in err
 
 
+def test_cli_simulate_rejects_model_with_infeasible_input(numerical_cfg, tmp_path, capsys):
+    # the dump parses, but its first weight drives every estimated input
+    # below zero, outside the numerical plant's input band
+    import shutil
+    out = str(tmp_path / "infeasible")
+    shutil.copytree(numerical_cfg.outdir, out)
+    path = os.path.join(out, "model.txt")
+    lines = open(path).read().splitlines()
+    lines[8] = ",".join(lines[8].split(",")[:-1] + ["-1e6"])
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {path}: infeasible input at step 0 "
+                          "from initial condition 0 (non-positive input")
+
+
+@pytest.mark.parametrize("args,message", [
+    (["--seeds", "10"], "--seeds needs --noisy"),
+    (["--noisy", "--seeds", "0"], "--seeds must be at least 1"),
+])
+def test_run_pendulum_rejects_bad_seed_count(args, message):
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(root / "src"), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, str(root / "scripts" / "run_pendulum.py"), *args],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2 and message in proc.stderr
+
+
 def test_cli_help_lines_are_whole_sentences():
     # each stage's help is the first line of its docstring, a full sentence
     sub = next(a for a in build_parser()._actions
@@ -764,11 +806,11 @@ def test_rmse_displayed_formula():
 
 def test_effective_lam_noisy_default():
     cfg = default_config("pendulum")
-    assert pipeline.effective_lam(cfg) == 0.0
+    assert cfg.effective_lam() == 0.0
     cfg.noisy = True
-    assert pipeline.effective_lam(cfg) > 0.0
+    assert cfg.effective_lam() > 0.0
     cfg.lam = 0.7
-    assert pipeline.effective_lam(cfg) == 0.7
+    assert cfg.effective_lam() == 0.7
 
 
 def test_run_log_round_trip(numerical_cfg, tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from invctrl.config import default_config
 from invctrl.narx import build_dataset, merge_datasets
-from invctrl.plants import (InfeasibleInput, NoiseSpec, NumericalPlant,
+from invctrl.plants import (InfeasibleInput, NumericalPlant,
                             PendulumPlant, add_noise,
                             collect_numerical_trajectories,
                             collect_pendulum_trajectories, pi_trajectory,
@@ -209,18 +209,17 @@ def test_collect_pendulum_initial_amplitudes():
 
 def test_add_noise_zero_sigma_identity():
     t = collect_pendulum_trajectories()[0]
-    out = add_noise(t, NoiseSpec(sigma_d=0.0, sigma=0.0, seed=0))
+    out = add_noise(t, 0.0, 0)
     assert np.array_equal(out.noisy_outputs, t.outputs)
     assert np.array_equal(out.inputs, t.inputs)
 
 
 def test_add_noise_reproducible_and_seed_sensitive():
     t = collect_pendulum_trajectories()[0]
-    spec = NoiseSpec(sigma_d=0.01, sigma=0.01, seed=3)
-    a = add_noise(t, spec)
-    b = add_noise(t, spec)
+    a = add_noise(t, 0.01, 3)
+    b = add_noise(t, 0.01, 3)
     assert np.array_equal(a.noisy_outputs, b.noisy_outputs)
-    c = add_noise(t, NoiseSpec(sigma_d=0.01, sigma=0.01, seed=4))
+    c = add_noise(t, 0.01, 4)
     assert not np.array_equal(a.noisy_outputs, c.noisy_outputs)
 
 
