@@ -11,8 +11,7 @@ from .controller import Controller, StepCertificate
 from .interpolant import Interpolant, fit_interpolant
 from .kernels import ArdMatern52Kernel, IsotropicKernel, make_kernel
 from .levelsets import LevelFamily, build_level_family, check_nesting
-from .narx import (NarxDataset, Trajectory, build_dataset, merge_datasets,
-                   shift_state)
+from .narx import NarxDataset, Trajectory, build_dataset, shift_state
 from .plants import (NumericalPlant, PendulumPlant, add_noise,
                      collect_numerical_trajectories,
                      collect_pendulum_trajectories)
@@ -23,7 +22,7 @@ __all__ = [
     "DeviationBounds", "Controller", "StepCertificate", "Interpolant",
     "fit_interpolant", "ArdMatern52Kernel",
     "IsotropicKernel", "make_kernel", "LevelFamily", "build_level_family",
-    "check_nesting", "NarxDataset", "Trajectory", "build_dataset", "merge_datasets",
+    "check_nesting", "NarxDataset", "Trajectory", "build_dataset",
     "shift_state", "NumericalPlant", "PendulumPlant",
     "add_noise", "collect_numerical_trajectories",
     "collect_pendulum_trajectories",

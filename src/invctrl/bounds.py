@@ -17,6 +17,9 @@ Lipschitz constant of the inverse model ``lip_c``, RKHS-norm bound
   One ``state_dev`` evaluation per bisection step serves the step's stopping
   test and the next step's side test; delay 1 evaluates ``input_dev`` once.
 
+Each bound is one private formula; the public methods check ``eps >= 0`` and
+call it, the bisection calls it directly, and ``kbar(0)`` is read once.
+
 The profile ``interp_err`` is one concrete choice of class-K error
 bound; tighter bounds exist for specific kernels.  For anisotropic kernels
 pass the profile evaluated at the most conservative (smallest) length scale.
@@ -65,48 +68,53 @@ class DeviationBounds:
             raise ValueError("interp_err needs the kernel profile and its deficit")
         if self.gamma_mode == "linear" and self.gamma_slope <= 0:
             raise ValueError("linear gamma mode needs a positive slope")
+        # kbar(0), read once: every interp_err evaluation divides by it
+        object.__setattr__(self, "_k0", float(self.profile(0.0)))
 
-    @staticmethod
-    def _check_eps(eps):
+    def _checked(self, formula, eps):
+        """``formula`` at checked ``eps``; a float for scalar ``eps``."""
         eps = np.asarray(eps, dtype=float)
         if np.any(eps < 0):
             raise ValueError("eps must be >= 0")
-        return eps
+        out = formula(eps)
+        return float(out) if np.ndim(out) == 0 else out
+
+    def _interp_err(self, eps):
+        deficit = np.asarray(self.profile_deficit(eps), dtype=float)
+        return self.rkhs_bound * np.sqrt(np.maximum(0.0, deficit / self._k0))
+
+    def _input_dev(self, eps):
+        return self.lip_c * eps + self._interp_err(eps)
+
+    def _output_dev(self, eps, u):
+        return self.lip_f * (eps + u)
+
+    def _state_dev(self, eps):
+        if self.gamma_mode == "linear":
+            return self.gamma_slope * eps
+        u = self._input_dev(eps)
+        if self.delay == 1:
+            return u + self._output_dev(eps, u) + eps
+        return u + (1.0 + self.lip_f) * eps
 
     def interp_err(self, eps):
         """Class-K bound on |c(x) - chat(x)| given distance-to-data eps."""
-        eps = self._check_eps(eps)
-        k0 = float(self.profile(0.0))
-        deficit = np.asarray(self.profile_deficit(eps), dtype=float)
-        out = self.rkhs_bound * np.sqrt(np.maximum(0.0, deficit / k0))
-        return float(out) if out.ndim == 0 else out
+        return self._checked(self._interp_err, eps)
 
     def input_dev(self, eps):
         """Bound on the gap between a stored control and the estimate
         evaluated at a state eps away from the stored one."""
-        eps = self._check_eps(eps)
-        out = self.lip_c * eps + self.interp_err(eps)
-        return float(out) if np.ndim(out) == 0 else out
+        return self._checked(self._input_dev, eps)
 
     def output_dev(self, eps):
         """Bound on the resulting next-output gap (delay 1 only)."""
         if self.delay != 1:
             raise ValueError("output_dev is defined for delay 1 only")
-        eps = self._check_eps(eps)
-        out = self.lip_f * (eps + self.input_dev(eps))
-        return float(out) if np.ndim(out) == 0 else out
+        return self._checked(lambda e: self._output_dev(e, self._input_dev(e)), eps)
 
     def state_dev(self, eps):
         """Bound on the successor-state gap; drives the certificates."""
-        eps = self._check_eps(eps)
-        if self.gamma_mode == "linear":
-            out = self.gamma_slope * eps
-        elif self.delay == 1:
-            u = self.input_dev(eps)
-            out = u + self.lip_f * (eps + u) + eps
-        else:
-            out = self.input_dev(eps) + (1.0 + self.lip_f) * eps
-        return float(out) if np.ndim(out) == 0 else out
+        return self._checked(self._state_dev, eps)
 
     def state_dev_inv(self, r):
         """eps with |state_dev(eps) - r| <= 1e-10 * max(1, r).
@@ -134,7 +142,7 @@ class DeviationBounds:
             rp = r[pos]
             hi = np.ones_like(rp)
             for _ in range(_MAX_DOUBLINGS):
-                bad = self.state_dev(hi) < rp
+                bad = self._state_dev(hi) < rp
                 if not bad.any():
                     break
                 hi[bad] *= 2.0
@@ -146,13 +154,13 @@ class DeviationBounds:
                 raise ValueError("bracket growth exceeded the doubling budget")
             lo = np.zeros_like(rp)
             mid = 0.5 * (lo + hi)
-            at_mid = self.state_dev(mid)
+            at_mid = self._state_dev(mid)
             for _ in range(_BISECT_ITERS):
                 le = at_mid <= rp
                 lo = np.where(le, mid, lo)
                 hi = np.where(le, hi, mid)
                 mid = 0.5 * (lo + hi)
-                at_mid = self.state_dev(mid)
+                at_mid = self._state_dev(mid)
                 if np.all(np.abs(at_mid - rp)
                           <= 0.1 * _INV_REL_TOL * np.maximum(1.0, rp)):
                     break

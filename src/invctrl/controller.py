@@ -61,10 +61,13 @@ class Controller:
         for f in families:
             if f.dataset is not self.dataset:
                 raise ValueError("families must share one dataset")
-        # reach[k, i]: largest certified radius of record i over levels 1..k+1;
-        # top[f, i]: the same over all levels of family f (ABSENT if none)
-        self._reach = [np.maximum.accumulate(f.cert_radius[1:], axis=0)
-                       for f in families]
+        # reach[k, i]: largest certified radius of record i over levels 1..k+1,
+        # a running max row by row (faster than ``maximum.accumulate`` on
+        # axis 0); top[f, i]: the same over all levels of family f (ABSENT if none)
+        self._reach = [f.cert_radius[1:].copy() for f in families]
+        for reach in self._reach:
+            for j in range(1, len(reach)):
+                np.maximum(reach[j - 1], reach[j], out=reach[j])
         self._top = np.array([f.cert_radius[1:].max(axis=0, initial=ABSENT)
                               for f in families])
 

@@ -11,9 +11,13 @@ target, where ``target`` is the output ``delay`` steps ahead:
   ahead), ``N = T - n``.
 
 Each record also stores the one-step successor state, obtained by shifting
-the state with the recorded next output and the applied input.  Exact
-duplicate features are dropped (bitwise equality; no tolerance), keeping the
-first occurrence.
+the state with the recorded next output and the applied input.
+
+All trajectories are windowed at once, by index arithmetic on their
+concatenated outputs and inputs, so the number of NumPy calls does not grow
+with the records or trajectories.  Exact duplicate features are dropped in
+one global pass (bitwise equality, so ``-0.0`` and ``0.0`` differ; no
+tolerance), keeping the first occurrence in trajectory order, then time.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ __all__ = [
     "Trajectory",
     "NarxDataset",
     "shift_state",
+    "TrajectoryError",
     "build_dataset",
-    "merge_datasets",
     "read_trajectory",
     "write_trajectory",
 ]
@@ -120,82 +124,61 @@ class NarxDataset:
         return 2 * self.order
 
 
-def _dedup_rows(features):
-    """Indices of first occurrences of bitwise-distinct feature rows,
-    in original order."""
-    first = {}
-    for i, row in enumerate(features):
-        first.setdefault(row.tobytes(), i)
-    return np.array(list(first.values()), dtype=int)
+class TrajectoryError(ValueError):
+    """A trajectory, at position ``index`` of the input, yielding no records."""
+
+    def __init__(self, index, message):
+        super().__init__(message)
+        self.index = index
 
 
-def build_dataset(traj: Trajectory, order: int, delay: int = 1,
+def build_dataset(trajs, order: int, delay: int = 1,
                   noisy: bool = False) -> NarxDataset:
-    """Window a trajectory into inverse-model training records.
+    """Window one trajectory, or a sequence of them, into inverse-model
+    training records, keeping the first of each bitwise-distinct feature row.
 
-    With ``noisy=True`` the records are built from ``traj.noisy_outputs``
-    (inputs are always exact).
+    With ``noisy=True`` the records are built from ``noisy_outputs``
+    (inputs are always exact).  A trajectory too short for one record, or
+    without the noisy outputs asked for, raises ``TrajectoryError``.
     """
+    if isinstance(trajs, Trajectory):
+        trajs = [trajs]
     n = int(order)
     if delay not in (1, 2):
         raise ValueError("delay must be 1 or 2")
-    T = traj.horizon
+    if not trajs:
+        raise ValueError("no trajectories to window")
     min_T = n if delay == 1 else n + 1
-    if T < min_T:
-        raise ValueError(f"trajectory too short: horizon {T} < {min_T}")
-    if noisy:
-        if traj.noisy_outputs is None:
-            raise ValueError("trajectory has no noisy outputs")
-        y = traj.noisy_outputs
-    else:
-        y = traj.outputs
-    u = traj.inputs
-
-    N = T - n + 1 if delay == 1 else T - n
-    feats, states, targets, controls, succs = [], [], [], [], []
-    for i in range(1, N + 1):
-        t = i + n - 2  # decision-time index into the file arrays
-        state = np.concatenate([y[i - 1:i + n - 1], u[i - 1:i + n - 2]])
-        y_next = y[t + 1]
-        target = y_next if delay == 1 else y[t + 2]
-        states.append(state)
-        targets.append(target)
-        controls.append(u[t])
-        feats.append(np.concatenate([[target], state]))
-        succs.append(shift_state(state, y_next, u[t]))
-    feats = np.array(feats)
-    keep = _dedup_rows(feats)
+    ys = []
+    for k, traj in enumerate(trajs):
+        if traj.horizon < min_T:
+            raise TrajectoryError(k, f"trajectory too short: horizon {traj.horizon} < {min_T}")
+        if noisy and traj.noisy_outputs is None:
+            raise TrajectoryError(k, "trajectory has no noisy outputs")
+        ys.append(traj.noisy_outputs if noisy else traj.outputs)
+    yu = np.concatenate(ys + [traj.inputs for traj in trajs])
+    horizons = np.array([traj.horizon for traj in trajs])
+    counts = horizons - min_T + 1
+    # decision time t of each record, n-1 .. n-2+N in its own trajectory,
+    # as an index of y(t) and of u(t) into ``yu`` (outputs, then inputs)
+    t = np.arange(counts.sum()) - np.repeat(np.cumsum(counts) - counts, counts) + (n - 1)
+    t_y = t + np.repeat(np.cumsum(horizons + 1) - horizons - 1, counts)
+    t_u = t + np.repeat((horizons + 1).sum() + np.cumsum(horizons) - horizons, counts)
+    lags = np.arange(1 - n, 1)
+    # [target; y(t-n+1..t); u(t-n+1..t-1)]; a successor index is its state index + 1
+    idx = np.hstack([(t_y + delay)[:, None], t_y[:, None] + lags, t_u[:, None] + lags[:-1]])
+    feats = yu[idx]
+    rows = feats.view(np.dtype((np.void, feats.itemsize * feats.shape[1]))).ravel()
+    keep = np.sort(np.unique(rows, return_index=True)[1])
+    idx = idx[keep]
     return NarxDataset(
         order=n,
         delay=delay,
         features=feats[keep],
-        states=np.array(states)[keep],
-        targets=np.array(targets)[keep],
-        controls=np.array(controls)[keep],
-        succ_states=np.array(succs)[keep],
-    )
-
-
-def merge_datasets(datasets) -> NarxDataset:
-    """Concatenate datasets sharing (order, delay), deduplicating features
-    globally (first occurrence wins)."""
-    datasets = list(datasets)
-    if not datasets:
-        raise ValueError("nothing to merge")
-    first = datasets[0]
-    for d in datasets[1:]:
-        if d.order != first.order or d.delay != first.delay:
-            raise ValueError("datasets disagree on order or delay")
-    feats = np.concatenate([d.features for d in datasets])
-    keep = _dedup_rows(feats)
-    return NarxDataset(
-        order=first.order,
-        delay=first.delay,
-        features=feats[keep],
-        states=np.concatenate([d.states for d in datasets])[keep],
-        targets=np.concatenate([d.targets for d in datasets])[keep],
-        controls=np.concatenate([d.controls for d in datasets])[keep],
-        succ_states=np.concatenate([d.succ_states for d in datasets])[keep],
+        states=yu[idx[:, 1:]],
+        targets=yu[idx[:, 0]],
+        controls=yu[t_u[keep]],
+        succ_states=yu[idx[:, 1:] + 1],
     )
 
 

@@ -32,7 +32,7 @@ from .controller import Controller
 from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
 from .levelsets import (build_level_family, check_nesting, dump_family,
                         load_family, pairwise_distances)
-from .narx import (FLOAT_FMT, NarxDataset, build_dataset, merge_datasets,
+from .narx import (FLOAT_FMT, NarxDataset, TrajectoryError, build_dataset,
                    read_trajectory, shift_state, write_trajectory)
 from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
                      collect_numerical_trajectories,
@@ -121,14 +121,19 @@ def _read_manifest(paths):
 
 
 def load_dataset(cfg: RunConfig) -> NarxDataset:
-    """Rebuild the training dataset from the collected trajectory files."""
+    """Rebuild the training dataset from the collected trajectory files:
+    read every file the manifest lists, then window them all in one
+    ``build_dataset`` call.  A manifest listing no file, or a file that
+    yields no records, raises ``ConfigError`` naming it."""
     paths = _paths(cfg)
-    names = _read_manifest(paths)
-    parts = []
-    for name in names:
-        traj = read_trajectory(os.path.join(paths["trajdir"], name))
-        parts.append(build_dataset(traj, cfg.order, cfg.delay, noisy=cfg.noisy))
-    return merge_datasets(parts)
+    files = [os.path.join(paths["trajdir"], name) for name in _read_manifest(paths)]
+    if not files:
+        raise ConfigError(f"{paths['manifest']}: lists no trajectory files")
+    trajs = [read_trajectory(path) for path in files]
+    try:
+        return build_dataset(trajs, cfg.order, cfg.delay, noisy=cfg.noisy)
+    except TrajectoryError as exc:
+        raise ConfigError(f"{files[exc.index]}: {exc}") from None
 
 
 # ---------------------------------------------------------------- build

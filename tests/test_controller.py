@@ -147,6 +147,35 @@ def test_locate_skips_family_without_action_levels(synth):
     assert_locate_matches_brute(ctl, [ds.states[0], ds.states[1], ds.states[2]])
 
 
+def assert_reach_is_running_max(ctl):
+    for f, reach in zip(ctl.families, ctl._reach):
+        want = np.maximum.accumulate(f.cert_radius[1:], axis=0)
+        assert reach.shape == want.shape and reach.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("plant", ["numerical", "pendulum"])
+def test_reach_equals_accumulate_bitwise(plant, request):
+    ctl = request.getfixturevalue(f"{plant}_artifacts")["controller"]
+    assert max(len(reach) for reach in ctl._reach) >= 2
+    assert_reach_is_running_max(ctl)
+
+
+def test_reach_equals_accumulate_synth(synth):
+    ds, fam_01, fam_05 = synth
+    # ABSENT cells before, between and after a record's balls, an all-ABSENT
+    # last row (fam_05), and a family storing level 0 only (no reach rows)
+    gaps = synth_family(ds, 0.2, [
+        [(0, 0.1, 0.01)],
+        [(1, 0.05, 0.02)],
+        [(0, 0.05, 0.03)],
+        [(2, 0.05, 0.001), (1, 0.05, 0.01)],
+    ])
+    level0 = synth_family(ds, 0.05, [[(i, 0.04, 0.003) for i in range(3)]])
+    ctl = Controller([level0, fam_01, fam_05, gaps], IdentityModel())
+    assert ctl._reach[0].shape == (0, 3)
+    assert_reach_is_running_max(ctl)
+
+
 def test_locate_deepest_stored_level(synth):
     ds, _, fam_05 = synth
     # record 1 reaches the probe, on the sphere of its ball, only at the last

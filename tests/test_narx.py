@@ -2,9 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from invctrl.narx import (NarxDataset, Trajectory, build_dataset,
-                          merge_datasets, read_trajectory, shift_state,
-                          write_trajectory)
+from invctrl.narx import (NarxDataset, Trajectory, TrajectoryError, build_dataset,
+                          read_trajectory, shift_state, write_trajectory)
 
 
 def traj(T, seed=0):
@@ -91,35 +90,45 @@ def test_selector_slices_consistent():
 
 
 def test_merge_single_identity():
-    ds = build_dataset(traj(6, seed=4), order=2, delay=1)
-    merged = merge_datasets([ds])
+    t = traj(6, seed=4)
+    ds = build_dataset(t, order=2, delay=1)
+    merged = build_dataset([t], order=2, delay=1)
     assert np.array_equal(merged.features, ds.features)
     assert np.array_equal(merged.succ_states, ds.succ_states)
 
 
 def test_merge_disjoint_counts():
-    a = build_dataset(traj(4, seed=10), order=2, delay=1)  # 3 records
-    b = build_dataset(traj(5, seed=11), order=2, delay=1)  # 4 records
-    assert len(merge_datasets([a, b])) == 7
+    a = traj(4, seed=10)  # 3 records
+    b = traj(5, seed=11)  # 4 records
+    assert len(build_dataset([a, b], order=2, delay=1)) == 7
 
 
 def test_merge_dedup_shared_record():
     t = traj(5, seed=12)
     a = build_dataset(t, order=2, delay=1)
-    # second dataset shares the first trajectory's tail; oracle: exhaustive
+    # second trajectory shares the first one's tail; oracle: exhaustive
     # set union over feature rows
     t2 = Trajectory(inputs=t.inputs[1:], outputs=t.outputs[1:])
     b = build_dataset(t2, order=2, delay=1)
-    merged = merge_datasets([a, b])
+    merged = build_dataset([t, t2], order=2, delay=1)
     union = {row.tobytes() for row in np.concatenate([a.features, b.features])}
     assert len(merged) == len(union) == len(a) + len(b) - 3
 
 
 def test_merge_rejects_mismatched_shape():
-    a = build_dataset(traj(6), order=2, delay=1)
-    b = build_dataset(traj(6), order=2, delay=2)
+    # one call windows every trajectory with one (order, delay); it rejects
+    # an empty sequence, a delay other than 1 or 2, and names the position
+    # of a trajectory that yields no record
     with pytest.raises(ValueError):
-        merge_datasets([a, b])
+        build_dataset([], order=2, delay=1)
+    with pytest.raises(ValueError):
+        build_dataset([traj(6)], order=2, delay=3)
+    with pytest.raises(TrajectoryError, match="horizon 1 < 2") as exc:
+        build_dataset([traj(6), traj(6), traj(1)], order=2, delay=1)
+    assert exc.value.index == 2
+    with pytest.raises(TrajectoryError, match="no noisy outputs") as exc:
+        build_dataset([traj(6)], order=2, delay=1, noisy=True)
+    assert exc.value.index == 0
 
 
 def test_duplicate_features_dropped_bitwise():
@@ -136,9 +145,75 @@ def test_build_invariants_random(seed, T, n):
     ds = build_dataset(t, order=n, delay=1)
     assert np.array_equal(ds.features,
                           np.concatenate([ds.targets[:, None], ds.states], axis=1))
-    # dedup idempotence: merging a dataset with itself is the identity
-    again = merge_datasets([ds, ds])
+    # dedup idempotence: a trajectory windowed twice adds no record
+    again = build_dataset([t, t], order=n, delay=1)
     assert np.array_equal(again.features, ds.features)
+
+
+def reference_dataset(trajs, n, delay, noisy):
+    """The per-record loop: each window built with ``concatenate`` and
+    ``shift_state``, first occurrences of each feature row's bytes kept per
+    trajectory, then again over all trajectories.  Returns features,
+    states, targets, controls and successor states."""
+    def first_occurrences(rows):
+        first = {}
+        for i, row in enumerate(rows):
+            first.setdefault(row[0].tobytes(), i)
+        return [rows[i] for i in first.values()]
+
+    records = []
+    for traj in trajs:
+        y = traj.noisy_outputs if noisy else traj.outputs
+        u = traj.inputs
+        rows = []
+        for i in range(1, traj.horizon - n + (2 if delay == 1 else 1)):
+            t = i + n - 2
+            state = np.concatenate([y[i - 1:i + n - 1], u[i - 1:i + n - 2]])
+            target = y[t + delay]
+            rows.append((np.concatenate([[target], state]), state, target, u[t],
+                         shift_state(state, y[t + 1], u[t])))
+        records += first_occurrences(rows)
+    return [np.array(col) for col in zip(*first_occurrences(records))]
+
+
+def mixed_trajectories(seed):
+    """Trajectories of mixed length over four values, signed zeros among
+    them, so feature rows repeat within and across files."""
+    rng = np.random.default_rng(seed)
+    values = np.array([0.0, -0.0, 0.5, -1.25])
+
+    def draw(T):
+        return Trajectory(inputs=rng.choice(values, T),
+                          outputs=rng.choice(values, T + 1),
+                          noisy_outputs=rng.choice(values, T + 1))
+    def zeros_flipped(x):
+        out = x.copy()
+        out[out == 0] *= -1.0
+        return out
+    a, b, c = draw(12), draw(5), draw(30)
+    flat = Trajectory(inputs=np.full(8, 0.5), outputs=np.full(9, 0.5),
+                      noisy_outputs=np.full(9, -0.0))
+    twin = Trajectory(*(zeros_flipped(x) for x in (a.inputs, a.outputs, a.noisy_outputs)))
+    return [a, b, a, c, flat, b, twin]
+
+
+@pytest.mark.parametrize("noisy", [False, True], ids=["clean", "noisy"])
+@pytest.mark.parametrize("delay", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_windowing_equals_per_record_loop_bitwise(n, delay, noisy):
+    trajs = mixed_trajectories(seed=10 * n + delay)
+    ds = build_dataset(trajs, order=n, delay=delay, noisy=noisy)
+    want = reference_dataset(trajs, n, delay, noisy)
+    got = [ds.features, ds.states, ds.targets, ds.controls, ds.succ_states]
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+    windows = sum(t.horizon - n + (1 if delay == 1 else 0) for t in trajs)
+    assert len(ds) < windows  # duplicate rows were dropped
+    # kept rows are bytewise distinct, so rows equal under == differ only
+    # in the sign of a zero; some must be present
+    equal = (ds.features[:, None, :] == ds.features[None, :, :]).all(axis=2)
+    assert equal.sum() > len(ds)
 
 
 def test_trajectory_io_round_trip(tmp_path):

@@ -757,6 +757,33 @@ def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
     assert err.startswith("config error:") and message in err
 
 
+@pytest.mark.parametrize("case,stages,message", [
+    ("too_short", ["build"],
+     "trajectories/traj_0000.csv: trajectory too short: horizon 1 < 3"),
+    ("not_noisy", ["build"],
+     "trajectories/traj_0000.csv: trajectory has no noisy outputs"),
+    ("no_files", ["build", "simulate"], "manifest.txt: lists no trajectory files"),
+])
+def test_cli_rejects_trajectories_without_records(tmp_path, capsys, case, stages, message):
+    out = str(tmp_path / case)
+    cfg = default_config("pendulum")
+    cfg.outdir = out
+    pipeline.cmd_collect(cfg, log=lambda *a: None)
+    manifest = os.path.join(out, "manifest.txt")
+    if case == "too_short":
+        open(os.path.join(out, "trajectories", "traj_0000.csv"), "w").write(
+            "t,u,y\n0,0.5,0.1\n1,,0.2\n")
+    elif case == "no_files":
+        lines = open(manifest).read().splitlines()
+        open(manifest, "w").write("\n".join(l for l in lines if not l.startswith("file")))
+    flags = ["--noisy"] if case == "not_noisy" else []
+    for stage in stages:
+        capsys.readouterr()
+        assert main([stage, "--plant", "pendulum", "--out", out, *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and message in err
+
+
 def test_cli_simulate_rejects_model_with_infeasible_input(numerical_cfg, tmp_path, capsys):
     # the dump parses, but its first weight drives every estimated input
     # below zero, outside the numerical plant's input band

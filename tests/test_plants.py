@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from invctrl.config import default_config
-from invctrl.narx import build_dataset, merge_datasets
+from invctrl.narx import build_dataset
 from invctrl.plants import (InfeasibleInput, NumericalPlant,
                             PendulumPlant, add_noise,
                             collect_numerical_trajectories,
@@ -95,7 +95,7 @@ def test_collect_numerical_shape_and_count():
     for t in trajs:
         assert t.horizon == 2 and len(t.outputs) == 3
         assert t.outputs[0] == t.outputs[1]  # tied initial pair
-    ds = merge_datasets([build_dataset(t, 2, 1) for t in trajs])
+    ds = build_dataset(trajs, 2, 1)
     assert len(ds) == 280
     grid_y = set(np.linspace(-1, 1, 7).round(12))
     grid_u = set(np.linspace(0, 1, 4).round(12))
@@ -194,7 +194,7 @@ def test_collect_pendulum_counts():
     trajs = collect_pendulum_trajectories()
     assert len(trajs) == 6
     assert all(t.horizon == 200 for t in trajs)
-    ds = merge_datasets([build_dataset(t, 2, 2) for t in trajs])
+    ds = build_dataset(trajs, 2, 2)
     assert len(ds) == 6 * 198  # actual record count; windowing drops 2 per run
 
 
