@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark two checkouts in alternating pairs and compare their medians.
 
-Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --seeds a,b,...
+Usage: python scripts/bench_pairs.py PARENT CHANGE --workload W --seeds a,b,... [--json PATH]
 
 For each seed, ``perfbench/run.py --workload W --seed S --seconds 60 --trace 0``
 runs once in each checkout, one after the other: the parent goes first on
@@ -14,15 +14,18 @@ number of pairs in which the change did better.  The verdict is ``gain``
 when the change did better in at least 9 of 10 pairs and its median is
 better than the parent's by more than the parent's interquartile range,
 ``worse`` when its median is worse than the parent's by more than the
-metric's ``bound`` (a share of the parent's median), else ``-``.  Runs
-write nothing in either checkout beyond perfbench's own work directory
-(bytecode caching is off).  Exits 1 if a run fails or reports ``correct``
+metric's ``bound`` (a share of the parent's median), else ``-``.  With
+``--json PATH`` the same figures, every pair's values, the seeds and each
+side's environment are also stored under the workload's name in that JSON
+file, next to any other workload it holds.  Runs write nothing in either
+checkout beyond perfbench's own work directory (bytecode caching is off).  Exits 1 if a run fails or reports ``correct``
 false, else 0.
 """
 
 import argparse
 import json
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -40,11 +43,15 @@ def run(checkout, workload, seed, seconds):
     if proc.returncode != 0 or not lines:
         sys.stderr.write(proc.stderr[-2000:])
         return None
-    return json.loads(lines[-1])
+    res = json.loads(lines[-1])
+    res["environment"] = next((json.loads(line[4:]) for line in lines
+                               if line.startswith("ENV ")), None)
+    return res
 
 
-def summary(metrics, results):
-    """Per metric: verdict, parent and change medians, parent quartiles, wins."""
+def compare(metrics, results):
+    """Per metric with values on both sides: its verdict, both medians, the
+    parent's quartiles, the median change, the wins and ties, and the pairs."""
     rows = []
     for m in metrics:
         name, lower = m["name"], m["better"] == "lower"
@@ -56,16 +63,43 @@ def summary(metrics, results):
         q1, med_old, q3 = np.percentile(old, [25, 50, 75])
         med_new = np.median(new)
         wins = int(np.sum(new < old if lower else new > old))
-        ties = int(np.sum(new == old))
-        change = 100.0 * (med_new - med_old) / med_old if med_old else 0.0
         gained = med_old - med_new if lower else med_new - med_old
         verdict = ("gain" if 10 * wins >= 9 * len(pairs) and gained > q3 - q1
                    else "worse" if -gained > m["bound"] * abs(med_old) else "-")
-        rows.append(f"{verdict:5s} {name:14s} {m['unit']:3s} parent {med_old:.6g} "
-                    f"[q1 {q1:.6g}, q3 {q3:.6g}, iqr {q3 - q1:.3g}]  change {med_new:.6g} "
-                    f"({change:+.1f} %)  wins {wins}/{len(pairs)}"
-                    + (f" ties {ties}" if ties else ""))
+        rows.append({
+            "name": name, "unit": m["unit"], "better": m["better"], "bound": m["bound"],
+            "verdict": verdict, "parent_median": float(med_old), "parent_q1": float(q1),
+            "parent_q3": float(q3), "change_median": float(med_new),
+            "change_pct": 100.0 * float(med_new - med_old) / med_old if med_old else 0.0,
+            "wins": wins, "ties": int(np.sum(new == old)), "pairs": [list(p) for p in pairs],
+        })
     return rows
+
+
+def summary(metrics, results):
+    """One line per metric of ``compare``, verdict first."""
+    return [f"{r['verdict']:5s} {r['name']:14s} {r['unit']:3s} parent {r['parent_median']:.6g} "
+            f"[q1 {r['parent_q1']:.6g}, q3 {r['parent_q3']:.6g}, "
+            f"iqr {r['parent_q3'] - r['parent_q1']:.3g}]  change {r['change_median']:.6g} "
+            f"({r['change_pct']:+.1f} %)  wins {r['wins']}/{len(r['pairs'])}"
+            + (f" ties {r['ties']}" if r["ties"] else "")
+            for r in compare(metrics, results)]
+
+
+def write_json(path, workload, seeds, metrics, results):
+    """Store ``compare``'s rows, the seeds and each side's environment (the
+    ``ENV`` line of its first run) under ``workload`` in the JSON file at
+    ``path``; other workloads already in the file are kept."""
+    path = Path(path)
+    doc = json.loads(path.read_text()) if path.is_file() else {"workloads": {}}
+    doc["workloads"][workload] = {
+        "seeds": list(seeds),
+        "environment": {side: next((r.get("environment") for r in runs), None)
+                        for side, runs in zip(("parent", "change"), zip(*results))},
+        "host": {"platform": platform.platform(), "nproc": os.cpu_count()},
+        "metrics": compare(metrics, results),
+    }
+    path.write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main(argv=None):
@@ -75,6 +109,8 @@ def main(argv=None):
     ap.add_argument("change")
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, help="comma-separated seeds")
+    ap.add_argument("--json", metavar="PATH",
+                    help="also store the comparison under the workload in this JSON file")
     args = ap.parse_args(argv)
     sides = {"parent": Path(args.parent).resolve(), "change": Path(args.change).resolve()}
     for side, path in sides.items():
@@ -104,6 +140,8 @@ def main(argv=None):
     print(f"\n{args.workload}: {len(results)} pairs, seeds {args.seeds}")
     for line in summary(spec["end_to_end"], results):
         print(line)
+    if args.json:
+        write_json(args.json, args.workload, seeds, spec["end_to_end"], results)
     return 0 if ok else 1
 
 

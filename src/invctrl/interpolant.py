@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -33,7 +34,7 @@ from scipy.spatial.distance import cdist
 
 from .config import ConfigError
 from .kernels import make_kernel
-from .narx import FLOAT_FMT, NarxDataset
+from .narx import FLOAT_FMT, NarxDataset, parse_floats
 
 __all__ = [
     "Interpolant",
@@ -169,30 +170,46 @@ def dump_interpolant(path, model: Interpolant):
 
 def load_interpolant(path) -> Interpolant:
     """Reload a dumped model without refitting (the Cholesky factor is rebuilt
-    on the first ``power`` call); a malformed dump raises ``ConfigError``."""
-    meta = {}
-    rows = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if "=" in line and not line[0].isdigit() and not line.startswith("-"):
-                key, _, val = line.partition("=")
-                meta[key.strip()] = val.strip()
-                continue
-            try:
-                rows.append([float(v) for v in line.split(",")])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: bad model row {line!r}") from None
+    on the first ``power`` call).
+
+    The leading ``key = value`` lines are the header; every later non-blank
+    line is a model row, and all rows are converted to floats in one call,
+    bitwise equal to ``float()`` of each cell.  A row without ``dim + 2``
+    fields or with a value that is not a finite number raises ``ConfigError``
+    at ``path:line``; a missing or bad header key, or a row count other than
+    ``N``, raises ``ConfigError`` at ``path`` ("not a model dump")."""
+    with open(path, "rb", buffering=0) as fh:
+        lines = fh.read().splitlines()
+    meta, h = {}, len(lines)
+    for i, raw in enumerate(lines):
+        line = raw.decode(errors="replace").strip()
+        if not line:
+            continue
+        if not ("=" in line and not line[0].isdigit() and not line.startswith("-")):
+            h = i
+            break
+        key, _, val = line.partition("=")
+        meta[key.strip()] = val.strip()
     try:
         kernel = make_kernel(meta["family"], float(meta["sigma_f"]),
                              [float(v) for v in meta["sigma_l"].split(",")])
         dim, lam, jitter = int(meta["dim"]), float(meta["lambda"]), float(meta["jitter"])
-        data = np.array(rows)
-        if data.shape != (int(meta["N"]), dim + 2):
-            raise ValueError(f"rows of shape {data.shape}, N = {meta['N']}, dim = {dim}")
+        N = int(meta["N"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: not a model dump ({type(exc).__name__}: {exc})") from None
+    rows = list(filter(None, map(bytes.strip, lines[h:])))
+    wrong = np.flatnonzero(np.array(list(map(bytes.count, rows, repeat(b","))), dtype=int)
+                           != dim + 1)
+    n = int(wrong[0]) if wrong.size else len(rows)
+    vals, bad = parse_floats(b",".join(rows[:n]).split(b",") if n else [])
+    if bad is not None or wrong.size:
+        r = n if bad is None else bad // (dim + 2)
+        lineno = [i for i, raw in enumerate(lines[h:], h + 1) if raw.strip()][r]
+        raise ConfigError(f"{path}:{lineno}: bad model row "
+                          f"{rows[r].decode(errors='replace')!r}")
+    data = vals.reshape(n, dim + 2)
+    if data.shape != (N, dim + 2):
+        raise ConfigError(f"{path}: not a model dump (ValueError: rows of shape "
+                          f"{data.shape}, N = {N}, dim = {dim})")
     return Interpolant(kernel=kernel, train_x=data[:, :dim], train_u=data[:, dim],
                        alpha=data[:, dim + 1], lam=lam, jitter=jitter)

@@ -18,13 +18,20 @@ concatenated outputs and inputs, so the number of NumPy calls does not grow
 with the records or trajectories.  Exact duplicate features are dropped in
 one global pass (bitwise equality, so ``-0.0`` and ``0.0`` differ; no
 tolerance), keeping the first occurrence in trajectory order, then time.
+
+Trajectory files are read the same way: ``read_trajectories`` reads each
+file whole, splits the rows of all of them in one pass and converts each
+column with one call across all files, bitwise equal to ``float()`` of each
+cell; a per-cell scan runs only when that conversion fails, to name the line.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
-from typing import Optional
+from itertools import repeat
+from typing import List, Optional
 
 import numpy as np
 
@@ -34,11 +41,13 @@ __all__ = [
     "shift_state",
     "TrajectoryError",
     "build_dataset",
+    "read_trajectories",
     "read_trajectory",
     "write_trajectory",
 ]
 
 FLOAT_FMT = ".17g"
+_HEADERS = {b"t,u,y": 3, b"t,u,y,y_noisy": 4}  # header -> fields per row
 
 
 @dataclass
@@ -197,29 +206,108 @@ def write_trajectory(path, traj: Trajectory):
             w.writerow(row)
 
 
-def read_trajectory(path) -> Trajectory:
-    """Read ``write_trajectory`` rows; a bad line raises ``ConfigError`` at path:line."""
+def _cells(line):
+    """The fields of one raw row, as ``csv`` would show them in a message."""
+    return line.decode(errors="replace").split(",") if line else []
+
+
+def parse_floats(cells):
+    """``cells`` (bytes) as one float array, converted in one call, and the
+    position of the first cell that is not a finite number (or None).  Only
+    when the bulk conversion fails does a per-cell ``float()`` scan run, with
+    NaN standing for each cell it rejects."""
+    try:
+        vals = np.array(cells, dtype=float)
+    except ValueError:
+        vals = np.array([_float_or_nan(c) for c in cells], dtype=float)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    return vals, (int(bad[0]) if bad.size else None)
+
+
+def _float_or_nan(cell):
+    try:
+        return float(cell)
+    except ValueError:
+        return math.nan
+
+
+def read_trajectories(paths) -> List[Trajectory]:
+    """Read the ``write_trajectory`` files ``paths`` in one bulk pass.
+
+    Each file is read whole; the rows of all files are split into cells
+    together, and each column (u, y, y_noisy) is converted to floats in one
+    call across all files, bitwise equal to ``float()`` of each cell.  Each
+    file must have a ``t,u,y`` or ``t,u,y,y_noisy`` header, at least one row,
+    exactly the header's field count in every row, finite numbers, and an
+    input in every row but the last, whose input is empty.  The first fault
+    in file and line order raises ``ConfigError``: a bad row at ``path:line``,
+    a wrong input count at ``path``.  The trajectories are views of the
+    column arrays.
+    """
     from .config import ConfigError  # config imports this module through plants
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, [])
-        if header[:3] != ["t", "u", "y"]:
-            raise ConfigError(f"{path}:1: unexpected trajectory header {header}")
-        noisy = len(header) > 3 and header[3] == "y_noisy"
-        us, ys, yn = [], [], []
-        for row in r:
-            try:
-                if row[1] != "":
-                    us.append(float(row[1]))
-                ys.append(float(row[2]))
-                if noisy:
-                    yn.append(float(row[3]))
-            except (IndexError, ValueError):
-                raise ConfigError(f"{path}:{r.line_num}: bad trajectory row {row}") from None
-    if len(us) != len(ys) - 1:  # only the last row leaves its input empty
-        raise ConfigError(f"{path}: {len(ys)} outputs need {len(ys) - 1} inputs, not {len(us)}")
-    return Trajectory(
-        inputs=np.array(us),
-        outputs=np.array(ys),
-        noisy_outputs=np.array(yn) if noisy else None,
-    )
+    paths = list(paths)
+    rows, widths, sizes, faults = [], [], [], []
+    for k, path in enumerate(paths):
+        with open(path, "rb", buffering=0) as fh:
+            lines = fh.read().splitlines()
+        head = lines[0] if lines else b""
+        if head not in _HEADERS:
+            faults.append((k, 1, f"{path}:1: unexpected trajectory header {_cells(head)}"))
+            break
+        rows += lines[1:]
+        widths.append(_HEADERS[head])
+        sizes.append(len(lines) - 1)
+    sizes = np.array(sizes, dtype=int)
+    first = np.cumsum(sizes) - sizes                  # each file's first row
+    file_of = np.repeat(np.arange(len(sizes)), sizes)
+    width = np.repeat(np.array(widths, dtype=int), sizes)
+
+    def bad_row(r):
+        k, line = int(file_of[r]), int(r - first[file_of[r]]) + 2
+        return k, line, f"{paths[k]}:{line}: bad trajectory row {_cells(rows[r])}"
+
+    # rows up to the first with a wrong field count split into cells in one pass
+    seps = np.array(list(map(bytes.count, rows, repeat(b","))), dtype=int)
+    wrong = np.flatnonzero(seps != width - 1)
+    n = int(wrong[0]) if wrong.size else len(rows)
+    if wrong.size:
+        faults.append(bad_row(n))
+    cells = b",".join(rows[:n]).split(b",") if n else []
+    start = np.cumsum(width[:n]) - width[:n]
+    noisy = width[:n] == 4
+    ucells = [cells[i] for i in (start + 1).tolist()]
+    has_u = np.array(list(map(len, ucells)), dtype=bool)
+    y, bad_y = parse_floats([cells[i] for i in (start + 2).tolist()])
+    yn, bad_n = parse_floats([cells[i] for i in (start[noisy] + 3).tolist()])
+    u, bad_u = parse_floats([c for c, h in zip(ucells, has_u) if h])
+    for bad, at in ((bad_y, np.arange(n)), (bad_n, np.flatnonzero(noisy)),
+                    (bad_u, np.flatnonzero(has_u))):
+        if bad is not None:
+            faults.append(bad_row(at[bad]))
+    # each complete file has an input in every row but the last
+    done = first + sizes <= n
+    inputs = np.bincount(file_of[:n], weights=has_u, minlength=len(sizes)).astype(int)
+    for k in np.flatnonzero(done & (inputs != sizes - 1)):
+        faults.append((k, math.inf, f"{paths[k]}: no trajectory rows" if sizes[k] == 0 else
+                       f"{paths[k]}: {sizes[k]} outputs need {sizes[k] - 1} inputs, "
+                       f"not {inputs[k]}"))
+    counted = done & (inputs == sizes - 1)
+    misplaced = np.flatnonzero(~has_u & counted[file_of[:n]])
+    misplaced = misplaced[misplaced != (first + sizes - 1)[file_of[misplaced]]]
+    if misplaced.size:
+        faults.append(bad_row(misplaced[0]))
+    if faults:
+        raise ConfigError(min(faults)[2])
+
+    # file k: outputs from row a, inputs from a - k (one fewer per file), noisy from b
+    noisy_rows = np.where(np.array(widths) == 4, sizes, 0)
+    spans = zip(first.tolist(), (np.cumsum(noisy_rows) - noisy_rows).tolist(),
+                sizes.tolist(), widths)
+    return [Trajectory(inputs=u[a - k:a - k + s - 1], outputs=y[a:a + s],
+                       noisy_outputs=yn[b:b + s] if w == 4 else None)
+            for k, (a, b, s, w) in enumerate(spans)]
+
+
+def read_trajectory(path) -> Trajectory:
+    """Read one ``write_trajectory`` file (see ``read_trajectories``)."""
+    return read_trajectories([path])[0]

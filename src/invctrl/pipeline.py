@@ -33,7 +33,7 @@ from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
 from .levelsets import (build_level_family, check_nesting, dump_family,
                         load_family, pairwise_distances)
 from .narx import (FLOAT_FMT, NarxDataset, TrajectoryError, build_dataset,
-                   read_trajectory, shift_state, write_trajectory)
+                   read_trajectories, shift_state, write_trajectory)
 from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
                      collect_numerical_trajectories,
                      collect_pendulum_trajectories, rng_stream)
@@ -122,14 +122,16 @@ def _read_manifest(paths):
 
 def load_dataset(cfg: RunConfig) -> NarxDataset:
     """Rebuild the training dataset from the collected trajectory files:
-    read every file the manifest lists, then window them all in one
-    ``build_dataset`` call.  A manifest listing no file, or a file that
-    yields no records, raises ``ConfigError`` naming it."""
+    read every file the manifest lists in one ``read_trajectories`` pass,
+    then window them all in one ``build_dataset`` call.  A manifest listing
+    no file, a malformed file (a bad header, row, value or input count; see
+    ``read_trajectories``), or a file that yields no records raises
+    ``ConfigError`` naming it."""
     paths = _paths(cfg)
     files = [os.path.join(paths["trajdir"], name) for name in _read_manifest(paths)]
     if not files:
         raise ConfigError(f"{paths['manifest']}: lists no trajectory files")
-    trajs = [read_trajectory(path) for path in files]
+    trajs = read_trajectories(files)
     try:
         return build_dataset(trajs, cfg.order, cfg.delay, noisy=cfg.noisy)
     except TrajectoryError as exc:

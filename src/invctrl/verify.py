@@ -21,6 +21,8 @@ as escaped only after the scan.
 The bound oracle draws its ``ORACLE_DRAWS`` (record, state) pairs from a
 box one at a time, as a per-sample loop would, and evaluates their kernel
 rows at once; each estimate is a one-row product, bit for bit ``predict``.
+Ball samples are normalised by a coordinate-by-coordinate sum of squares,
+which sums as ``np.linalg.norm`` does over that axis.
 """
 
 from __future__ import annotations
@@ -47,8 +49,13 @@ def sample_in_balls(rng, centers, radii, count):
     for d, v in zip(dirs, u):
         rng.standard_normal(out=d)
         rng.random(out=v)
-    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
-    dirs *= (np.asarray(radii, dtype=float)[:, None] * u ** (1.0 / dim))[:, :, None]
+    norm = dirs[..., 0] ** 2  # summed as ``np.linalg.norm`` sums its axis
+    for k in range(1, dim):
+        norm += dirs[..., k] ** 2
+    dirs /= np.sqrt(norm, out=norm)[:, :, None]
+    u **= 1.0 / dim
+    u *= np.asarray(radii, dtype=float)[:, None]
+    dirs *= u[:, :, None]
     dirs += centers[:, None, :]
     return dirs
 
@@ -134,6 +141,20 @@ def family_offenders(families, bounds):
     return found
 
 
+def oracle_draws(rng, records, box):
+    """``ORACLE_DRAWS`` (record, state) pairs drawn in turn, a record index
+    below ``records`` then a state in ``box``.  Each state is a ``random``
+    draw mapped onto the box after the loop by ``uniform``'s own arithmetic,
+    ``low + (high - low) * draw``, so the states and the stream left behind
+    equal those of one ``rng.uniform(low, high)`` per draw, bit for bit."""
+    rec = np.empty(ORACLE_DRAWS, dtype=int)
+    z = np.empty((ORACLE_DRAWS, len(box)))
+    for k in range(ORACLE_DRAWS):
+        rec[k] = rng.integers(records)
+        rng.random(out=z[k])
+    return rec, box[:, 0] + (box[:, 1] - box[:, 0]) * z
+
+
 def oracle_violations(plant, dataset, model, bounds, rng, box):
     """Deviation-bound violations against the true plant over ``ORACLE_DRAWS``
     (record, state) draws, states uniform in ``box`` (a (low, high) row per
@@ -143,11 +164,7 @@ def oracle_violations(plant, dataset, model, bounds, rng, box):
     on feasible pairs; a delay-2 plant checks ``input_dev`` and the composed
     successor bound ``input_dev + (1 + lip_f) eps``, never the configured
     slope."""
-    rec = np.empty(ORACLE_DRAWS, dtype=int)
-    z = np.empty((ORACLE_DRAWS, len(box)))
-    for k in range(ORACLE_DRAWS):
-        rec[k] = rng.integers(len(dataset))
-        z[k] = rng.uniform(box[:, 0], box[:, 1])
+    rec, z = oracle_draws(rng, len(dataset), box)
     eps = np.linalg.norm(dataset.states[rec] - z, axis=1)
     kx = model.kernel.cross(np.concatenate([dataset.targets[rec, None], z], axis=1),
                             model.train_x)

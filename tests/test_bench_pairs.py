@@ -1,6 +1,8 @@
 import importlib.util
+import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "bench_pairs.py"
@@ -60,3 +62,31 @@ def test_higher_is_better():
 def test_metric_missing_from_a_side_is_skipped():
     metric = {"name": "other", "unit": "s", "better": "lower", "bound": 0.25}
     assert bench_pairs.summary([metric], pairs(PARENT, PARENT)) == []
+
+
+def test_json_holds_each_workload_with_seeds_environment_and_verdicts(tmp_path):
+    metric = {"name": "t_s", "unit": "s", "better": "lower", "bound": 0.25}
+    results = pairs(PARENT, [p - 0.3 for p in PARENT])
+    for parent, change in results:
+        parent["environment"], change["environment"] = {"commit": "a"}, {"commit": "b"}
+    path = tmp_path / "bench.json"
+    seeds = list(range(20, 30))
+    bench_pairs.write_json(path, "w1", seeds, [metric], results)
+    bench_pairs.write_json(path, "w2", seeds[:2], [metric], results[:2])
+    doc = json.loads(path.read_text())
+    assert sorted(doc["workloads"]) == ["w1", "w2"]
+    w1 = doc["workloads"]["w1"]
+    assert w1["seeds"] == seeds
+    assert w1["environment"] == {"parent": {"commit": "a"}, "change": {"commit": "b"}}
+    assert w1["host"]["nproc"] >= 1
+    (row,) = w1["metrics"]
+    assert row["verdict"] == "gain" and row["wins"] == 10 and row["ties"] == 0
+    q1, median, q3 = np.percentile(PARENT, [25, 50, 75])
+    assert (row["parent_q1"], row["parent_median"], row["parent_q3"]) == (q1, median, q3)
+    assert row["change_median"] == np.median([p - 0.3 for p in PARENT])
+    assert row["pairs"][0] == [PARENT[0], PARENT[0] - 0.3]
+    # the printed summary reads the same figures
+    line = bench_pairs.summary([metric], results)[0]
+    assert line.startswith("gain") and "wins 10/10" in line
+    w2 = doc["workloads"]["w2"]
+    assert w2["seeds"] == seeds[:2] and len(w2["metrics"][0]["pairs"]) == 2

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.linalg import cho_factor, cho_solve
 
+from invctrl.config import ConfigError
 from invctrl.interpolant import (FitError, dump_interpolant, fit_interpolant,
                                  load_interpolant)
 from invctrl.kernels import IsotropicKernel
@@ -174,6 +175,58 @@ def test_dump_load_round_trip(tmp_path):
     assert np.array_equal(back.predict(q), m.predict(q))  # bitwise, 17g round-trip
     assert back.lam == m.lam and back.jitter == m.jitter
     assert np.array_equal(back.power(q), m.power(q))
+
+
+def assert_same_model_bits(back, m):
+    for got, want in [(back.train_x, m.train_x), (back.train_u, m.train_u),
+                      (back.alpha, m.alpha)]:
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    assert (back.lam, back.jitter, back.kernel.family) == (m.lam, m.jitter, m.kernel.family)
+    assert np.array_equal(back.kernel.sigma_l, m.kernel.sigma_l)
+
+
+@pytest.mark.parametrize("artifacts", [None, "numerical_artifacts", "pendulum_artifacts"])
+def test_dump_load_round_trip_bitwise(request, tmp_path, artifacts):
+    # every array the loader returns equals the dumped one bit for bit,
+    # signed zeros and 17-digit weights included, with either line ending
+    if artifacts is None:
+        ds = random_dataset(18, seed=14)
+        ds.features[3, 1], ds.features[4, 2] = -0.0, 0.0
+        m = fit_interpolant(SE, ds, lam=0.0)
+    else:
+        m = request.getfixturevalue(artifacts)["model"]
+    path = tmp_path / "model.txt"
+    dump_interpolant(path, m)
+    assert_same_model_bits(load_interpolant(path), m)
+    path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    assert_same_model_bits(load_interpolant(path), m)
+    if artifacts is None:
+        assert np.signbit(load_interpolant(path).train_x[3, 1])
+
+
+@pytest.mark.parametrize("edit,message", [
+    (lambda ls: ls[:9] + [ls[9] + ",1"] + ls[10:], "model.txt:10: bad model row"),
+    (lambda ls: ls[:9] + [ls[9].rsplit(",", 1)[0]] + ls[10:], "model.txt:10: bad model row"),
+    (lambda ls: ls[:9] + [ls[9].rsplit(",", 1)[0] + ",nan"] + ls[10:], "model.txt:10: bad model row"),
+    (lambda ls: ls[:9] + [ls[9].replace(",", ",inf,", 1)] + ls[10:], "model.txt:10: bad model row"),
+    (lambda ls: ls + ["", "  "], None),
+    (lambda ls: ls + ["key = value"], f"model.txt:{8 + 18 + 1}: bad model row 'key = value'"),
+    (lambda ls: ls[:8], "model.txt: not a model dump (ValueError: rows of shape (0, 6), "
+                        "N = 18, dim = 4)"),
+    (lambda ls: ls[:5] + ls[6:], "model.txt: not a model dump (KeyError: 'N')"),
+], ids=["extra_field", "missing_field", "nan_weight", "inf_feature", "blank_lines",
+        "late_header", "no_rows", "no_count"])
+def test_load_interpolant_rejects_malformed_dump(tmp_path, edit, message):
+    m = fit_interpolant(SE, random_dataset(18, seed=15), lam=0.0)
+    path = tmp_path / "model.txt"
+    dump_interpolant(path, m)
+    path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
+    if message is None:
+        assert_same_model_bits(load_interpolant(path), m)
+        return
+    with pytest.raises(ConfigError) as info:
+        load_interpolant(path)
+    assert str(info.value).startswith(str(tmp_path / message))
 
 
 @pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])

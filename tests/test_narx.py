@@ -2,8 +2,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invctrl.config import ConfigError
 from invctrl.narx import (NarxDataset, Trajectory, TrajectoryError, build_dataset,
-                          read_trajectory, shift_state, write_trajectory)
+                          read_trajectories, read_trajectory, shift_state,
+                          write_trajectory)
+from invctrl.plants import (add_noise, collect_numerical_trajectories,
+                            collect_pendulum_trajectories)
 
 
 def traj(T, seed=0):
@@ -239,3 +243,122 @@ def test_trajectory_io_noisy_column(tmp_path):
     back = read_trajectory(p)
     assert np.array_equal(back.noisy_outputs, t.noisy_outputs)
     assert p.read_text().splitlines()[0] == "t,u,y,y_noisy"
+
+
+def reference_read(path):
+    """Per-cell ``float()`` reader: the oracle for the bulk reader."""
+    rows = [line.split(",") for line in open(path, newline="").read().splitlines()]
+    noisy = rows[0] == ["t", "u", "y", "y_noisy"]
+    return ([float(r[1]) for r in rows[1:-1]], [float(r[2]) for r in rows[1:]],
+            [float(r[3]) for r in rows[1:]] if noisy else None)
+
+
+def assert_read_bitwise(trajs, paths):
+    assert len(trajs) == len(paths)
+    for t, path in zip(trajs, paths):
+        u, y, yn = reference_read(path)
+        assert t.inputs.tobytes() == np.array(u).tobytes()
+        assert t.outputs.tobytes() == np.array(y).tobytes()
+        if yn is None:
+            assert t.noisy_outputs is None
+        else:
+            assert t.noisy_outputs.tobytes() == np.array(yn).tobytes()
+
+
+@pytest.mark.parametrize("newline", ["\r\n", "\n"])
+def test_read_trajectories_equals_per_cell_float(tmp_path, newline):
+    # hand-written cells: signed zeros, 17 digits, exponent forms, extremes;
+    # clean and noisy files mixed in one call
+    cells = ["0", "-0.0", "0.0", "-0", "0.12345678901234568", "-1.2345678901234567e-05",
+             "1e300", "2.2250738585072014e-308", "5e-324", "1E+05", "-3.5e2",
+             "1.7976931348623157e+308", "+7", ".5", "5.", "12345678901234567890"]
+    paths = []
+    for k, noisy in enumerate([False, True, True, False]):
+        rows = ["t,u,y,y_noisy" if noisy else "t,u,y"]
+        T = len(cells) + k  # every cell in every column of every file
+        for t in range(T + 1):
+            row = [str(t), cells[(t + k) % len(cells)] if t < T else "",
+                   cells[(t + 5 * k) % len(cells)]]
+            rows.append(",".join(row + [cells[(t + 7) % len(cells)]] if noisy else row))
+        paths.append(tmp_path / f"t{k}.csv")
+        paths[-1].write_bytes(newline.join(rows).encode() + newline.encode())
+    trajs = read_trajectories(paths)
+    assert_read_bitwise(trajs, paths)
+    zeros = np.concatenate([t.outputs for t in trajs])
+    assert np.signbit(zeros[zeros == 0]).any() and not np.signbit(zeros[zeros == 0]).all()
+    assert [t.noisy_outputs is not None for t in trajs] == [False, True, True, False]
+    one = read_trajectory(paths[1])
+    assert one.noisy_outputs.tobytes() == trajs[1].noisy_outputs.tobytes()
+
+
+@pytest.mark.parametrize("plant", ["numerical", "pendulum", "pendulum-noisy"])
+def test_read_trajectories_of_collected_files(tmp_path, plant):
+    # the files ``collect`` writes: the reader returns the written arrays,
+    # and per-cell float() agrees bit for bit
+    if plant == "numerical":
+        trajs = collect_numerical_trajectories(seed=3)
+    else:
+        trajs = collect_pendulum_trajectories()
+        if plant == "pendulum-noisy":
+            trajs = [add_noise(t, 0.01, 3, stream_offset=k) for k, t in enumerate(trajs)]
+    paths = [tmp_path / f"traj_{k:04d}.csv" for k in range(len(trajs))]
+    for path, t in zip(paths, trajs):
+        write_trajectory(path, t)
+    back = read_trajectories(paths)
+    assert_read_bitwise(back, paths)
+    for t, b in zip(trajs, back):
+        assert t.inputs.tobytes() == b.inputs.tobytes()
+        assert t.outputs.tobytes() == b.outputs.tobytes()
+        if t.noisy_outputs is not None:
+            assert t.noisy_outputs.tobytes() == b.noisy_outputs.tobytes()
+
+
+def write_rows(path, *rows):
+    path.write_text("".join(row + "\n" for row in rows))
+    return path
+
+
+@pytest.mark.parametrize("rows,message", [
+    (("t,u,x", "0,1,2", "1,,3"), "a.csv:1: unexpected trajectory header ['t', 'u', 'x']"),
+    ((), "a.csv:1: unexpected trajectory header []"),
+    (("t,u,y",), "a.csv: no trajectory rows"),
+    (("t,u,y", "0,0.5,0.1,9.9", "1,,0.2"),
+     "a.csv:2: bad trajectory row ['0', '0.5', '0.1', '9.9']"),
+    (("t,u,y,y_noisy", "0,0.5,0.1", "1,,0.2,0.3"), "a.csv:2: bad trajectory row ['0', '0.5', '0.1']"),
+    (("t,u,y", "0,0.5,0.1", "", "1,,0.2"), "a.csv:3: bad trajectory row []"),
+    (("t,u,y", "0,0.5,nan", "1,,0.2"), "a.csv:2: bad trajectory row ['0', '0.5', 'nan']"),
+    (("t,u,y", "0,-inf,0.1", "1,,0.2"), "a.csv:2: bad trajectory row ['0', '-inf', '0.1']"),
+    (("t,u,y,y_noisy", "0,0.5,0.1,1e999", "1,,0.2,0.3"), "a.csv:2: bad trajectory row"),
+    (("t,u,y", "0,0.5,0.1", "1,,0.2", "2,0.1,0.3"), "a.csv:3: bad trajectory row ['1', '', '0.2']"),
+    (("t,u,y", "0,0.5,0.1", "1,0.1,0.3"), "a.csv: 2 outputs need 1 inputs, not 2"),
+    (("t,u,y", "0,,0.1", "1,0.5,0.2", "2,,0.3"), "a.csv: 3 outputs need 2 inputs, not 1"),
+    (("t,u,y", "0,0.5,0.1", "1,,0.2", "2,,0.3"), "a.csv: 3 outputs need 2 inputs, not 1"),
+], ids=["header", "empty_file", "header_only", "extra_field", "missing_field", "blank_line",
+        "nan_output", "inf_input", "overflow_noisy", "input_missing_midway", "last_input_present",
+        "inputs_missing", "inputs_missing_last"])
+def test_read_trajectories_rejects(tmp_path, rows, message):
+    with pytest.raises(ConfigError) as info:
+        read_trajectories([write_rows(tmp_path / "a.csv", *rows)])
+    assert str(info.value).startswith(str(tmp_path / message.split(" ")[0]))
+    assert message in str(info.value)
+
+
+def test_read_trajectories_reports_the_first_fault_in_file_and_line_order(tmp_path):
+    good = ("t,u,y", "0,0.5,0.1", "1,,0.2")
+    a = write_rows(tmp_path / "a.csv", "t,u,y", "0,abc,0.1", "1,,0.2")
+    b = write_rows(tmp_path / "b.csv", "t,u")
+    c = write_rows(tmp_path / "c.csv", "t,u,y", "0,0.5,0.1,7", "1,,nan")
+    d = write_rows(tmp_path / "d.csv", "t,u,y", "0,1,nan", "1,,0.2,7")
+    e = write_rows(tmp_path / "e.csv", "t,u,y", "0,0.5,0.1", "1,0.5,0.2")
+    g = write_rows(tmp_path / "g.csv", *good)
+    cases = [([g, a, b], f"{a}:2: bad trajectory row ['0', 'abc', '0.1']"),
+             ([g, b, a], f"{b}:1: unexpected trajectory header ['t', 'u']"),
+             ([g, c, a], f"{c}:2: bad trajectory row ['0', '0.5', '0.1', '7']"),
+             ([d, c], f"{d}:2: bad trajectory row ['0', '1', 'nan']"),
+             ([e, d], f"{e}: 2 outputs need 1 inputs, not 2"),
+             ([g, d, e], f"{d}:2: bad trajectory row")]
+    for paths, message in cases:
+        with pytest.raises(ConfigError) as info:
+            read_trajectories(paths)
+        assert str(info.value).startswith(message)
+    assert len(read_trajectories([g, g])) == 2

@@ -619,6 +619,51 @@ def _reference_oracle(plant, ds, model, bounds, rng, box):
     return viol_u, viol_y, viol_g, skipped
 
 
+@pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
+def test_oracle_draws_equal_per_draw_uniform(request, artifacts):
+    # the draws run_all's oracle makes, and the stream left behind, equal
+    # one ``rng.uniform(low, high)`` per draw bit for bit
+    art = request.getfixturevalue(artifacts)
+    box = _reference_box(art["plant"], art["dataset"])
+    got_rng = rng_stream(art["cfg"].seed, verify.STREAM_VERIFY)
+    want_rng = rng_stream(art["cfg"].seed, verify.STREAM_VERIFY)
+    rec, z = verify.oracle_draws(got_rng, len(art["dataset"]), box)
+    want_rec, want_z = [], []
+    for _ in range(verify.ORACLE_DRAWS):
+        want_rec.append(want_rng.integers(len(art["dataset"])))
+        want_z.append(want_rng.uniform(box[:, 0], box[:, 1]))
+    assert np.array_equal(rec, want_rec)
+    assert z.tobytes() == np.array(want_z).tobytes()
+    assert got_rng.random() == want_rng.random()
+
+
+def _norm_form_sample_in_balls(rng, centers, radii, count):
+    """Ball draws normalised by ``np.linalg.norm``: the reference for the
+    coordinate-by-coordinate sum of squares."""
+    balls, dim = centers.shape
+    dirs, u = np.empty((balls, count, dim)), np.empty((balls, count))
+    for d, v in zip(dirs, u):
+        rng.standard_normal(out=d)
+        rng.random(out=v)
+    dirs /= np.linalg.norm(dirs, axis=2, keepdims=True)
+    dirs *= (np.asarray(radii, dtype=float)[:, None] * u ** (1.0 / dim))[:, :, None]
+    return dirs + centers[:, None, :]
+
+
+@pytest.mark.parametrize("artifacts,per_level,samples", [
+    ("numerical_artifacts", None, 200), ("pendulum_artifacts", 8, 50)])
+def test_sample_in_balls_equals_norm_form(request, artifacts, per_level, samples):
+    # every recursion entry of every family, drawn as the check draws it
+    families = request.getfixturevalue(artifacts)["controller"].families
+    for k, fam in enumerate(families):
+        lev, rec = verify.recursion_entries(fam, per_level)
+        args = (fam.dataset.succ_states[rec], fam.inradius[lev, rec], samples)
+        got = verify.sample_in_balls(np.random.default_rng(k), *args)
+        want = _norm_form_sample_in_balls(np.random.default_rng(k), *args)
+        assert got.tobytes() == want.tobytes()
+    assert len(families) >= 9
+
+
 @pytest.mark.parametrize("artifacts,scale", [
     ("numerical_artifacts", dict(lip_c=1e-9, rkhs_bound=1e-9, lip_f=1e-9)),
     ("pendulum_artifacts", dict(lip_c=1e-6, rkhs_bound=1e-2)),
@@ -728,31 +773,45 @@ def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
     assert "delta_0p1.npy" in err and message in err
 
 
-@pytest.mark.parametrize("name,line,text,message", [
+@pytest.mark.parametrize("name,line,text,message,stage", [
     ("trajectories/traj_0000.csv", None, "garbage",
-     "traj_0000.csv:5: bad trajectory row ['garbage']"),
-    ("trajectories/traj_0000.csv", 3, "1,abc,0.5", "traj_0000.csv:3: bad trajectory row"),
-    ("model.txt", 10, "0.1,-1,-1,0,abc,146.3", "model.txt:10: bad model row"),
-    ("trajectories/traj_0000.csv", 3, "1,,-1", "traj_0000.csv: 3 outputs need 2 inputs, not 1"),
-    ("model.txt", 1, None, "model.txt: not a model dump (KeyError: 'family')"),
-    ("model.txt", 9, None, "model.txt: not a model dump (ValueError: rows of shape (279, 6)"),
+     "traj_0000.csv:5: bad trajectory row ['garbage']", "simulate"),
+    ("trajectories/traj_0000.csv", 3, "1,abc,0.5", "traj_0000.csv:3: bad trajectory row",
+     "simulate"),
+    ("model.txt", 10, "0.1,-1,-1,0,abc,146.3", "model.txt:10: bad model row", "simulate"),
+    ("trajectories/traj_0000.csv", 3, "1,,-1", "traj_0000.csv: 3 outputs need 2 inputs, not 1",
+     "simulate"),
+    ("model.txt", 1, None, "model.txt: not a model dump (KeyError: 'family')", "simulate"),
+    ("model.txt", 9, None, "model.txt: not a model dump (ValueError: rows of shape (279, 6)",
+     "simulate"),
+    ("trajectories/traj_0000.csv", 4, "2,,nan",
+     "traj_0000.csv:4: bad trajectory row ['2', '', 'nan']", "build"),
+    ("model.txt", 10, "0.1,-1,-1,0,0.5,nan", "model.txt:10: bad model row", "simulate"),
+    ("model.txt", 10, "0.1,-1,-1,0,0.5,146.3,1", "model.txt:10: bad model row", "simulate"),
+    ("trajectories/traj_0000.csv", 2, "0,0.5,0.1,9.9",
+     "traj_0000.csv:2: bad trajectory row ['0', '0.5', '0.1', '9.9']", "build"),
+    ("trajectories/traj_0000.csv", (2, 4), None, "traj_0000.csv: no trajectory rows", "build"),
 ], ids=["trajectory_extra_line", "trajectory_text_value", "trajectory_input_missing",
-        "model_text_value", "model_without_family", "model_row_missing"])
+        "model_text_value", "model_without_family", "model_row_missing",
+        "trajectory_nan_output", "model_nan_weight", "model_extra_field",
+        "trajectory_extra_field", "trajectory_header_only"])
 def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
-                                       name, line, text, message):
-    # ``line`` is replaced by ``text`` (appended if None, deleted if ``text`` is None)
+                                       name, line, text, message, stage):
+    # lines ``line`` (a number, or a (first, last) range) are replaced by
+    # ``text`` (appended if ``line`` is None, deleted if ``text`` is None)
     import shutil
     out = str(tmp_path / "damaged")
     shutil.copytree(numerical_cfg.outdir, out)
     path = os.path.join(out, name)
     lines = open(path).read().splitlines()
+    first, last = line if isinstance(line, tuple) else (line, line)
     if line is None:
         lines.append(text)
     else:
-        lines[line - 1:line] = [] if text is None else [text]
+        lines[first - 1:last] = [] if text is None else [text]
     open(path, "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
-    assert main(["simulate", "--plant", "numerical", "--out", out]) == 2
+    assert main([stage, "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
 
