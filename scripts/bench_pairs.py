@@ -15,14 +15,18 @@ when the change did better in at least 9 of 10 pairs and its median is
 better than the parent's by more than the parent's interquartile range,
 ``worse`` when its median is worse than the parent's by more than the
 metric's ``bound`` (a share of the parent's median), else ``-``.  With
-``--json PATH`` the same figures, every pair's values, the seeds and each
-side's environment are also stored under the workload's name in that JSON
-file, next to any other workload it holds.  Runs write nothing in either
+``--json PATH`` the same figures, every pair's values, the seeds, each
+side's environment and each side's ``src_sha256`` are also stored under the
+workload's name in that JSON file, next to any other workload it holds.
+``src_sha256`` names the code a side ran, also in a tree without git
+metadata: the SHA-256 of its ``src/invctrl/*.py`` files joined in sorted
+order, as ``cat src/invctrl/*.py | sha256sum`` prints it under ``LC_ALL=C``.  Runs write nothing in either
 checkout beyond perfbench's own work directory (bytecode caching is off).  Exits 1 if a run fails or reports ``correct``
 false, else 0.
 """
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -47,6 +51,15 @@ def run(checkout, workload, seed, seconds):
     res["environment"] = next((json.loads(line[4:]) for line in lines
                                if line.startswith("ENV ")), None)
     return res
+
+
+def src_sha256(checkout):
+    """SHA-256 hex digest of ``src/invctrl/*.py`` in ``checkout``, the
+    files' bytes joined in sorted name order."""
+    digest = hashlib.sha256()
+    for path in sorted((Path(checkout) / "src" / "invctrl").glob("*.py")):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def compare(metrics, results):
@@ -86,16 +99,18 @@ def summary(metrics, results):
             for r in compare(metrics, results)]
 
 
-def write_json(path, workload, seeds, metrics, results):
-    """Store ``compare``'s rows, the seeds and each side's environment (the
-    ``ENV`` line of its first run) under ``workload`` in the JSON file at
-    ``path``; other workloads already in the file are kept."""
+def write_json(path, workload, seeds, metrics, results, sources):
+    """Store ``compare``'s rows, the seeds, each side's environment (the
+    ``ENV`` line of its first run) and ``sources``, each side's
+    ``src_sha256``, under ``workload`` in the JSON file at ``path``; other
+    workloads already in the file are kept."""
     path = Path(path)
     doc = json.loads(path.read_text()) if path.is_file() else {"workloads": {}}
     doc["workloads"][workload] = {
         "seeds": list(seeds),
         "environment": {side: next((r.get("environment") for r in runs), None)
                         for side, runs in zip(("parent", "change"), zip(*results))},
+        "src_sha256": dict(sources),
         "host": {"platform": platform.platform(), "nproc": os.cpu_count()},
         "metrics": compare(metrics, results),
     }
@@ -116,6 +131,7 @@ def main(argv=None):
     for side, path in sides.items():
         if not (path / "perfbench" / "run.py").is_file():
             ap.error(f"{side} {path} holds no perfbench/run.py")
+    sources = {side: src_sha256(path) for side, path in sides.items()}
     spec = json.loads((sides["change"] / "BENCHMARK.json").read_text())
     seeds = [int(s) for s in args.seeds.split(",")]
 
@@ -141,7 +157,7 @@ def main(argv=None):
     for line in summary(spec["end_to_end"], results):
         print(line)
     if args.json:
-        write_json(args.json, args.workload, seeds, spec["end_to_end"], results)
+        write_json(args.json, args.workload, seeds, spec["end_to_end"], results, sources)
     return 0 if ok else 1
 
 

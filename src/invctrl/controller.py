@@ -4,10 +4,10 @@ Each step computes one ``cdist`` row of the state's distances to the record
 states, which ``locate`` and ``select_reference`` read.  One comparison with
 each family's largest certified radius per record finds the first accuracy
 (ascending) with a level >= 1 ball holding the state; level 0 certifies
-position, not an action, and is never searched.  Along the levels, ``reach``
-(the running maximum of the certified-radius table) makes "some record
-reaches the state" monotone, so the lowest such level is found by bisection.
-The reference is the stored target of the level's record of largest slack
+position, not an action, and is never searched.  A record holding the
+state at any level is within that largest radius, so the level is the first
+certified-radius row in which one of these candidates holds the state.  The
+reference is the stored target of the level's record of largest slack
 ``cert_radius - dist`` (ties by lowest index); the interpolant is applied at
 ``[reference; state]``.
 
@@ -61,29 +61,22 @@ class Controller:
         for f in families:
             if f.dataset is not self.dataset:
                 raise ValueError("families must share one dataset")
-        # reach[k, i]: largest certified radius of record i over levels 1..k+1,
-        # a running max row by row (faster than ``maximum.accumulate`` on
-        # axis 0); top[f, i]: the same over all levels of family f (ABSENT if none)
-        self._reach = [f.cert_radius[1:].copy() for f in families]
-        for reach in self._reach:
-            for j in range(1, len(reach)):
-                np.maximum(reach[j - 1], reach[j], out=reach[j])
+        # top[f, i]: largest level >= 1 cert_radius of record i (ABSENT if none)
         self._top = np.array([f.cert_radius[1:].max(axis=0, initial=ABSENT)
                               for f in families])
 
     def locate(self, d):
         """First (delta, level >= 1) holding the state at record distances
         ``d``, scanning accuracies then levels ascending; None if uncovered."""
-        covered = (d <= self._top).any(axis=1)
-        f = int(np.argmax(covered))
-        if not covered[f]:
+        hit = d <= self._top
+        f, i = divmod(int(hit.argmax()), len(d))  # first hit, row-major
+        if not hit[f, i]:
             return None
-        reach = self._reach[f]
-        lo, hi = 0, len(reach) - 1  # the last row reaches the state
-        while lo < hi:
-            mid = (lo + hi) // 2
-            lo, hi = (lo, mid) if (reach[mid] >= d).any() else (mid + 1, hi)
-        return self.families[f].delta, 1 + lo
+        # a record holding the state at any level is a candidate
+        cand = hit[f].nonzero()[0]
+        fam = self.families[f]
+        holds = (fam.cert_radius[1:].take(cand, axis=1) >= d.take(cand)).any(axis=1)
+        return fam.delta, 1 + int(holds.argmax())
 
     def family(self, delta) -> LevelFamily:
         for f in self.families:

@@ -38,7 +38,8 @@ ISOTROPIC_FAMILIES = ("squared_exponential", "laplacian", "matern52")
 
 
 def _matern52_profile(s):
-    return (1.0 + _SQRT5 * s + (5.0 / 3.0) * s * s) * np.exp(-_SQRT5 * s)
+    b = _SQRT5 * s  # negation is exact: exp(-b) is exp(-sqrt(5) * s) bit for bit
+    return (1.0 + b + (5.0 / 3.0) * s * s) * np.exp(-b)
 
 
 def _matern52_deficit(s):
@@ -142,6 +143,7 @@ class ArdMatern52Kernel:
         object.__setattr__(self, "sigma_l", sl)
         if self.sigma_f <= 0 or any(v <= 0 for v in sl):
             raise ValueError("sigma_f and all length scales must be positive")
+        object.__setattr__(self, "_scale", np.sqrt(2.0) * np.asarray(sl))  # embed's divisor
 
     @property
     def dim(self):
@@ -159,7 +161,7 @@ class ArdMatern52Kernel:
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
         if pts.shape[1] != self.dim:
             raise ValueError(f"expected dimension {self.dim}, got {pts.shape[1]}")
-        return pts / (np.sqrt(2.0) * np.asarray(self.sigma_l))
+        return pts / self._scale
 
     def profile(self, s):
         """Profile in the ARD-scaled radius s (the bounds take a distance
@@ -176,7 +178,7 @@ class ArdMatern52Kernel:
         b = np.asarray(b, dtype=float)
         if a.shape != b.shape or a.shape != (self.dim,):
             raise ValueError("dimension mismatch")
-        s = np.linalg.norm((a - b) / (np.sqrt(2.0) * np.asarray(self.sigma_l)))
+        s = np.linalg.norm((a - b) / self._scale)
         return float(self.profile(s))
 
     def cross(self, rows, cols):

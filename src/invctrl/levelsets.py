@@ -244,7 +244,8 @@ def dump_family(path, family: LevelFamily):
 
 def load_family(path, dataset: NarxDataset, delta, depth) -> LevelFamily:
     """Rebuild a family from its dump and the dataset and config it was
-    built under; a table of another shape raises ``ConfigError``."""
+    built under; a table of another shape, a NaN or +inf radius, or an entry
+    ``ABSENT`` in one table only raises ``ConfigError``."""
     try:
         tables = np.load(path)
     except (ValueError, EOFError) as exc:
@@ -254,5 +255,14 @@ def load_family(path, dataset: NarxDataset, delta, depth) -> LevelFamily:
         raise ConfigError(
             f"{path}: radius tables of shape {tables.shape} ({tables.dtype}) do "
             f"not fit {len(dataset)} records and depth {depth}; rebuild the families")
+    # NaN and +inf both fail ``max < inf``; the offender is located on failure only
+    if not (tables.max(initial=ABSENT) < np.inf
+            and np.array_equal(tables[0] == ABSENT, tables[1] == ABSENT)):
+        absent = tables == ABSENT
+        bad = (absent[0] != absent[1]) | ~(np.isfinite(tables) | absent).all(axis=0)
+        j, i = np.argwhere(bad)[0]
+        raise ConfigError(
+            f"{path}: level {j} record {i} has inradius {tables[0, j, i]:g} and cert_radius "
+            f"{tables[1, j, i]:g}, not finite or ABSENT in both; rebuild the families")
     return LevelFamily(delta=float(delta), depth=int(depth), inradius=tables[0],
                        cert_radius=tables[1], dataset=dataset)

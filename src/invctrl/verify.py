@@ -116,15 +116,17 @@ def recursion_escapes(fam, samples, per_level, rng):
 
 
 def family_offenders(families, bounds):
-    """Details of the negative radius, slab reach and certificate gap checks,
-    each None or the first extreme of the last offending (family, level), as
-    a level-by-level loop over present entries names it."""
+    """Details of the non-positive radius (the smaller of an entry's two),
+    slab reach and certificate gap (where ``cert_radius > 0``) checks, each
+    None or the first extreme of the last offending (family, level), as a
+    level-by-level loop over present entries names it."""
     found = [None, None, None]
     for fam in families:
         present = fam.inradius != ABSENT
-        radius = np.where(present, fam.inradius, np.inf)
+        radius = np.where(present, np.minimum(fam.inradius, fam.cert_radius), np.inf)
+        live = present & (fam.cert_radius > 0)
         gap = np.full(radius.shape, ABSENT)
-        gap[present] = bounds.state_dev(fam.cert_radius[present]) - fam.inradius[present]
+        gap[live] = bounds.state_dev(fam.cert_radius[live]) - fam.inradius[live]
         rows = np.flatnonzero((radius <= 0).any(axis=1))
         if rows.size:
             j, k = rows[-1], np.argmin(radius[rows[-1]])

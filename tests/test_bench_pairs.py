@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -71,8 +72,9 @@ def test_json_holds_each_workload_with_seeds_environment_and_verdicts(tmp_path):
         parent["environment"], change["environment"] = {"commit": "a"}, {"commit": "b"}
     path = tmp_path / "bench.json"
     seeds = list(range(20, 30))
-    bench_pairs.write_json(path, "w1", seeds, [metric], results)
-    bench_pairs.write_json(path, "w2", seeds[:2], [metric], results[:2])
+    sources = {"parent": "0" * 64, "change": "f" * 64}
+    bench_pairs.write_json(path, "w1", seeds, [metric], results, sources)
+    bench_pairs.write_json(path, "w2", seeds[:2], [metric], results[:2], sources)
     doc = json.loads(path.read_text())
     assert sorted(doc["workloads"]) == ["w1", "w2"]
     w1 = doc["workloads"]["w1"]
@@ -90,3 +92,23 @@ def test_json_holds_each_workload_with_seeds_environment_and_verdicts(tmp_path):
     assert line.startswith("gain") and "wins 10/10" in line
     w2 = doc["workloads"]["w2"]
     assert w2["seeds"] == seeds[:2] and len(w2["metrics"][0]["pairs"]) == 2
+
+
+def test_json_names_the_source_each_side_ran(tmp_path):
+    # the digest covers src/invctrl/*.py only, in sorted name order
+    trees = {}
+    for side, body in (("parent", b"x = 1\n"), ("change", b"x = 2\n")):
+        pkg = tmp_path / side / "src" / "invctrl"
+        pkg.mkdir(parents=True)
+        (pkg / "b.py").write_bytes(body)
+        (pkg / "a.py").write_bytes(b"import b\n")
+        (pkg / "notes.txt").write_bytes(b"not source")
+        trees[side] = tmp_path / side
+    sources = {side: bench_pairs.src_sha256(tree) for side, tree in trees.items()}
+    assert sources["parent"] == hashlib.sha256(b"import b\nx = 1\n").hexdigest()
+    assert sources["change"] == hashlib.sha256(b"import b\nx = 2\n").hexdigest()
+    metric = {"name": "t_s", "unit": "s", "better": "lower", "bound": 0.25}
+    path = tmp_path / "bench.json"
+    bench_pairs.write_json(path, "w", [1, 2], [metric], pairs([1.0, 1.0], [0.9, 0.9]),
+                           sources)
+    assert json.loads(path.read_text())["workloads"]["w"]["src_sha256"] == sources

@@ -147,33 +147,141 @@ def test_locate_skips_family_without_action_levels(synth):
     assert_locate_matches_brute(ctl, [ds.states[0], ds.states[1], ds.states[2]])
 
 
-def assert_reach_is_running_max(ctl):
-    for f, reach in zip(ctl.families, ctl._reach):
-        want = np.maximum.accumulate(f.cert_radius[1:], axis=0)
-        assert reach.shape == want.shape and reach.tobytes() == want.tobytes()
+def bisect_locate(families, reaches, d):
+    """Reference for ``Controller.locate``: the first accuracy (ascending)
+    whose largest level >= 1 certified radius reaches a record's distance,
+    then a bisection over that family's running-maximum rows ``reaches``."""
+    for fam, reach in zip(families, reaches):
+        if not len(reach) or not (d <= reach[-1]).any():
+            continue
+        lo, hi = 0, len(reach) - 1
+        while lo < hi:
+            mid = (lo + hi) // 2
+            lo, hi = (lo, mid) if (reach[mid] >= d).any() else (mid + 1, hi)
+        return fam.delta, 1 + lo
+    return None
 
 
-@pytest.mark.parametrize("plant", ["numerical", "pendulum"])
-def test_reach_equals_accumulate_bitwise(plant, request):
-    ctl = request.getfixturevalue(f"{plant}_artifacts")["controller"]
-    assert max(len(reach) for reach in ctl._reach) >= 2
-    assert_reach_is_running_max(ctl)
+def assert_locate_matches_bisection(ctl, states):
+    """``locate`` equals the bisection on every state; returns the hits."""
+    reaches = [np.maximum.accumulate(f.cert_radius[1:], axis=0) for f in ctl.families]
+    hits = 0
+    for state in states:
+        d = row(ctl, state)
+        want = bisect_locate(ctl.families, reaches, d)
+        assert ctl.locate(d) == want
+        hits += want is not None
+    return hits
 
 
-def test_reach_equals_accumulate_synth(synth):
-    ds, fam_01, fam_05 = synth
-    # ABSENT cells before, between and after a record's balls, an all-ABSENT
-    # last row (fam_05), and a family storing level 0 only (no reach rows)
-    gaps = synth_family(ds, 0.2, [
-        [(0, 0.1, 0.01)],
-        [(1, 0.05, 0.02)],
-        [(0, 0.05, 0.03)],
-        [(2, 0.05, 0.001), (1, 0.05, 0.01)],
+@pytest.mark.parametrize("plant,count", [("numerical", 300), ("pendulum", 300)])
+def test_locate_matches_bisection_benchmark(plant, count, request):
+    # states uniform over the data box, near records and on certified spheres
+    art = request.getfixturevalue(f"{plant}_artifacts")
+    ctl, ds = art["controller"], art["dataset"]
+    rng = np.random.default_rng(17)
+    dim = ds.states.shape[1]
+    lo, hi = ds.states.min(axis=0), ds.states.max(axis=0)
+    uniform = rng.uniform(lo, hi, size=(count, dim))
+    near = (ds.states[rng.integers(len(ds), size=count)]
+            + rng.normal(scale=0.002, size=(count, dim)) * (hi - lo))
+    sphere = []
+    for fam in ctl.families:
+        lev, rec = np.nonzero(fam.cert_radius[1:] > 0)
+        pick = rng.integers(len(lev), size=count // len(ctl.families))
+        unit = rng.normal(size=(len(pick), dim))
+        unit /= np.linalg.norm(unit, axis=1, keepdims=True)
+        sphere.append(ds.states[rec[pick]]
+                      + unit * fam.cert_radius[1 + lev[pick], rec[pick], None])
+    hits = assert_locate_matches_bisection(
+        ctl, np.concatenate([uniform, near, *sphere]))
+    assert 0 < hits < 3 * count
+
+
+def test_locate_matches_bisection_synth():
+    # record 0 at the origin; records 1 and 2 at exact 3-4-5 offsets from
+    # the probes below, so distances equal stored radii exactly
+    ds = synth_dataset(
+        states=[[0.0, 0.0, 0.0], [3.0, 4.0, 0.0], [6.0, 0.0, 8.0], [20.0, 0.0, 0.0]],
+        targets=[0.05, 0.1, 0.2, 0.3],
+        controls=[0.5, 0.6, 0.7, 0.8],
+    )
+    # accuracy 0.05 stores level 0 only
+    level0 = synth_family(ds, 0.05, [[(i, 0.04, 30.0) for i in range(4)]])
+    # ABSENT cells above present ones, and radii that shrink with depth
+    shrink = synth_family(ds, 0.1, [
+        [(0, 0.05, 0.004)],
+        [(1, 0.05, 5.0), (3, 0.05, 1.0)],
+        [(0, 0.05, 2.0), (3, 0.05, 0.5)],
+        [(2, 0.05, 10.0)],
+        [(1, 0.05, 4.0), (0, 0.05, 1.0)],
     ])
-    level0 = synth_family(ds, 0.05, [[(i, 0.04, 0.003) for i in range(3)]])
-    ctl = Controller([level0, fam_01, fam_05, gaps], IdentityModel())
-    assert ctl._reach[0].shape == (0, 3)
-    assert_reach_is_running_max(ctl)
+    wide = synth_family(ds, 0.5, [
+        [(0, 0.45, 0.04)],
+        [(3, 0.4, 10.0)],
+        [(0, 0.4, 25.0)],
+    ])
+    ctl = Controller([level0, shrink, wide], IdentityModel())
+    origin = np.zeros(3)
+    probes = [origin, ds.states[1], ds.states[3],
+              ds.states[3] + [1.0, 0.0, 0.0], ds.states[3] + [0.5, 0.0, 0.0]]
+    # d = 5 to record 1, on its level-1 sphere (and 10 to record 2, on its
+    # level-3 sphere)
+    assert ctl.locate(row(ctl, origin)) == (0.1, 1)
+    # on record 3's level-1 sphere, then on its shrunk level-2 sphere
+    assert ctl.locate(row(ctl, probes[3])) == (0.1, 1)
+    assert ctl.locate(row(ctl, probes[4])) == (0.1, 1)
+    # random probes around every record, and 3-4-5 offsets from each
+    rng = np.random.default_rng(3)
+    for center in ds.states:
+        for scale in (0.5, 2.0, 5.0, 12.0):
+            probes.extend(center + rng.normal(scale=scale, size=(10, 3)))
+        probes.extend(center + np.array([[3.0, 4.0, 0.0], [0.0, -3.0, 4.0],
+                                         [6.0, 0.0, 8.0], [-6.0, -8.0, 0.0]]))
+    hits = assert_locate_matches_bisection(ctl, probes)
+    assert 0 < hits < len(probes)
+    assert assert_locate_matches_brute(ctl, probes[:5]) == 5
+
+
+def test_locate_shrinking_column_picks_lowest_holding_level():
+    # record 0 has no level-1 ball, radius 6 at level 2 and 2 at level 3;
+    # record 1 holds a wider set only from level 3 on
+    ds = synth_dataset(
+        states=[[0.0, 0.0, 0.0], [30.0, 40.0, 0.0]],
+        targets=[0.05, 0.1], controls=[0.5, 0.6],
+    )
+    fam = synth_family(ds, 0.1, [
+        [(0, 0.05, 0.004)],
+        [],
+        [(0, 0.05, 6.0)],
+        [(1, 0.05, 51.0), (0, 0.05, 2.0)],
+    ])
+    ctl = Controller([fam], IdentityModel())
+    cases = {
+        (0.0, 0.0, 1.5): 2,   # inside both of record 0's balls
+        (3.0, 4.0, 0.0): 2,   # d = 5, outside its shrunk level-3 ball
+        (0.0, 0.0, 6.0): 2,   # d = 6 exactly on the level-2 sphere
+        (0.0, 0.0, 7.0): 3,   # record 1 only (d = 50.49 <= 51)
+    }
+    for state, level in cases.items():
+        assert ctl.locate(row(ctl, state)) == (0.1, level)
+    assert_locate_matches_bisection(ctl, list(cases))
+    assert_locate_matches_brute(ctl, list(cases))
+
+
+def test_controller_init_keeps_no_table_copy(pendulum_artifacts):
+    # the controller holds the families, not a second copy of their tables
+    import tracemalloc
+    art = pendulum_artifacts
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ctl = Controller(art["controller"].families, art["model"])
+        kept = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ctl.locate(row(ctl, art["dataset"].states[0])) is not None
+    assert kept < 1_000_000
 
 
 def test_locate_deepest_stored_level(synth):

@@ -116,3 +116,37 @@ def test_make_kernel_dispatch():
         make_kernel("squared_exponential", 1.0, (1.0, 2.0))
     with pytest.raises(ValueError):
         make_kernel("rbf", 1.0, 1.0)
+
+
+# s = 0, a subnormal, a log grid and radii where exp(-sqrt(5) s) underflows
+PIN_RADII = np.concatenate([[0.0, 5e-324, 2.2e-310], np.logspace(-8, 3, 2001),
+                            [320.0, 333.0, 334.0, 1e4, 1e150]])
+
+
+def test_matern52_profile_equals_the_displayed_expression_bitwise():
+    from invctrl.kernels import _matern52_profile
+    s = PIN_RADII
+    sq5 = np.sqrt(5.0)
+    want = (1.0 + sq5 * s + (5.0 / 3.0) * s * s) * np.exp(-sq5 * s)
+    got = _matern52_profile(s)
+    assert got.tobytes() == want.tobytes()
+    assert got[-3:].tolist() == [0.0, 0.0, 0.0]  # exp underflows to zero
+    for v in (0.0, 5e-324, 0.37):  # scalars take the same path
+        assert _matern52_profile(v) == (1.0 + sq5 * v + (5.0 / 3.0) * v * v) * np.exp(-sq5 * v)
+
+
+def test_ard_embed_equals_the_per_call_divisor_bitwise():
+    sl = (0.0570, 0.0570, 0.97, 0.31)
+    k = ArdMatern52Kernel(sigma_f=1.3, sigma_l=sl)
+    rng = np.random.default_rng(4)
+    pts = np.concatenate([np.repeat(PIN_RADII[:, None], 4, axis=1),
+                          rng.normal(size=(200, 4))])
+    want = pts / (np.sqrt(2.0) * np.asarray(sl))
+    assert k.embed(pts).tobytes() == want.tobytes()
+    a, b = pts[5], pts[-1]
+    s = np.linalg.norm((a - b) / (np.sqrt(2.0) * np.asarray(sl)))
+    assert k(a, b) == float(1.3**2 * (1.0 + np.sqrt(5.0) * s + (5.0 / 3.0) * s * s)
+                            * np.exp(-np.sqrt(5.0) * s))
+    # the divisor is not a field: equality and hashing see sigma_f, sigma_l only
+    assert k == ArdMatern52Kernel(sigma_f=1.3, sigma_l=list(sl))
+    assert hash(k) == hash(ArdMatern52Kernel(sigma_f=1.3, sigma_l=sl))

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import cdist
 
 from invctrl.bounds import DeviationBounds
+from invctrl.config import ConfigError
 from invctrl.kernels import IsotropicKernel
 from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFamily,
                                build_level_family, check_nesting, dump_family,
@@ -540,6 +541,30 @@ def test_dump_load_round_trip(tmp_path, numerical_artifacts):
     again = tmp_path / "again.npy"
     dump_family(again, fam)
     assert p.read_bytes() == again.read_bytes()
+
+
+@pytest.mark.parametrize("table,value", [
+    (0, np.nan), (1, np.nan), (0, np.inf), (1, np.inf), (0, ABSENT), (1, ABSENT),
+])
+def test_load_rejects_nonfinite_or_one_sided_entries(tmp_path, table, value):
+    ds = synth_dataset(np.zeros((4, 3)), [0.0] * 4, [0.5] * 4)
+    fam = synth_family(ds, 0.5, [[(0, 0.4, 0.04), (2, 0.3, 0.03)],
+                                 [(1, 0.2, 0.02), (3, 0.1, 0.01)]])
+    p = tmp_path / "fam.npy"
+    dump_family(p, fam)
+    assert load_family(p, ds, fam.delta, fam.depth).cert_radius[1, 3] == 0.01
+    tables = np.load(p)
+    tables[table, 1, 3] = value
+    np.save(p, tables)
+    with pytest.raises(ConfigError, match=r"fam\.npy: level 1 record 3 has inradius"):
+        load_family(p, ds, fam.delta, fam.depth)
+    # an empty entry filled in one table only is rejected too
+    tables = np.load(p)
+    tables[:, 1, 3] = 0.1, 0.01
+    tables[table, 0, 1] = 0.5
+    np.save(p, tables)
+    with pytest.raises(ConfigError, match="level 0 record 1"):
+        load_family(p, ds, fam.delta, fam.depth)
 
 
 def test_build_argument_validation(numerical_artifacts):

@@ -538,16 +538,19 @@ def _reference_offenders(families, dataset, bounds):
             if idx.size == 0:
                 continue
             r, c = fam.inradius[j, idx], fam.cert_radius[j, idx]
-            if np.any(r <= 0):
-                neg = (f"delta={fam.delta:g} level={j} record={int(idx[np.argmin(r)])} "
-                       f"r={float(r.min()):g}")
+            low = np.minimum(r, c)
+            if np.any(low <= 0):
+                neg = (f"delta={fam.delta:g} level={j} record={int(idx[np.argmin(low)])} "
+                       f"r={float(low.min()):g}")
             if j == 0:
                 margin = np.abs(dataset.succ_states[idx, dataset.order - 1]) + r
                 if np.any(margin > fam.delta + 1e-12):
                     k = int(np.argmax(margin))
                     slab_bad = (f"delta={fam.delta:g} record={int(idx[k])} "
                                 f"reach={float(margin[k]):g}")
-            gap = bounds.state_dev(c) - r
+            live = c > 0
+            gap = np.full(len(idx), ABSENT)
+            gap[live] = bounds.state_dev(c[live]) - r[live]
             if np.any(gap > 1e-9):
                 cert_bad = f"delta={fam.delta:g} level={j} record={int(idx[np.argmax(gap)])}"
     return neg, slab_bad, cert_bad
@@ -771,6 +774,49 @@ def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
     assert main(["simulate", "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "delta_0p1.npy" in err and message in err
+
+
+@pytest.mark.parametrize("case,table,level,record,value,stages", [
+    # an entry the pendulum's sampled recursion check does not draw from
+    ("inf_in_both", (0, 1), 5, 748, np.inf, ["verify", "simulate"]),
+    ("inradius_absent", (0,), 3, 121, ABSENT, ["verify"]),
+    ("cert_absent", (1,), 3, 121, ABSENT, ["verify"]),
+], ids=["inf_in_both", "inradius_absent", "cert_absent"])
+def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys,
+                                                   case, table, level, record, value,
+                                                   stages):
+    import shutil
+    out = str(tmp_path / case)
+    shutil.copytree(pendulum_cfg.outdir, out)
+    fam_path = os.path.join(out, "families", "delta_0p01.npy")
+    tables = np.load(fam_path)
+    assert np.isfinite(tables[:, level, record]).all()
+    tables[table, level, record] = value
+    np.save(fam_path, tables)
+    r, c = tables[:, level, record]
+    for stage in stages:
+        capsys.readouterr()
+        assert main([stage, "--plant", "pendulum", "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {fam_path}: level {level} record {record} "
+                              f"has inradius {r:g} and cert_radius {c:g}")
+
+
+def test_cli_verify_fails_negative_certified_radius(pendulum_cfg, tmp_path):
+    # a certified radius below zero under a present inradius is a failed
+    # property, not a traceback from evaluating the bound at it
+    import shutil
+    out = str(tmp_path / "negative_cert")
+    shutil.copytree(pendulum_cfg.outdir, out)
+    fam_path = os.path.join(out, "families", "delta_0p01.npy")
+    tables = np.load(fam_path)
+    assert np.isfinite(tables[:, 3, 121]).all()
+    tables[1, 3, 121] = -1e-3
+    np.save(fam_path, tables)
+    assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
+    lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
+    assert "FAIL family_positive_radii: delta=0.01 level=3 record=121 r=-0.001" in lines
+    assert "PASS family_certificate_consistency: state_dev(cert_radius) <= inradius + 1e-9" in lines
 
 
 @pytest.mark.parametrize("name,line,text,message,stage", [
