@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the three studies from two source trees and compare their outputs.
 
-Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC
+Usage: python scripts/compare_outputs.py OLD_SRC NEW_SRC [--keep DIR]
 
 Each tree is a checkout (holding ``src/invctrl``) or a directory holding
 ``invctrl`` itself.  For each tree, in a temporary directory, the numerical
@@ -11,7 +11,9 @@ report.  Every output file (trajectories, manifest, model, families, build
 report, run logs, summary, verify report) is then compared byte for byte,
 as is each stage's exit code; stdout is not, since it carries wall-clock
 timings.  Exits 0 when everything matches and 1 after naming each
-difference.
+difference.  With ``--keep DIR`` the outputs stay in ``DIR/old/<study>``
+and ``DIR/new/<study>`` (for ``scripts/compare_family_tables.py``) instead
+of a temporary directory.
 """
 
 import argparse
@@ -85,10 +87,14 @@ def main(argv=None):
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("old_src")
     ap.add_argument("new_src")
+    ap.add_argument("--keep", metavar="DIR", help="keep the study outputs in DIR")
     args = ap.parse_args(argv)
     old_root, new_root = package_root(args.old_src), package_root(args.new_src)
-    with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
-        diffs = compare(old_root, new_root, work)
+    if args.keep:
+        diffs = compare(old_root, new_root, args.keep)
+    else:
+        with tempfile.TemporaryDirectory(prefix="compare_outputs_") as work:
+            diffs = compare(old_root, new_root, work)
     for line in diffs:
         print(f"DIFFERS {line}")
     print("identical" if not diffs else f"{len(diffs)} differences")

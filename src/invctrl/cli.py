@@ -67,9 +67,10 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"missing artifact: {exc}; run the earlier pipeline stages "
-              f"into {cfg.outdir} first", file=sys.stderr)
+    except OSError as exc:  # a missing file, or one that cannot be read (say, a directory)
+        hint = (f"; run the earlier pipeline stages into {cfg.outdir} first"
+                if isinstance(exc, FileNotFoundError) else "")
+        print(f"{'missing' if hint else 'unreadable'} artifact: {exc}{hint}", file=sys.stderr)
         return 2
     if args.command in ("verify", "report") and result is not True:
         return 1

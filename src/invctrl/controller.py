@@ -8,7 +8,7 @@ position, not an action, and is never searched.  A record holding the
 state at any level is within that largest radius, so the level is the first
 certified-radius row in which one of these candidates holds the state.  The
 reference is the stored target of the level's record of largest slack
-``cert_radius - dist`` (ties by lowest index); the interpolant is applied at
+``radius - dist`` (ties by lowest index); the interpolant is applied at
 ``[reference; state]``.
 
 When no family covers the state the nearest-training-neighbour fallback is
@@ -39,7 +39,7 @@ class StepCertificate:
     delta: Optional[float]   # None on fallback
     kappa: Optional[int]
     index: int               # selected record (reference provider)
-    slack: Optional[float]   # cert_radius - distance, >= 0 when certified
+    slack: Optional[float]   # radius - distance, >= 0 when certified
     certified: bool
 
 
@@ -61,8 +61,8 @@ class Controller:
         for f in families:
             if f.dataset is not self.dataset:
                 raise ValueError("families must share one dataset")
-        # top[f, i]: largest level >= 1 cert_radius of record i (ABSENT if none)
-        self._top = np.array([f.cert_radius[1:].max(axis=0, initial=ABSENT)
+        # top[f, i]: largest level >= 1 radius of record i (ABSENT if none)
+        self._top = np.array([f.radius[1:].max(axis=0, initial=ABSENT)
                               for f in families])
 
     def locate(self, d):
@@ -75,7 +75,7 @@ class Controller:
         # a record holding the state at any level is a candidate
         cand = hit[f].nonzero()[0]
         fam = self.families[f]
-        holds = (fam.cert_radius[1:].take(cand, axis=1) >= d.take(cand)).any(axis=1)
+        holds = (fam.radius[1:].take(cand, axis=1) >= d.take(cand)).any(axis=1)
         return fam.delta, 1 + int(holds.argmax())
 
     def family(self, delta) -> LevelFamily:
@@ -90,7 +90,7 @@ class Controller:
         if kappa < 1:
             raise ValueError("reference selection needs level >= 1")
         fam = self.family(delta)
-        slack = fam.cert_radius[kappa] - d
+        slack = fam.radius[kappa] - d
         k = int(np.argmax(slack))  # first maximum: ties by lowest record index
         if not slack[k] >= 0:
             raise RuntimeError(

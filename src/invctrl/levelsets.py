@@ -30,12 +30,12 @@ rounded subtraction is monotone, so on a skipped row ``radii[k] - D[i, k]
 floor, else at most the floor, and the row is ``ABSENT`` either way.  Every
 inradius row is bit-identical to the one from the product over all columns.
 
-A family is two float64 tables indexed ``[level, record]``: ``inradius``
-and ``cert_radius``, with ``ABSENT`` (-inf) where a record has no ball at
-that level.  Rows stop at the first empty level, so every stored row holds
-at least one ball.  Balls are reconstructed on demand from the dataset, and
-ball-union queries read ``margin`` over a level's whole radius row.  The tables
-are persisted as one raw ``.npy`` array of shape ``(2, levels, records)``.
+A family is one float64 table ``radius[level, record]``, ``ABSENT`` (-inf)
+where a record has no ball at that level: slab inradii at level 0, certified
+radii above.  Rows stop at the first empty level.  Balls are reconstructed on
+demand from the dataset; ball-union queries read ``margin`` over a radius row.
+The successor inradii of levels >= 1, which only ``verify`` reads, are a second
+table of the same ``ABSENT`` cells.  Each table is one raw ``.npy`` file.
 """
 
 from __future__ import annotations
@@ -60,6 +60,7 @@ __all__ = [
     "check_nesting",
     "dump_family",
     "load_family",
+    "load_inradius",
 ]
 
 MIN_INRADIUS = 1e-12
@@ -70,55 +71,47 @@ SCAN_ROWS = 64    # rows per block of the full scan in ``max_plus``
 
 @dataclass
 class LevelFamily:
-    """Levels 0..depth for one accuracy value.
-
-    ``inradius`` and ``cert_radius`` have shape (stored levels, records),
-    ``ABSENT`` where a record has no ball.  Level 0 balls: (successor
-    state, inradius).  Level j >= 1 balls: (record state, certified
-    radius).  Levels past the stored rows are empty.
-    """
+    """Levels 0..depth for one accuracy value: ``radius`` is (stored levels,
+    records), slab inradii of balls at successors in row 0, certified radii
+    of balls at states above; later levels are empty."""
 
     delta: float
     depth: int
-    inradius: np.ndarray
-    cert_radius: np.ndarray
+    radius: np.ndarray
     dataset: NarxDataset
 
     @property
     def truncated_at(self):
         """First empty level when construction stopped early, else None."""
-        rows = len(self.inradius)
+        rows = len(self.radius)
         return None if rows == self.depth + 1 else rows
 
     def present(self, level):
         """Record indices with a ball at ``level``, ascending."""
-        if level >= len(self.inradius):
+        if level >= len(self.radius):
             return np.zeros(0, dtype=int)
-        return np.flatnonzero(self.inradius[level] != ABSENT)
+        return np.flatnonzero(self.radius[level] != ABSENT)
 
     def sizes(self):
         """Ball count per level 0..depth."""
-        counts = np.count_nonzero(self.inradius != ABSENT, axis=1)
+        counts = np.count_nonzero(self.radius != ABSENT, axis=1)
         return np.pad(counts, (0, self.depth + 1 - len(counts))).tolist()
 
-    def balls(self, level):
-        """Every record's center at ``level`` and the table of its radii."""
-        if level == 0:
-            return self.dataset.succ_states, self.inradius
-        return self.dataset.states, self.cert_radius
+    def centers(self, level):
+        """Every record's ball center at ``level``: its successor at 0, else its state."""
+        return self.dataset.succ_states if level == 0 else self.dataset.states
 
     def centers_radii(self, level):
         """Ball centers and radii realizing level ``level``."""
         idx = self.present(level)
-        centers, table = self.balls(level)
-        return centers[idx], (table[level, idx] if idx.size else np.zeros(0))
+        return self.centers(level)[idx], (self.radius[level, idx] if idx.size else np.zeros(0))
 
     def margin(self, level, points):
         """``margin`` of each row of ``points`` in the level's union."""
         if not 0 <= level <= self.depth:
             raise IndexError(f"level {level} outside 0..{self.depth}")
-        centers, table = self.balls(level)
-        return margin(points, centers, table[level] if level < len(table) else ABSENT)
+        row = self.radius[level] if level < len(self.radius) else ABSENT
+        return margin(points, self.centers(level), row)
 
     def contains(self, level, point):
         """Closed-ball membership of ``point`` in the level's union."""
@@ -183,10 +176,10 @@ def max_plus(radii, table):
     return np.where(best > MIN_INRADIUS, best, ABSENT)
 
 
-def build_level_family(dataset: NarxDataset, bounds, delta, depth,
-                       _dists=None) -> LevelFamily:
+def build_level_family(dataset: NarxDataset, bounds, delta, depth, _dists=None):
     """Construct levels 0..depth; stops early once a level comes out empty
-    (an empty family is a valid, reported outcome).
+    (an empty family is a valid, reported outcome).  Returns the family and
+    the ``(levels - 1, records)`` successor inradii of its levels >= 1.
 
     ``_dists`` optionally carries ``pairwise_distances(dataset)`` so that a
     batch build over several accuracies shares it.
@@ -196,24 +189,19 @@ def build_level_family(dataset: NarxDataset, bounds, delta, depth,
     if depth < 1:
         raise ValueError("depth must be >= 1")
     ss, sz = pairwise_distances(dataset) if _dists is None else _dists
-    rows_r, rows_c = [], []
     r = index_set_slab(dataset, delta)
-    while True:
+    rows, inner = ([r] if np.any(r != ABSENT) else []), []
+    while rows and len(rows) <= depth:
+        r = max_plus(rows[-1], ss if len(rows) == 1 else sz)
         idx = np.flatnonzero(r != ABSENT)
         if idx.size == 0:
             break
         c = np.full_like(r, ABSENT)
         c[idx] = bounds.state_dev_inv(r[idx])
-        rows_r.append(r)
-        rows_c.append(c)
-        if len(rows_r) == depth + 1:
-            break
-        r = max_plus(r, ss) if len(rows_r) == 1 else max_plus(c, sz)
-    shape = (len(rows_r), len(dataset))
-    return LevelFamily(delta=float(delta), depth=int(depth),
-                       inradius=np.array(rows_r).reshape(shape),
-                       cert_radius=np.array(rows_c).reshape(shape),
-                       dataset=dataset)
+        inner.append(r)
+        rows.append(c)
+    radius, inner = (np.array(t).reshape(len(t), len(dataset)) for t in (rows, inner))
+    return LevelFamily(float(delta), int(depth), radius, dataset), inner
 
 
 def pairwise_distances(dataset: NarxDataset):
@@ -226,43 +214,60 @@ def pairwise_distances(dataset: NarxDataset):
 def check_nesting(family: LevelFamily) -> bool:
     """Sufficient single-ball test that every level-0 ball lies inside some
     level-1 ball.  True certifies the nesting needed for indefinite
-    regulation; False is inconclusive and only reported.  Level-0 balls are
-    tested ``SCAN_ROWS`` at a time, stopping at the first block holding a
-    ball that no level-1 ball contains."""
+    regulation; False (also for an empty level 0) is inconclusive and only
+    reported.  Level-0 balls are tested ``SCAN_ROWS`` at a time, stopping at
+    the first block holding a ball that no level-1 ball contains."""
     c0, r0 = family.centers_radii(0)
     c1, r1 = family.centers_radii(1)
-    return all(((cdist(c0[s:s + SCAN_ROWS], c1) + r0[s:s + SCAN_ROWS, None]) <= r1)
-               .any(axis=1).all() for s in range(0, len(r0), SCAN_ROWS))
+    return len(r0) > 0 and all(((cdist(c0[s:s + SCAN_ROWS], c1) + r0[s:s + SCAN_ROWS, None])
+                                <= r1).any(axis=1).all() for s in range(0, len(r0), SCAN_ROWS))
 
 
-def dump_family(path, family: LevelFamily):
-    """Both radius tables as one raw ``.npy`` array (2, levels, records);
-    the bytes depend on the table values only."""
-    with open(path, "wb") as fh:
-        np.save(fh, np.stack([family.inradius, family.cert_radius]))
+def _inradius_path(path):  # the successor-inradius file next to the radius file
+    return str(path).removesuffix(".npy") + ".inradius.npy"
+
+
+def dump_family(path, family: LevelFamily, inradius):
+    """The radius table to ``path`` and the successor inradii of levels >= 1
+    beside it, as raw ``.npy`` arrays whose bytes depend on the values only."""
+    for target, table in ((path, family.radius), (_inradius_path(path), inradius)):
+        with open(target, "wb") as fh:
+            np.save(fh, table)
+
+
+def _load_table(path, fits, expected, absent=None):
+    """The float64 table at ``path``, else ``ConfigError`` naming the path: its
+    shape must pass ``fits``, and each cell be finite or ``ABSENT`` (exactly
+    where ``absent`` is, if given; row j is then level j + 1)."""
+    try:
+        table = np.load(path)
+    except (ValueError, EOFError) as exc:
+        raise ConfigError(f"{path}: not a radius table dump ({exc})") from None
+    if table.dtype != np.float64 or table.ndim != 2 or not fits(*table.shape):
+        raise ConfigError(f"{path}: table of shape {table.shape} ({table.dtype}) does not "
+                          f"fit {expected}; rebuild the families")
+    inner = absent is not None
+    # NaN and +inf both fail ``max < inf``; the offender is located on failure only
+    if not (table.max(initial=ABSENT) < np.inf
+            and (not inner or np.array_equal(table == ABSENT, absent))):
+        gone = table == ABSENT
+        bad = ~(np.isfinite(table) | gone) | (inner and gone != absent)
+        (j, i), name = np.argwhere(bad)[0], "inradius" if inner else "radius"
+        raise ConfigError(f"{path}: level {j + inner} record {i} has {name} {table[j, i]:g}: "
+                          "not finite, or ABSENT in one table only; rebuild the families")
+    return table
 
 
 def load_family(path, dataset: NarxDataset, delta, depth) -> LevelFamily:
-    """Rebuild a family from its dump and the dataset and config it was
-    built under; a table of another shape, a NaN or +inf radius, or an entry
-    ``ABSENT`` in one table only raises ``ConfigError``."""
-    try:
-        tables = np.load(path)
-    except (ValueError, EOFError) as exc:
-        raise ConfigError(f"{path}: not a radius table dump ({exc})") from None
-    if (tables.dtype != np.float64 or tables.ndim != 3 or tables.shape[0] != 2
-            or tables.shape[1] > depth + 1 or tables.shape[2] != len(dataset)):
-        raise ConfigError(
-            f"{path}: radius tables of shape {tables.shape} ({tables.dtype}) do "
-            f"not fit {len(dataset)} records and depth {depth}; rebuild the families")
-    # NaN and +inf both fail ``max < inf``; the offender is located on failure only
-    if not (tables.max(initial=ABSENT) < np.inf
-            and np.array_equal(tables[0] == ABSENT, tables[1] == ABSENT)):
-        absent = tables == ABSENT
-        bad = (absent[0] != absent[1]) | ~(np.isfinite(tables) | absent).all(axis=0)
-        j, i = np.argwhere(bad)[0]
-        raise ConfigError(
-            f"{path}: level {j} record {i} has inradius {tables[0, j, i]:g} and cert_radius "
-            f"{tables[1, j, i]:g}, not finite or ABSENT in both; rebuild the families")
-    return LevelFamily(delta=float(delta), depth=int(depth), inradius=tables[0],
-                       cert_radius=tables[1], dataset=dataset)
+    """A family from its radius dump (checked by ``_load_table``) and build inputs."""
+    radius = _load_table(path, lambda rows, n: rows <= depth + 1 and n == len(dataset),
+                         f"{len(dataset)} records and depth {depth}")
+    return LevelFamily(delta=float(delta), depth=int(depth), radius=radius, dataset=dataset)
+
+
+def load_inradius(path, family: LevelFamily):
+    """The successor inradii of levels >= 1 dumped beside the radius file
+    ``path`` of ``family``, ``ABSENT`` exactly where its radius rows are."""
+    radius = family.radius[1:]
+    return _load_table(_inradius_path(path), lambda *shape: shape == radius.shape,
+                       f"radius levels >= 1 of shape {radius.shape}", radius == ABSENT)

@@ -6,13 +6,14 @@ Stage outputs live under the configured output directory:
     manifest.txt
     model.txt                    build
     families/delta_*.npy
+    families/delta_*.inradius.npy (read by verify only)
     build_report.txt
     runs/ic_NN.csv               simulate
     summary.txt
     verify_report.txt            verify
 
-The family files are raw ``.npy`` radius tables (see ``levelsets``); every
-other file is plain delimiter-separated text with full-precision floats.
+The family files are raw ``.npy`` tables (see ``levelsets``); every other
+file is plain delimiter-separated text with full-precision floats.
 Repeated runs with one config and seed are byte-identical (wall-clock
 timings go to stdout only).
 """
@@ -31,7 +32,7 @@ from .config import ConfigError, RunConfig
 from .controller import Controller
 from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
 from .levelsets import (build_level_family, check_nesting, dump_family,
-                        load_family, pairwise_distances)
+                        load_family, load_inradius, pairwise_distances)
 from .narx import (FLOAT_FMT, NarxDataset, TrajectoryError, build_dataset,
                    read_trajectories, shift_state, write_trajectory)
 from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
@@ -163,8 +164,8 @@ def cmd_build(cfg: RunConfig, log=print):
         lines.append(f"rkhs_norm_estimate = {_fmt(model.rkhs_norm())}")
     empty_warned = False
     for delta in cfg.deltas:
-        fam = build_level_family(dataset, bounds, delta, cfg.depth, _dists=dists)
-        dump_family(_family_path(paths, delta), fam)
+        fam, inradius = build_level_family(dataset, bounds, delta, cfg.depth, _dists=dists)
+        dump_family(_family_path(paths, delta), fam, inradius)
         sizes = fam.sizes()
         nested = check_nesting(fam)
         trunc = fam.truncated_at if fam.truncated_at is not None else ""
@@ -375,7 +376,8 @@ def cmd_verify(cfg: RunConfig, log=print):
     """Run the property suites over the artifacts; True when all of them pass."""
     paths = _paths(cfg)
     dataset, model, controller = load_artifacts(cfg)
-    report = verify.run_all(cfg, dataset, model, controller, cfg.make_plant(),
+    inradii = [load_inradius(_family_path(paths, f.delta), f) for f in controller.families]
+    report = verify.run_all(cfg, dataset, model, controller, inradii, cfg.make_plant(),
                             cfg.make_bounds(model.kernel), log=log)
     if os.path.exists(paths["summary"]):
         verify.add_check(report, log, "rmse_recompute", cmd_report(cfg, log=lambda *_: None),

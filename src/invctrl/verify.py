@@ -67,11 +67,11 @@ def paired_distances(pts, centers):
                        for k in range(pts.shape[-1])))
 
 
-def recursion_entries(fam, per_level):
+def recursion_entries(inradius, per_level):
     """(levels, records) the recursion check samples, in (level, record)
-    order: each present entry of levels >= 1, or ``per_level`` of each
-    level's ``n``, at ``np.unique(np.linspace(0, n - 1, per_level).astype(int))``."""
-    present = fam.inradius[1:] != ABSENT
+    order: each present entry of ``inradius`` (levels >= 1), or ``per_level``
+    of each level's ``n``, at ``np.unique(np.linspace(0, n - 1, per_level).astype(int))``."""
+    present = inradius != ABSENT
     flat = np.flatnonzero(present)
     if per_level is not None and flat.size:
         n = np.count_nonzero(present, axis=1)
@@ -85,18 +85,17 @@ def recursion_entries(fam, per_level):
     return lev + 1, rec
 
 
-def recursion_escapes(fam, samples, per_level, rng):
+def recursion_escapes(fam, inradius, samples, per_level, rng):
     """First (level, record) of ``recursion_entries`` with one of ``samples``
-    uniform draws from its ball outside the previous level's union, or None.
-    Every entry is drawn, so the stream moves on as per-entry draws would."""
-    lev, rec = recursion_entries(fam, per_level)
+    uniform draws from its ``inradius`` ball outside the previous level's union,
+    or None.  Every entry is drawn, so the stream moves on as per-entry draws would."""
+    lev, rec = recursion_entries(inradius, per_level)
     centers = fam.dataset.succ_states[rec]
-    pts = sample_in_balls(rng, centers, fam.inradius[lev, rec], samples)
+    pts = sample_in_balls(rng, centers, inradius[lev - 1, rec], samples)
     cand_c, cand_r = np.empty_like(centers), np.empty(len(lev))
     starts = np.flatnonzero(np.diff(lev, prepend=0))
     for s, e in zip(starts, np.append(starts[1:], len(lev))):
-        all_c, table = fam.balls(lev[s] - 1)
-        row = table[lev[s] - 1]
+        all_c, row = fam.centers(lev[s] - 1), fam.radius[lev[s] - 1]
         slack = cdist(centers[s:e], all_c)
         best = np.subtract(row, slack, out=slack).argmax(axis=1)
         cand_c[s:e], cand_r[s:e] = all_c[best], row[best]
@@ -115,25 +114,27 @@ def recursion_escapes(fam, samples, per_level, rng):
     return None
 
 
-def family_offenders(families, bounds):
-    """Details of the non-positive radius (the smaller of an entry's two),
-    slab reach and certificate gap (where ``cert_radius > 0``) checks, each
-    None or the first extreme of the last offending (family, level), as a
-    level-by-level loop over present entries names it."""
+def family_offenders(families, inradii, bounds):
+    """Details of the non-positive radius (the smaller of an entry's radius and
+    its successor inradius from ``inradii``), slab reach and certificate gap
+    (levels >= 1, radius > 0) checks, each None or the first extreme of the
+    last offending (family, level), as a level-by-level loop names it."""
     found = [None, None, None]
-    for fam in families:
-        present = fam.inradius != ABSENT
-        radius = np.where(present, np.minimum(fam.inradius, fam.cert_radius), np.inf)
-        live = present & (fam.cert_radius > 0)
+    for fam, inradius in zip(families, inradii):
+        inner = np.concatenate([fam.radius[:1], inradius])  # successor inradii by level
+        present = fam.radius != ABSENT
+        radius = np.where(present, np.minimum(inner, fam.radius), np.inf)
+        live = present & (fam.radius > 0)
+        live[:1] = False  # level 0 has no certified radius
         gap = np.full(radius.shape, ABSENT)
-        gap[live] = bounds.state_dev(fam.cert_radius[live]) - fam.inradius[live]
+        gap[live] = bounds.state_dev(fam.radius[live]) - inner[live]
         rows = np.flatnonzero((radius <= 0).any(axis=1))
         if rows.size:
             j, k = rows[-1], np.argmin(radius[rows[-1]])
             found[0] = f"delta={fam.delta:g} level={j} record={k} r={radius[j, k]:g}"
         if len(radius):  # an ABSENT inradius keeps an ABSENT margin
             ds = fam.dataset
-            margin = np.abs(ds.succ_states[:, ds.order - 1]) + fam.inradius[0]
+            margin = np.abs(ds.succ_states[:, ds.order - 1]) + fam.radius[0]
             if np.any(margin > fam.delta + 1e-12):
                 k = np.argmax(margin)
                 found[1] = f"delta={fam.delta:g} record={k} reach={margin[k]:g}"
@@ -197,9 +198,9 @@ def add_check(checks, log, name, passed, detail=""):
         + (f": {detail}" if detail else ""))
 
 
-def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
+def run_all(cfg, dataset, model, controller, inradii, plant, bounds, log=print):
     """Every artifact suite over loaded artifacts, as (name, passed, detail)
-    checks in report order."""
+    checks in report order; ``inradii`` holds each family's successor inradii."""
     checks = []
     add = partial(add_check, checks, log)
     kernel = model.kernel
@@ -287,7 +288,7 @@ def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
             f"{viol} violations over {ORACLE_DRAWS} delayed-map samples")
 
     # level families ---------------------------------------------------------
-    neg, slab, cert = family_offenders(controller.families, bounds)
+    neg, slab, cert = family_offenders(controller.families, inradii, bounds)
     add("family_positive_radii", neg is None, neg or "all entry inradii positive")
     add("family_slab_soundness", slab is None, slab or "level-0 balls inside the output slab")
     add("family_certificate_consistency", cert is None,
@@ -295,8 +296,8 @@ def run_all(cfg, dataset, model, controller, plant, bounds, log=print):
 
     per_level, samples = (8, 50) if len(dataset) > 400 else (None, 200)
     fail = None
-    for fam in controller.families:
-        escape = recursion_escapes(fam, samples, per_level, rng)
+    for fam, inradius in zip(controller.families, inradii):
+        escape = recursion_escapes(fam, inradius, samples, per_level, rng)
         if escape:
             fail = (fam.delta, *escape)
             break

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invctrl.config import default_config
-from invctrl.levelsets import ABSENT, LevelFamily
+from invctrl.levelsets import ABSENT, LevelFamily, load_inradius
 from invctrl.narx import NarxDataset
 from invctrl import pipeline
 
@@ -16,13 +16,21 @@ def numerical_cfg(tmp_path_factory):
     return cfg
 
 
+def loaded_artifacts(cfg):
+    """The build's artifacts as simulate and verify load them, with the
+    successor-inradius table of each family (``inradii``) that only verify
+    reads."""
+    dataset, model, controller = pipeline.load_artifacts(cfg)
+    inradii = [load_inradius(pipeline._family_path(pipeline._paths(cfg), f.delta), f)
+               for f in controller.families]
+    return dict(cfg=cfg, dataset=dataset, model=model, controller=controller,
+                inradii=inradii, bounds=cfg.make_bounds(model.kernel),
+                plant=cfg.make_plant())
+
+
 @pytest.fixture(scope="session")
 def numerical_artifacts(numerical_cfg):
-    dataset, model, controller = pipeline.load_artifacts(numerical_cfg)
-    bounds = numerical_cfg.make_bounds(model.kernel)
-    plant = numerical_cfg.make_plant()
-    return dict(cfg=numerical_cfg, dataset=dataset, model=model,
-                controller=controller, bounds=bounds, plant=plant)
+    return loaded_artifacts(numerical_cfg)
 
 
 @pytest.fixture(scope="session")
@@ -36,11 +44,7 @@ def pendulum_cfg(tmp_path_factory):
 
 @pytest.fixture(scope="session")
 def pendulum_artifacts(pendulum_cfg):
-    dataset, model, controller = pipeline.load_artifacts(pendulum_cfg)
-    bounds = pendulum_cfg.make_bounds(model.kernel)
-    plant = pendulum_cfg.make_plant()
-    return dict(cfg=pendulum_cfg, dataset=dataset, model=model,
-                controller=controller, bounds=bounds, plant=plant)
+    return loaded_artifacts(pendulum_cfg)
 
 
 def sampled_inradius(point, centers, radii, directions=2000, seed=0):
@@ -76,12 +80,17 @@ def synth_dataset(states, targets, controls):
 
 
 def synth_family(ds, delta, levels):
-    """Hand-built family; levels: list of [(idx, inradius, cert_radius), ...]
-    per level 0..depth, written into the radius tables."""
+    """Hand-built family; levels: list of [(idx, radius), ...] per level
+    0..depth, written into the radius table (slab inradii at level 0,
+    certified radii above)."""
     r = np.full((len(levels), len(ds)), ABSENT)
-    c = np.full((len(levels), len(ds)), ABSENT)
     for j, entries in enumerate(levels):
-        for i, ri, ci in entries:
-            r[j, i], c[j, i] = ri, ci
-    return LevelFamily(delta=delta, depth=len(levels) - 1, inradius=r,
-                       cert_radius=c, dataset=ds)
+        for i, ri in entries:
+            r[j, i] = ri
+    return LevelFamily(delta=delta, depth=len(levels) - 1, radius=r, dataset=ds)
+
+
+def inradius_by_level(fam, inradius):
+    """Successor inradius of every entry indexed by level: the level-0 radii
+    over the levels >= 1 table ``inradius``."""
+    return np.concatenate([fam.radius[:1], inradius])

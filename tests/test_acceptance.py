@@ -163,10 +163,11 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
     under_ok = worst_gap <= 1e-9
 
     rng2 = rng_stream(numerical_artifacts["cfg"].seed, 91)
-    families = numerical_artifacts["controller"].families
-    first = [verify.recursion_escapes(fam, 200, None, rng2) for fam in families]
+    families = zip(numerical_artifacts["controller"].families, numerical_artifacts["inradii"])
+    first = [verify.recursion_escapes(fam, inr, 200, None, rng2) for fam, inr in families]
     escapes = sum(e is not None for e in first)
-    checked = sum(len(verify.recursion_entries(fam, None)[0]) for fam in families)
+    checked = sum(len(verify.recursion_entries(inr, None)[0])
+                  for inr in numerical_artifacts["inradii"])
     report(9, under_ok and escapes == 0,
            f"union-inradius underestimate gap {worst_gap:.2e} over 100 configs; "
            f"level recursion: {escapes} families with an escape over "

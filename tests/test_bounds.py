@@ -9,6 +9,8 @@ from invctrl.bounds import DeviationBounds
 from invctrl.config import default_config
 from invctrl.kernels import IsotropicKernel
 
+from conftest import inradius_by_level
+
 SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 
 # the benchmark's constants: lip_f = 6.5, lip_c = 0.22, norm bound 1
@@ -197,9 +199,10 @@ def inversion_cases(numerical_artifacts):
     """(bounds, radii) batches: every level row of the numerical build, a
     random batch with a zero, and the same batch under a delay-2 bound."""
     bounds = numerical_artifacts["bounds"]
-    for fam in numerical_artifacts["controller"].families:
-        for j in range(len(fam.inradius)):
-            yield bounds, fam.inradius[j, fam.present(j)]
+    for fam, inradius in zip(numerical_artifacts["controller"].families,
+                             numerical_artifacts["inradii"]):
+        for j, row in enumerate(inradius_by_level(fam, inradius)):
+            yield bounds, row[fam.present(j)]
     rng = np.random.default_rng(11)
     batch = np.concatenate([[0.0], rng.uniform(0.0, 5.0, 40),
                             10.0 ** rng.uniform(-6.0, 3.0, 40)])
@@ -221,7 +224,7 @@ def test_state_dev_inv_equals_reference_bisection(numerical_artifacts):
         assert np.array_equal(bounds.state_dev_inv(r), reference_state_dev_inv(bounds, r)[0])
         rows += 1
     families = numerical_artifacts["controller"].families
-    assert rows == sum(len(f.inradius) for f in families) + 2
+    assert rows == sum(len(f.radius) for f in families) + 2
 
 
 def test_state_dev_inv_one_deficit_evaluation_per_step(numerical_artifacts):
@@ -238,21 +241,22 @@ def test_state_dev_inv_one_deficit_evaluation_per_step(numerical_artifacts):
 
 
 def test_stored_cert_radius_rows_are_one_inversion(numerical_artifacts):
-    # a stored row is one batched inversion of the row's inradii; the
-    # same radii inverted one at a time stop elsewhere in the last digits
+    # a stored row >= 1 is one batched inversion of the level's successor
+    # inradii; the same radii inverted one at a time stop elsewhere in the
+    # last digits
     bounds = numerical_artifacts["bounds"]
-    families = numerical_artifacts["controller"].families
+    families, inradii = numerical_artifacts["controller"].families, numerical_artifacts["inradii"]
     assert len(families) == 9
-    for fam in families:
-        for j in range(len(fam.inradius)):
+    for fam, inradius in zip(families, inradii):
+        for j in range(1, len(fam.radius)):
             idx = fam.present(j)
-            assert np.array_equal(fam.cert_radius[j, idx],
-                                  bounds.state_dev_inv(fam.inradius[j, idx]))
-    fam = families[-1]
+            assert np.array_equal(fam.radius[j, idx],
+                                  bounds.state_dev_inv(inradius[j - 1, idx]))
+    fam, inradius = families[-1], inradii[-1]
     idx = fam.present(1)
-    alone = np.array([bounds.state_dev_inv(x) for x in fam.inradius[1, idx]])
-    assert len(idx) > 10 and not np.array_equal(alone, fam.cert_radius[1, idx])
-    assert np.allclose(alone, fam.cert_radius[1, idx], rtol=1e-8, atol=0.0)
+    alone = np.array([bounds.state_dev_inv(x) for x in inradius[0, idx]])
+    assert len(idx) > 10 and not np.array_equal(alone, fam.radius[1, idx])
+    assert np.allclose(alone, fam.radius[1, idx], rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("plant", ["numerical", "pendulum"])

@@ -33,13 +33,13 @@ def synth():
     )
     # family at accuracy 0.1: record 0 at level 1 and 2; family 0.5: records 0,1
     fam_01 = synth_family(ds, 0.1, [
-        [(0, 0.05, 0.004)],
-        [(0, 0.05, 0.004)],
-        [(0, 0.03, 0.002)],
+        [(0, 0.05)],
+        [(0, 0.004)],
+        [(0, 0.002)],
     ])
     fam_05 = synth_family(ds, 0.5, [
-        [(0, 0.45, 0.04), (1, 0.4, 0.035)],
-        [(0, 0.45, 0.04), (1, 0.4, 0.035)],
+        [(0, 0.45), (1, 0.4)],
+        [(0, 0.04), (1, 0.035)],
         [],
     ])
     return ds, fam_01, fam_05
@@ -62,9 +62,9 @@ def test_locate_prefers_smaller_accuracy_then_level(synth):
     # a state in level 2 of the small accuracy but level 1 of the large one
     # still resolves to the smaller accuracy first
     fam_01b = synth_family(ds, 0.1, [
-        [(0, 0.05, 0.004)],
+        [(0, 0.05)],
         [],
-        [(0, 0.03, 0.002)],
+        [(0, 0.002)],
     ])
     ctl2 = Controller([fam_01b, fam_05], IdentityModel())
     assert ctl2.locate(row(ctl2, ds.states[0])) == (0.1, 2)
@@ -72,13 +72,13 @@ def test_locate_prefers_smaller_accuracy_then_level(synth):
 
 def brute_locate(families, state):
     """Reference for ``Controller.locate``: the first accuracy (ascending)
-    with any level >= 1 ball holding the state, then its lowest such level."""
-    state = np.asarray(state, dtype=float)
+    with any level >= 1 ball holding the state, then its lowest such level,
+    from one norm row against every radius row >= 1."""
+    d = np.linalg.norm(families[0].dataset.states - np.asarray(state, dtype=float), axis=1)
     for fam in sorted(families, key=lambda f: f.delta):
-        for level in range(1, fam.depth + 1):
-            centers, radii = fam.centers_radii(level)
-            if np.any(np.linalg.norm(centers - state, axis=1) <= radii):
-                return fam.delta, level
+        holds = (d <= fam.radius[1:]).any(axis=1)
+        if holds.any():
+            return fam.delta, 1 + int(holds.argmax())
     return None
 
 
@@ -99,9 +99,9 @@ def test_locate_matches_brute_force_synth(synth):
     ds, fam_01, fam_05 = synth
     # accuracy 0.2 holds record 2 at level 0 only, record 1 from level 2 on
     fam_02 = synth_family(ds, 0.2, [
-        [(2, 0.15, 0.01)],
+        [(2, 0.15)],
         [],
-        [(1, 0.15, 0.3)],
+        [(1, 0.3)],
     ])
     ctl = Controller([fam_01, fam_05, fam_02], IdentityModel())
     level0_only = ds.succ_states[2]
@@ -136,9 +136,8 @@ def test_locate_matches_brute_force_benchmark(plant, count, request):
 def test_locate_skips_family_without_action_levels(synth):
     ds, fam_01, fam_05 = synth
     # accuracy 0.05 stores only level 0, which holds every record's state
-    level0 = synth_family(ds, 0.05, [[(i, 0.04, 0.003) for i in range(3)], [], []])
-    level0 = replace(level0, inradius=level0.inradius[:1],
-                     cert_radius=level0.cert_radius[:1])
+    level0 = synth_family(ds, 0.05, [[(i, 0.04) for i in range(3)], [], []])
+    level0 = replace(level0, radius=level0.radius[:1])
     assert level0.truncated_at == 1
     ctl = Controller([level0, fam_01, fam_05], IdentityModel())
     assert ctl.locate(row(ctl, ds.states[0])) == (0.1, 1)
@@ -164,7 +163,7 @@ def bisect_locate(families, reaches, d):
 
 def assert_locate_matches_bisection(ctl, states):
     """``locate`` equals the bisection on every state; returns the hits."""
-    reaches = [np.maximum.accumulate(f.cert_radius[1:], axis=0) for f in ctl.families]
+    reaches = [np.maximum.accumulate(f.radius[1:], axis=0) for f in ctl.families]
     hits = 0
     for state in states:
         d = row(ctl, state)
@@ -187,12 +186,12 @@ def test_locate_matches_bisection_benchmark(plant, count, request):
             + rng.normal(scale=0.002, size=(count, dim)) * (hi - lo))
     sphere = []
     for fam in ctl.families:
-        lev, rec = np.nonzero(fam.cert_radius[1:] > 0)
+        lev, rec = np.nonzero(fam.radius[1:] > 0)
         pick = rng.integers(len(lev), size=count // len(ctl.families))
         unit = rng.normal(size=(len(pick), dim))
         unit /= np.linalg.norm(unit, axis=1, keepdims=True)
         sphere.append(ds.states[rec[pick]]
-                      + unit * fam.cert_radius[1 + lev[pick], rec[pick], None])
+                      + unit * fam.radius[1 + lev[pick], rec[pick], None])
     hits = assert_locate_matches_bisection(
         ctl, np.concatenate([uniform, near, *sphere]))
     assert 0 < hits < 3 * count
@@ -207,19 +206,19 @@ def test_locate_matches_bisection_synth():
         controls=[0.5, 0.6, 0.7, 0.8],
     )
     # accuracy 0.05 stores level 0 only
-    level0 = synth_family(ds, 0.05, [[(i, 0.04, 30.0) for i in range(4)]])
+    level0 = synth_family(ds, 0.05, [[(i, 30.0) for i in range(4)]])
     # ABSENT cells above present ones, and radii that shrink with depth
     shrink = synth_family(ds, 0.1, [
-        [(0, 0.05, 0.004)],
-        [(1, 0.05, 5.0), (3, 0.05, 1.0)],
-        [(0, 0.05, 2.0), (3, 0.05, 0.5)],
-        [(2, 0.05, 10.0)],
-        [(1, 0.05, 4.0), (0, 0.05, 1.0)],
+        [(0, 0.05)],
+        [(1, 5.0), (3, 1.0)],
+        [(0, 2.0), (3, 0.5)],
+        [(2, 10.0)],
+        [(1, 4.0), (0, 1.0)],
     ])
     wide = synth_family(ds, 0.5, [
-        [(0, 0.45, 0.04)],
-        [(3, 0.4, 10.0)],
-        [(0, 0.4, 25.0)],
+        [(0, 0.45)],
+        [(3, 10.0)],
+        [(0, 25.0)],
     ])
     ctl = Controller([level0, shrink, wide], IdentityModel())
     origin = np.zeros(3)
@@ -251,10 +250,10 @@ def test_locate_shrinking_column_picks_lowest_holding_level():
         targets=[0.05, 0.1], controls=[0.5, 0.6],
     )
     fam = synth_family(ds, 0.1, [
-        [(0, 0.05, 0.004)],
+        [(0, 0.05)],
         [],
-        [(0, 0.05, 6.0)],
-        [(1, 0.05, 51.0), (0, 0.05, 2.0)],
+        [(0, 6.0)],
+        [(1, 51.0), (0, 2.0)],
     ])
     ctl = Controller([fam], IdentityModel())
     cases = {
@@ -289,11 +288,11 @@ def test_locate_deepest_stored_level(synth):
     # record 1 reaches the probe, on the sphere of its ball, only at the last
     # stored level, 4 (2.5 - 2.0 = 0.5 exactly, so the closed ball holds it)
     fam = synth_family(ds, 0.1, [
-        [(0, 0.05, 0.004)],
-        [(0, 0.05, 0.004), (1, 0.05, 0.004)],
-        [(1, 0.05, 0.01)],
-        [(0, 0.05, 0.02)],
-        [(2, 0.05, 0.001), (1, 0.05, 0.5)],
+        [(0, 0.05)],
+        [(0, 0.004), (1, 0.004)],
+        [(1, 0.01)],
+        [(0, 0.02)],
+        [(2, 0.001), (1, 0.5)],
     ])
     ctl = Controller([fam, fam_05], IdentityModel())
     probe = ds.states[1] + np.array([0.5, 0.0, 0.0])
@@ -333,8 +332,8 @@ def test_select_reference_single_and_argmax(synth):
     # two covering entries: pick the larger slack
     mid = 0.5 * (ds.states[0] + ds.states[1])
     fam_wide = synth_family(ds, 0.5, [
-        [(0, 0.45, 0.04), (1, 0.4, 0.035)],
-        [(0, 0.45, 1.80), (1, 0.4, 1.87)],
+        [(0, 0.45), (1, 0.4)],
+        [(0, 1.80), (1, 1.87)],
     ])
     ctl2 = Controller([fam_wide], IdentityModel())
     cert2, _ = ctl2.select_reference(row(ctl2, mid), 0.5, 1)
@@ -350,8 +349,8 @@ def test_slack_scaling_invariance(synth):
     mid = 0.5 * (ds.states[0] + ds.states[1])
     for scale in (1.0, 3.0, 17.0):
         fam = synth_family(ds, 0.5, [
-            [(0, 0.45, 0.04)],
-            [(0, 0.45, 1.80 * scale), (1, 0.4, 1.87 * scale)],
+            [(0, 0.45)],
+            [(0, 1.80 * scale), (1, 1.87 * scale)],
         ])
         ctl = Controller([fam], IdentityModel())
         cert, _ = ctl.select_reference(row(ctl, mid), 0.5, 1)
@@ -370,7 +369,7 @@ def test_control_level_zero_relocates(synth):
     ds, _, _ = synth
     # state only in level 0: no action there, and nothing at level >= 1
     fam = synth_family(ds, 0.5, [
-        [(0, 0.45, 0.04)],
+        [(0, 0.45)],
         [],
     ])
     ctl = Controller([fam], IdentityModel())
@@ -378,8 +377,8 @@ def test_control_level_zero_relocates(synth):
     assert not cert.certified  # fell through to the fallback
     # with a second family covering at level 1, the re-location certifies
     fam2 = synth_family(ds, 0.6, [
-        [(0, 0.55, 0.05)],
-        [(0, 0.55, 10.0)],
+        [(0, 0.55)],
+        [(0, 10.0)],
     ])
     ctl2 = Controller([fam, fam2], IdentityModel())
     u2, cert2 = ctl2.control(ds.succ_states[0])
@@ -399,7 +398,7 @@ def test_fallback_nearest_with_tie_break(synth):
         targets=[0.9, -0.05, 0.4],
         controls=[0.5, 0.5, 0.5],
     )
-    fam_tie = synth_family(ds_tie, 0.5, [[(0, 0.1, 0.01)], []])
+    fam_tie = synth_family(ds_tie, 0.5, [[(0, 0.1)], []])
     ctl_tie = Controller([fam_tie], IdentityModel())
     _, cert_tie = ctl_tie.control(np.array([30.0, 0.0, 0.0]))
     assert cert_tie.index == 1
@@ -409,7 +408,7 @@ def test_fallback_nearest_with_tie_break(synth):
         targets=[0.9, 0.05, -0.05, 0.05],
         controls=[0.5] * 4,
     )
-    fam_tie2 = synth_family(ds_tie2, 0.5, [[(0, 0.1, 0.01)], []])
+    fam_tie2 = synth_family(ds_tie2, 0.5, [[(0, 0.1)], []])
     _, cert_tie2 = Controller([fam_tie2], IdentityModel()).control(
         np.array([30.0, 0.0, 0.0]))
     assert cert_tie2.index == 1
@@ -470,8 +469,9 @@ def test_certified_step_lands_in_reference_ball(numerical_artifacts):
     state = np.array([0.0, 0.0, 0.0])
     u, cert = ctl.control(state)
     assert cert.certified
-    fam = ctl.family(cert.delta)
-    r = float(fam.inradius[cert.kappa, cert.index])
+    inradius = next(inr for f, inr in zip(ctl.families, numerical_artifacts["inradii"])
+                    if f.delta == cert.delta)
+    r = float(inradius[cert.kappa - 1, cert.index])
     _, nxt = plant.advance(state, u)
     assert np.linalg.norm(ds.succ_states[cert.index] - nxt) <= r + 1e-9
     assert ctl.assert_descent(cert, nxt) is True
@@ -512,7 +512,7 @@ def reference_control(ctl, reaches, state):
         delta, kappa = loc
         fam = ctl.family(delta)
         idx = fam.present(kappa)
-        slacks = (fam.cert_radius[kappa, idx]
+        slacks = (fam.radius[kappa, idx]
                   - np.linalg.norm(ds.states[idx] - state, axis=1))
         k = int(np.argmax(slacks))
         j, slack = int(idx[k]), float(slacks[k])
@@ -526,7 +526,7 @@ def test_closed_loop_matches_reference_path(pendulum_artifacts, ic):
     # the first IC holds certified steps, then falls back from step 240 on;
     # the second is a study IC, certified throughout at many levels
     ctl, plant = pendulum_artifacts["controller"], pendulum_artifacts["plant"]
-    reaches = [np.maximum.accumulate(f.cert_radius[1:], axis=0)
+    reaches = [np.maximum.accumulate(f.radius[1:], axis=0)
                for f in ctl.families]
     state = np.array(ic)
     fallbacks = 0

@@ -10,8 +10,8 @@ from invctrl.config import ConfigError
 from invctrl.kernels import IsotropicKernel
 from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFamily,
                                build_level_family, check_nesting, dump_family,
-                               index_set_slab, load_family, margin, max_plus,
-                               nearest_table, pairwise_distances)
+                               index_set_slab, load_family, load_inradius, margin,
+                               max_plus, nearest_table, pairwise_distances)
 
 from invctrl.verify import sample_in_balls
 
@@ -86,7 +86,8 @@ def gathered_max_plus(radii, dist):
 
 def reference_family(ds, bounds, delta, depth):
     """Per-level build with ``gathered_max_plus`` over full distance
-    matrices; returns the (inradius, cert_radius) tables."""
+    matrices, every level inverted; returns the (inradius, certified
+    radius) tables of all levels."""
     d_ss = cdist(ds.succ_states, ds.succ_states)
     d_sz = cdist(ds.succ_states, ds.states)
     rows_r, rows_c = [], []
@@ -105,10 +106,13 @@ def reference_family(ds, bounds, delta, depth):
 
 
 def assert_family_exact(ds, bounds, delta, depth, dists=None):
-    fam = build_level_family(ds, bounds, delta, depth, _dists=dists)
-    inradius, cert_radius = reference_family(ds, bounds, delta, depth)
-    assert np.array_equal(fam.inradius, inradius)
-    assert np.array_equal(fam.cert_radius, cert_radius)
+    """The radius table is the reference's level-0 inradii over its
+    certified radii of levels >= 1, and the returned table its inradii of
+    levels >= 1, bit for bit."""
+    fam, inradius = build_level_family(ds, bounds, delta, depth, _dists=dists)
+    ref_inradius, ref_cert = reference_family(ds, bounds, delta, depth)
+    assert np.array_equal(fam.radius, np.concatenate([ref_inradius[:1], ref_cert[1:]]))
+    assert np.array_equal(inradius, ref_inradius[1:])
     return fam
 
 
@@ -323,27 +327,50 @@ def test_index_set_on_benchmark(numerical_artifacts):
 
 def test_family_all_levels_empty_when_unreachable():
     ds = synth_dataset([[0, 0, 0]] * 4, [2.0, 2.5, -2.2, 3.0], [0.5] * 4)
-    fam = build_level_family(ds, BOUNDS, delta=1.0, depth=5)
+    fam, inradius = build_level_family(ds, BOUNDS, delta=1.0, depth=5)
     assert fam.truncated_at == 0
     assert fam.sizes() == [0] * 6
+    assert fam.radius.shape == inradius.shape == (0, 4)
+
+
+def test_build_inverts_levels_above_zero_once_each():
+    # level 0 has no certified radius: one batched inversion per level >= 1
+    calls = []
+
+    class Counting(DeviationBounds):
+        def state_dev_inv(self, r):
+            calls.append(len(r))
+            return super().state_dev_inv(r)
+
+    bounds = Counting(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
+                      profile=SE.profile, profile_deficit=SE.profile_deficit)
+    fam, inradius = build_level_family(random_records(np.random.default_rng(11), 200),
+                                       bounds, 0.5, 6)
+    assert len(fam.radius) > 2 and len(inradius) == len(fam.radius) - 1
+    assert calls == fam.sizes()[1:len(fam.radius)]
 
 
 @pytest.mark.parametrize("delta,depth,truncated", [(0.5, 2, False), (0.5, 6, True)])
 def test_sizes_equal_present_counts(delta, depth, truncated):
-    fam = build_level_family(random_records(np.random.default_rng(11), 200), BOUNDS,
-                             delta, depth)
+    fam, _ = build_level_family(random_records(np.random.default_rng(11), 200), BOUNDS,
+                                delta, depth)
     assert (fam.truncated_at is not None) is truncated
     assert fam.sizes() == [len(fam.present(j)) for j in range(depth + 1)]
     assert all(type(n) is int for n in fam.sizes())
 
 
+def family_and_inradius(art, delta):
+    """The loaded family of accuracy ``delta`` and its levels >= 1 inradii."""
+    return next((f, inr) for f, inr in zip(art["controller"].families, art["inradii"])
+                if f.delta == delta)
+
+
 def test_family_level1_balls_contained_in_level0(numerical_artifacts):
-    fam = next(f for f in numerical_artifacts["controller"].families
-               if f.delta == 3.0)
+    fam, inradius = family_and_inradius(numerical_artifacts, 3.0)
     ds = fam.dataset
     idx = fam.present(1)[:50]
     c0, r0 = fam.centers_radii(0)
-    for i, r in zip(idx, fam.inradius[1, idx]):
+    for i, r in zip(idx, inradius[0, idx]):
         # the defining ball around the successor must sit inside some
         # level-0 ball: dist + r <= r0 for at least one of them
         d = np.linalg.norm(c0 - ds.succ_states[i], axis=1)
@@ -351,30 +378,29 @@ def test_family_level1_balls_contained_in_level0(numerical_artifacts):
 
 
 def test_family_recursion_soundness_sampled(numerical_artifacts):
-    fam = next(f for f in numerical_artifacts["controller"].families
-               if f.delta == 1.0)
+    fam, inradius = family_and_inradius(numerical_artifacts, 1.0)
     rng = np.random.default_rng(42)
     ds = fam.dataset
-    for j in range(1, min(4, len(fam.inradius))):  # later levels are empty
+    for j in range(1, min(4, len(fam.radius))):  # later levels are empty
         idx = fam.present(j)[:20]
-        for i, r in zip(idx, fam.inradius[j, idx]):
+        for i, r in zip(idx, inradius[j - 1, idx]):
             pts = sample_in_balls(rng, ds.succ_states[i:i + 1], [r], 50)[0]
             assert all(fam.contains(j - 1, p) for p in pts)
 
 
 def test_contains_levels():
     ds = synth_dataset([[0.0, 0.0, 0.5], [0.4, 0.1, 0.6]], [0.05, 0.2], [0.5, 0.6])
-    fam = build_level_family(ds, BOUNDS, delta=1.0, depth=3)
+    fam, _ = build_level_family(ds, BOUNDS, delta=1.0, depth=3)
     idx = fam.present(1)
     assert len(idx) > 0
     center = ds.states[idx[0]]
     assert fam.contains(1, center)
     # boundary point of a closed ball is inside
-    edge = center + np.array([fam.cert_radius[1, idx[0]], 0.0, 0.0])
+    edge = center + np.array([fam.radius[1, idx[0]], 0.0, 0.0])
     assert fam.contains(1, edge)
     assert not fam.contains(1, center + 10.0)
-    if len(fam.inradius) > 3:
-        fam.inradius[3] = fam.cert_radius[3] = ABSENT
+    if len(fam.radius) > 3:
+        fam.radius[3] = ABSENT
     assert not fam.contains(3, center)
     with pytest.raises(ValueError):
         fam.contains(1, center[:2])
@@ -411,11 +437,11 @@ def test_margin_sign_equals_contains(request, artifacts, stride):
     rng = np.random.default_rng(12)
     inside = outside = 0
     for fam in request.getfixturevalue(artifacts)["controller"].families[::stride]:
-        for level in range(min(fam.depth, len(fam.inradius)) + 1):
+        for level in range(min(fam.depth, len(fam.radius)) + 1):
             pts = _probe_points(fam, level, rng, 40)
             got = fam.margin(level, pts)
-            centers, table = fam.balls(level)
-            row = table[level] if level < len(table) else np.full(len(centers), ABSENT)
+            centers = fam.centers(level)
+            row = fam.radius[level] if level < len(fam.radius) else np.full(len(centers), ABSENT)
             # the membership test before the margin: any norm distance <= radius
             want = [bool((np.linalg.norm(centers - p, axis=1) <= row).any()) for p in pts]
             assert (got >= 0).tolist() == want
@@ -443,20 +469,22 @@ def test_margin_level_range_and_dimension(numerical_artifacts):
 
 
 def test_certificate_radii_consistent(numerical_artifacts):
-    for fam in numerical_artifacts["controller"].families:
-        for j in range(len(fam.inradius)):
+    art = numerical_artifacts
+    for fam, inradius in zip(art["controller"].families, art["inradii"]):
+        for j in range(1, len(fam.radius)):
             idx = fam.present(j)
-            back = BOUNDS.state_dev(fam.cert_radius[j, idx])
-            assert np.all(back <= fam.inradius[j, idx] + 1e-9)
+            back = BOUNDS.state_dev(fam.radius[j, idx])
+            assert np.all(back <= inradius[j - 1, idx] + 1e-9)
 
 
 def test_nesting_vacuous_and_identity():
     ds = synth_dataset([[0, 0, 0]] * 2, [3.0, 3.0], [0.5, 0.5])
-    fam = build_level_family(ds, BOUNDS, delta=1.0, depth=2)
-    assert check_nesting(fam)  # level 0 empty: vacuously true
+    fam, _ = build_level_family(ds, BOUNDS, delta=1.0, depth=2)
+    assert fam.sizes() == [0, 0, 0]
+    assert check_nesting(fam) is False  # level 0 empty: certifies nothing
     # hand-built family where the level-1 ball coincides with level 0
     ds2 = synth_dataset([[0.0, 0.0, 0.0]], [0.0], [0.0])
-    fam2 = synth_family(ds2, 1.0, [[(0, 0.5, 0.05)], [(0, 0.5, 0.5)]])
+    fam2 = synth_family(ds2, 1.0, [[(0, 0.5)], [(0, 0.5)]])
     # level-1 ball centered at the state (origin) radius 0.5 equals level-0 ball
     assert check_nesting(fam2)
 
@@ -465,7 +493,7 @@ def test_nesting_counterexample_with_witness():
     # a level-0 ball off to the side of the only level-1 ball
     states = np.array([[0.0, 0.0, 0.0], [5.0, 5.0, 5.0]])
     ds = synth_dataset(states, [0.0, 0.0], [0.0, 0.0])
-    fam = synth_family(ds, 1.0, [[(1, 0.4, 0.04)], [(0, 0.4, 0.4)]])
+    fam = synth_family(ds, 1.0, [[(1, 0.4)], [(0, 0.4)]])
     assert not check_nesting(fam)
     # rejection-sample a witness point in level 0 but not level 1
     rng = np.random.default_rng(1)
@@ -478,10 +506,12 @@ def test_nesting_counterexample_with_witness():
 
 
 def reference_nesting(family):
-    """The nesting predicate over the full level-0 x level-1 distance matrix."""
+    """The nesting predicate over the full level-0 x level-1 distance
+    matrix; an empty level 0 is not nested."""
     c0, r0 = family.centers_radii(0)
     c1, r1 = family.centers_radii(1)
-    return bool(((cdist(c0, c1) + r0[:, None]) <= r1[None, :]).any(axis=1).all())
+    return len(r0) > 0 and bool(((cdist(c0, c1) + r0[:, None]) <= r1[None, :])
+                                .any(axis=1).all())
 
 
 def paired_family(n, level1_scale):
@@ -499,10 +529,9 @@ def paired_family(n, level1_scale):
                        np.concatenate([controls, pad]))
     assert np.array_equal(ds.succ_states[:n], ds.states[n:])
     r = np.full((2, 2 * n), ABSENT)
-    c = np.full((2, 2 * n), ABSENT)
-    r[0, :n] = c[0, :n] = r[1, n:] = 0.05
-    c[1, n:] = 0.05 * np.asarray(level1_scale)
-    return LevelFamily(delta=1.0, depth=1, inradius=r, cert_radius=c, dataset=ds)
+    r[0, :n] = 0.05
+    r[1, n:] = 0.05 * np.asarray(level1_scale)
+    return LevelFamily(delta=1.0, depth=1, radius=r, dataset=ds)
 
 
 def nesting_cases():
@@ -510,13 +539,13 @@ def nesting_cases():
     last_fails, first_fails = np.ones(n), np.ones(n)
     last_fails[-1] = first_fails[0] = 0.5
     empty0 = paired_family(n, 1.0)
-    empty0.inradius, empty0.cert_radius = empty0.inradius[:0], empty0.cert_radius[:0]
+    empty0.radius = empty0.radius[:0]
     empty1 = paired_family(n, 1.0)
-    empty1.inradius, empty1.cert_radius = empty1.inradius[:1], empty1.cert_radius[:1]
+    empty1.radius = empty1.radius[:1]
     return {"all_nested": (paired_family(n, 1.0), True),
             "last_fails": (paired_family(n, last_fails), False),
             "first_fails": (paired_family(n, first_fails), False),
-            "level0_empty": (empty0, True),
+            "level0_empty": (empty0, False),
             "level1_empty": (empty1, False)}
 
 
@@ -529,42 +558,70 @@ def test_nesting_equals_full_matrix_reference(case):
 
 
 def test_dump_load_round_trip(tmp_path, numerical_artifacts):
-    fam = numerical_artifacts["controller"].families[0]
+    fam, inradius = family_and_inradius(numerical_artifacts, 1.0)
     p = tmp_path / "fam.npy"
-    dump_family(p, fam)
+    dump_family(p, fam, inradius)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["fam.inradius.npy", "fam.npy"]
     back = load_family(p, fam.dataset, fam.delta, fam.depth)
     assert back.delta == fam.delta and back.depth == fam.depth
     assert back.truncated_at == fam.truncated_at
-    assert np.array_equal(back.inradius, fam.inradius)
-    assert np.array_equal(back.cert_radius, fam.cert_radius)
-    # the dump's bytes depend on the tables only
+    assert np.array_equal(back.radius, fam.radius)
+    assert np.array_equal(load_inradius(p, back), inradius)
+    # the dumps' bytes depend on the tables only
     again = tmp_path / "again.npy"
-    dump_family(again, fam)
+    dump_family(again, fam, inradius)
     assert p.read_bytes() == again.read_bytes()
+    assert (tmp_path / "fam.inradius.npy").read_bytes() == \
+        (tmp_path / "again.inradius.npy").read_bytes()
+
+
+def _dumped_synth(tmp_path):
+    """A two-level family dumped to ``tmp_path``: (dataset, family, radius
+    path, inradius path)."""
+    ds = synth_dataset(np.zeros((4, 3)), [0.0] * 4, [0.5] * 4)
+    fam = synth_family(ds, 0.5, [[(0, 0.4), (2, 0.3)], [(1, 0.02), (3, 0.01)]])
+    inradius = np.full((1, 4), ABSENT)
+    inradius[0, [1, 3]] = 0.2, 0.1
+    p = tmp_path / "fam.npy"
+    dump_family(p, fam, inradius)
+    return ds, fam, p, tmp_path / "fam.inradius.npy"
 
 
 @pytest.mark.parametrize("table,value", [
     (0, np.nan), (1, np.nan), (0, np.inf), (1, np.inf), (0, ABSENT), (1, ABSENT),
 ])
 def test_load_rejects_nonfinite_or_one_sided_entries(tmp_path, table, value):
-    ds = synth_dataset(np.zeros((4, 3)), [0.0] * 4, [0.5] * 4)
-    fam = synth_family(ds, 0.5, [[(0, 0.4, 0.04), (2, 0.3, 0.03)],
-                                 [(1, 0.2, 0.02), (3, 0.1, 0.01)]])
-    p = tmp_path / "fam.npy"
-    dump_family(p, fam)
-    assert load_family(p, ds, fam.delta, fam.depth).cert_radius[1, 3] == 0.01
-    tables = np.load(p)
-    tables[table, 1, 3] = value
-    np.save(p, tables)
-    with pytest.raises(ConfigError, match=r"fam\.npy: level 1 record 3 has inradius"):
-        load_family(p, ds, fam.delta, fam.depth)
-    # an empty entry filled in one table only is rejected too
-    tables = np.load(p)
-    tables[:, 1, 3] = 0.1, 0.01
-    tables[table, 0, 1] = 0.5
-    np.save(p, tables)
-    with pytest.raises(ConfigError, match="level 0 record 1"):
-        load_family(p, ds, fam.delta, fam.depth)
+    # table 0 is the radius file, which simulate and verify read; table 1
+    # the inradius file, which only verify reads
+    ds, fam, p, ip = _dumped_synth(tmp_path)
+    assert load_family(p, ds, fam.delta, fam.depth).radius[1, 3] == 0.01
+    assert load_inradius(p, fam)[0, 3] == 0.1
+    path, cell = (p, (1, 3)) if table == 0 else (ip, (0, 3))
+    # an empty level-1 entry filled in one table only
+    cells = np.load(path)
+    cells[cell[0], 0] = 0.5
+    np.save(path, cells)
+    with pytest.raises(ConfigError, match=r"fam\.inradius\.npy: level 1 record 0 has inradius"):
+        load_inradius(p, load_family(p, ds, fam.delta, fam.depth))
+    _dumped_synth(tmp_path)
+    cells = np.load(path)
+    cells[cell] = value
+    np.save(path, cells)
+    if table == 0 and value != ABSENT:
+        with pytest.raises(ConfigError, match=r"fam\.npy: level 1 record 3 has radius"):
+            load_family(p, ds, fam.delta, fam.depth)
+        return
+    back = load_family(p, ds, fam.delta, fam.depth)  # the radius file alone loads
+    with pytest.raises(ConfigError, match=r"fam\.inradius\.npy: level 1 record 3 has inradius"):
+        load_inradius(p, back)
+
+
+def test_load_inradius_rejects_other_shapes(tmp_path):
+    _, fam, p, ip = _dumped_synth(tmp_path)
+    for bad in (np.zeros((2, 4)), np.zeros((1, 3)), np.zeros((1, 4), dtype=np.float32)):
+        np.save(ip, bad)
+        with pytest.raises(ConfigError, match=r"fam\.inradius\.npy: table of shape"):
+            load_inradius(p, fam)
 
 
 def test_build_argument_validation(numerical_artifacts):

@@ -206,10 +206,10 @@ def test_verify_catches_fault_injection(numerical_cfg, tmp_path):
     cfg = default_config("numerical")
     cfg.outdir = out
     fam_path = os.path.join(out, "families", "delta_0p1.npy")
-    tables = np.load(fam_path)
-    j, i = np.argwhere(np.isfinite(tables[0]))[0]
-    tables[0, j, i] = -tables[0, j, i]  # negate a radius
-    np.save(fam_path, tables)
+    radius = np.load(fam_path)
+    i = np.flatnonzero(np.isfinite(radius[0]))[0]
+    radius[0, i] = -radius[0, i]  # negate a level-0 radius
+    np.save(fam_path, radius)
     assert pipeline.cmd_verify(cfg, log=lambda *a: None) is False
     report = open(os.path.join(out, "verify_report.txt")).read()
     assert "FAIL family_positive_radii" in report
@@ -238,12 +238,12 @@ def test_verify_catches_recursion_escape(numerical_cfg, tmp_path):
     cfg = default_config("numerical")
     cfg.outdir = out
     fam_path = os.path.join(out, "families", "delta_1.npy")
-    tables = np.load(fam_path)
-    level2 = np.flatnonzero(np.isfinite(tables[0, 2]))
+    radius = np.load(fam_path)
+    level2 = np.flatnonzero(np.isfinite(radius[2]))
     assert level2.size > 1
-    level1 = np.isfinite(tables[1, 1])
-    tables[1, 1, level1] *= 1e-3  # shrink the level-1 certified balls
-    np.save(fam_path, tables)
+    level1 = np.isfinite(radius[1])
+    radius[1, level1] *= 1e-3  # shrink the level-1 certified balls
+    np.save(fam_path, radius)
     assert pipeline.cmd_verify(cfg, log=lambda *a: None) is False
     report = open(os.path.join(out, "verify_report.txt")).read()
     fail = next(line for line in report.splitlines()
@@ -254,13 +254,13 @@ def test_verify_catches_recursion_escape(numerical_cfg, tmp_path):
     assert "PASS family_certificate_consistency" in report
 
 
-def _reference_escapes(fam, level, idx, samples, rng):
+def _reference_escapes(fam, inradius, level, idx, samples, rng):
     """Per-entry broadcast-norm loop: the reference for the batched check."""
     prev_c, prev_r = fam.centers_radii(level - 1)
     escaped = []
     for i in idx:
         pts = verify.sample_in_balls(rng, fam.dataset.succ_states[i:i + 1],
-                                     [fam.inradius[level, i]], samples)[0]
+                                     [inradius[level - 1, i]], samples)[0]
         d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
         escaped.append(not (d <= prev_r[None, :]).any(axis=1).all())
     return np.array(escaped)
@@ -269,7 +269,7 @@ def _reference_escapes(fam, level, idx, samples, rng):
 def _selected_levels(fam, per_level):
     """(level, idx) as a level-by-level loop selects the recursion check's
     entries: every present one, or ``per_level`` spread by linspace."""
-    for j in range(1, len(fam.inradius)):
+    for j in range(1, len(fam.radius)):
         idx = fam.present(j)
         if idx.size and per_level is not None:
             idx = idx[np.unique(np.linspace(0, len(idx) - 1, per_level).astype(int))]
@@ -277,12 +277,12 @@ def _selected_levels(fam, per_level):
             yield j, idx
 
 
-def _reference_family(fam, samples, per_level, rng):
+def _reference_family(fam, inradius, samples, per_level, rng):
     """Level-by-level reference for ``recursion_escapes``: (first escape or
     None, entries, escapes), drawing every entry."""
     first, entries, escapes = None, 0, 0
     for j, idx in _selected_levels(fam, per_level):
-        escaped = _reference_escapes(fam, j, idx, samples, rng)
+        escaped = _reference_escapes(fam, inradius, j, idx, samples, rng)
         if first is None and escaped.any():
             first = (j, int(idx[np.argmax(escaped)]))
         entries += len(idx)
@@ -290,15 +290,15 @@ def _reference_family(fam, samples, per_level, rng):
     return first, entries, escapes
 
 
-def _compare_escapes(families, samples, per_level=None):
+def _compare_escapes(families, inradii, samples, per_level=None):
     """Per-family and reference first escapes on the same seeded draws,
     with the same stream left behind for a family without an escape;
     returns the number of entries compared and of escapes seen."""
     entries = escapes = 0
-    for k, fam in enumerate(families):
+    for k, (fam, inradius) in enumerate(zip(families, inradii)):
         got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
-        got = verify.recursion_escapes(fam, samples, per_level, got_rng)
-        want, n, e = _reference_family(fam, samples, per_level, want_rng)
+        got = verify.recursion_escapes(fam, inradius, samples, per_level, got_rng)
+        want, n, e = _reference_family(fam, inradius, samples, per_level, want_rng)
         assert got == want, fam.delta
         if want is None:
             assert got_rng.random() == want_rng.random()
@@ -307,66 +307,75 @@ def _compare_escapes(families, samples, per_level=None):
     return entries, escapes
 
 
-def _scaled(fam, level, records, factor):
-    """Copy of ``fam`` with the inradii of ``records`` at ``level`` scaled."""
-    inradius = fam.inradius.copy()
-    inradius[level, records] *= factor
-    return LevelFamily(delta=fam.delta, depth=fam.depth, inradius=inradius,
-                       cert_radius=fam.cert_radius, dataset=fam.dataset)
+def _scaled(inradius, level, records, factor):
+    """Copy of a levels >= 1 inradius table with the entries of ``records``
+    at ``level`` (>= 1; every level if None) scaled."""
+    inradius = inradius.copy()
+    inradius[slice(None) if level is None else level - 1, records] *= factor
+    return inradius
+
+
+def _family(art, delta):
+    """(family, levels >= 1 inradius table) of accuracy ``delta``."""
+    return next((f, inr) for f, inr in zip(art["controller"].families, art["inradii"])
+                if f.delta == delta)
 
 
 def test_recursion_escapes_matches_norm_loop_numerical(numerical_artifacts):
     # 200 samples/entry against up to 280 balls spans several distance
     # blocks, and entries straddle the block edges
     families = numerical_artifacts["controller"].families
-    entries, escapes = _compare_escapes(families, 200)
+    entries, escapes = _compare_escapes(families, numerical_artifacts["inradii"], 200)
     assert entries == sum(sum(f.sizes()[1:]) for f in families)
     assert escapes == 0
     # inflated balls: some samples of an entry escape and some do not
-    fam = next(f for f in families if f.delta == 1.0)
-    fat = _scaled(fam, slice(1, None), slice(None), 1.03)
-    entries, escapes = _compare_escapes([fat], 200)
+    fam, inradius = _family(numerical_artifacts, 1.0)
+    fat = _scaled(inradius, None, slice(None), 1.03)
+    entries, escapes = _compare_escapes([fam], [fat], 200)
     assert 0 < escapes < entries
 
 
 def test_recursion_escapes_matches_norm_loop_pendulum(pendulum_artifacts):
     # verify's selection for large datasets; two whole families keep the
     # reference loop to a few seconds
-    families = pendulum_artifacts["controller"].families[::5]
-    entries, escapes = _compare_escapes(families, 50, per_level=8)
+    art = pendulum_artifacts
+    entries, escapes = _compare_escapes(art["controller"].families[::5], art["inradii"][::5],
+                                        50, per_level=8)
     assert entries > 1000 and escapes == 0
 
 
 def test_recursion_escapes_reports_first_injected_escape(numerical_artifacts):
-    fam = next(f for f in numerical_artifacts["controller"].families
-               if f.delta == 1.0)
+    fam, inradius = _family(numerical_artifacts, 1.0)
     idx = fam.present(1)
     recs = [int(idx[len(idx) // 3]), int(idx[2 * len(idx) // 3])]
-    bad = _scaled(fam, 1, recs, 100.0)  # two level-1 balls far beyond level 0
-    _, escapes = _compare_escapes([bad], 200)
+    bad = _scaled(inradius, 1, recs, 100.0)  # two level-1 balls far beyond level 0
+    _, escapes = _compare_escapes([fam], [bad], 200)
     assert escapes == 2
-    assert verify.recursion_escapes(bad, 200, None, np.random.default_rng(0)) == (1, recs[0])
-    later = _scaled(fam, 1, recs[1:], 100.0)
-    assert verify.recursion_escapes(later, 200, None, np.random.default_rng(0)) == (1, recs[1])
+    assert verify.recursion_escapes(fam, bad, 200, None,
+                                    np.random.default_rng(0)) == (1, recs[0])
+    later = _scaled(inradius, 1, recs[1:], 100.0)
+    assert verify.recursion_escapes(fam, later, 200, None,
+                                    np.random.default_rng(0)) == (1, recs[1])
 
 
 def test_recursion_escapes_reports_first_level_first(numerical_artifacts):
     # an escape at level 2 with a lower record than the level-1 escape:
     # levels come first in the reported order
-    fam = next(f for f in numerical_artifacts["controller"].families
-               if f.delta == 1.0)
+    fam, inradius = _family(numerical_artifacts, 1.0)
     low2 = int(fam.present(2)[0])
     high1 = int(fam.present(1)[-1])
     assert low2 < high1
-    bad = _scaled(_scaled(fam, 2, [low2], 100.0), 1, [high1], 100.0)
-    _, escapes = _compare_escapes([bad], 200)
+    bad = _scaled(_scaled(inradius, 2, [low2], 100.0), 1, [high1], 100.0)
+    _, escapes = _compare_escapes([fam], [bad], 200)
     assert escapes == 2
-    assert verify.recursion_escapes(bad, 200, None, np.random.default_rng(1)) == (1, high1)
-    only2 = _scaled(fam, 2, [low2], 100.0)
-    assert verify.recursion_escapes(only2, 200, None, np.random.default_rng(1)) == (2, low2)
+    assert verify.recursion_escapes(fam, bad, 200, None,
+                                    np.random.default_rng(1)) == (1, high1)
+    only2 = _scaled(inradius, 2, [low2], 100.0)
+    assert verify.recursion_escapes(fam, only2, 200, None,
+                                    np.random.default_rng(1)) == (2, low2)
     # the selection of large datasets keeps the order
-    assert verify.recursion_escapes(bad, 200, 8, np.random.default_rng(1)) == _reference_family(
-        bad, 200, 8, np.random.default_rng(1))[0]
+    assert verify.recursion_escapes(fam, bad, 200, 8, np.random.default_rng(1)) == \
+        _reference_family(fam, bad, 200, 8, np.random.default_rng(1))[0]
 
 
 def _reference_sample_in_ball(rng, center, radius, count):
@@ -380,10 +389,11 @@ def _reference_sample_in_ball(rng, center, radius, count):
 
 
 def _benchmark_levels(artifacts, per_level):
-    """(family, level, idx) as verify's recursion check selects them."""
-    for fam in artifacts["controller"].families:
+    """(family, inradius table, level, idx) as verify's recursion check
+    selects them."""
+    for fam, inradius in zip(artifacts["controller"].families, artifacts["inradii"]):
         for j, idx in _selected_levels(fam, per_level):
-            yield fam, j, idx
+            yield fam, inradius, j, idx
 
 
 @pytest.mark.parametrize("artifacts,per_level,samples", [
@@ -396,13 +406,14 @@ def test_recursion_draws_equal_per_entry_draws(request, monkeypatch, artifacts,
     batched = verify.sample_in_balls
     monkeypatch.setattr(verify, "sample_in_balls",
                         lambda *a: drawn.append(batched(*a)) or drawn[-1])
-    families = request.getfixturevalue(artifacts)["controller"].families
+    art = request.getfixturevalue(artifacts)
+    families = art["controller"].families
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for fam in families:
+    for fam, inradius in zip(families, art["inradii"]):
         drawn.clear()
-        assert verify.recursion_escapes(fam, samples, per_level, got_rng) is None
+        assert verify.recursion_escapes(fam, inradius, samples, per_level, got_rng) is None
         want = np.stack([_reference_sample_in_ball(want_rng, fam.dataset.succ_states[i],
-                                                   fam.inradius[j, i], samples)
+                                                   inradius[j - 1, i], samples)
                          for j, idx in _selected_levels(fam, per_level) for i in idx])
         assert len(drawn) == 1 and np.array_equal(drawn[0], want)
     assert len(families) >= 9 and got_rng.random() == want_rng.random()
@@ -417,13 +428,12 @@ def test_recursion_entries_equal_per_level_selection(per_level):
     # levels of every size from empty to 200 present records, and larger ones
     rng = np.random.default_rng(11)
     sizes = list(range(201)) + [371, 700, 1187, 1200]
-    inradius = np.full((len(sizes) + 1, 1200), ABSENT)
-    inradius[0, 0] = 1.0
+    radius = np.full((len(sizes) + 1, 1200), ABSENT)
+    radius[0, 0] = 1.0
     for j, n in enumerate(sizes, start=1):
-        inradius[j, np.sort(rng.choice(1200, size=n, replace=False))] = 1.0
-    fam = LevelFamily(delta=1.0, depth=len(sizes), inradius=inradius,
-                      cert_radius=inradius, dataset=None)
-    lev, rec = verify.recursion_entries(fam, per_level)
+        radius[j, np.sort(rng.choice(1200, size=n, replace=False))] = 1.0
+    fam = LevelFamily(delta=1.0, depth=len(sizes), radius=radius, dataset=None)
+    lev, rec = verify.recursion_entries(radius[1:], per_level)
     want = [(j, i) for j, idx in _selected_levels(fam, per_level) for i in idx]
     assert list(zip(lev.tolist(), rec.tolist())) == want
     if per_level is None:
@@ -435,9 +445,9 @@ def test_recursion_entries_equal_per_level_selection(per_level):
 def test_paired_distances_equal_cdist(request, artifacts, per_level, samples):
     rng = np.random.default_rng(8)
     levels = list(_benchmark_levels(request.getfixturevalue(artifacts), per_level))[::4]
-    for fam, j, idx in levels:
+    for fam, inradius, j, idx in levels:
         centers = fam.dataset.succ_states[idx]
-        pts = verify.sample_in_balls(rng, centers, fam.inradius[j, idx], samples)
+        pts = verify.sample_in_balls(rng, centers, inradius[j - 1, idx], samples)
         prev_c, prev_r = fam.centers_radii(j - 1)
         best = np.argmax(prev_r - cdist(centers, prev_c), axis=1)
         want = np.stack([cdist(p, prev_c[[k]])[:, 0] for p, k in zip(pts, best)])
@@ -448,8 +458,8 @@ def test_paired_distances_equal_cdist(request, artifacts, per_level, samples):
 def _cover_family(extra, entry_center, entry_radius):
     """Level 0: NEAR_K balls of radius 0.9 at the origin (slack 0.9 each
     from an entry at the origin) followed by ``extra`` (center, radius)
-    balls; level 1: one entry ball.  Returns the family and the entry's
-    record index."""
+    balls; level 1: one entry ball, as both successor and certified
+    ball.  Returns the family and the entry's record index."""
     balls = [((0.0, 0.0, 0.0), 0.9)] * NEAR_K + list(extra)
     succ = np.array([c for c, _ in balls] + [entry_center])
     ds = synth_dataset(np.stack([np.zeros(len(succ)), succ[:, 0],
@@ -457,8 +467,8 @@ def _cover_family(extra, entry_center, entry_radius):
                        succ[:, 1], succ[:, 2])
     last = len(balls)
     fam = synth_family(ds, 1.0, [
-        [(i, r, r) for i, (_, r) in enumerate(balls)],
-        [(last, entry_radius, entry_radius)]])
+        [(i, r) for i, (_, r) in enumerate(balls)],
+        [(last, entry_radius)]])
     return fam, last
 
 
@@ -468,9 +478,12 @@ AXIS_BALLS = [(tuple(s * 10.0 * np.eye(3)[a]), 9.85) for a in range(3) for s in 
 
 
 def _first_escape(fam, samples, seed):
-    """(per-family verdict, reference verdict) on one seed, all levels."""
-    return (verify.recursion_escapes(fam, samples, None, np.random.default_rng(seed)),
-            _reference_family(fam, samples, None, np.random.default_rng(seed))[0])
+    """(per-family verdict, reference verdict) on one seed, all levels, of a
+    family whose successor inradii equal its radii at levels >= 1."""
+    inradius = fam.radius[1:]
+    return (verify.recursion_escapes(fam, inradius, samples, None,
+                                     np.random.default_rng(seed)),
+            _reference_family(fam, inradius, samples, None, np.random.default_rng(seed))[0])
 
 
 def test_recursion_escapes_full_scan_finds_non_candidate_ball():
@@ -488,8 +501,8 @@ def test_recursion_escapes_full_scan_finds_non_candidate_ball():
 
 def test_recursion_escapes_entry_with_every_sample_outside():
     fam, rec = _cover_family(AXIS_BALLS, (50.0, 50.0, 50.0), 0.5)
-    fam.inradius[1, 0] = fam.cert_radius[1, 0] = 0.5  # one entry inside
-    want = _reference_escapes(fam, 1, [0, rec], 200, np.random.default_rng(4))
+    fam.radius[1, 0] = 0.5  # one entry inside
+    want = _reference_escapes(fam, fam.radius[1:], 1, [0, rec], 200, np.random.default_rng(4))
     assert list(want) == [False, True]
     assert _first_escape(fam, 200, 4) == ((1, rec), (1, rec))
 
@@ -499,17 +512,18 @@ def test_recursion_escapes_fewer_previous_balls_than_candidates():
     ds = synth_dataset(np.zeros((5, 3)), [0.0, 0.0, 0.0, 0.0, 0.0],
                        [0.0, 1.0, 2.0, 0.5, 1.9])
     fam = synth_family(ds, 1.0, [
-        [(0, 0.6, 0.6), (1, 0.6, 0.6), (2, 0.6, 0.6)],
-        [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
+        [(0, 0.6), (1, 0.6), (2, 0.6)],
+        [(3, 0.45), (4, 0.3)]])
     assert len(fam.present(0)) < NEAR_K
     idx = fam.present(1)
     for seed in range(5):
-        want = _reference_escapes(fam, 1, idx, 200, np.random.default_rng(seed))
+        want = _reference_escapes(fam, fam.radius[1:], 1, idx, 200,
+                                  np.random.default_rng(seed))
         assert list(want) == [True, False]
         assert _first_escape(fam, 200, seed) == ((1, 3), (1, 3))
     # no previous ball at all: every entry escapes
-    bare = synth_family(ds, 1.0, [[], [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
-    want = _reference_escapes(bare, 1, idx, 20, np.random.default_rng(0))
+    bare = synth_family(ds, 1.0, [[], [(3, 0.45), (4, 0.3)]])
+    want = _reference_escapes(bare, bare.radius[1:], 1, idx, 20, np.random.default_rng(0))
     assert list(want) == [True, True]
     assert _first_escape(bare, 20, 0) == ((1, 3), (1, 3))
 
@@ -518,39 +532,40 @@ def test_recursion_escapes_empty_previous_level():
     # level 1 holds no ball, so the level-2 entries escape from an empty
     # union; their draws still leave the stream of per-entry draws
     ds = synth_dataset(np.zeros((5, 3)), [0.0] * 5, [0.0, 1.0, 2.0, 0.5, 1.9])
-    fam = synth_family(ds, 1.0, [[(0, 0.6, 0.6), (1, 0.6, 0.6)], [],
-                                 [(3, 0.45, 0.45), (4, 0.3, 0.3)]])
+    fam = synth_family(ds, 1.0, [[(0, 0.6), (1, 0.6)], [],
+                                 [(3, 0.45), (4, 0.3)]])
     assert _first_escape(fam, 20, 2) == ((2, 3), (2, 3))
     got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
-    verify.recursion_escapes(fam, 20, None, got_rng)
+    verify.recursion_escapes(fam, fam.radius[1:], 20, None, got_rng)
     for i in (3, 4):
-        verify.sample_in_balls(want_rng, ds.succ_states[i:i + 1], [fam.inradius[2, i]], 20)
+        verify.sample_in_balls(want_rng, ds.succ_states[i:i + 1], [fam.radius[2, i]], 20)
     assert got_rng.random() == want_rng.random()
 
 
-def _reference_offenders(families, dataset, bounds):
+def _reference_offenders(families, inradii, dataset, bounds):
     """Level-by-level loop over present entries: the reference for the
     per-family radius, slab and certificate details."""
     neg = slab_bad = cert_bad = None
-    for fam in families:
-        for j in range(len(fam.inradius)):
+    for fam, inradius in zip(families, inradii):
+        for j in range(len(fam.radius)):
             idx = fam.present(j)
             if idx.size == 0:
                 continue
-            r, c = fam.inradius[j, idx], fam.cert_radius[j, idx]
-            low = np.minimum(r, c)
+            radius = fam.radius[j, idx]
+            low = radius if j == 0 else np.minimum(inradius[j - 1, idx], radius)
             if np.any(low <= 0):
                 neg = (f"delta={fam.delta:g} level={j} record={int(idx[np.argmin(low)])} "
                        f"r={float(low.min()):g}")
             if j == 0:
-                margin = np.abs(dataset.succ_states[idx, dataset.order - 1]) + r
+                margin = np.abs(dataset.succ_states[idx, dataset.order - 1]) + radius
                 if np.any(margin > fam.delta + 1e-12):
                     k = int(np.argmax(margin))
                     slab_bad = (f"delta={fam.delta:g} record={int(idx[k])} "
                                 f"reach={float(margin[k]):g}")
-            live = c > 0
+                continue
+            live = radius > 0
             gap = np.full(len(idx), ABSENT)
-            gap[live] = bounds.state_dev(c[live]) - r[live]
+            gap[live] = bounds.state_dev(radius[live]) - inradius[j - 1, idx][live]
             if np.any(gap > 1e-9):
                 cert_bad = f"delta={fam.delta:g} level={j} record={int(idx[np.argmax(gap)])}"
     return neg, slab_bad, cert_bad
@@ -558,31 +573,34 @@ def _reference_offenders(families, dataset, bounds):
 
 @pytest.mark.parametrize("seed", range(6))
 def test_family_offenders_name_the_level_loop_entry(numerical_artifacts, seed):
-    # random mutations of the radius tables: negated and zeroed radii,
-    # level-0 balls pushed out of the slab, inflated certified radii
+    # random mutations of the tables: negated and zeroed inradii (level-0
+    # radii or successor inradii), level-0 balls pushed out of the slab,
+    # inflated certified radii
     art = numerical_artifacts
     rng = np.random.default_rng(seed)
-    families = []
-    for fam in art["controller"].families:
-        r, c = fam.inradius.copy(), fam.cert_radius.copy()
+    families, inradii = [], []
+    for fam, inradius in zip(art["controller"].families, art["inradii"]):
+        radius, inradius = fam.radius.copy(), inradius.copy()
         for _ in range(rng.integers(0, 4)):
             kind = rng.integers(4)
-            j = 0 if kind == 2 else rng.integers(len(r))
-            i = rng.choice(np.flatnonzero(r[j] != ABSENT))
+            j = 0 if kind == 2 else rng.integers(1 if kind == 3 else 0, len(radius))
+            i = rng.choice(np.flatnonzero(radius[j] != ABSENT))
+            r = radius[0] if j == 0 else inradius[j - 1]
             if kind == 0:
-                r[j, i] = -r[j, i]
+                r[i] = -r[i]
             elif kind == 1:
-                r[j, i] = 0.0
+                r[i] = 0.0
             elif kind == 2:
-                r[0, i] += 1e-10  # just past the slab tolerance
+                r[i] += 1e-10  # just past the slab tolerance
             else:
-                c[j, i] *= 1.0 + rng.random()
-        families.append(LevelFamily(delta=fam.delta, depth=fam.depth, inradius=r,
-                                    cert_radius=c, dataset=fam.dataset))
-    got = verify.family_offenders(families, art["bounds"])
-    want = _reference_offenders(families, art["dataset"], art["bounds"])
+                radius[j, i] *= 1.0 + rng.random()
+        families.append(LevelFamily(delta=fam.delta, depth=fam.depth, radius=radius,
+                                    dataset=fam.dataset))
+        inradii.append(inradius)
+    got = verify.family_offenders(families, inradii, art["bounds"])
+    want = _reference_offenders(families, inradii, art["dataset"], art["bounds"])
     assert tuple(got) == want and None not in want
-    clean = verify.family_offenders(art["controller"].families, art["bounds"])
+    clean = verify.family_offenders(art["controller"].families, art["inradii"], art["bounds"])
     assert clean == [None, None, None]
 
 
@@ -657,10 +675,11 @@ def _norm_form_sample_in_balls(rng, centers, radii, count):
     ("numerical_artifacts", None, 200), ("pendulum_artifacts", 8, 50)])
 def test_sample_in_balls_equals_norm_form(request, artifacts, per_level, samples):
     # every recursion entry of every family, drawn as the check draws it
-    families = request.getfixturevalue(artifacts)["controller"].families
-    for k, fam in enumerate(families):
-        lev, rec = verify.recursion_entries(fam, per_level)
-        args = (fam.dataset.succ_states[rec], fam.inradius[lev, rec], samples)
+    art = request.getfixturevalue(artifacts)
+    families = art["controller"].families
+    for k, (fam, inradius) in enumerate(zip(families, art["inradii"])):
+        lev, rec = verify.recursion_entries(inradius, per_level)
+        args = (fam.dataset.succ_states[rec], inradius[lev - 1, rec], samples)
         got = verify.sample_in_balls(np.random.default_rng(k), *args)
         want = _norm_form_sample_in_balls(np.random.default_rng(k), *args)
         assert got.tobytes() == want.tobytes()
@@ -685,8 +704,8 @@ def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale
     assert got == want
     assert sum(count > 0 for count in got[:3]) == 2  # input and output or state
     lines = []
-    verify.run_all(cfg, art["dataset"], art["model"], art["controller"], art["plant"],
-                   bounds, log=lines.append)
+    verify.run_all(cfg, art["dataset"], art["model"], art["controller"], art["inradii"],
+                   art["plant"], bounds, log=lines.append)
     assert any(line.startswith("verify FAIL bound_validity_oracle") for line in lines)
 
 
@@ -766,7 +785,7 @@ def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
     shutil.copytree(numerical_cfg.outdir, out)
     fam_path = os.path.join(out, "families", "delta_0p1.npy")
     if damage == "one_record_short":
-        np.save(fam_path, np.load(fam_path)[:, :, :-1])
+        np.save(fam_path, np.load(fam_path)[:, :-1])
     else:
         raw = open(fam_path, "rb").read()
         open(fam_path, "wb").write(raw[:len(raw) // 2])
@@ -776,43 +795,106 @@ def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
     assert "delta_0p1.npy" in err and message in err
 
 
-@pytest.mark.parametrize("case,table,level,record,value,stages", [
-    # an entry the pendulum's sampled recursion check does not draw from
-    ("inf_in_both", (0, 1), 5, 748, np.inf, ["verify", "simulate"]),
-    ("inradius_absent", (0,), 3, 121, ABSENT, ["verify"]),
-    ("cert_absent", (1,), 3, 121, ABSENT, ["verify"]),
-], ids=["inf_in_both", "inradius_absent", "cert_absent"])
-def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys,
-                                                   case, table, level, record, value,
-                                                   stages):
+def _damaged_copy(src, tmp_path, name, delta_tag="0p01"):
+    """Copy of the build ``src`` and the paths of one family's radius and
+    inradius files in it."""
     import shutil
-    out = str(tmp_path / case)
-    shutil.copytree(pendulum_cfg.outdir, out)
-    fam_path = os.path.join(out, "families", "delta_0p01.npy")
-    tables = np.load(fam_path)
-    assert np.isfinite(tables[:, level, record]).all()
-    tables[table, level, record] = value
-    np.save(fam_path, tables)
-    r, c = tables[:, level, record]
-    for stage in stages:
+    out = str(tmp_path / name)
+    shutil.copytree(src, out)
+    stem = os.path.join(out, "families", f"delta_{delta_tag}")
+    return out, stem + ".npy", stem + ".inradius.npy"
+
+
+@pytest.mark.parametrize("case,radius_value,inradius_value", [
+    ("inf_in_both", np.inf, np.inf),
+    ("radius_nan", np.nan, None),
+    ("inradius_absent", None, ABSENT),
+    ("cert_absent", ABSENT, None),
+    ("inradius_nan", None, np.nan),
+    ("inradius_inf", None, np.inf),
+    ("inradius_under_absent_radius", None, 0.01),
+], ids=["inf_in_both", "radius_nan", "inradius_absent", "cert_absent", "inradius_nan",
+        "inradius_inf", "inradius_under_absent_radius"])
+def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys,
+                                                   case, radius_value, inradius_value):
+    # a NaN or +inf radius stops every stage that loads the families; any
+    # other damage to the tables stops verify only, the one stage reading
+    # the inradius file
+    out, fam_path, inr_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, case)
+    radius, inradius = np.load(fam_path), np.load(inr_path)
+    level, record = 3, 121
+    if case == "inradius_under_absent_radius":
+        record = int(np.flatnonzero(radius[level] == ABSENT)[0])
+    else:
+        assert np.isfinite([radius[level, record], inradius[level - 1, record]]).all()
+    if radius_value is not None:
+        radius[level, record] = radius_value
+        np.save(fam_path, radius)
+    if inradius_value is not None:
+        inradius[level - 1, record] = inradius_value
+        np.save(inr_path, inradius)
+    r, x = radius[level, record], inradius[level - 1, record]
+    if np.isnan(r) or r == np.inf:
+        stages = {"verify": 2, "simulate": 2}
+        message = f"{fam_path}: level {level} record {record} has radius {r:g}: not finite"
+    else:
+        stages = {"verify": 2, "simulate": 0}
+        message = f"{inr_path}: level {level} record {record} has inradius {x:g}: not finite"
+    for stage, code in stages.items():
         capsys.readouterr()
-        assert main([stage, "--plant", "pendulum", "--out", out]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith(f"config error: {fam_path}: level {level} record {record} "
-                              f"has inradius {r:g} and cert_radius {c:g}")
+        assert main([stage, "--plant", "pendulum", "--out", out]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith(f"config error: {message}")
+
+
+def test_cli_inradius_file_is_read_by_verify_only(pendulum_cfg, tmp_path, capsys):
+    out, _, inr_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, "no_inradius")
+    os.remove(inr_path)
+    assert main(["simulate", "--plant", "pendulum", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--plant", "pendulum", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("missing artifact:") and "delta_0p01.inradius.npy" in err
+
+
+@pytest.mark.parametrize("which,stage", [("radius", "simulate"), ("inradius", "verify")])
+def test_cli_unreadable_family_file_exits_2(numerical_cfg, tmp_path, capsys, which, stage):
+    # a directory where a family file belongs: exit 2 naming the path, not a
+    # traceback with the exit code of a failed property
+    out, fam_path, inr_path = _damaged_copy(numerical_cfg.outdir, tmp_path, which, "0p1")
+    path = fam_path if which == "radius" else inr_path
+    os.remove(path)
+    os.mkdir(path)
+    capsys.readouterr()
+    assert main([stage, "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("unreadable artifact:") and path in err
+
+
+def test_cli_verify_fails_doubled_certified_radius(pendulum_cfg, tmp_path):
+    # one certified radius doubled: its bound no longer reaches into the
+    # successor's inradius, so the certificate check names it
+    out, fam_path, _ = _damaged_copy(pendulum_cfg.outdir, tmp_path, "doubled")
+    radius = np.load(fam_path)
+    assert radius[3, 121] > 0
+    radius[3, 121] *= 2.0
+    np.save(fam_path, radius)
+    assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
+    lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
+    assert "FAIL family_certificate_consistency: delta=0.01 level=3 record=121" in lines
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL family_certificate_consistency"]
 
 
 def test_cli_verify_fails_negative_certified_radius(pendulum_cfg, tmp_path):
     # a certified radius below zero under a present inradius is a failed
     # property, not a traceback from evaluating the bound at it
     import shutil
-    out = str(tmp_path / "negative_cert")
-    shutil.copytree(pendulum_cfg.outdir, out)
-    fam_path = os.path.join(out, "families", "delta_0p01.npy")
-    tables = np.load(fam_path)
-    assert np.isfinite(tables[:, 3, 121]).all()
-    tables[1, 3, 121] = -1e-3
-    np.save(fam_path, tables)
+    out, fam_path, _ = _damaged_copy(pendulum_cfg.outdir, tmp_path, "negative_cert")
+    radius = np.load(fam_path)
+    assert np.isfinite(radius[3, 121])
+    radius[3, 121] = -1e-3
+    np.save(fam_path, radius)
     assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
     lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
     assert "FAIL family_positive_radii: delta=0.01 level=3 record=121 r=-0.001" in lines
@@ -975,7 +1057,39 @@ def test_build_warns_on_empty_family(tmp_path):
     assert "entries=0" in text
 
 
+def test_empty_family_is_not_reported_nested(tmp_path):
+    # a family that certifies nothing does not certify indefinite regulation
+    cfg_path = tmp_path / "empty.cfg"
+    cfg_path.write_text("[plant]\nid = numerical\n[levels]\ndeltas = 1e-9, 0.1\n")
+    out = str(tmp_path / "empty")
+    for stage in ("collect", "build", "simulate", "verify"):
+        assert main([stage, "--config", str(cfg_path), "--out", out]) == 0
+    report = open(os.path.join(out, "build_report.txt")).read().splitlines()
+    assert ("family delta=1e-09: entries=0 level0=0 nested=unverified truncated_at=0"
+            in report)
+    verify_report = open(os.path.join(out, "verify_report.txt")).read()
+    assert "PASS family_nesting_status: 1e-09:unverified, 0.1:unverified" in verify_report
+
+
 def test_cli_missing_artifacts_exit_code(tmp_path):
     code = main(["simulate", "--plant", "numerical",
                  "--out", str(tmp_path / "nothing_here")])
     assert code == 2
+
+
+def test_loaded_families_hold_one_table(pendulum_cfg):
+    # simulate and the probes keep one radius table per family in memory,
+    # not the successor inradii that only verify reads
+    import tracemalloc
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        loaded = pipeline.load_artifacts(pendulum_cfg)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    for fam in loaded[2].families:
+        arrays = [v for v in vars(fam).values() if isinstance(v, np.ndarray)]
+        assert len(arrays) == 1 and arrays[0] is fam.radius
+        assert fam.radius.dtype == np.float64
+    assert held < 12_000_000
