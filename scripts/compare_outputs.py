@@ -12,8 +12,7 @@ report, run logs, summary, verify report) is then compared byte for byte,
 as is each stage's exit code; stdout is not, since it carries wall-clock
 timings.  Exits 0 when everything matches and 1 after naming each
 difference.  With ``--keep DIR`` the outputs stay in ``DIR/old/<study>``
-and ``DIR/new/<study>`` (for ``scripts/compare_family_tables.py``) instead
-of a temporary directory.
+and ``DIR/new/<study>`` instead of a temporary directory.
 """
 
 import argparse

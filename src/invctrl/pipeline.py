@@ -13,7 +13,8 @@ Stage outputs live under the configured output directory:
     verify_report.txt            verify
 
 The family files are raw ``.npy`` tables (see ``levelsets``); every other
-file is plain delimiter-separated text with full-precision floats.
+file is plain delimiter-separated text with full-precision floats.  Each
+run-log column and summary field is defined once, in ``COLUMNS`` and ``FIELDS``.
 Repeated runs with one config and seed are byte-identical (wall-clock
 timings go to stdout only).
 """
@@ -22,8 +23,8 @@ from __future__ import annotations
 
 import os
 import time
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -39,17 +40,8 @@ from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
                      collect_numerical_trajectories,
                      collect_pendulum_trajectories, rng_stream)
 
-__all__ = [
-    "RunResult",
-    "cmd_collect",
-    "cmd_build",
-    "cmd_simulate",
-    "cmd_verify",
-    "cmd_report",
-    "load_artifacts",
-    "simulate_one",
-    "displayed_rmse",
-]
+__all__ = ["RunResult", "Step", "cmd_collect", "cmd_build", "cmd_simulate", "cmd_verify",
+           "cmd_report", "load_artifacts", "simulate_one", "tally", "displayed_rmse"]
 
 
 def _fmt(x):
@@ -204,11 +196,57 @@ def displayed_rmse(outputs):
     return float(np.sqrt(np.sum(y * y)) / len(y))
 
 
+def _opt(fmt, parse):
+    """(format, parse) of a column whose empty cell stands for None."""
+    return (lambda v: "" if v is None else fmt(v)), (lambda s: parse(s) if s else None)
+
+
+def _choice(texts):
+    """(format, parse) of a column holding the keys of ``texts``, a value -> cell map."""
+    return texts.__getitem__, {text: v for v, text in texts.items()}.__getitem__
+
+
+# (name, format, parse) of each run-log column; descent_ok is None unless certified
+COLUMNS = (("t", str, int), ("delta", *_opt("{:g}".format, float)), ("kappa", *_opt(str, int)),
+           ("i1", str, int), ("slack", *_opt(_fmt, float)),
+           ("certified", *_choice({True: "1", False: "0"})), ("u", _fmt, float),
+           ("y_next", _fmt, float),
+           ("descent_ok", *_choice({True: "1", False: "0", None: "skip"})))
+# (name, format, parse) of each summary field after a line's ``ic_NN:`` tag
+FIELDS = (("ic", lambda ic: ",".join(map("{:g}".format, ic)),
+           lambda s: tuple(map(float, s.split(",")))), ("rmse", _fmt, float),
+          ("certified", "{:.3f}".format, float), ("descent_violations", str, int),
+          ("fallbacks", str, int))
+Step = namedtuple("Step", [name for name, _, _ in COLUMNS])
+Summary = namedtuple("Summary", [name for name, _, _ in FIELDS])
+
+
+def _cells(table, row):
+    return [fmt(v) for (_, fmt, _), v in zip(table, row)]
+
+
+def _parse(table, cells, where):
+    """``cells`` parsed by ``table``; a wrong cell count or a malformed cell raises
+    ``ConfigError`` naming ``where``: (path, line number, what, stripped line)."""
+    try:
+        if len(cells) == len(table):
+            return [parse(c) for (_, _, parse), c in zip(table, cells)]
+    except (KeyError, ValueError):
+        pass
+    raise ConfigError("{}:{}: bad {} {!r}".format(*where))
+
+
+def tally(rows):
+    """(certified, descent_violations, fallbacks): step counts of ``rows``."""
+    ncert = sum(r.certified for r in rows)
+    return ncert, sum(r.descent_ok is False for r in rows), len(rows) - ncert
+
+
 @dataclass
 class RunResult:
     initial_condition: tuple
     outputs: np.ndarray            # true outputs y(0..T)
-    rows: List[tuple]              # per-step log rows
+    rows: list[Step]               # per-step log rows
     rmse: float
     certified_fraction: float
     descent_violations: int
@@ -228,7 +266,6 @@ def simulate_one(cfg: RunConfig, plant, controller, ic, ic_index) -> RunResult:
         meas[:n] += rng.normal(0.0, cfg.sigma, size=n)
     outputs = [float(state_true[n - 1])]
     rows = []
-    ncert = nviol = nfall = 0
     for t in range(cfg.horizon):
         u, cert = controller.control(meas)
         try:
@@ -238,69 +275,38 @@ def simulate_one(cfg: RunConfig, plant, controller, ic, ic_index) -> RunResult:
                               f"from initial condition {ic_index} ({exc})") from None
         y_meas = y_next + (rng.normal(0.0, cfg.sigma) if noisy else 0.0)
         meas = shift_state(meas, y_meas, u)
-        descent = controller.assert_descent(cert, meas)
-        if cert.certified:
-            ncert += 1
-            if descent is False:
-                nviol += 1
-        else:
-            nfall += 1
-        rows.append((t, cert.delta, cert.kappa, cert.index, cert.slack,
-                     cert.certified, u, y_next,
-                     "skip" if descent is None else ("1" if descent else "0")))
+        rows.append(Step(t, cert.delta, cert.kappa, cert.index, cert.slack, cert.certified,
+                         u, y_next, controller.assert_descent(cert, meas)))
         outputs.append(y_next)
     outputs = np.array(outputs)
-    return RunResult(
-        initial_condition=tuple(float(v) for v in ic),
-        outputs=outputs,
-        rows=rows,
-        rmse=displayed_rmse(outputs),
-        certified_fraction=ncert / cfg.horizon,
-        descent_violations=nviol,
-        fallback_steps=nfall,
-        wall_clock=time.perf_counter() - t0,
-    )
+    ncert, nviol, nfall = tally(rows)
+    return RunResult(tuple(float(v) for v in ic), outputs, rows, displayed_rmse(outputs),
+                     certified_fraction=ncert / cfg.horizon, descent_violations=nviol,
+                     fallback_steps=nfall, wall_clock=time.perf_counter() - t0)
 
 
-def _write_run_log(path, ic, result: RunResult):
+def _write_run_log(path, result: RunResult):
+    lines = ["# ic = " + ",".join(map(_fmt, result.initial_condition)), ",".join(Step._fields)]
     with open(path, "w") as fh:
-        fh.write("# ic = " + ",".join(_fmt(v) for v in ic) + "\n")
-        fh.write("t,delta,kappa,i1,slack,certified,u,y_next,descent_ok\n")
-        for (t, delta, kappa, i1, slack, certified, u, y_next, desc) in result.rows:
-            fh.write(",".join([
-                str(t),
-                "" if delta is None else format(delta, "g"),
-                "" if kappa is None else str(kappa),
-                str(i1),
-                "" if slack is None else _fmt(slack),
-                "1" if certified else "0",
-                _fmt(u),
-                _fmt(y_next),
-                desc,
-            ]) + "\n")
+        fh.write("\n".join(lines + [",".join(_cells(COLUMNS, r)) for r in result.rows]) + "\n")
 
 
-def cmd_simulate(cfg: RunConfig, log=print) -> List[RunResult]:
+def cmd_simulate(cfg: RunConfig, log=print) -> list[RunResult]:
     """Run the closed loop from each initial condition; write logs and summary."""
     paths = _paths(cfg)
     os.makedirs(paths["rundir"], exist_ok=True)
     dataset, model, controller = load_artifacts(cfg)
     plant = cfg.make_plant()
-    results = []
-    summary = []
+    results, summary = [], []
     for k, ic in enumerate(cfg.initial_conditions):
         res = simulate_one(cfg, plant, controller, ic, k)
         results.append(res)
-        _write_run_log(os.path.join(paths["rundir"], f"ic_{k:02d}.csv"), ic, res)
-        summary.append(
-            f"ic_{k:02d}: ic={','.join(format(v, 'g') for v in ic)} "
-            f"rmse={_fmt(res.rmse)} certified={res.certified_fraction:.3f} "
-            f"descent_violations={res.descent_violations} "
-            f"fallbacks={res.fallback_steps}")
-        log(f"simulate ic_{k:02d}: rmse={res.rmse:.6f} "
-            f"certified={res.certified_fraction:.1%} "
-            f"violations={res.descent_violations} "
-            f"({res.wall_clock:.2f}s)")
+        _write_run_log(os.path.join(paths["rundir"], f"ic_{k:02d}.csv"), res)
+        row = (ic, res.rmse, res.certified_fraction, res.descent_violations, res.fallback_steps)
+        summary.append(f"ic_{k:02d}: " + " ".join(
+            map("{}={}".format, Summary._fields, _cells(FIELDS, row))))
+        log(f"simulate ic_{k:02d}: rmse={res.rmse:.6f} certified={res.certified_fraction:.1%} "
+            f"violations={res.descent_violations} ({res.wall_clock:.2f}s)")
     with open(paths["summary"], "w") as fh:
         fh.write("\n".join(summary) + "\n")
     return results
@@ -310,44 +316,40 @@ def cmd_simulate(cfg: RunConfig, log=print) -> List[RunResult]:
 
 
 def read_run_log(path):
-    """(ic, rows) from a run log; rows as typed tuples.  A malformed line
+    """(ic, rows) from a run log; rows as ``Step`` tuples.  A malformed line
     raises ``ConfigError`` naming the file and line number."""
-    rows = []
     with open(path) as fh:
         first = fh.readline().strip()
         try:
             ic = tuple(float(v) for v in first.partition("=")[2].split(","))
         except ValueError:
             raise ConfigError(f"{path}:1: bad initial condition {first!r}") from None
-        header = fh.readline()
-        if not header.startswith("t,"):
-            raise ConfigError(f"{path}: not a run log (header {header.strip()!r})")
-        for lineno, line in enumerate(fh, start=3):
-            try:
-                t, delta, kappa, i1, slack, certified, u, y_next, desc = line.strip().split(",")
-                rows.append((int(t),
-                             float(delta) if delta else None,
-                             int(kappa) if kappa else None,
-                             int(i1),
-                             float(slack) if slack else None,
-                             certified == "1",
-                             float(u), float(y_next), desc))
-            except ValueError:
-                raise ConfigError(
-                    f"{path}:{lineno}: bad run log row {line.strip()!r}") from None
+        header = fh.readline().strip()
+        if header != ",".join(Step._fields):
+            raise ConfigError(f"{path}:2: not a run log (header {header!r})")
+        rows = [Step(*_parse(COLUMNS, line.split(","), (path, k, "run log row", line)))
+                for k, line in enumerate(map(str.strip, fh), start=3)]
     return ic, rows
+
+
+def read_summary(path):
+    """{tag: ``Summary``} from a summary file; ``ConfigError`` on a malformed line."""
+    stored = {}
+    with open(path) as fh:
+        for lineno, line in enumerate(map(str.strip, fh), start=1):
+            tag, _, rest = line.partition(":")
+            pairs = [tok.partition("=") for tok in rest.split()]
+            named = tuple(name for name, _, _ in pairs) == Summary._fields
+            cells = [cell for _, _, cell in pairs] if named else []  # [] has the wrong count
+            where = (path, lineno, "summary line", line)
+            stored[tag.strip()] = Summary(*_parse(FIELDS, cells, where))
+    return stored
 
 
 def cmd_report(cfg: RunConfig, log=print):
     """Recompute each run's error metric and check it against the summary."""
     paths = _paths(cfg)
-    stored = {}
-    with open(paths["summary"]) as fh:
-        for line in fh:
-            tag = line.split(":")[0].strip()
-            for tok in line.split():
-                if tok.startswith("rmse="):
-                    stored[tag] = float(tok[5:])
+    stored = read_summary(paths["summary"])
     ok = True
     for k in range(len(cfg.initial_conditions)):
         tag = f"ic_{k:02d}"
@@ -358,12 +360,10 @@ def cmd_report(cfg: RunConfig, log=print):
                               f"the order-{cfg.order} state has {2 * cfg.order - 1}")
         if tag not in stored:
             raise ConfigError(f"{paths['summary']}: no rmse for {tag}")
-        outputs = [ic[cfg.order - 1]] + [r[7] for r in rows]
-        rmse = displayed_rmse(outputs)
-        match = abs(rmse - stored[tag]) <= 1e-12
+        rmse = displayed_rmse([ic[cfg.order - 1]] + [r.y_next for r in rows])
+        match = abs(rmse - stored[tag].rmse) <= 1e-12
         ok = ok and match
-        ncert = sum(1 for r in rows if r[5])
-        nviol = sum(1 for r in rows if r[8] == "0")
+        ncert, nviol, _ = tally(rows)
         log(f"{tag}: rmse={rmse:.6f} recompute={'ok' if match else 'MISMATCH'} "
             f"certified={ncert}/{len(rows)} descent_violations={nviol}")
     return ok

@@ -724,14 +724,18 @@ def test_bound_oracle_matches_reference_with_one_blas_thread():
     assert "2 passed" in proc.stdout
 
 
-def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
+@pytest.mark.parametrize("header", [
+    "time;delta;kappa",
+    "t,kappa,delta,i1,slack,certified,u,y_next,descent_ok",  # starts like one, columns swapped
+])
+def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys, header):
     import shutil
     out = str(tmp_path / "broken_header")
     shutil.copytree(numerical_cfg.outdir, out)
     assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
     log_path = os.path.join(out, "runs", "ic_00.csv")
     lines = open(log_path).read().splitlines()
-    lines[1] = "time;delta;kappa"
+    lines[1] = header
     open(log_path, "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
     assert main(["report", "--plant", "numerical", "--out", out]) == 2
@@ -743,6 +747,9 @@ def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys):
     (0, "# ic = nan_here,1", "ic_00.csv:1:"),
     (0, "# ic = 0.1", "ic_00.csv:1: initial condition has 1 values"),
     (2, "1,0.5,1", "ic_00.csv:3:"),
+    # a dict sets the named cells of a row that is otherwise left as written
+    (2, {"certified": "yes"}, "ic_00.csv:3: bad run log row"),
+    (3, {"descent_ok": "maybe"}, "ic_00.csv:4: bad run log row"),
 ])
 def test_cli_report_rejects_malformed_log_line(numerical_cfg, tmp_path, capsys,
                                                line, edit, message):
@@ -752,6 +759,9 @@ def test_cli_report_rejects_malformed_log_line(numerical_cfg, tmp_path, capsys,
     assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
     log_path = os.path.join(out, "runs", "ic_00.csv")
     lines = open(log_path).read().splitlines()
+    if isinstance(edit, dict):
+        row = dict(zip(lines[1].split(","), lines[line].split(",")), **edit)
+        edit = ",".join(row.values())
     lines[line] = edit
     open(log_path, "w").write("\n".join(lines) + "\n")
     capsys.readouterr()
@@ -772,6 +782,22 @@ def test_cli_report_rejects_summary_without_run(numerical_cfg, tmp_path, capsys)
     assert main(["report", "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "summary.txt" in err and "ic_00" in err
+
+
+@pytest.mark.parametrize("stage", ["report", "verify"])
+def test_cli_rejects_malformed_summary_value(numerical_cfg, tmp_path, capsys, stage):
+    import shutil
+    out = str(tmp_path / "summary_value")
+    shutil.copytree(numerical_cfg.outdir, out)
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
+    summary = os.path.join(out, "summary.txt")
+    lines = open(summary).read().splitlines()
+    lines[1] = " ".join("rmse=abc" if tok.startswith("rmse=") else tok for tok in lines[1].split())
+    open(summary, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([stage, "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "summary.txt:2: bad summary line" in err
 
 
 @pytest.mark.parametrize("damage,message", [
@@ -1033,11 +1059,23 @@ def test_run_log_round_trip(numerical_cfg, tmp_path):
     import shutil
     shutil.copytree(numerical_cfg.outdir, cfg.outdir)
     results = pipeline.cmd_simulate(cfg, log=lambda *a: None)
-    ic, rows = pipeline.read_run_log(os.path.join(cfg.outdir, "runs", "ic_00.csv"))
-    assert ic == results[0].initial_condition
-    assert len(rows) == cfg.horizon
-    outputs = [ic[cfg.order - 1]] + [r[7] for r in rows]
-    assert pipeline.displayed_rmse(outputs) == pytest.approx(results[0].rmse, abs=1e-15)
+    stored = pipeline.read_summary(os.path.join(cfg.outdir, "summary.txt"))
+    for k, result in enumerate(results):
+        summary = stored[f"ic_{k:02d}"]
+        assert (summary.rmse, summary.descent_violations, summary.fallbacks) == (
+            result.rmse, result.descent_violations, result.fallback_steps)
+        ic, rows = pipeline.read_run_log(os.path.join(cfg.outdir, "runs", f"ic_{k:02d}.csv"))
+        assert ic == result.initial_condition
+        assert len(rows) == cfg.horizon
+        # every field, the empty cells of fallback steps included, reads back as simulated
+        assert rows == result.rows
+        assert pipeline.tally(rows) == (round(result.certified_fraction * cfg.horizon),
+                                        result.descent_violations, result.fallback_steps)
+        outputs = [ic[cfg.order - 1]] + [r.y_next for r in rows]
+        assert pipeline.displayed_rmse(outputs) == pytest.approx(result.rmse, abs=1e-15)
+    steps = [r for result in results for r in result.rows]
+    assert any(r.certified for r in steps) and any(not r.certified for r in steps)
+    assert {r.descent_ok for r in steps} >= {True, None}
 
 
 def test_pendulum_build_report_family_count(pendulum_cfg):
