@@ -10,9 +10,11 @@ study, the noise-free pendulum study and the noisy pendulum study run with
 report.  Every output file (trajectories, manifest, model, families, build
 report, run logs, summary, verify report) is then compared byte for byte,
 as is each stage's exit code; stdout is not, since it carries wall-clock
-timings.  Exits 0 when everything matches and 1 after naming each
-difference.  With ``--keep DIR`` the outputs stay in ``DIR/old/<study>``
-and ``DIR/new/<study>`` instead of a temporary directory.
+timings.  For each study and tree it also prints the artifact bytes:
+``model.txt`` plus everything under ``families/``, the quantity perfbench
+reports as ``artifact_mb``.  Exits 0 when everything matches and 1 after
+naming each difference.  With ``--keep DIR`` the outputs stay in
+``DIR/old/<study>`` and ``DIR/new/<study>`` instead of a temporary directory.
 """
 
 import argparse
@@ -58,6 +60,12 @@ def files_under(top):
     return {str(p.relative_to(top)) for p in Path(top).rglob("*") if p.is_file()}
 
 
+def artifact_bytes(top):
+    """Bytes of ``model.txt`` and of every file under ``families/`` in ``top``."""
+    paths = [Path(top, "model.txt"), *Path(top, "families").rglob("*")]
+    return sum(p.stat().st_size for p in paths if p.is_file())
+
+
 def compare(old_root, new_root, work):
     """Differences between the two trees' studies, as readable lines."""
     diffs = []
@@ -78,6 +86,7 @@ def compare(old_root, new_root, work):
                 diffs.append(f"{name}: {rel} differs")
         print(f"{name}: {len(old_files)} files compared, exit codes "
               + " ".join(f"{s}={old_codes[s]}" for s in STAGES))
+        print(f"{name}: artifact bytes old {artifact_bytes(old)} new {artifact_bytes(new)}")
     return diffs
 
 

@@ -112,19 +112,22 @@ class Interpolant:
 
     def power(self, x):
         """Pointwise error multiplier sqrt(k(x,x) - k(x)^T K^{-1} k(x)) >= 0."""
+        x = np.asarray(x, dtype=float)
+        val = self.power_of_columns(self.kernel.cross(self.train_x, np.atleast_2d(x)))
+        return float(val[0]) if x.ndim == 1 else val
+
+    def power_of_columns(self, kx, gram=None):
+        """``power`` at the points whose kernel columns ``k(train_x, x)`` are the
+        columns of the C-contiguous ``kx`` (N, M); ``gram`` may carry the
+        training kernel matrix for the factor, which is otherwise built once."""
         if self.lam != 0:
             raise ValueError("power function is undefined for lam > 0")
         if self._chol is None:
-            K = self.kernel.gram(self.train_x) + (self.lam + self.jitter) * np.eye(len(self))
-            self._chol = cho_factor(K, lower=True)
-        x = np.asarray(x, dtype=float)
-        single = x.ndim == 1
-        pts = np.atleast_2d(x)
-        kx = self.kernel.cross(self.train_x, pts)  # (N, M)
+            K = self.kernel.gram(self.train_x) if gram is None else gram
+            self._chol = cho_factor(K + (self.lam + self.jitter) * np.eye(len(self)), lower=True)
         sol = cho_solve(self._chol, kx)
         k0 = float(self.kernel.profile(0.0))  # k(x, x) for both kernel classes
-        val = np.sqrt(np.maximum(0.0, k0 - np.sum(kx * sol, axis=0)))
-        return float(val[0]) if single else val
+        return np.sqrt(np.maximum(0.0, k0 - np.sum(kx * sol, axis=0)))
 
 
 def fit_interpolant(kernel, dataset: NarxDataset, lam: float = 0.0) -> Interpolant:

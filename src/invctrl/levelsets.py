@@ -19,9 +19,10 @@ Each level step is the inradius row of the max-plus product ``r_new[i] =
 max_k (radii[k] - D[i, k])`` over a distance table fixed for the build (the
 product where above ``MIN_INRADIUS``, else ``ABSENT``; ``ABSENT`` radii are
 neutral).  ``pairwise_distances`` keeps, per row, the ``NEAR_K`` nearest
-columns, level-major as ``(NEAR_K, rows)`` index and distance arrays that
-``max_plus`` gathers with one flat ``take``, and ``beyond``, the smallest
-distance to any other column.  ``max_plus`` takes ``best`` over the nearest
+columns, row-major as ``(rows, NEAR_K)`` index and distance arrays that
+``max_plus`` gathers with one flat ``take`` and reduces by an ``argmax``
+along each contiguous row, and ``beyond``, the smallest distance to any
+other column.  ``max_plus`` takes ``best`` over the nearest
 columns, then scans in full, ``SCAN_ROWS`` rows at a time, only rows with
 ``max(radii) - beyond > max(best, MIN_INRADIUS)``.  This is exact: any
 other column has ``D[i, k] >= beyond`` and ``radii[k] <= max(radii)``, and
@@ -30,12 +31,20 @@ rounded subtraction is monotone, so on a skipped row ``radii[k] - D[i, k]
 floor, else at most the floor, and the row is ``ABSENT`` either way.  Every
 inradius row is bit-identical to the one from the product over all columns.
 
+``max_plus`` also returns, per row, a column attaining the product (its
+*witness*): the argmax over the nearest columns, or over the scanned row.
+The product is read at the witness, so it is the maximum bit for bit.
+
 A family is one float64 table ``radius[level, record]``, ``ABSENT`` (-inf)
 where a record has no ball at that level: slab inradii at level 0, certified
 radii above.  Rows stop at the first empty level.  Balls are reconstructed on
 demand from the dataset; ball-union queries read ``margin`` over a radius row.
-The successor inradii of levels >= 1, which only ``verify`` reads, are a second
-table of the same ``ABSENT`` cells.  Each table is one raw ``.npy`` file.
+Beside it, ``verify`` reads a witness table ``witness[level - 1, record]`` for
+levels >= 1: the level-(j-1) ball ``k`` whose ``radius[j - 1, k] - dist(succ,
+center_k)`` is the record's successor inradius, stored in the smallest unsigned
+integer type that holds ``records - 1``.  ``successor_inradii`` re-derives the
+inradii from it, bit for bit those of the build.  Each table is one raw ``.npy``
+file.
 """
 
 from __future__ import annotations
@@ -60,7 +69,9 @@ __all__ = [
     "check_nesting",
     "dump_family",
     "load_family",
-    "load_inradius",
+    "load_witness",
+    "paired_distances",
+    "successor_inradii",
 ]
 
 MIN_INRADIUS = 1e-12
@@ -101,6 +112,13 @@ class LevelFamily:
         """Every record's ball center at ``level``: its successor at 0, else its state."""
         return self.dataset.succ_states if level == 0 else self.dataset.states
 
+    def ball_centers(self, levels, records):
+        """Centers of the balls of ``records`` at ``levels`` (integer arrays,
+        broadcast together), as ``centers`` places them."""
+        ds = self.dataset
+        both = np.concatenate([ds.succ_states, ds.states])
+        return both.take(np.where(levels > 0, len(ds), 0) + records, axis=0)
+
     def centers_radii(self, level):
         """Ball centers and radii realizing level ``level``."""
         idx = self.present(level)
@@ -138,31 +156,34 @@ def index_set_slab(dataset: NarxDataset, delta):
 def nearest_table(dist):
     """``(dist, near, near_dist, beyond)``: per row of ``dist``, partitioned
     once, the indices and distances of the ``NEAR_K`` nearest columns (all
-    if no more), level-major as C-contiguous ``(NEAR_K, rows)`` arrays, and
-    the smallest distance to any other column."""
+    if no more) as C-contiguous ``(rows, NEAR_K)`` arrays, and the smallest
+    distance to any other column."""
     n, m = dist.shape
     if m <= NEAR_K:
-        return (dist, np.repeat(np.arange(m)[:, None], n, axis=1),
-                np.ascontiguousarray(dist.T), np.full(n, np.inf))
+        return (dist, np.repeat(np.arange(m)[None, :], n, axis=0),
+                np.ascontiguousarray(dist), np.full(n, np.inf))
     part = np.argpartition(dist, NEAR_K, axis=1)[:, :NEAR_K + 1]
     part_dist = np.take_along_axis(dist, part, axis=1)
     # copies, so that the full N x M index array is not kept alive
-    return (dist, np.ascontiguousarray(part[:, :NEAR_K].T),
-            np.ascontiguousarray(part_dist[:, :NEAR_K].T), part_dist[:, NEAR_K].copy())
+    return (dist, np.ascontiguousarray(part[:, :NEAR_K]),
+            np.ascontiguousarray(part_dist[:, :NEAR_K]), part_dist[:, NEAR_K].copy())
 
 
 def max_plus(radii, table):
-    """Inradius row of ``max_k (radii[k] - dist[i, k])`` per row ``i`` of a
-    ``nearest_table``: the exact product where above ``MIN_INRADIUS``, else
-    ``ABSENT``; on point-to-center distances, each point's single-ball
-    inradius underestimate in the union of the balls.  With ``best`` over a
-    row's ``NEAR_K`` nearest columns, the row is scanned in full only if
+    """``(row, witness)``: the inradius row of ``max_k (radii[k] - dist[i, k])``
+    per row ``i`` of a ``nearest_table`` (the exact product where above
+    ``MIN_INRADIUS``, else ``ABSENT``; on point-to-center distances, each
+    point's single-ball inradius underestimate in the union of the balls), and
+    per row a column ``k`` attaining the product.  With ``best`` over a row's
+    ``NEAR_K`` nearest columns, the row is scanned in full only if
     ``max(radii) - beyond > max(best, MIN_INRADIUS)``: on any other, every
     far column gives at most that, so the row is ``best`` or ``ABSENT``."""
     dist, near, near_dist, beyond = table
     g = np.take(radii, near)
     np.subtract(g, near_dist, out=g)
-    best = g.max(axis=0)
+    flat = g.argmax(axis=1)
+    flat += np.arange(0, g.size, g.shape[1])  # flat index of each row's argmax
+    best, witness = g.take(flat), near.take(flat)
     rows = np.flatnonzero(radii.max() - beyond > np.maximum(best, MIN_INRADIUS))
     # one shape on every call, so the heap the build leaves does not vary with the rows
     buf = np.empty((SCAN_ROWS, len(radii)))
@@ -172,14 +193,16 @@ def max_plus(radii, table):
         # rows are valid indices; "clip" skips the buffered copy of "raise"
         np.take(dist, block, axis=0, out=out, mode="clip")
         np.subtract(radii, out, out=out)
-        best[block] = out.max(axis=1)
-    return np.where(best > MIN_INRADIUS, best, ABSENT)
+        arg = out.argmax(axis=1)
+        witness[block], best[block] = arg, out.take(arg + np.arange(0, out.size, len(radii)))
+    return np.where(best > MIN_INRADIUS, best, ABSENT), witness
 
 
 def build_level_family(dataset: NarxDataset, bounds, delta, depth, _dists=None):
     """Construct levels 0..depth; stops early once a level comes out empty
     (an empty family is a valid, reported outcome).  Returns the family and
-    the ``(levels - 1, records)`` successor inradii of its levels >= 1.
+    the ``(levels - 1, records)`` witness table of its levels >= 1, in the
+    smallest unsigned integer type that holds ``records - 1``.
 
     ``_dists`` optionally carries ``pairwise_distances(dataset)`` so that a
     batch build over several accuracies shares it.
@@ -190,18 +213,20 @@ def build_level_family(dataset: NarxDataset, bounds, delta, depth, _dists=None):
         raise ValueError("depth must be >= 1")
     ss, sz = pairwise_distances(dataset) if _dists is None else _dists
     r = index_set_slab(dataset, delta)
-    rows, inner = ([r] if np.any(r != ABSENT) else []), []
+    rows, witness = ([r] if np.any(r != ABSENT) else []), []
     while rows and len(rows) <= depth:
-        r = max_plus(rows[-1], ss if len(rows) == 1 else sz)
+        r, w = max_plus(rows[-1], ss if len(rows) == 1 else sz)
         idx = np.flatnonzero(r != ABSENT)
         if idx.size == 0:
             break
         c = np.full_like(r, ABSENT)
         c[idx] = bounds.state_dev_inv(r[idx])
-        inner.append(r)
+        witness.append(w)
         rows.append(c)
-    radius, inner = (np.array(t).reshape(len(t), len(dataset)) for t in (rows, inner))
-    return LevelFamily(float(delta), int(depth), radius, dataset), inner
+    shape = (len(witness), len(dataset))
+    witness = np.array(witness, dtype=np.min_scalar_type(max(len(dataset) - 1, 0)))
+    radius = np.array(rows).reshape(len(rows), len(dataset))
+    return LevelFamily(float(delta), int(depth), radius, dataset), witness.reshape(shape)
 
 
 def pairwise_distances(dataset: NarxDataset):
@@ -223,51 +248,75 @@ def check_nesting(family: LevelFamily) -> bool:
                                 <= r1).any(axis=1).all() for s in range(0, len(r0), SCAN_ROWS))
 
 
-def _inradius_path(path):  # the successor-inradius file next to the radius file
-    return str(path).removesuffix(".npy") + ".inradius.npy"
+def _witness_path(path):  # the witness file next to the radius file
+    return str(path).removesuffix(".npy") + ".witness.npy"
 
 
-def dump_family(path, family: LevelFamily, inradius):
-    """The radius table to ``path`` and the successor inradii of levels >= 1
+def dump_family(path, family: LevelFamily, witness):
+    """The radius table to ``path`` and the witness table of levels >= 1
     beside it, as raw ``.npy`` arrays whose bytes depend on the values only."""
-    for target, table in ((path, family.radius), (_inradius_path(path), inradius)):
+    for target, table in ((path, family.radius), (_witness_path(path), witness)):
         with open(target, "wb") as fh:
             np.save(fh, table)
 
 
-def _load_table(path, fits, expected, absent=None):
-    """The float64 table at ``path``, else ``ConfigError`` naming the path: its
-    shape must pass ``fits``, and each cell be finite or ``ABSENT`` (exactly
-    where ``absent`` is, if given; row j is then level j + 1)."""
+def _load_table(path, what):
+    """The table dumped at ``path``, else ``ConfigError`` naming the path and ``what``."""
     try:
-        table = np.load(path)
+        return np.load(path)
     except (ValueError, EOFError) as exc:
-        raise ConfigError(f"{path}: not a radius table dump ({exc})") from None
-    if table.dtype != np.float64 or table.ndim != 2 or not fits(*table.shape):
-        raise ConfigError(f"{path}: table of shape {table.shape} ({table.dtype}) does not "
-                          f"fit {expected}; rebuild the families")
-    inner = absent is not None
-    # NaN and +inf both fail ``max < inf``; the offender is located on failure only
-    if not (table.max(initial=ABSENT) < np.inf
-            and (not inner or np.array_equal(table == ABSENT, absent))):
-        gone = table == ABSENT
-        bad = ~(np.isfinite(table) | gone) | (inner and gone != absent)
-        (j, i), name = np.argwhere(bad)[0], "inradius" if inner else "radius"
-        raise ConfigError(f"{path}: level {j + inner} record {i} has {name} {table[j, i]:g}: "
-                          "not finite, or ABSENT in one table only; rebuild the families")
-    return table
+        raise ConfigError(f"{path}: not a {what} dump ({exc})") from None
 
 
 def load_family(path, dataset: NarxDataset, delta, depth) -> LevelFamily:
-    """A family from its radius dump (checked by ``_load_table``) and build inputs."""
-    radius = _load_table(path, lambda rows, n: rows <= depth + 1 and n == len(dataset),
-                         f"{len(dataset)} records and depth {depth}")
+    """A family from its radius dump and build inputs.  ``ConfigError`` names
+    the path unless the dump is a float64 table of at most ``depth + 1`` rows
+    and one column per record, each cell finite or ``ABSENT``."""
+    radius = _load_table(path, "radius table")
+    if (radius.dtype != np.float64 or radius.ndim != 2 or len(radius) > depth + 1
+            or radius.shape[1] != len(dataset)):
+        raise ConfigError(f"{path}: table of shape {radius.shape} ({radius.dtype}) does not "
+                          f"fit {len(dataset)} records and depth {depth}; rebuild the families")
+    # NaN and +inf both fail ``max < inf``; the offender is located on failure only
+    if not radius.max(initial=ABSENT) < np.inf:
+        j, i = np.argwhere(~(np.isfinite(radius) | (radius == ABSENT)))[0]
+        raise ConfigError(f"{path}: level {j} record {i} has radius {radius[j, i]:g}: "
+                          "not finite; rebuild the families")
     return LevelFamily(delta=float(delta), depth=int(depth), radius=radius, dataset=dataset)
 
 
-def load_inradius(path, family: LevelFamily):
-    """The successor inradii of levels >= 1 dumped beside the radius file
-    ``path`` of ``family``, ``ABSENT`` exactly where its radius rows are."""
-    radius = family.radius[1:]
-    return _load_table(_inradius_path(path), lambda *shape: shape == radius.shape,
-                       f"radius levels >= 1 of shape {radius.shape}", radius == ABSENT)
+def load_witness(path, family: LevelFamily):
+    """The witness table dumped beside the radius file ``path`` of ``family``:
+    unsigned integers of the shape of its radius levels >= 1, each below the
+    record count, else ``ConfigError`` naming the witness path."""
+    wpath, shape, records = _witness_path(path), family.radius[1:].shape, len(family.dataset)
+    witness = _load_table(wpath, "witness table")
+    if witness.dtype.kind != "u" or witness.shape != shape:
+        raise ConfigError(f"{wpath}: table of shape {witness.shape} ({witness.dtype}) does not "
+                          f"fit unsigned indices of shape {shape}; rebuild the families")
+    if witness.size and witness.max() >= records:
+        j, i = np.argwhere(witness >= records)[0]
+        raise ConfigError(f"{wpath}: level {j + 1} record {i} has witness {witness[j, i]}, "
+                          f"not one of the {records} records; rebuild the families")
+    return witness
+
+
+def paired_distances(pts, centers):
+    """Distance of each row of ``pts`` to the matching row of ``centers`` (the
+    two broadcast against each other), summed coordinate by coordinate as
+    ``cdist`` sums, hence equal to its distances bit for bit."""
+    return np.sqrt(sum((pts[..., k] - centers[..., k]) ** 2 for k in range(pts.shape[-1])))
+
+
+def successor_inradii(family: LevelFamily, witness):
+    """The ``(levels - 1, records)`` successor inradii of levels >= 1 that
+    ``witness`` names: ``radius[j - 1, k] - dist(succ_states[i], center_k)``
+    at ``k = witness[j - 1, i]``, ``ABSENT`` where ``radius[j, i]`` is.  The
+    distance sums as ``cdist`` sums, so a build's witnesses give its inradii
+    bit for bit."""
+    radius, k = family.radius, witness.astype(np.intp)
+    out = np.take_along_axis(radius[:-1], k, axis=1)
+    centers = family.ball_centers(np.arange(len(k))[:, None], k)
+    out -= paired_distances(family.dataset.succ_states, centers)
+    out[radius[1:] == ABSENT] = ABSENT
+    return out

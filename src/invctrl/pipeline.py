@@ -6,15 +6,18 @@ Stage outputs live under the configured output directory:
     manifest.txt
     model.txt                    build
     families/delta_*.npy
-    families/delta_*.inradius.npy (read by verify only)
+    families/delta_*.witness.npy (read by verify only)
     build_report.txt
     runs/ic_NN.csv               simulate
     summary.txt
     verify_report.txt            verify
 
-The family files are raw ``.npy`` tables (see ``levelsets``); every other
-file is plain delimiter-separated text with full-precision floats.  Each
-run-log column and summary field is defined once, in ``COLUMNS`` and ``FIELDS``.
+The family files are raw ``.npy`` tables (see ``levelsets``): per accuracy,
+the radius table, and the witness table that names, for each entry of levels
+>= 1, the previous-level ball its successor inradius comes from; ``verify``
+re-derives every successor inradius from it.  Every other file is plain
+delimiter-separated text with full-precision floats.  Each run-log column
+and summary field is defined once, in ``COLUMNS`` and ``FIELDS``.
 Repeated runs with one config and seed are byte-identical (wall-clock
 timings go to stdout only).
 """
@@ -33,7 +36,7 @@ from .config import ConfigError, RunConfig
 from .controller import Controller
 from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
 from .levelsets import (build_level_family, check_nesting, dump_family,
-                        load_family, load_inradius, pairwise_distances)
+                        load_family, load_witness, pairwise_distances)
 from .narx import (FLOAT_FMT, NarxDataset, TrajectoryError, build_dataset,
                    read_trajectories, shift_state, write_trajectory)
 from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
@@ -156,8 +159,8 @@ def cmd_build(cfg: RunConfig, log=print):
         lines.append(f"rkhs_norm_estimate = {_fmt(model.rkhs_norm())}")
     empty_warned = False
     for delta in cfg.deltas:
-        fam, inradius = build_level_family(dataset, bounds, delta, cfg.depth, _dists=dists)
-        dump_family(_family_path(paths, delta), fam, inradius)
+        fam, witness = build_level_family(dataset, bounds, delta, cfg.depth, _dists=dists)
+        dump_family(_family_path(paths, delta), fam, witness)
         sizes = fam.sizes()
         nested = check_nesting(fam)
         trunc = fam.truncated_at if fam.truncated_at is not None else ""
@@ -347,7 +350,11 @@ def read_summary(path):
 
 
 def cmd_report(cfg: RunConfig, log=print):
-    """Recompute each run's error metric and check it against the summary."""
+    """Recompute each run's summary fields from its log and check them.
+
+    ``rmse`` must agree to 1e-12; ``ic``, ``certified``, ``descent_violations``
+    and ``fallbacks`` must print as the summary prints them (``ic`` to ``g``
+    precision).  A mismatch names the run and the fields and returns False."""
     paths = _paths(cfg)
     stored = read_summary(paths["summary"])
     ok = True
@@ -361,10 +368,12 @@ def cmd_report(cfg: RunConfig, log=print):
         if tag not in stored:
             raise ConfigError(f"{paths['summary']}: no rmse for {tag}")
         rmse = displayed_rmse([ic[cfg.order - 1]] + [r.y_next for r in rows])
-        match = abs(rmse - stored[tag].rmse) <= 1e-12
-        ok = ok and match
-        ncert, nviol, _ = tally(rows)
-        log(f"{tag}: rmse={rmse:.6f} recompute={'ok' if match else 'MISMATCH'} "
+        ncert, nviol, nfall = tally(rows)
+        got = Summary(ic, rmse, ncert / cfg.horizon, nviol, nfall)
+        wrong = [name for (name, fmt, _), a, b in zip(FIELDS, got, stored[tag])
+                 if (abs(a - b) > 1e-12 if name == "rmse" else fmt(a) != fmt(b))]
+        ok = ok and not wrong
+        log(f"{tag}: rmse={rmse:.6f} recompute={'MISMATCH ' + ','.join(wrong) if wrong else 'ok'} "
             f"certified={ncert}/{len(rows)} descent_violations={nviol}")
     return ok
 
@@ -376,8 +385,8 @@ def cmd_verify(cfg: RunConfig, log=print):
     """Run the property suites over the artifacts; True when all of them pass."""
     paths = _paths(cfg)
     dataset, model, controller = load_artifacts(cfg)
-    inradii = [load_inradius(_family_path(paths, f.delta), f) for f in controller.families]
-    report = verify.run_all(cfg, dataset, model, controller, inradii, cfg.make_plant(),
+    witnesses = [load_witness(_family_path(paths, f.delta), f) for f in controller.families]
+    report = verify.run_all(cfg, dataset, model, controller, witnesses, cfg.make_plant(),
                             cfg.make_bounds(model.kernel), log=log)
     if os.path.exists(paths["summary"]):
         verify.add_check(report, log, "rmse_recompute", cmd_report(cfg, log=lambda *_: None),

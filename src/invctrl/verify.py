@@ -4,19 +4,20 @@ Each check returns (name, passed, detail) over artifacts that a ``build``
 left on disk, loaded by the caller, so corrupted dumps are caught; failures
 carry the offending entry as a counterexample.
 
-The family suites make one pass per family.  The radius, slab and
-certificate checks compare whole ``(levels, records)`` tables and name what
-a level-by-level loop names: the first extreme of the last offending
-(family, level).  The recursion check draws a family's entries in (level,
-record) order into buffers, where ``standard_normal(out=...)`` and
-``random(out=...)`` give the bits of ``normal`` and ``uniform(0, 1)``.  Each
-entry's samples are tested first against its previous-level ball of largest
-slack ``radius - dist(entry center, ball center)`` (an argmax over the whole
-radius row, which ``ABSENT`` never wins), by distances summed as ``cdist``
-sums.  Samples left outside go to the full scan: the previous level's
-``margin``, in blocks of at most ``CDIST_CELLS`` distances.  So a sample
-counts as inside only by a real ``dist <= radius`` on a ``cdist`` distance,
-as escaped only after the scan.
+The family suites make one pass per family, over the successor inradii that
+``levelsets.successor_inradii`` re-derives from the stored witness table, so
+every certificate is checked against an inradius computed here, not one the
+build stored.  The radius, slab and certificate checks compare whole
+``(levels, records)`` tables and name what a level-by-level loop names: the
+first extreme of the last offending (family, level).  The recursion check
+draws a family's entries in (level, record) order into buffers, where
+``standard_normal(out=...)`` and ``random(out=...)`` give the bits of
+``normal`` and ``uniform(0, 1)``.  Each entry's samples are tested first
+against its witness ball, by distances summed as ``cdist`` sums.  Samples
+left outside go to the full scan: the previous level's ``margin``, in blocks
+of at most ``CDIST_CELLS`` distances.  So a sample counts as inside only by a
+real ``dist <= radius`` on a ``cdist`` distance, as escaped only after the
+scan.
 
 The bound oracle draws its ``ORACLE_DRAWS`` (record, state) pairs from a
 box one at a time, as a per-sample loop would, and evaluates their kernel
@@ -30,9 +31,8 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
-from .levelsets import ABSENT, check_nesting
+from .levelsets import ABSENT, check_nesting, paired_distances, successor_inradii
 from .plants import rng_stream
 
 STREAM_VERIFY = 7
@@ -60,13 +60,6 @@ def sample_in_balls(rng, centers, radii, count):
     return dirs
 
 
-def paired_distances(pts, centers):
-    """Distance of each ``pts[i, s]`` to ``centers[i]``, summed coordinate by
-    coordinate as ``cdist`` sums, hence equal to its distances bit for bit."""
-    return np.sqrt(sum((pts[..., k] - centers[:, None, k]) ** 2
-                       for k in range(pts.shape[-1])))
-
-
 def recursion_entries(inradius, per_level):
     """(levels, records) the recursion check samples, in (level, record)
     order: each present entry of ``inradius`` (levels >= 1), or ``per_level``
@@ -85,21 +78,17 @@ def recursion_entries(inradius, per_level):
     return lev + 1, rec
 
 
-def recursion_escapes(fam, inradius, samples, per_level, rng):
+def recursion_escapes(fam, inradius, witness, samples, per_level, rng):
     """First (level, record) of ``recursion_entries`` with one of ``samples``
     uniform draws from its ``inradius`` ball outside the previous level's union,
-    or None.  Every entry is drawn, so the stream moves on as per-entry draws would."""
+    or None; each entry's ``witness`` ball is tested first.  Every entry is
+    drawn, so the stream moves on as per-entry draws would."""
     lev, rec = recursion_entries(inradius, per_level)
     centers = fam.dataset.succ_states[rec]
     pts = sample_in_balls(rng, centers, inradius[lev - 1, rec], samples)
-    cand_c, cand_r = np.empty_like(centers), np.empty(len(lev))
-    starts = np.flatnonzero(np.diff(lev, prepend=0))
-    for s, e in zip(starts, np.append(starts[1:], len(lev))):
-        all_c, row = fam.centers(lev[s] - 1), fam.radius[lev[s] - 1]
-        slack = cdist(centers[s:e], all_c)
-        best = np.subtract(row, slack, out=slack).argmax(axis=1)
-        cand_c[s:e], cand_r[s:e] = all_c[best], row[best]
-    inside = paired_distances(pts, cand_c) <= cand_r[:, None]
+    w = witness[lev - 1, rec]
+    inside = (paired_distances(pts, fam.ball_centers(lev - 1, w)[:, None])
+              <= fam.radius[lev - 1, w][:, None])
     for j in np.unique(lev[~inside.all(axis=1)]):
         s, e = np.searchsorted(lev, [j, j + 1])
         rows = max(1, CDIST_CELLS // len(fam.dataset))
@@ -198,9 +187,9 @@ def add_check(checks, log, name, passed, detail=""):
         + (f": {detail}" if detail else ""))
 
 
-def run_all(cfg, dataset, model, controller, inradii, plant, bounds, log=print):
+def run_all(cfg, dataset, model, controller, witnesses, plant, bounds, log=print):
     """Every artifact suite over loaded artifacts, as (name, passed, detail)
-    checks in report order; ``inradii`` holds each family's successor inradii."""
+    checks in report order; ``witnesses`` holds each family's witness table."""
     checks = []
     add = partial(add_check, checks, log)
     kernel = model.kernel
@@ -227,17 +216,23 @@ def run_all(cfg, dataset, model, controller, inradii, plant, bounds, log=print):
     add("dataset_feature_layout", feats_ok, "features = [target; state]")
     add("dataset_successor_shift", sel_ok, "successors are exact shifts")
 
-    # interpolant ----------------------------------------------------------
-    if model.lam == 0.0:
-        resid = np.max(np.abs(model.predict(dataset.features) - dataset.controls))
-        add("interpolation_exactness", resid <= 1e-8, f"max residual {resid:.2e}")
-        sub = rng.choice(len(dataset), size=min(64, len(dataset)), replace=False)
-        pw = np.max(model.power(dataset.features[sub]))
-        add("power_function_at_data", pw <= 1e-3 * kernel.sigma_f,
-            f"max power at data {pw:.2e}")
-    else:
+    # interpolant: one training kernel matrix for the residual and the power --
+    if model.lam != 0.0:
         add("interpolation_exactness", True,
             f"skipped (ridge fit, lambda={model.lam:g})")
+    elif not np.array_equal(model.train_x, dataset.features):
+        add("interpolation_exactness", False,
+            "the model's training features are not the dataset's features")
+    else:
+        # equals ``gram`` bit for bit: cdist is symmetric bit for bit
+        K = kernel.cross(dataset.features, model.train_x)
+        resid = np.max(np.abs(K @ model.alpha - dataset.controls))
+        add("interpolation_exactness", resid <= 1e-8, f"max residual {resid:.2e}")
+        sub = rng.choice(len(dataset), size=min(64, len(dataset)), replace=False)
+        # the columns copied C-contiguous, as ``power`` passes its own
+        pw = np.max(model.power_of_columns(np.ascontiguousarray(K[:, sub]), gram=K))
+        add("power_function_at_data", pw <= 1e-3 * kernel.sigma_f,
+            f"max power at data {pw:.2e}")
 
     # bounds ---------------------------------------------------------------
     grid = np.logspace(-9, 3, 1000)
@@ -288,6 +283,7 @@ def run_all(cfg, dataset, model, controller, inradii, plant, bounds, log=print):
             f"{viol} violations over {ORACLE_DRAWS} delayed-map samples")
 
     # level families ---------------------------------------------------------
+    inradii = [successor_inradii(fam, w) for fam, w in zip(controller.families, witnesses)]
     neg, slab, cert = family_offenders(controller.families, inradii, bounds)
     add("family_positive_radii", neg is None, neg or "all entry inradii positive")
     add("family_slab_soundness", slab is None, slab or "level-0 balls inside the output slab")
@@ -296,8 +292,8 @@ def run_all(cfg, dataset, model, controller, inradii, plant, bounds, log=print):
 
     per_level, samples = (8, 50) if len(dataset) > 400 else (None, 200)
     fail = None
-    for fam, inradius in zip(controller.families, inradii):
-        escape = recursion_escapes(fam, inradius, samples, per_level, rng)
+    for fam, inradius, witness in zip(controller.families, inradii, witnesses):
+        escape = recursion_escapes(fam, inradius, witness, samples, per_level, rng)
         if escape:
             fail = (fam.delta, *escape)
             break

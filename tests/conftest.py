@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from invctrl.config import default_config
-from invctrl.levelsets import ABSENT, LevelFamily, load_inradius
+from invctrl.levelsets import ABSENT, LevelFamily, load_witness, successor_inradii
 from invctrl.narx import NarxDataset
 from invctrl import pipeline
 
@@ -18,13 +18,14 @@ def numerical_cfg(tmp_path_factory):
 
 def loaded_artifacts(cfg):
     """The build's artifacts as simulate and verify load them, with the
-    successor-inradius table of each family (``inradii``) that only verify
-    reads."""
+    witness table of each family (``witnesses``) that only verify reads and
+    the successor inradii it derives from them (``inradii``)."""
     dataset, model, controller = pipeline.load_artifacts(cfg)
-    inradii = [load_inradius(pipeline._family_path(pipeline._paths(cfg), f.delta), f)
-               for f in controller.families]
+    witnesses = [load_witness(pipeline._family_path(pipeline._paths(cfg), f.delta), f)
+                 for f in controller.families]
+    inradii = [successor_inradii(f, w) for f, w in zip(controller.families, witnesses)]
     return dict(cfg=cfg, dataset=dataset, model=model, controller=controller,
-                inradii=inradii, bounds=cfg.make_bounds(model.kernel),
+                witnesses=witnesses, inradii=inradii, bounds=cfg.make_bounds(model.kernel),
                 plant=cfg.make_plant())
 
 

@@ -163,8 +163,10 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
     under_ok = worst_gap <= 1e-9
 
     rng2 = rng_stream(numerical_artifacts["cfg"].seed, 91)
-    families = zip(numerical_artifacts["controller"].families, numerical_artifacts["inradii"])
-    first = [verify.recursion_escapes(fam, inr, 200, None, rng2) for fam, inr in families]
+    families = zip(numerical_artifacts["controller"].families, numerical_artifacts["inradii"],
+                   numerical_artifacts["witnesses"])
+    first = [verify.recursion_escapes(fam, inr, wit, 200, None, rng2)
+             for fam, inr, wit in families]
     escapes = sum(e is not None for e in first)
     checked = sum(len(verify.recursion_entries(inr, None)[0])
                   for inr in numerical_artifacts["inradii"])

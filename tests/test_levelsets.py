@@ -10,8 +10,9 @@ from invctrl.config import ConfigError
 from invctrl.kernels import IsotropicKernel
 from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFamily,
                                build_level_family, check_nesting, dump_family,
-                               index_set_slab, load_family, load_inradius, margin,
-                               max_plus, nearest_table, pairwise_distances)
+                               index_set_slab, load_family, load_witness, margin,
+                               max_plus, nearest_table, pairwise_distances,
+                               successor_inradii)
 
 from invctrl.verify import sample_in_balls
 
@@ -84,6 +85,16 @@ def gathered_max_plus(radii, dist):
     return np.where(g > MIN_INRADIUS, g, ABSENT)
 
 
+def attained_max_plus(radii, table):
+    """``max_plus``'s inradius row, once each present cell is checked to be
+    attained bit for bit by its witness column of the table's distances."""
+    row, witness = max_plus(radii, table)
+    idx = np.flatnonzero(row != ABSENT)
+    assert witness.shape == row.shape
+    assert np.array_equal(radii[witness[idx]] - table[0][idx, witness[idx]], row[idx])
+    return row
+
+
 def reference_family(ds, bounds, delta, depth):
     """Per-level build with ``gathered_max_plus`` over full distance
     matrices, every level inverted; returns the (inradius, certified
@@ -107,13 +118,15 @@ def reference_family(ds, bounds, delta, depth):
 
 def assert_family_exact(ds, bounds, delta, depth, dists=None):
     """The radius table is the reference's level-0 inradii over its
-    certified radii of levels >= 1, and the returned table its inradii of
-    levels >= 1, bit for bit."""
-    fam, inradius = build_level_family(ds, bounds, delta, depth, _dists=dists)
+    certified radii of levels >= 1, and the inradii derived from the returned
+    witness table its inradii of levels >= 1, bit for bit.  Returns the
+    family and the reference's inradii of levels >= 1."""
+    fam, witness = build_level_family(ds, bounds, delta, depth, _dists=dists)
     ref_inradius, ref_cert = reference_family(ds, bounds, delta, depth)
     assert np.array_equal(fam.radius, np.concatenate([ref_inradius[:1], ref_cert[1:]]))
-    assert np.array_equal(inradius, ref_inradius[1:])
-    return fam
+    assert witness.dtype == np.min_scalar_type(max(len(ds) - 1, 0))
+    assert successor_inradii(fam, witness).tobytes() == ref_inradius[1:].tobytes()
+    return fam, ref_inradius[1:]
 
 
 def random_records(rng, n):
@@ -130,12 +143,12 @@ def test_max_plus_exact_few_columns(n):
     radii = rng.uniform(0.1, 1.5, size=n)
     radii[rng.random(n) < 0.3] = ABSENT
     radii[0] = 0.7  # at least one present ball
-    assert np.array_equal(max_plus(radii, nearest_table(dist)),
+    assert np.array_equal(attained_max_plus(radii, nearest_table(dist)),
                           gathered_max_plus(radii, dist))
 
 
 @pytest.mark.parametrize("m", [1, NEAR_K - 1, NEAR_K, NEAR_K + 1, 3 * NEAR_K])
-def test_nearest_table_level_major(m):
+def test_nearest_table_row_major(m):
     rng = np.random.default_rng(m)
     dist = rng.uniform(0.0, 2.0, size=(70, m))
     dist[:, m // 2:] = np.round(dist[:, m // 2:], 1)  # ties among the distances
@@ -144,15 +157,15 @@ def test_nearest_table_level_major(m):
     near, near_dist, beyond = table[1:]
     k = min(m, NEAR_K)
     for a in (near, near_dist):
-        assert a.shape == (k, len(dist)) and a.flags.c_contiguous
+        assert a.shape == (len(dist), k) and a.flags.c_contiguous
     for i, row in enumerate(dist):
-        cols = near[:, i]
+        cols = near[i]
         assert len(set(cols)) == k
-        assert np.array_equal(near_dist[:, i], row[cols])
+        assert np.array_equal(near_dist[i], row[cols])
         assert np.array_equal(np.sort(row[cols]), np.sort(row)[:k])
         assert beyond[i] == (np.sort(row)[NEAR_K] if m > NEAR_K else np.inf)
     if m <= NEAR_K:
-        assert (np.sort(near, axis=0) == np.arange(m)[:, None]).all()
+        assert (np.sort(near, axis=1) == np.arange(m)).all()
 
 
 def test_max_plus_exact_single_present_column():
@@ -161,13 +174,13 @@ def test_max_plus_exact_single_present_column():
     radii = np.full(200, ABSENT)
     radii[117] = 2.0
     table = nearest_table(dist)
-    near = table[1].T  # row-major view of the level-major table
+    near = table[1]
     # most rows do not have column 117 among their nearest: they rely on
     # the full scan, whose only finite value is the one present column
     assert (near != 117).all(axis=1).sum() > 200
     product = 2.0 - dist[:, 117]
     assert (product > MIN_INRADIUS).sum() > 150
-    assert np.array_equal(max_plus(radii, table),
+    assert np.array_equal(attained_max_plus(radii, table),
                           np.where(product > MIN_INRADIUS, product, ABSENT))
 
 
@@ -176,13 +189,13 @@ def test_max_plus_exact_absent_nearest_and_far_maximum():
     dist = rng.uniform(0.0, 1.0, size=(120, 150))
     radii = rng.uniform(0.05, 0.1, size=150)
     table = nearest_table(dist)
-    near = table[1].T  # row-major view of the level-major table
+    near = table[1]
     # row 0: every nearest column absent; row 1: a far column with a large
     # radius holds the maximum
     radii[near[0]] = ABSENT
     far = int(np.argmax(dist[1]))
     radii[far] = 5.0
-    best = max_plus(radii, table)
+    best = attained_max_plus(radii, table)
     assert np.array_equal(best, gathered_max_plus(radii, dist))
     assert np.isfinite(best[0])
     assert best[1] == 5.0 - dist[1, far]
@@ -201,7 +214,7 @@ def test_max_plus_exact_bound_open_by_one_bit():
     for seed in range(4):  # the same row under column permutations
         perm = np.random.default_rng(seed).permutation(m)
         dist, r = d[perm][None, :], radii[perm]
-        best = max_plus(r, nearest_table(dist))
+        best = attained_max_plus(r, nearest_table(dist))
         assert np.array_equal(best, gathered_max_plus(r, dist))
         assert best[0] == 0.5 + 2.0**-40
 
@@ -226,11 +239,11 @@ def test_max_plus_floor_boundary():
     # every nearest column is absent; only the far product decides the row:
     # exactly the floor and below it give ABSENT, one ulp above it is exact
     radii, dist, above = floor_rows()
-    best = max_plus(radii, nearest_table(dist))
+    best = attained_max_plus(radii, nearest_table(dist))
     assert np.array_equal(best, gathered_max_plus(radii, dist))
     assert np.array_equal(best, [ABSENT, above, ABSENT, ABSENT])
     # the same products from nearest columns only, with no full scan
-    near_only = max_plus(radii[NEAR_K:], nearest_table(dist[:, NEAR_K:]))
+    near_only = attained_max_plus(radii[NEAR_K:], nearest_table(dist[:, NEAR_K:]))
     assert np.array_equal(near_only, [ABSENT, above, ABSENT, ABSENT])
 
 
@@ -241,7 +254,7 @@ def test_max_plus_scans_only_rows_that_can_clear_the_floor():
     radii, dist, _ = floor_rows()
     _, near, near_dist, beyond = nearest_table(dist)
     poison = np.full_like(dist, -1e300)
-    best = max_plus(radii, (poison, near, near_dist, beyond))
+    best = max_plus(radii, (poison, near, near_dist, beyond))[0]
     assert np.array_equal(best == 1e300, [False, True, False, False])
 
 
@@ -252,7 +265,7 @@ def test_max_plus_exact_with_ties():
     dist = cdist(pts, pts)
     radii = rng.uniform(0.0, 1.0, size=len(pts))
     radii[rng.random(len(pts)) < 0.5] = ABSENT
-    assert np.array_equal(max_plus(radii, nearest_table(dist)),
+    assert np.array_equal(attained_max_plus(radii, nearest_table(dist)),
                           gathered_max_plus(radii, dist))
 
 
@@ -265,7 +278,7 @@ def test_family_exact_small_delta():
     # few successors inside the narrow slab: most columns are absent at
     # every level and most rows are below the floor
     ds = random_records(np.random.default_rng(10), 300)
-    fam = assert_family_exact(ds, BOUNDS, 0.03, 6)
+    fam, _ = assert_family_exact(ds, BOUNDS, 0.03, 6)
     sizes = fam.sizes()
     assert 0 < sizes[0] < len(ds) / 10 and sizes[1] > 0
 
@@ -274,7 +287,7 @@ def test_family_exact_duplicate_states():
     ds = random_records(np.random.default_rng(8), 25)
     dup = synth_dataset(np.repeat(ds.states, 6, axis=0), np.repeat(ds.targets, 6),
                         np.repeat(ds.controls, 6))
-    fam = assert_family_exact(dup, BOUNDS, 0.5, 6)
+    fam, _ = assert_family_exact(dup, BOUNDS, 0.5, 6)
     assert len(fam.present(1)) > 0
 
 
@@ -282,7 +295,7 @@ def test_family_exact_single_present_level():
     ds = random_records(np.random.default_rng(9), 200)
     targets = np.where(np.arange(200) == 17, 0.0, 5.0)  # one successor in the slab
     one = synth_dataset(ds.states, targets, ds.controls)
-    fam = assert_family_exact(one, BOUNDS, 1.0, 4)
+    fam, _ = assert_family_exact(one, BOUNDS, 1.0, 4)
     assert list(fam.present(0)) == [17]
 
 
@@ -295,8 +308,10 @@ def test_family_exact_benchmark(plant, deltas, numerical_artifacts, pendulum_art
     ds, cfg = art["dataset"], art["cfg"]
     dists = pairwise_distances(ds)
     for delta in deltas:
-        fam = assert_family_exact(ds, art["bounds"], delta, cfg.depth, dists)
+        fam, inradius = assert_family_exact(ds, art["bounds"], delta, cfg.depth, dists)
         assert len(fam.present(2)) > 0
+        # the study's dumped witness table gives the same inradii
+        assert family_and_inradius(art, delta)[1].tobytes() == inradius.tobytes()
 
 
 # ------------------------------------------------------------- index sets
@@ -327,10 +342,11 @@ def test_index_set_on_benchmark(numerical_artifacts):
 
 def test_family_all_levels_empty_when_unreachable():
     ds = synth_dataset([[0, 0, 0]] * 4, [2.0, 2.5, -2.2, 3.0], [0.5] * 4)
-    fam, inradius = build_level_family(ds, BOUNDS, delta=1.0, depth=5)
+    fam, witness = build_level_family(ds, BOUNDS, delta=1.0, depth=5)
     assert fam.truncated_at == 0
     assert fam.sizes() == [0] * 6
-    assert fam.radius.shape == inradius.shape == (0, 4)
+    assert fam.radius.shape == witness.shape == (0, 4)
+    assert successor_inradii(fam, witness).shape == (0, 4)
 
 
 def test_build_inverts_levels_above_zero_once_each():
@@ -344,9 +360,9 @@ def test_build_inverts_levels_above_zero_once_each():
 
     bounds = Counting(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
                       profile=SE.profile, profile_deficit=SE.profile_deficit)
-    fam, inradius = build_level_family(random_records(np.random.default_rng(11), 200),
-                                       bounds, 0.5, 6)
-    assert len(fam.radius) > 2 and len(inradius) == len(fam.radius) - 1
+    fam, witness = build_level_family(random_records(np.random.default_rng(11), 200),
+                                      bounds, 0.5, 6)
+    assert len(fam.radius) > 2 and len(witness) == len(fam.radius) - 1
     assert calls == fam.sizes()[1:len(fam.radius)]
 
 
@@ -557,71 +573,92 @@ def test_nesting_equals_full_matrix_reference(case):
     assert check_nesting(fam) is expected
 
 
+def family_and_witness(art, delta):
+    """The loaded family of accuracy ``delta`` and its witness table."""
+    return next((f, w) for f, w in zip(art["controller"].families, art["witnesses"])
+                if f.delta == delta)
+
+
 def test_dump_load_round_trip(tmp_path, numerical_artifacts):
-    fam, inradius = family_and_inradius(numerical_artifacts, 1.0)
+    fam, witness = family_and_witness(numerical_artifacts, 1.0)
     p = tmp_path / "fam.npy"
-    dump_family(p, fam, inradius)
-    assert sorted(f.name for f in tmp_path.iterdir()) == ["fam.inradius.npy", "fam.npy"]
+    dump_family(p, fam, witness)
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["fam.npy", "fam.witness.npy"]
     back = load_family(p, fam.dataset, fam.delta, fam.depth)
     assert back.delta == fam.delta and back.depth == fam.depth
     assert back.truncated_at == fam.truncated_at
     assert np.array_equal(back.radius, fam.radius)
-    assert np.array_equal(load_inradius(p, back), inradius)
+    loaded = load_witness(p, back)
+    assert loaded.dtype == np.uint16 and np.array_equal(loaded, witness)
     # the dumps' bytes depend on the tables only
     again = tmp_path / "again.npy"
-    dump_family(again, fam, inradius)
+    dump_family(again, fam, witness)
     assert p.read_bytes() == again.read_bytes()
-    assert (tmp_path / "fam.inradius.npy").read_bytes() == \
-        (tmp_path / "again.inradius.npy").read_bytes()
+    assert (tmp_path / "fam.witness.npy").read_bytes() == \
+        (tmp_path / "again.witness.npy").read_bytes()
 
 
 def _dumped_synth(tmp_path):
     """A two-level family dumped to ``tmp_path``: (dataset, family, radius
-    path, inradius path)."""
-    ds = synth_dataset(np.zeros((4, 3)), [0.0] * 4, [0.5] * 4)
+    path, witness path).  Records 1 and 3 share a successor 0.2 from the
+    centers of the level-0 balls 0 and 2, their witnesses."""
+    ds = synth_dataset(np.zeros((4, 3)), [0.0] * 4, [0.5, 0.3, 0.5, 0.3])
     fam = synth_family(ds, 0.5, [[(0, 0.4), (2, 0.3)], [(1, 0.02), (3, 0.01)]])
-    inradius = np.full((1, 4), ABSENT)
-    inradius[0, [1, 3]] = 0.2, 0.1
+    witness = np.array([[0, 0, 0, 2]], dtype=np.uint8)
     p = tmp_path / "fam.npy"
-    dump_family(p, fam, inradius)
-    return ds, fam, p, tmp_path / "fam.inradius.npy"
+    dump_family(p, fam, witness)
+    return ds, fam, p, tmp_path / "fam.witness.npy"
 
 
 @pytest.mark.parametrize("table,value", [
     (0, np.nan), (1, np.nan), (0, np.inf), (1, np.inf), (0, ABSENT), (1, ABSENT),
 ])
 def test_load_rejects_nonfinite_or_one_sided_entries(tmp_path, table, value):
-    # table 0 is the radius file, which simulate and verify read; table 1
-    # the inradius file, which only verify reads
-    ds, fam, p, ip = _dumped_synth(tmp_path)
-    assert load_family(p, ds, fam.delta, fam.depth).radius[1, 3] == 0.01
-    assert load_inradius(p, fam)[0, 3] == 0.1
-    path, cell = (p, (1, 3)) if table == 0 else (ip, (0, 3))
-    # an empty level-1 entry filled in one table only
-    cells = np.load(path)
-    cells[cell[0], 0] = 0.5
+    # table 0 is the radius file, which simulate and verify read: NaN and
+    # +inf are rejected, while an ABSENT radius just removes the ball, and
+    # the successor inradius verify derives there is ABSENT too.  Table 1 is
+    # the witness file, which only verify reads: a non-finite cell needs a
+    # float table, which is rejected whatever its values
+    ds, fam, p, wp = _dumped_synth(tmp_path)
+    back = load_family(p, ds, fam.delta, fam.depth)
+    assert back.radius[1, 3] == 0.01
+    assert np.array_equal(successor_inradii(back, load_witness(p, back)),
+                          [[ABSENT, 0.4 - 0.2, ABSENT, 0.3 - 0.2]])
+    path = p if table == 0 else wp
+    cells = np.load(path).astype(float)
+    cells[(1, 3) if table == 0 else (0, 3)] = value  # record 3's level-1 radius or witness
     np.save(path, cells)
-    with pytest.raises(ConfigError, match=r"fam\.inradius\.npy: level 1 record 0 has inradius"):
-        load_inradius(p, load_family(p, ds, fam.delta, fam.depth))
-    _dumped_synth(tmp_path)
-    cells = np.load(path)
-    cells[cell] = value
-    np.save(path, cells)
-    if table == 0 and value != ABSENT:
+    if table == 1:
+        with pytest.raises(ConfigError, match=r"fam\.witness\.npy: table of shape \(1, 4\) "
+                                              r"\(float64\) does not fit unsigned indices"):
+            load_witness(p, back)
+    elif value != ABSENT:
         with pytest.raises(ConfigError, match=r"fam\.npy: level 1 record 3 has radius"):
             load_family(p, ds, fam.delta, fam.depth)
-        return
-    back = load_family(p, ds, fam.delta, fam.depth)  # the radius file alone loads
-    with pytest.raises(ConfigError, match=r"fam\.inradius\.npy: level 1 record 3 has inradius"):
-        load_inradius(p, back)
+    else:
+        back = load_family(p, ds, fam.delta, fam.depth)
+        assert successor_inradii(back, load_witness(p, back))[0, 3] == ABSENT
 
 
-def test_load_inradius_rejects_other_shapes(tmp_path):
-    _, fam, p, ip = _dumped_synth(tmp_path)
-    for bad in (np.zeros((2, 4)), np.zeros((1, 3)), np.zeros((1, 4), dtype=np.float32)):
-        np.save(ip, bad)
-        with pytest.raises(ConfigError, match=r"fam\.inradius\.npy: table of shape"):
-            load_inradius(p, fam)
+@pytest.mark.parametrize("bad,message", [
+    (np.zeros((1, 4)), r"table of shape \(1, 4\) \(float64\)"),
+    (np.zeros((1, 4), dtype=np.int16), r"table of shape \(1, 4\) \(int16\)"),
+    (np.zeros((2, 4), dtype=np.uint8), r"table of shape \(2, 4\)"),
+    (np.zeros((1, 3), dtype=np.uint8), r"table of shape \(1, 3\)"),
+    (np.array([[0, 0, 4, 2]], dtype=np.uint8), "level 1 record 2 has witness 4, not one of "
+                                               "the 4 records"),
+    (np.array([[0, 70000, 0, 2]], dtype=np.uint32), "level 1 record 1 has witness 70000"),
+    (None, "not a witness table dump"),
+], ids=["float64", "signed", "extra_level", "record_short", "index_past_records",
+        "wide_type", "truncated"])
+def test_load_witness_rejects_other_tables(tmp_path, bad, message):
+    _, fam, p, wp = _dumped_synth(tmp_path)
+    if bad is None:
+        wp.write_bytes(wp.read_bytes()[:-3])
+    else:
+        np.save(wp, bad)
+    with pytest.raises(ConfigError, match=r"fam\.witness\.npy: " + message):
+        load_witness(p, fam)
 
 
 def test_build_argument_validation(numerical_artifacts):

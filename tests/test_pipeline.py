@@ -14,7 +14,7 @@ from conftest import synth_dataset, synth_family
 from invctrl import pipeline, verify
 from invctrl.cli import build_parser, main
 from invctrl.config import ConfigError, default_config, load_config
-from invctrl.levelsets import ABSENT, NEAR_K, LevelFamily
+from invctrl.levelsets import ABSENT, NEAR_K, LevelFamily, paired_distances
 from invctrl.plants import NumericalPlant, PendulumPlant, rng_stream
 
 
@@ -250,8 +250,10 @@ def test_verify_catches_recursion_escape(numerical_cfg, tmp_path):
                 if line.startswith("FAIL family_recursion_soundness"))
     # every level-2 ball now escapes; the first record is the one named
     assert fail.endswith(f"escape at delta=1 level=2 record={level2[0]}")
-    assert "PASS family_positive_radii" in report
-    assert "PASS family_certificate_consistency" in report
+    # the level-2 inradii, re-derived from the shrunk level-1 balls, do not
+    # back the level-2 certificates either
+    assert "FAIL family_positive_radii: delta=1 level=2 record=" in report
+    assert "FAIL family_certificate_consistency: delta=1 level=2 record=" in report
 
 
 def _reference_escapes(fam, inradius, level, idx, samples, rng):
@@ -290,14 +292,14 @@ def _reference_family(fam, inradius, samples, per_level, rng):
     return first, entries, escapes
 
 
-def _compare_escapes(families, inradii, samples, per_level=None):
+def _compare_escapes(families, inradii, witnesses, samples, per_level=None):
     """Per-family and reference first escapes on the same seeded draws,
     with the same stream left behind for a family without an escape;
     returns the number of entries compared and of escapes seen."""
     entries = escapes = 0
-    for k, (fam, inradius) in enumerate(zip(families, inradii)):
+    for k, (fam, inradius, witness) in enumerate(zip(families, inradii, witnesses)):
         got_rng, want_rng = np.random.default_rng(k), np.random.default_rng(k)
-        got = verify.recursion_escapes(fam, inradius, samples, per_level, got_rng)
+        got = verify.recursion_escapes(fam, inradius, witness, samples, per_level, got_rng)
         want, n, e = _reference_family(fam, inradius, samples, per_level, want_rng)
         assert got == want, fam.delta
         if want is None:
@@ -316,22 +318,23 @@ def _scaled(inradius, level, records, factor):
 
 
 def _family(art, delta):
-    """(family, levels >= 1 inradius table) of accuracy ``delta``."""
-    return next((f, inr) for f, inr in zip(art["controller"].families, art["inradii"])
-                if f.delta == delta)
+    """(family, levels >= 1 inradius table, witness table) of accuracy ``delta``."""
+    return next(entry for entry in zip(art["controller"].families, art["inradii"],
+                                       art["witnesses"]) if entry[0].delta == delta)
 
 
 def test_recursion_escapes_matches_norm_loop_numerical(numerical_artifacts):
     # 200 samples/entry against up to 280 balls spans several distance
     # blocks, and entries straddle the block edges
-    families = numerical_artifacts["controller"].families
-    entries, escapes = _compare_escapes(families, numerical_artifacts["inradii"], 200)
+    art = numerical_artifacts
+    families = art["controller"].families
+    entries, escapes = _compare_escapes(families, art["inradii"], art["witnesses"], 200)
     assert entries == sum(sum(f.sizes()[1:]) for f in families)
     assert escapes == 0
     # inflated balls: some samples of an entry escape and some do not
-    fam, inradius = _family(numerical_artifacts, 1.0)
+    fam, inradius, witness = _family(art, 1.0)
     fat = _scaled(inradius, None, slice(None), 1.03)
-    entries, escapes = _compare_escapes([fam], [fat], 200)
+    entries, escapes = _compare_escapes([fam], [fat], [witness], 200)
     assert 0 < escapes < entries
 
 
@@ -340,41 +343,41 @@ def test_recursion_escapes_matches_norm_loop_pendulum(pendulum_artifacts):
     # reference loop to a few seconds
     art = pendulum_artifacts
     entries, escapes = _compare_escapes(art["controller"].families[::5], art["inradii"][::5],
-                                        50, per_level=8)
+                                        art["witnesses"][::5], 50, per_level=8)
     assert entries > 1000 and escapes == 0
 
 
 def test_recursion_escapes_reports_first_injected_escape(numerical_artifacts):
-    fam, inradius = _family(numerical_artifacts, 1.0)
+    fam, inradius, witness = _family(numerical_artifacts, 1.0)
     idx = fam.present(1)
     recs = [int(idx[len(idx) // 3]), int(idx[2 * len(idx) // 3])]
     bad = _scaled(inradius, 1, recs, 100.0)  # two level-1 balls far beyond level 0
-    _, escapes = _compare_escapes([fam], [bad], 200)
+    _, escapes = _compare_escapes([fam], [bad], [witness], 200)
     assert escapes == 2
-    assert verify.recursion_escapes(fam, bad, 200, None,
+    assert verify.recursion_escapes(fam, bad, witness, 200, None,
                                     np.random.default_rng(0)) == (1, recs[0])
     later = _scaled(inradius, 1, recs[1:], 100.0)
-    assert verify.recursion_escapes(fam, later, 200, None,
+    assert verify.recursion_escapes(fam, later, witness, 200, None,
                                     np.random.default_rng(0)) == (1, recs[1])
 
 
 def test_recursion_escapes_reports_first_level_first(numerical_artifacts):
     # an escape at level 2 with a lower record than the level-1 escape:
     # levels come first in the reported order
-    fam, inradius = _family(numerical_artifacts, 1.0)
+    fam, inradius, witness = _family(numerical_artifacts, 1.0)
     low2 = int(fam.present(2)[0])
     high1 = int(fam.present(1)[-1])
     assert low2 < high1
     bad = _scaled(_scaled(inradius, 2, [low2], 100.0), 1, [high1], 100.0)
-    _, escapes = _compare_escapes([fam], [bad], 200)
+    _, escapes = _compare_escapes([fam], [bad], [witness], 200)
     assert escapes == 2
-    assert verify.recursion_escapes(fam, bad, 200, None,
+    assert verify.recursion_escapes(fam, bad, witness, 200, None,
                                     np.random.default_rng(1)) == (1, high1)
     only2 = _scaled(inradius, 2, [low2], 100.0)
-    assert verify.recursion_escapes(fam, only2, 200, None,
+    assert verify.recursion_escapes(fam, only2, witness, 200, None,
                                     np.random.default_rng(1)) == (2, low2)
     # the selection of large datasets keeps the order
-    assert verify.recursion_escapes(fam, bad, 200, 8, np.random.default_rng(1)) == \
+    assert verify.recursion_escapes(fam, bad, witness, 200, 8, np.random.default_rng(1)) == \
         _reference_family(fam, bad, 200, 8, np.random.default_rng(1))[0]
 
 
@@ -409,9 +412,10 @@ def test_recursion_draws_equal_per_entry_draws(request, monkeypatch, artifacts,
     art = request.getfixturevalue(artifacts)
     families = art["controller"].families
     got_rng, want_rng = np.random.default_rng(5), np.random.default_rng(5)
-    for fam, inradius in zip(families, art["inradii"]):
+    for fam, inradius, witness in zip(families, art["inradii"], art["witnesses"]):
         drawn.clear()
-        assert verify.recursion_escapes(fam, inradius, samples, per_level, got_rng) is None
+        assert verify.recursion_escapes(fam, inradius, witness, samples, per_level,
+                                        got_rng) is None
         want = np.stack([_reference_sample_in_ball(want_rng, fam.dataset.succ_states[i],
                                                    inradius[j - 1, i], samples)
                          for j, idx in _selected_levels(fam, per_level) for i in idx])
@@ -451,7 +455,7 @@ def test_paired_distances_equal_cdist(request, artifacts, per_level, samples):
         prev_c, prev_r = fam.centers_radii(j - 1)
         best = np.argmax(prev_r - cdist(centers, prev_c), axis=1)
         want = np.stack([cdist(p, prev_c[[k]])[:, 0] for p, k in zip(pts, best)])
-        assert np.array_equal(verify.paired_distances(pts, prev_c[best]), want)
+        assert np.array_equal(paired_distances(pts, prev_c[best][:, None]), want)
     assert len(levels) > 3
 
 
@@ -477,19 +481,29 @@ def _cover_family(extra, entry_center, entry_radius):
 AXIS_BALLS = [(tuple(s * 10.0 * np.eye(3)[a]), 9.85) for a in range(3) for s in (1, -1)]
 
 
+def _slack_witness(fam):
+    """Witness table of a hand-built family: for each record and level >= 1,
+    the previous-level ball of largest slack ``radius - dist`` (the first on
+    ties), a column attaining the max-plus product as the build's does."""
+    witness = np.zeros(fam.radius[1:].shape, dtype=np.uint16)
+    for j in range(1, len(fam.radius)):
+        slack = fam.radius[j - 1] - cdist(fam.dataset.succ_states, fam.centers(j - 1))
+        witness[j - 1] = slack.argmax(axis=1)
+    return witness
+
+
 def _first_escape(fam, samples, seed):
     """(per-family verdict, reference verdict) on one seed, all levels, of a
     family whose successor inradii equal its radii at levels >= 1."""
     inradius = fam.radius[1:]
-    return (verify.recursion_escapes(fam, inradius, samples, None,
+    return (verify.recursion_escapes(fam, inradius, _slack_witness(fam), samples, None,
                                      np.random.default_rng(seed)),
             _reference_family(fam, inradius, samples, None, np.random.default_rng(seed))[0])
 
 
 def test_recursion_escapes_full_scan_finds_non_candidate_ball():
     # the six covering balls have slack -0.15, below the 0.9 of the
-    # largest-slack ball: the shell samples are found inside only by the
-    # full scan
+    # witness ball: the shell samples are found inside only by the full scan
     fam, rec = _cover_family(AXIS_BALLS, (0.0, 0.0, 0.0), 1.0)
     pts = verify.sample_in_balls(np.random.default_rng(3), np.zeros((1, 3)), [1.0], 200)[0]
     assert (np.linalg.norm(pts, axis=1) > 0.9).sum() > 10
@@ -536,7 +550,7 @@ def test_recursion_escapes_empty_previous_level():
                                  [(3, 0.45), (4, 0.3)]])
     assert _first_escape(fam, 20, 2) == ((2, 3), (2, 3))
     got_rng, want_rng = np.random.default_rng(2), np.random.default_rng(2)
-    verify.recursion_escapes(fam, fam.radius[1:], 20, None, got_rng)
+    verify.recursion_escapes(fam, fam.radius[1:], _slack_witness(fam), 20, None, got_rng)
     for i in (3, 4):
         verify.sample_in_balls(want_rng, ds.succ_states[i:i + 1], [fam.radius[2, i]], 20)
     assert got_rng.random() == want_rng.random()
@@ -704,9 +718,35 @@ def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale
     assert got == want
     assert sum(count > 0 for count in got[:3]) == 2  # input and output or state
     lines = []
-    verify.run_all(cfg, art["dataset"], art["model"], art["controller"], art["inradii"],
+    verify.run_all(cfg, art["dataset"], art["model"], art["controller"], art["witnesses"],
                    art["plant"], bounds, log=lines.append)
     assert any(line.startswith("verify FAIL bound_validity_oracle") for line in lines)
+
+
+@pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
+def test_verify_kernel_matrix_equals_predict_and_power(request, artifacts):
+    # run_all's one training kernel matrix gives the batched predict residual
+    # and the power at data of a freshly loaded model, bit for bit
+    art = request.getfixturevalue(artifacts)
+    ds, model = art["dataset"], art["model"]
+    K = model.kernel.cross(ds.features, model.train_x)
+    assert np.array_equal(K, model.kernel.gram(model.train_x))
+    assert np.array_equal(K @ model.alpha, model.predict(ds.features))
+    sub = np.random.default_rng(0).choice(len(ds), size=64, replace=False)
+    got = replace(model, _chol=None).power_of_columns(np.ascontiguousarray(K[:, sub]), gram=K)
+    want = replace(model, _chol=None).power(ds.features[sub])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_verify_fails_model_trained_on_other_features(numerical_artifacts):
+    art = numerical_artifacts
+    model = replace(art["model"], train_x=art["model"].train_x + 1e-3, _chol=None)
+    lines = []
+    verify.run_all(art["cfg"], art["dataset"], model, art["controller"], art["witnesses"],
+                   art["plant"], art["bounds"], log=lines.append)
+    assert ("verify FAIL interpolation_exactness: the model's training features are not "
+            "the dataset's features") in lines
+    assert not any("power_function_at_data" in line for line in lines)
 
 
 def test_bound_oracle_matches_reference_with_one_blas_thread():
@@ -784,6 +824,33 @@ def test_cli_report_rejects_summary_without_run(numerical_cfg, tmp_path, capsys)
     assert "summary.txt" in err and "ic_00" in err
 
 
+@pytest.mark.parametrize("edit,fields", [
+    ({"descent_violations": "0", "fallbacks": "999"}, "descent_violations,fallbacks"),
+    ({"ic": "9,9,9"}, "ic"),
+    ({"certified": "0.500"}, "certified"),
+])
+def test_cli_report_checks_every_summary_field(pendulum_cfg, tmp_path, capsys, edit, fields):
+    # a summary value the run log does not reproduce fails the report (exit
+    # 1), naming the run and the fields; ic is compared as the summary prints it
+    import shutil
+    out = str(tmp_path / "summary_edit")
+    shutil.copytree(pendulum_cfg.outdir, out)
+    assert main(["simulate", "--plant", "pendulum", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["report", "--plant", "pendulum", "--out", out]) == 0
+    assert "MISMATCH" not in capsys.readouterr().out
+    summary = os.path.join(out, "summary.txt")
+    lines = open(summary).read().splitlines()
+    cells = dict(tok.partition("=")[::2] for tok in lines[0].split()[1:])
+    assert int(cells["descent_violations"]) > 0 and cells["certified"] != "0.500"
+    lines[0] = "ic_00: " + " ".join(f"{k}={edit.get(k, v)}" for k, v in cells.items())
+    open(summary, "w").write("\n".join(lines) + "\n")
+    assert main(["report", "--plant", "pendulum", "--out", out]) == 1
+    report = capsys.readouterr().out.splitlines()
+    assert f"recompute=MISMATCH {fields} " in report[0] and report[0].startswith("ic_00:")
+    assert all("recompute=ok" in line for line in report[1:])
+
+
 @pytest.mark.parametrize("stage", ["report", "verify"])
 def test_cli_rejects_malformed_summary_value(numerical_cfg, tmp_path, capsys, stage):
     import shutil
@@ -823,78 +890,138 @@ def test_cli_simulate_rejects_bad_family_table(numerical_cfg, tmp_path, capsys,
 
 def _damaged_copy(src, tmp_path, name, delta_tag="0p01"):
     """Copy of the build ``src`` and the paths of one family's radius and
-    inradius files in it."""
+    witness files in it."""
     import shutil
     out = str(tmp_path / name)
     shutil.copytree(src, out)
     stem = os.path.join(out, "families", f"delta_{delta_tag}")
-    return out, stem + ".npy", stem + ".inradius.npy"
+    return out, stem + ".npy", stem + ".witness.npy"
 
 
-@pytest.mark.parametrize("case,radius_value,inradius_value", [
-    ("inf_in_both", np.inf, np.inf),
-    ("radius_nan", np.nan, None),
-    ("inradius_absent", None, ABSENT),
-    ("cert_absent", ABSENT, None),
-    ("inradius_nan", None, np.nan),
-    ("inradius_inf", None, np.inf),
-    ("inradius_under_absent_radius", None, 0.01),
-], ids=["inf_in_both", "radius_nan", "inradius_absent", "cert_absent", "inradius_nan",
-        "inradius_inf", "inradius_under_absent_radius"])
-def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys,
-                                                   case, radius_value, inradius_value):
-    # a NaN or +inf radius stops every stage that loads the families; any
-    # other damage to the tables stops verify only, the one stage reading
-    # the inradius file
-    out, fam_path, inr_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, case)
-    radius, inradius = np.load(fam_path), np.load(inr_path)
+@pytest.mark.parametrize("case,value", [
+    ("inf_in_both", np.inf),
+    ("radius_nan", np.nan),
+    ("cert_absent", ABSENT),
+], ids=["inf_in_both", "radius_nan", "cert_absent"])
+def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys, case, value):
+    # a NaN or +inf radius stops every stage that loads the families, also
+    # with the witness file damaged too, since the radius file is read first.
+    # An ABSENT radius removes a ball: the tables load, and verify fails the
+    # level-4 entry whose witness that ball was
+    out, fam_path, wit_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, case)
+    radius, witness = np.load(fam_path), np.load(wit_path)
     level, record = 3, 121
-    if case == "inradius_under_absent_radius":
-        record = int(np.flatnonzero(radius[level] == ABSENT)[0])
-    else:
-        assert np.isfinite([radius[level, record], inradius[level - 1, record]]).all()
-    if radius_value is not None:
-        radius[level, record] = radius_value
-        np.save(fam_path, radius)
-    if inradius_value is not None:
-        inradius[level - 1, record] = inradius_value
-        np.save(inr_path, inradius)
-    r, x = radius[level, record], inradius[level - 1, record]
-    if np.isnan(r) or r == np.inf:
-        stages = {"verify": 2, "simulate": 2}
-        message = f"{fam_path}: level {level} record {record} has radius {r:g}: not finite"
-    else:
-        stages = {"verify": 2, "simulate": 0}
-        message = f"{inr_path}: level {level} record {record} has inradius {x:g}: not finite"
-    for stage, code in stages.items():
+    assert np.isfinite(radius[level, record])
+    radius[level, record] = value
+    np.save(fam_path, radius)
+    if case == "inf_in_both":
+        witness[level - 1, record] = radius.shape[1]
+        np.save(wit_path, witness)
+    if value == ABSENT:
+        dependent = int(np.flatnonzero((radius[4] != ABSENT) & (witness[3] == record))[0])
+        assert main(["simulate", "--plant", "pendulum", "--out", out]) == 0
+        assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
+        lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
+        assert f"FAIL family_positive_radii: delta=0.01 level=4 record={dependent} r=-inf" in lines
+        return
+    message = f"{fam_path}: level {level} record {record} has radius {value:g}: not finite"
+    for stage in ("verify", "simulate"):
         capsys.readouterr()
-        assert main([stage, "--plant", "pendulum", "--out", out]) == code
-        if code == 2:
-            assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert main([stage, "--plant", "pendulum", "--out", out]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {message}")
 
 
-def test_cli_inradius_file_is_read_by_verify_only(pendulum_cfg, tmp_path, capsys):
-    out, _, inr_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, "no_inradius")
-    os.remove(inr_path)
+@pytest.mark.parametrize("damage,message", [
+    ("float64", "table of shape (100, 1188) (float64) does not fit unsigned indices"),
+    ("wrong_shape", "table of shape (99, 1188) (uint16) does not fit unsigned indices "
+                    "of shape (100, 1188)"),
+    ("index_past_records", "level 3 record 121 has witness 1188, not one of the 1188 records"),
+    ("truncated", "not a witness table dump"),
+])
+def test_cli_rejects_bad_witness_table(pendulum_cfg, tmp_path, capsys, damage, message):
+    # only verify reads the witness file: it exits 2 naming the file, and
+    # the level and record of a bad index; simulate runs on
+    out, _, wit_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, damage)
+    witness = np.load(wit_path)
+    assert witness.shape == (100, 1188) and witness.dtype == np.uint16
+    if damage == "truncated":
+        raw = open(wit_path, "rb").read()
+        open(wit_path, "wb").write(raw[:len(raw) // 2])
+    else:
+        if damage == "index_past_records":
+            witness[2, 121] = 1188
+        np.save(wit_path, {"float64": witness.astype(float), "wrong_shape": witness[1:],
+                           "index_past_records": witness}[damage])
+    assert main(["simulate", "--plant", "pendulum", "--out", out]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--plant", "pendulum", "--out", out]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {wit_path}: {message}")
+
+
+def test_cli_witness_file_is_read_by_verify_only(pendulum_cfg, tmp_path, capsys):
+    out, _, wit_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, "no_witness")
+    os.remove(wit_path)
     assert main(["simulate", "--plant", "pendulum", "--out", out]) == 0
     capsys.readouterr()
     assert main(["verify", "--plant", "pendulum", "--out", out]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("missing artifact:") and "delta_0p01.inradius.npy" in err
+    assert err.startswith("missing artifact:") and "delta_0p01.witness.npy" in err
 
 
-@pytest.mark.parametrize("which,stage", [("radius", "simulate"), ("inradius", "verify")])
+@pytest.mark.parametrize("which,stage", [("radius", "simulate"), ("witness", "verify")])
 def test_cli_unreadable_family_file_exits_2(numerical_cfg, tmp_path, capsys, which, stage):
     # a directory where a family file belongs: exit 2 naming the path, not a
     # traceback with the exit code of a failed property
-    out, fam_path, inr_path = _damaged_copy(numerical_cfg.outdir, tmp_path, which, "0p1")
-    path = fam_path if which == "radius" else inr_path
+    out, fam_path, wit_path = _damaged_copy(numerical_cfg.outdir, tmp_path, which, "0p1")
+    path = fam_path if which == "radius" else wit_path
     os.remove(path)
     os.mkdir(path)
     capsys.readouterr()
     assert main([stage, "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("unreadable artifact:") and path in err
+
+
+def _verify_report_lines(out):
+    assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
+    return open(os.path.join(out, "verify_report.txt")).read().splitlines()
+
+
+def test_cli_verify_fails_witness_of_a_distant_record(pendulum_cfg, tmp_path):
+    # a witness pointed at the level-2 ball farthest from the successor: the
+    # inradius verify derives from it does not back the certified radius
+    out, fam_path, wit_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, "far_witness")
+    radius, witness = np.load(fam_path), np.load(wit_path)
+    ds = pipeline.load_dataset(pendulum_cfg)
+    ball = np.flatnonzero(radius[2] != ABSENT)
+    far = ball[np.argmax(cdist(ds.succ_states[[121]], ds.states[ball])[0])]
+    assert radius[3, 121] > 0 and witness[2, 121] != far
+    witness[2, 121] = far
+    np.save(wit_path, witness)
+    lines = _verify_report_lines(out)
+    assert "FAIL family_certificate_consistency: delta=0.01 level=3 record=121" in lines
+
+
+def test_cli_verify_fails_shrunk_witness_ball_of_unsampled_entry(pendulum_artifacts, tmp_path):
+    # the level-2 ball that alone witnesses one level-3 entry, which the
+    # recursion check does not sample, shrunk by half that entry's inradius.
+    # No sampled ball moves, so only the inradius verify re-derives from the
+    # shrunk ball shows that the entry's certificate fails
+    art = pendulum_artifacts
+    fam, inradius, witness = _family(art, 0.01)
+    lev, rec = verify.recursion_entries(inradius, 8)
+    present = np.flatnonzero(fam.radius[3] != ABSENT)
+    users = np.bincount(witness[2, present], minlength=len(fam.dataset))
+    entry = next(i for i in present if i not in rec[lev == 3] and users[witness[2, i]] == 1)
+    k = witness[2, entry]
+    out, fam_path, _ = _damaged_copy(art["cfg"].outdir, tmp_path, "shrunk_witness")
+    radius = np.load(fam_path)
+    radius[2, k] -= 0.5 * inradius[2, entry]
+    np.save(fam_path, radius)
+    lines = _verify_report_lines(out)
+    assert f"FAIL family_certificate_consistency: delta=0.01 level=3 record={entry}" in lines
+    assert [line.split(":")[0] for line in lines if line.startswith("FAIL")] == [
+        "FAIL family_certificate_consistency"]
 
 
 def test_cli_verify_fails_doubled_certified_radius(pendulum_cfg, tmp_path):
@@ -914,16 +1041,16 @@ def test_cli_verify_fails_doubled_certified_radius(pendulum_cfg, tmp_path):
 
 def test_cli_verify_fails_negative_certified_radius(pendulum_cfg, tmp_path):
     # a certified radius below zero under a present inradius is a failed
-    # property, not a traceback from evaluating the bound at it
-    import shutil
-    out, fam_path, _ = _damaged_copy(pendulum_cfg.outdir, tmp_path, "negative_cert")
-    radius = np.load(fam_path)
-    assert np.isfinite(radius[3, 121])
-    radius[3, 121] = -1e-3
+    # property, not a traceback from evaluating the bound at it.  The ball
+    # witnesses no level-4 entry, whose re-derived inradius it would sink too
+    out, fam_path, wit_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, "negative_cert")
+    radius, witness = np.load(fam_path), np.load(wit_path)
+    record = next(i for i in range(121, radius.shape[1]) if np.isfinite(radius[3, i])
+                  and not np.any((radius[4] != ABSENT) & (witness[3] == i)))
+    radius[3, record] = -1e-3
     np.save(fam_path, radius)
-    assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
-    lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
-    assert "FAIL family_positive_radii: delta=0.01 level=3 record=121 r=-0.001" in lines
+    lines = _verify_report_lines(out)
+    assert f"FAIL family_positive_radii: delta=0.01 level=3 record={record} r=-0.001" in lines
     assert "PASS family_certificate_consistency: state_dev(cert_radius) <= inradius + 1e-9" in lines
 
 
@@ -1117,7 +1244,7 @@ def test_cli_missing_artifacts_exit_code(tmp_path):
 
 def test_loaded_families_hold_one_table(pendulum_cfg):
     # simulate and the probes keep one radius table per family in memory,
-    # not the successor inradii that only verify reads
+    # not the witness tables that only verify reads
     import tracemalloc
     tracemalloc.start()
     try:
