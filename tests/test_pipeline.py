@@ -14,7 +14,8 @@ from conftest import synth_dataset, synth_family
 from invctrl import pipeline, verify
 from invctrl.cli import build_parser, main
 from invctrl.config import ConfigError, default_config, load_config
-from invctrl.levelsets import ABSENT, NEAR_K, LevelFamily, paired_distances
+from invctrl.levelsets import (ABSENT, NEAR_K, LevelFamily, load_family, paired_distances,
+                               successor_inradii)
 from invctrl.plants import NumericalPlant, PendulumPlant, rng_stream
 
 
@@ -898,37 +899,74 @@ def _damaged_copy(src, tmp_path, name, delta_tag="0p01"):
     return out, stem + ".npy", stem + ".witness.npy"
 
 
-@pytest.mark.parametrize("case,value", [
+@pytest.mark.parametrize("case,radius_value", [
     ("inf_in_both", np.inf),
     ("radius_nan", np.nan),
+    ("inradius_absent", None),
     ("cert_absent", ABSENT),
-], ids=["inf_in_both", "radius_nan", "cert_absent"])
-def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys, case, value):
+    ("inradius_nan", None),
+    ("inradius_inf", None),
+    ("inradius_under_absent_radius", None),
+], ids=["inf_in_both", "radius_nan", "inradius_absent", "cert_absent", "inradius_nan",
+        "inradius_inf", "inradius_under_absent_radius"])
+def test_cli_rejects_nonfinite_or_one_sided_radius(pendulum_cfg, tmp_path, capsys,
+                                                   case, radius_value):
     # a NaN or +inf radius stops every stage that loads the families, also
     # with the witness file damaged too, since the radius file is read first.
     # An ABSENT radius removes a ball: the tables load, and verify fails the
-    # level-4 entry whose witness that ball was
+    # level-4 entry whose witness that ball was.  The inradii are derived
+    # from the witness file, which only verify reads: a witness at an ABSENT
+    # ball gives an ABSENT inradius under a present radius, which verify
+    # fails; a NaN or inf cannot be stored as a ball index, and the float
+    # table holding one stops verify; under an ABSENT radius the derived
+    # inradius is ABSENT whatever the witness, so the tables cannot disagree
     out, fam_path, wit_path = _damaged_copy(pendulum_cfg.outdir, tmp_path, case)
     radius, witness = np.load(fam_path), np.load(wit_path)
     level, record = 3, 121
-    assert np.isfinite(radius[level, record])
-    radius[level, record] = value
-    np.save(fam_path, radius)
+    if case == "inradius_under_absent_radius":
+        record = int(np.flatnonzero(radius[level] == ABSENT)[0])
+    else:
+        assert np.isfinite(radius[level, record])
+    if radius_value is not None:
+        radius[level, record] = radius_value
+        np.save(fam_path, radius)
     if case == "inf_in_both":
         witness[level - 1, record] = radius.shape[1]
-        np.save(wit_path, witness)
-    if value == ABSENT:
-        dependent = int(np.flatnonzero((radius[4] != ABSENT) & (witness[3] == record))[0])
-        assert main(["simulate", "--plant", "pendulum", "--out", out]) == 0
-        assert main(["verify", "--plant", "pendulum", "--out", out]) == 1
-        lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
-        assert f"FAIL family_positive_radii: delta=0.01 level=4 record={dependent} r=-inf" in lines
-        return
-    message = f"{fam_path}: level {level} record {record} has radius {value:g}: not finite"
-    for stage in ("verify", "simulate"):
+    elif case == "inradius_absent":
+        witness[level - 1, record] = np.flatnonzero(radius[level - 1] == ABSENT)[0]
+    elif case == "inradius_under_absent_radius":
+        witness[level - 1, record] = (witness[level - 1, record] + 1) % radius.shape[1]
+        fam = load_family(fam_path, pipeline.load_dataset(pendulum_cfg), 0.01, len(radius) - 1)
+        assert successor_inradii(fam, witness)[level - 1, record] == ABSENT
+    np.save(wit_path, witness)
+    if case in ("inradius_nan", "inradius_inf"):
+        table = witness.astype(float)
+        table[level - 1, record] = np.nan if case == "inradius_nan" else np.inf
+        np.save(wit_path, table)
+    codes = {"verify": 0, "simulate": 0}
+    if radius_value is ABSENT or case == "inradius_absent":
+        codes["verify"] = 1
+    elif radius_value is not None:
+        codes = {"verify": 2, "simulate": 2}
+        message = (f"{fam_path}: level {level} record {record} has radius {radius_value:g}: "
+                   "not finite")
+    elif case != "inradius_under_absent_radius":
+        codes["verify"] = 2
+        message = (f"{wit_path}: table of shape {witness.shape} (float64) does not fit "
+                   "unsigned indices")
+    for stage, code in codes.items():
         capsys.readouterr()
-        assert main([stage, "--plant", "pendulum", "--out", out]) == 2
-        assert capsys.readouterr().err.startswith(f"config error: {message}")
+        assert main([stage, "--plant", "pendulum", "--out", out]) == code
+        if code == 2:
+            assert capsys.readouterr().err.startswith(f"config error: {message}")
+    if codes["verify"] == 1:
+        lines = open(os.path.join(out, "verify_report.txt")).read().splitlines()
+        if case == "inradius_absent":
+            failed = f"level={level} record={record}"
+        else:
+            dependent = int(np.flatnonzero((radius[4] != ABSENT) & (witness[3] == record))[0])
+            failed = f"level=4 record={dependent}"
+        assert f"FAIL family_positive_radii: delta=0.01 {failed} r=-inf" in lines
 
 
 @pytest.mark.parametrize("damage,message", [
