@@ -115,9 +115,11 @@ class LevelFamily:
     def ball_centers(self, levels, records):
         """Centers of the balls of ``records`` at ``levels`` (integer arrays,
         broadcast together), as ``centers`` places them."""
-        ds = self.dataset
-        both = np.concatenate([ds.succ_states, ds.states])
-        return both.take(np.where(levels > 0, len(ds), 0) + records, axis=0)
+        levels, records = np.broadcast_arrays(levels, records)
+        out = self.centers(1)[records]
+        zero = levels == 0
+        out[zero] = self.centers(0)[records[zero]]
+        return out
 
     def centers_radii(self, level):
         """Ball centers and radii realizing level ``level``."""

@@ -371,7 +371,7 @@ def cmd_report(cfg: RunConfig, log=print):
         ncert, nviol, nfall = tally(rows)
         got = Summary(ic, rmse, ncert / cfg.horizon, nviol, nfall)
         wrong = [name for (name, fmt, _), a, b in zip(FIELDS, got, stored[tag])
-                 if (abs(a - b) > 1e-12 if name == "rmse" else fmt(a) != fmt(b))]
+                 if (not abs(a - b) <= 1e-12 if name == "rmse" else fmt(a) != fmt(b))]
         ok = ok and not wrong
         log(f"{tag}: rmse={rmse:.6f} recompute={'MISMATCH ' + ','.join(wrong) if wrong else 'ok'} "
             f"certified={ncert}/{len(rows)} descent_violations={nviol}")

@@ -829,6 +829,7 @@ def test_cli_report_rejects_summary_without_run(numerical_cfg, tmp_path, capsys)
     ({"descent_violations": "0", "fallbacks": "999"}, "descent_violations,fallbacks"),
     ({"ic": "9,9,9"}, "ic"),
     ({"certified": "0.500"}, "certified"),
+    ({"rmse": "nan"}, "rmse"),  # NaN compares unequal to every recomputed rmse
 ])
 def test_cli_report_checks_every_summary_field(pendulum_cfg, tmp_path, capsys, edit, fields):
     # a summary value the run log does not reproduce fails the report (exit
