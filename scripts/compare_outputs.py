@@ -10,11 +10,14 @@ study, the noise-free pendulum study and the noisy pendulum study run with
 report.  Every output file (trajectories, manifest, model, families, build
 report, run logs, summary, verify report) is then compared byte for byte,
 as is each stage's exit code; stdout is not, since it carries wall-clock
-timings.  For each study and tree it also prints the artifact bytes:
-``model.txt`` plus everything under ``families/``, the quantity perfbench
-reports as ``artifact_mb``.  Exits 0 when everything matches and 1 after
-naming each difference.  With ``--keep DIR`` the outputs stay in
-``DIR/old/<study>`` and ``DIR/new/<study>`` instead of a temporary directory.
+timings.  A differing run log (``runs/*.csv``) is named with the columns that
+differ, read from its header, and on how many rows each, for example
+``runs/ic_04.csv differs in slack (1 row)``.  For each study and tree it also
+prints the artifact bytes: ``model.txt`` plus everything under ``families/``,
+the quantity perfbench reports as ``artifact_mb``.  Exits 0 when everything
+matches and 1 after naming each difference.  With ``--keep DIR`` the outputs
+stay in ``DIR/old/<study>`` and ``DIR/new/<study>`` instead of a temporary
+directory.
 """
 
 import argparse
@@ -66,6 +69,24 @@ def artifact_bytes(top):
     return sum(p.stat().st_size for p in paths if p.is_file())
 
 
+def column_diff(old_path, new_path):
+    """``in <column> (<n> rows), ...`` for two run logs that differ only in
+    cells, else None: the ``#`` lines, the header and the row count must match."""
+    old, new = (Path(p).read_text().splitlines() for p in (old_path, new_path))
+    start = next((k for k, line in enumerate(old) if not line.startswith("#")), len(old))
+    if len(old) != len(new) or old[:start + 1] != new[:start + 1] or start == len(old):
+        return None
+    counts = dict.fromkeys(old[start].split(","), 0)
+    for a, b in zip(old[start + 1:], new[start + 1:]):
+        a, b = a.split(","), b.split(",")
+        if len(a) != len(counts) or len(b) != len(counts):
+            return None
+        for name, x, y in zip(counts, a, b):
+            counts[name] += x != y
+    return "in " + ", ".join(f"{name} ({n} row{'s' if n != 1 else ''})"
+                             for name, n in counts.items() if n)
+
+
 def compare(old_root, new_root, work):
     """Differences between the two trees' studies, as readable lines."""
     diffs = []
@@ -83,7 +104,9 @@ def compare(old_root, new_root, work):
                 side = "new" if rel not in new_files else "old"
                 diffs.append(f"{name}: {rel} missing from the {side} tree")
             elif not filecmp.cmp(old / rel, new / rel, shallow=False):
-                diffs.append(f"{name}: {rel} differs")
+                log = Path(rel).match("runs/*.csv")
+                cols = column_diff(old / rel, new / rel) if log else None
+                diffs.append(f"{name}: {rel} differs" + (f" {cols}" if cols else ""))
         print(f"{name}: {len(old_files)} files compared, exit codes "
               + " ".join(f"{s}={old_codes[s]}" for s in STAGES))
         print(f"{name}: artifact bytes old {artifact_bytes(old)} new {artifact_bytes(new)}")

@@ -12,10 +12,11 @@ Lipschitz constant of the inverse model ``lip_c``, RKHS-norm bound
 * ``state_dev(eps)``:  ``input_dev + output_dev + eps`` for delay 1,
   ``input_dev + (1 + lip_f) * eps`` for delay 2, or a configured linear
   slope overriding both.
-* ``state_dev_inv(r)`` -- the inverse of ``state_dev``, exact division in
-  linear mode, monotone bisection otherwise (relative tolerance 1e-10).
-  One ``state_dev`` evaluation per bisection step serves the step's stopping
-  test and the next step's side test; delay 1 evaluates ``input_dev`` once.
+* ``state_dev_inv(r)`` -- the inverse of ``state_dev`` from below: an eps with
+  ``0 <= r - state_dev(eps) <= 1e-11 * max(1, r)``, so a certified radius never
+  maps past its inradius.  Linear mode divides and steps a rounded-up quotient
+  down by ulps; otherwise a bisection returns its lower end, one ``state_dev``
+  evaluation per step; delay 1 evaluates ``input_dev`` once.
 
 Each bound is one private formula; the public methods check ``eps >= 0`` and
 call it, the bisection calls it directly, and ``kbar(0)`` is read once.
@@ -34,7 +35,7 @@ import numpy as np
 
 __all__ = ["DeviationBounds"]
 
-_INV_REL_TOL = 1e-10
+_INV_TOL = 1e-11  # stop once r - state_dev(lo) <= _INV_TOL * max(1, r)
 _MAX_DOUBLINGS = 10**6
 _BISECT_ITERS = 200
 
@@ -117,11 +118,13 @@ class DeviationBounds:
         return self._checked(self._state_dev, eps)
 
     def state_dev_inv(self, r):
-        """eps with |state_dev(eps) - r| <= 1e-10 * max(1, r).
+        """eps with ``0 <= r - state_dev(eps) <= 1e-11 * max(1, r)``.
 
-        Linear mode divides exactly.  Otherwise brackets by doubling and
-        bisects; a bracket that fails to grow past the target signals a
-        non-class-K-infinity configuration and raises.
+        Linear mode divides, then steps a quotient that rounded up down by ulps
+        until ``slope * eps <= r``.  Otherwise brackets by doubling and bisects,
+        returning the lower end, which only moves to midpoints that pass
+        ``state_dev(mid) <= r``; a bracket that fails to grow past the target
+        signals a non-class-K-infinity configuration and raises.
 
         The radii of one call bisect together until every one meets the
         tolerance, so a result depends on its batch: a radius inverted alone
@@ -135,6 +138,8 @@ class DeviationBounds:
         r = np.atleast_1d(r)
         if self.gamma_mode == "linear":
             out = r / self.gamma_slope
+            while np.any(over := self.gamma_slope * out > r):
+                out[over] = np.nextafter(out[over], 0.0)
             return float(out[0]) if scalar else out
         out = np.zeros_like(r)
         pos = r > 0
@@ -152,17 +157,15 @@ class DeviationBounds:
                         "bounds are not class K-infinity")
             else:
                 raise ValueError("bracket growth exceeded the doubling budget")
-            lo = np.zeros_like(rp)
-            mid = 0.5 * (lo + hi)
-            at_mid = self._state_dev(mid)
+            lo, at_lo = np.zeros_like(rp), np.zeros_like(rp)
+            tol = _INV_TOL * np.maximum(1.0, rp)
             for _ in range(_BISECT_ITERS):
-                le = at_mid <= rp
-                lo = np.where(le, mid, lo)
-                hi = np.where(le, hi, mid)
                 mid = 0.5 * (lo + hi)
                 at_mid = self._state_dev(mid)
-                if np.all(np.abs(at_mid - rp)
-                          <= 0.1 * _INV_REL_TOL * np.maximum(1.0, rp)):
+                le = at_mid <= rp
+                lo, at_lo = np.where(le, mid, lo), np.where(le, at_mid, at_lo)
+                hi = np.where(le, hi, mid)
+                if np.all(rp - at_lo <= tol):
                     break
-            out[pos] = mid
+            out[pos] = lo
         return float(out[0]) if scalar else out

@@ -1,12 +1,14 @@
 """Command-line entry point.
 
 Subcommands: ``collect``, ``build``, ``simulate``, ``verify``, ``report``.
-Exit codes: 0 success, 1 property/report failure, 2 bad config or artifact.
+Exit codes: 0 success, 1 property/report failure, 2 bad config or artifact,
+141 (a shell's SIGPIPE code) when stdout closes early, as in ``... | head -1``.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .config import ConfigError, default_config, load_config
@@ -64,9 +66,13 @@ def main(argv=None):
     stage = _STAGES[args.command]
     try:
         result = stage(cfg)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # not a bad artifact; the final flush must not raise again
+        sys.stdout = open(os.devnull, "w")
+        return 141
     except OSError as exc:  # a missing file, or one that cannot be read (say, a directory)
         hint = (f"; run the earlier pipeline stages into {cfg.outdir} first"
                 if isinstance(exc, FileNotFoundError) else "")

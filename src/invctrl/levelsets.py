@@ -45,6 +45,12 @@ center_k)`` is the record's successor inradius, stored in the smallest unsigned
 integer type that holds ``records - 1``.  ``successor_inradii`` re-derives the
 inradii from it, bit for bit those of the build.  Each table is one raw ``.npy``
 file.
+
+A derived inradius is one ``cdist`` distance, within a few ulps of ``d``, and
+one subtraction, so ``R_k - d`` lies within a few ulps of ``R_k + d`` of the
+real inradius.  ``state_dev_inv`` inverts from below, so ``state_dev(radius) <=
+inradius`` holds exactly on the derived value, and the recursion property holds
+on the real balls up to that rounding.
 """
 
 from __future__ import annotations
@@ -111,15 +117,6 @@ class LevelFamily:
     def centers(self, level):
         """Every record's ball center at ``level``: its successor at 0, else its state."""
         return self.dataset.succ_states if level == 0 else self.dataset.states
-
-    def ball_centers(self, levels, records):
-        """Centers of the balls of ``records`` at ``levels`` (integer arrays,
-        broadcast together), as ``centers`` places them."""
-        levels, records = np.broadcast_arrays(levels, records)
-        out = self.centers(1)[records]
-        zero = levels == 0
-        out[zero] = self.centers(0)[records[zero]]
-        return out
 
     def centers_radii(self, level):
         """Ball centers and radii realizing level ``level``."""
@@ -318,7 +315,8 @@ def successor_inradii(family: LevelFamily, witness):
     bit for bit."""
     radius, k = family.radius, witness.astype(np.intp)
     out = np.take_along_axis(radius[:-1], k, axis=1)
-    centers = family.ball_centers(np.arange(len(k))[:, None], k)
+    centers = family.centers(1)[k]
+    centers[:1] = family.centers(0)[k[:1]]  # level-1 entries are witnessed at level 0
     out -= paired_distances(family.dataset.succ_states, centers)
     out[radius[1:] == ABSENT] = ABSENT
     return out

@@ -9,21 +9,16 @@ The family suites make one pass per family, over the successor inradii that
 every certificate is checked against an inradius computed here, not one the
 build stored.  The radius, slab and certificate checks compare whole
 ``(levels, records)`` tables and name what a level-by-level loop names: the
-first extreme of the last offending (family, level).  The recursion check
-draws a family's entries in (level, record) order into buffers, where
-``standard_normal(out=...)`` and ``random(out=...)`` give the bits of
-``normal`` and ``uniform(0, 1)``.  Each entry's samples are tested first
-against its witness ball, by distances summed as ``cdist`` sums.  Samples
-left outside go to the full scan: the previous level's ``margin``, in blocks
-of at most ``CDIST_CELLS`` distances.  So a sample counts as inside only by a
-real ``dist <= radius`` on a ``cdist`` distance, as escaped only after the
-scan.
+first extreme of the last offending (family, level).  The certificate check
+tests ``state_dev(radius) <= inradius`` with no slack on every entry of levels
+>= 1.  The inradius is ``R_k - dist(succ, c_k)`` for the witness ball k, so
+the inradius ball lies inside ball k and this is the recursion property of the
+entry: from anywhere in its certified ball the successor lands in the previous
+level.
 
 The bound oracle draws its ``ORACLE_DRAWS`` (record, state) pairs from a
 box one at a time, as a per-sample loop would, and evaluates their kernel
 rows at once; each estimate is a one-row product, bit for bit ``predict``.
-Ball samples are normalised by a coordinate-by-coordinate sum of squares,
-which sums as ``np.linalg.norm`` does over that axis.
 """
 
 from __future__ import annotations
@@ -32,82 +27,19 @@ from functools import partial
 
 import numpy as np
 
-from .levelsets import ABSENT, check_nesting, paired_distances, successor_inradii
+from .levelsets import ABSENT, check_nesting, successor_inradii
 from .plants import rng_stream
 
 STREAM_VERIFY = 7
-CDIST_CELLS = 1 << 20  # largest (samples x balls) distance block held at once
 ORACLE_DRAWS = 1000
-
-
-def sample_in_balls(rng, centers, radii, count):
-    """``count`` uniform samples from each closed ball, shape (balls, count,
-    dim).  Drawn ball by ball, directions then radii, so each ball's samples
-    equal a one-ball call's at that point of the stream."""
-    balls, dim = centers.shape
-    dirs, u = np.empty((balls, count, dim)), np.empty((balls, count))
-    for d, v in zip(dirs, u):
-        rng.standard_normal(out=d)
-        rng.random(out=v)
-    norm = dirs[..., 0] ** 2  # summed as ``np.linalg.norm`` sums its axis
-    for k in range(1, dim):
-        norm += dirs[..., k] ** 2
-    dirs /= np.sqrt(norm, out=norm)[:, :, None]
-    u **= 1.0 / dim
-    u *= np.asarray(radii, dtype=float)[:, None]
-    dirs *= u[:, :, None]
-    dirs += centers[:, None, :]
-    return dirs
-
-
-def recursion_entries(inradius, per_level):
-    """(levels, records) the recursion check samples, in (level, record)
-    order: each present entry of ``inradius`` (levels >= 1), or ``per_level``
-    of each level's ``n``, at ``np.unique(np.linspace(0, n - 1, per_level).astype(int))``."""
-    present = inradius != ABSENT
-    flat = np.flatnonzero(present)
-    if per_level is not None and flat.size:
-        n = np.count_nonzero(present, axis=1)
-        n = n[n > 0]
-        # linspace's arithmetic for every level at once, last point exact
-        pos = (np.arange(per_level) * ((n - 1) / (per_level - 1))[:, None]).astype(int)
-        pos[:, -1] = n - 1
-        keep = np.diff(pos, axis=1, prepend=-1) != 0  # rows ascend: unique drops repeats
-        flat = flat[((np.cumsum(n) - n)[:, None] + pos)[keep]]
-    lev, rec = np.divmod(flat, present.shape[1])
-    return lev + 1, rec
-
-
-def recursion_escapes(fam, inradius, witness, samples, per_level, rng):
-    """First (level, record) of ``recursion_entries`` with one of ``samples``
-    uniform draws from its ``inradius`` ball outside the previous level's union,
-    or None; each entry's ``witness`` ball is tested first.  Every entry is
-    drawn, so the stream moves on as per-entry draws would."""
-    lev, rec = recursion_entries(inradius, per_level)
-    centers = fam.dataset.succ_states[rec]
-    pts = sample_in_balls(rng, centers, inradius[lev - 1, rec], samples)
-    w = witness[lev - 1, rec]
-    inside = (paired_distances(pts, fam.ball_centers(lev - 1, w)[:, None])
-              <= fam.radius[lev - 1, w][:, None])
-    for j in np.unique(lev[~inside.all(axis=1)]):
-        s, e = np.searchsorted(lev, [j, j + 1])
-        rows = max(1, CDIST_CELLS // len(fam.dataset))
-        miss = np.flatnonzero(~inside[s:e].ravel())
-        rest = pts[s:e].reshape(-1, pts.shape[2])[miss]
-        # an empty previous level has margin ABSENT: every sample stays outside
-        inside[s:e].flat[miss] = np.concatenate([
-            fam.margin(j - 1, rest[k:k + rows]) >= 0 for k in range(0, len(rest), rows)])
-        escaped = ~inside[s:e].all(axis=1)
-        if escaped.any():
-            return int(j), int(rec[s + np.argmax(escaped)])
-    return None
 
 
 def family_offenders(families, inradii, bounds):
     """Details of the non-positive radius (the smaller of an entry's radius and
-    its successor inradius from ``inradii``), slab reach and certificate gap
-    (levels >= 1, radius > 0) checks, each None or the first extreme of the
-    last offending (family, level), as a level-by-level loop names it."""
+    its successor inradius from ``inradii``), slab reach and certificate
+    (``state_dev(radius) <= inradius`` with no slack, levels >= 1, radius > 0)
+    checks, each None or the first extreme of the last offending (family,
+    level), as a level-by-level loop names it."""
     found = [None, None, None]
     for fam, inradius in zip(families, inradii):
         inner = np.concatenate([fam.radius[:1], inradius])  # successor inradii by level
@@ -127,7 +59,7 @@ def family_offenders(families, inradii, bounds):
             if np.any(margin > fam.delta + 1e-12):
                 k = np.argmax(margin)
                 found[1] = f"delta={fam.delta:g} record={k} reach={margin[k]:g}"
-        rows = np.flatnonzero((gap > 1e-9).any(axis=1))
+        rows = np.flatnonzero((gap > 0).any(axis=1))
         if rows.size:
             found[2] = f"delta={fam.delta:g} level={rows[-1]} record={np.argmax(gap[rows[-1]])}"
     return found
@@ -262,7 +194,9 @@ def run_all(cfg, dataset, model, controller, witnesses, plant, bounds, log=print
     rs = np.logspace(-6, 3, 100)
     back = bounds.state_dev(bounds.state_dev_inv(rs))
     inv_err = np.max(np.abs(back - rs) / np.maximum(1.0, rs))
-    add("bounds_inversion", inv_err <= 1e-9, f"max relative error {inv_err:.2e}")
+    over = int(np.count_nonzero(back > rs))
+    add("bounds_inversion", inv_err <= 1e-9 and over == 0,
+        f"max relative error {inv_err:.2e}" + (f", {over} radii overshot" if over else ""))
 
     # oracle-backed deviation bounds; delay 2: the data range widened 5 % ---
     if plant.delay == 1:
@@ -287,21 +221,10 @@ def run_all(cfg, dataset, model, controller, witnesses, plant, bounds, log=print
     neg, slab, cert = family_offenders(controller.families, inradii, bounds)
     add("family_positive_radii", neg is None, neg or "all entry inradii positive")
     add("family_slab_soundness", slab is None, slab or "level-0 balls inside the output slab")
+    bound = ("composed bound" if bounds.gamma_mode == "composed"
+             else f"linear gamma slope {bounds.gamma_slope:g}, heuristic")
     add("family_certificate_consistency", cert is None,
-        cert or "state_dev(cert_radius) <= inradius + 1e-9")
-
-    per_level, samples = (8, 50) if len(dataset) > 400 else (None, 200)
-    fail = None
-    for fam, inradius, witness in zip(controller.families, inradii, witnesses):
-        escape = recursion_escapes(fam, inradius, witness, samples, per_level, rng)
-        if escape:
-            fail = (fam.delta, *escape)
-            break
-    add("family_recursion_soundness", fail is None,
-        f"{samples} samples/entry"
-        + ("" if per_level is None else f", {per_level} entries/level")
-        + ("" if fail is None
-           else f"; escape at delta={fail[0]:g} level={fail[1]} record={fail[2]}"))
+        f"{cert or 'state_dev(cert_radius) <= inradius'}, exact, every entry; {bound}")
 
     nest = ", ".join(
         f"{fam.delta:g}:{'yes' if check_nesting(fam) else 'unverified'}"

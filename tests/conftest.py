@@ -69,6 +69,15 @@ def sampled_inradius(point, centers, radii, directions=2000, seed=0):
     return max(float(best.min()), 0.0)
 
 
+def sample_in_ball(rng, center, radius, count):
+    """``count`` uniform samples from the closed ball: normal directions, then
+    radii ``radius * u ** (1 / dim)``."""
+    center = np.asarray(center, dtype=float)
+    dirs = rng.normal(size=(count, len(center)))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    return center + dirs * (radius * rng.uniform(size=count) ** (1.0 / len(center)))[:, None]
+
+
 def synth_dataset(states, targets, controls):
     """Order-2, delay-1 dataset from explicit records."""
     states = np.atleast_2d(np.asarray(states, dtype=float))

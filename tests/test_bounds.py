@@ -1,13 +1,17 @@
 import math
+import re
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from invctrl import verify
 from invctrl.bounds import DeviationBounds
 from invctrl.config import default_config
 from invctrl.kernels import IsotropicKernel
+from invctrl.levelsets import build_level_family, pairwise_distances, successor_inradii
 
 from conftest import inradius_by_level
 
@@ -92,6 +96,19 @@ def test_linear_override():
     assert LINEAR.state_dev_inv(0.201) == pytest.approx(0.2, rel=1e-15)
 
 
+def test_linear_inverse_from_below():
+    # a quotient r / slope that rounds up is stepped down by ulps, and only then
+    rs = np.random.default_rng(4).uniform(0.0, 2.0, 20000)
+    eps = LINEAR.state_dev_inv(rs)
+    quotient = rs / LINEAR.gamma_slope
+    assert np.all(LINEAR.state_dev(eps) <= rs)
+    rounded_up = LINEAR.gamma_slope * quotient > rs
+    assert rounded_up.sum() > 10
+    assert np.array_equal(eps[~rounded_up], quotient[~rounded_up])
+    assert np.all((eps[rounded_up] < quotient[rounded_up])
+                  & (eps[rounded_up] >= quotient[rounded_up] * (1.0 - 1e-15)))
+
+
 def test_inverse_at_zero():
     assert BENCH.state_dev_inv(0.0) == 0.0
 
@@ -101,6 +118,7 @@ def test_inverse_self_consistency():
     rs = np.logspace(-6, 3, 100)
     back = BENCH.state_dev(BENCH.state_dev_inv(rs))
     assert np.max(np.abs(back - rs) / np.maximum(1.0, rs)) <= 1e-9
+    assert np.all(back <= rs)
 
 
 def test_negative_arguments_rejected():
@@ -145,13 +163,16 @@ def test_state_dev_strictly_monotone(eps, factor):
 def test_inverse_round_trip_property(r):
     eps = BENCH.state_dev_inv(r)
     assert abs(BENCH.state_dev(eps) - r) <= 1e-9 * max(1.0, r)
+    assert BENCH.state_dev(eps) <= r
 
 
-def reference_state_dev_inv(bounds, r):
+def reference_state_dev_inv(bounds, r, lower=True):
     """Reference bisection: composed ``state_dev`` evaluated as
-    ``input_dev + output_dev + eps`` (delay 1), twice per step (side test,
-    then stopping test at the new midpoint).  Returns the inverses and the
-    numbers of doublings and of bisection steps."""
+    ``input_dev + output_dev + eps`` (delay 1), twice per step (side test at
+    the midpoint, then stopping test at the lower end).  Returns the inverses
+    (the lower ends) and the numbers of doublings and of bisection steps.
+    ``lower=False`` is the midpoint inversion this replaced: it stops once the
+    next midpoint lies within the tolerance on either side and returns it."""
     def state_dev(e):
         if bounds.delay == 1:
             return bounds.input_dev(e) + bounds.output_dev(e) + e
@@ -175,9 +196,10 @@ def reference_state_dev_inv(bounds, r):
             lo = np.where(le, mid, lo)
             hi = np.where(le, hi, mid)
             mid = 0.5 * (lo + hi)
-            if np.all(np.abs(state_dev(mid) - rp) <= 0.1 * 1e-10 * np.maximum(1.0, rp)):
+            gap = rp - state_dev(lo) if lower else np.abs(state_dev(mid) - rp)
+            if np.all(gap <= 1e-11 * np.maximum(1.0, rp)):
                 break
-        out[pos] = mid
+        out[pos] = lo if lower else mid
     return out, doublings, steps
 
 
@@ -257,6 +279,35 @@ def test_stored_cert_radius_rows_are_one_inversion(numerical_artifacts):
     alone = np.array([bounds.state_dev_inv(x) for x in inradius[0, idx]])
     assert len(idx) > 10 and not np.array_equal(alone, fam.radius[1, idx])
     assert np.allclose(alone, fam.radius[1, idx], rtol=1e-8, atol=0.0)
+
+
+def test_midpoint_inversion_fails_the_exact_checks(numerical_artifacts, monkeypatch):
+    # families built with the midpoint inversion this replaced hold certified
+    # radii that map past their inradius, and its grid overshoots: verify's
+    # exact checks name both
+    art = numerical_artifacts
+    cfg, ds, bounds = art["cfg"], art["dataset"], art["bounds"]
+    monkeypatch.setattr(DeviationBounds, "state_dev_inv",
+                        lambda self, r: reference_state_dev_inv(self, r, lower=False)[0])
+    dists = pairwise_distances(ds)
+    built = [build_level_family(ds, bounds, delta, cfg.depth, _dists=dists)
+             for delta in cfg.deltas]
+    checks = verify.run_all(cfg, ds, art["model"],
+                            SimpleNamespace(families=[fam for fam, _ in built]),
+                            [witness for _, witness in built], art["plant"], bounds,
+                            log=lambda *a: None)
+    verdicts = {name: (passed, detail) for name, passed, detail in checks}
+    assert verdicts["bounds_inversion"][0] is False
+    assert verdicts["bounds_inversion"][1].endswith("radii overshot")
+    passed, detail = verdicts["family_certificate_consistency"]
+    named = re.fullmatch(r"delta=(\S+) level=(\d+) record=(\d+), exact, every entry; "
+                         r"composed bound", detail)
+    assert passed is False and named
+    fam, witness = next(entry for entry in built if entry[0].delta == float(named[1]))
+    j, i = int(named[2]), int(named[3])
+    assert bounds.state_dev(fam.radius[j, i]) > successor_inradii(fam, witness)[j - 1, i]
+    assert [name for name, passed, _ in checks if not passed] == [
+        "bounds_inversion", "family_certificate_consistency"]
 
 
 @pytest.mark.parametrize("plant", ["numerical", "pendulum"])

@@ -14,9 +14,7 @@ from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFam
                                max_plus, nearest_table, pairwise_distances,
                                successor_inradii)
 
-from invctrl.verify import sample_in_balls
-
-from conftest import sampled_inradius, synth_dataset, synth_family
+from conftest import sample_in_ball, sampled_inradius, synth_dataset, synth_family
 
 SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
@@ -400,7 +398,7 @@ def test_family_recursion_soundness_sampled(numerical_artifacts):
     for j in range(1, min(4, len(fam.radius))):  # later levels are empty
         idx = fam.present(j)[:20]
         for i, r in zip(idx, inradius[j - 1, idx]):
-            pts = sample_in_balls(rng, ds.succ_states[i:i + 1], [r], 50)[0]
+            pts = sample_in_ball(rng, ds.succ_states[i], r, 50)
             assert all(fam.contains(j - 1, p) for p in pts)
 
 
@@ -485,12 +483,13 @@ def test_margin_level_range_and_dimension(numerical_artifacts):
 
 
 def test_certificate_radii_consistent(numerical_artifacts):
+    # the inversion is from below: no certified radius maps past its inradius
     art = numerical_artifacts
     for fam, inradius in zip(art["controller"].families, art["inradii"]):
         for j in range(1, len(fam.radius)):
             idx = fam.present(j)
-            back = BOUNDS.state_dev(fam.radius[j, idx])
-            assert np.all(back <= inradius[j - 1, idx] + 1e-9)
+            back = art["bounds"].state_dev(fam.radius[j, idx])
+            assert np.all(back <= inradius[j - 1, idx])
 
 
 def test_nesting_vacuous_and_identity():
@@ -514,7 +513,7 @@ def test_nesting_counterexample_with_witness():
     # rejection-sample a witness point in level 0 but not level 1
     rng = np.random.default_rng(1)
     for _ in range(100):
-        p = sample_in_balls(rng, ds.succ_states[1:2], [0.4], 1)[0, 0]
+        p = sample_in_ball(rng, ds.succ_states[1], 0.4, 1)[0]
         if fam.contains(0, p) and not fam.contains(1, p):
             break
     else:
