@@ -7,12 +7,17 @@ Each tree is a checkout (holding ``src/invctrl``) or a directory holding
 ``invctrl`` itself.  For each tree, in a temporary directory, the numerical
 study, the noise-free pendulum study and the noisy pendulum study run with
 ``--seed 3`` through the CLI stages collect, build, simulate, verify and
-report.  Every output file (trajectories, manifest, model, families, build
-report, run logs, summary, verify report) is then compared byte for byte,
-as is each stage's exit code; stdout is not, since it carries wall-clock
-timings.  A differing run log (``runs/*.csv``) is named with the columns that
-differ, read from its header, and on how many rows each, for example
-``runs/ic_04.csv differs in slack (1 row)``.  For each study and tree it also
+report.  Every output file (trajectory table, model, families, build report,
+run logs, summary, verify report) is then compared byte for byte, as is each
+stage's exit code; stdout is not, since it carries wall-clock timings.  A
+differing run log (``runs/*.csv``) is named with the columns that differ,
+read from its header, and on how many rows each, for example
+``runs/ic_04.csv differs in slack (1 row)``.  When one tree still writes the
+older trajectory layout (``manifest.txt`` plus ``trajectories/traj_NNNN.csv``)
+and the other ``trajectories.csv``, the table is rebuilt from the older files
+and compared byte for byte with the new one: a match is reported as a layout
+change with identical contents, a mismatch names the first differing
+trajectory and row.  For each study and tree it also
 prints the artifact bytes: ``model.txt`` plus everything under ``families/``,
 the quantity perfbench reports as ``artifact_mb``.  Exits 0 when everything
 matches and 1 after naming each difference.  With ``--keep DIR`` the outputs
@@ -26,6 +31,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from itertools import zip_longest
 from pathlib import Path
 
 STUDIES = {
@@ -87,6 +93,59 @@ def column_diff(old_path, new_path):
                              for name, n in counts.items() if n)
 
 
+def table_text(top):
+    """The trajectory table of output directory ``top`` as text: its
+    ``trajectories.csv``, else the table rebuilt from the older layout's
+    ``manifest.txt`` and ``trajectories/traj_NNNN.csv`` files."""
+    top = Path(top)
+    if (top / "trajectories.csv").is_file():
+        return (top / "trajectories.csv").read_text()
+    pairs = [line.partition("=")[::2] for line in (top / "manifest.txt").read_text().splitlines()]
+    pairs = [(key.strip(), val.strip()) for key, val in pairs]
+    lines = ["# " + " ".join(f"{key}={val}" for key, val in pairs if key != "file")]
+    for k, name in enumerate(val for key, val in pairs if key == "file"):
+        head, *rows = (top / "trajectories" / name).read_text().splitlines()
+        lines += [f"traj,{head}"] * (k == 0) + [f"{k},{row}" for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def table_diff(old, new):
+    """Where two trajectory table texts first differ: ``the comment``, ``the
+    header`` or ``trajectory K row T``; None when they are equal."""
+    for k, (a, b) in enumerate(zip_longest(old.splitlines(), new.splitlines())):
+        if a != b:
+            if k < 2:
+                return ("the comment", "the header")[k]
+            traj, t = ((a or b).split(",") + ["?", "?"])[:2]
+            return f"trajectory {traj} row {t}"
+    return None
+
+
+def compare_dirs(name, old, new):
+    """Differences between output directories ``old`` and ``new`` of study
+    ``name``, as readable lines."""
+    diffs = []
+    old_files, new_files = files_under(old), files_under(new)
+    if ("manifest.txt" in old_files) != ("manifest.txt" in new_files):
+        where = table_diff(table_text(old), table_text(new))
+        if where:
+            diffs.append(f"{name}: trajectory layout differs, and its contents at {where}")
+        else:
+            print(f"{name}: trajectory layout differs, contents identical")
+        for files in (old_files, new_files):
+            files -= {rel for rel in files if rel in ("manifest.txt", "trajectories.csv")
+                      or Path(rel).parts[0] == "trajectories"}
+    for rel in sorted(old_files | new_files):
+        if rel not in new_files or rel not in old_files:
+            side = "new" if rel not in new_files else "old"
+            diffs.append(f"{name}: {rel} missing from the {side} tree")
+        elif not filecmp.cmp(old / rel, new / rel, shallow=False):
+            log = Path(rel).match("runs/*.csv")
+            cols = column_diff(old / rel, new / rel) if log else None
+            diffs.append(f"{name}: {rel} differs" + (f" {cols}" if cols else ""))
+    return diffs
+
+
 def compare(old_root, new_root, work):
     """Differences between the two trees' studies, as readable lines."""
     diffs = []
@@ -98,16 +157,8 @@ def compare(old_root, new_root, work):
             if old_codes[stage] != new_codes[stage]:
                 diffs.append(f"{name}: {stage} exit code "
                              f"{old_codes[stage]} -> {new_codes[stage]}")
-        old_files, new_files = files_under(old), files_under(new)
-        for rel in sorted(old_files | new_files):
-            if rel not in new_files or rel not in old_files:
-                side = "new" if rel not in new_files else "old"
-                diffs.append(f"{name}: {rel} missing from the {side} tree")
-            elif not filecmp.cmp(old / rel, new / rel, shallow=False):
-                log = Path(rel).match("runs/*.csv")
-                cols = column_diff(old / rel, new / rel) if log else None
-                diffs.append(f"{name}: {rel} differs" + (f" {cols}" if cols else ""))
-        print(f"{name}: {len(old_files)} files compared, exit codes "
+        diffs += compare_dirs(name, old, new)
+        print(f"{name}: {len(files_under(old))} files compared, exit codes "
               + " ".join(f"{s}={old_codes[s]}" for s in STAGES))
         print(f"{name}: artifact bytes old {artifact_bytes(old)} new {artifact_bytes(new)}")
     return diffs

@@ -19,19 +19,19 @@ with the records or trajectories.  Exact duplicate features are dropped in
 one global pass (bitwise equality, so ``-0.0`` and ``0.0`` differ; no
 tolerance), keeping the first occurrence in trajectory order, then time.
 
-Trajectory files are read the same way: ``read_trajectories`` reads each
-file whole, splits the rows of all of them in one pass and converts each
-column with one call across all files, bitwise equal to ``float()`` of each
-cell; a per-cell scan runs only when that conversion fails, to name the line.
+A study's trajectories live in one table, ``write_trajectories`` writes it
+and ``read_trajectories`` reads it the same way: the whole file at once, every
+row split in one pass and each column converted with one call, bitwise equal
+to ``float()`` of each cell; a per-cell scan runs only when that conversion
+fails, to name the line.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
-from itertools import repeat
-from typing import List, Optional
+from itertools import compress, repeat
+from typing import Optional
 
 import numpy as np
 
@@ -42,12 +42,11 @@ __all__ = [
     "TrajectoryError",
     "build_dataset",
     "read_trajectories",
-    "read_trajectory",
-    "write_trajectory",
+    "write_trajectories",
 ]
 
 FLOAT_FMT = ".17g"
-_HEADERS = {b"t,u,y": 3, b"t,u,y,y_noisy": 4}  # header -> fields per row
+TABLE_HEADER = "traj,t,u,y"  # then ",y_noisy" when the outputs were measured with noise
 
 
 @dataclass
@@ -191,19 +190,21 @@ def build_dataset(trajs, order: int, delay: int = 1,
     )
 
 
-def write_trajectory(path, traj: Trajectory):
-    """Write ``t,u,y[,y_noisy]`` rows; the input column is empty at t = T."""
-    noisy = traj.noisy_outputs is not None
-    header = ["t", "u", "y"] + (["y_noisy"] if noisy else [])
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        for t in range(len(traj.outputs)):
-            u_cell = format(traj.inputs[t], FLOAT_FMT) if t < traj.horizon else ""
-            row = [str(t), u_cell, format(traj.outputs[t], FLOAT_FMT)]
-            if noisy:
-                row.append(format(traj.noisy_outputs[t], FLOAT_FMT))
-            w.writerow(row)
+def write_trajectories(path, trajs, meta):
+    """Write ``trajs`` as one table: a ``# key=value`` comment holding
+    ``meta`` in order and then ``count``, a ``traj,t,u,y[,y_noisy]`` header,
+    and the rows of every trajectory in order, with the input cell empty on
+    each trajectory's last row."""
+    noisy = trajs[0].noisy_outputs is not None
+    pairs = [f"{key}={val}" for key, val in {**meta, "count": len(trajs)}.items()]
+    lines = ["# " + " ".join(pairs), TABLE_HEADER + (",y_noisy" if noisy else "")]
+    for k, traj in enumerate(trajs):
+        cols = [traj.inputs, traj.outputs] + ([traj.noisy_outputs] if noisy else [])
+        cells = [[format(v, FLOAT_FMT) for v in col] for col in cols]
+        cells[0].append("")
+        lines += map(",".join, zip(repeat(str(k)), map(str, range(len(traj.outputs))), *cells))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _cells(line):
@@ -231,83 +232,65 @@ def _float_or_nan(cell):
         return math.nan
 
 
-def read_trajectories(paths) -> List[Trajectory]:
-    """Read the ``write_trajectory`` files ``paths`` in one bulk pass.
+def read_trajectories(path):
+    """``(meta, trajectories)`` of a ``write_trajectories`` table, read in one
+    bulk pass: every row split into cells once, each column converted to
+    floats in one call, bitwise equal to ``float()`` of each cell.
 
-    Each file is read whole; the rows of all files are split into cells
-    together, and each column (u, y, y_noisy) is converted to floats in one
-    call across all files, bitwise equal to ``float()`` of each cell.  Each
-    file must have a ``t,u,y`` or ``t,u,y,y_noisy`` header, at least one row,
-    exactly the header's field count in every row, finite numbers, and an
-    input in every row but the last, whose input is empty.  The first fault
-    in file and line order raises ``ConfigError``: a bad row at ``path:line``,
-    a wrong input count at ``path``.  The trajectories are views of the
+    Line 1 must be a ``# key=value ...`` comment whose ``count`` is the number
+    of trajectories, line 2 a ``traj,t,u,y[,y_noisy]`` header, and rows must
+    follow, each with the header's field count and finite numbers; ``traj``
+    counts 0, 1, ... in contiguous blocks, ``t`` runs 0, 1, ... within each,
+    and every row but a block's last has an input.  A fault raises
+    ``ConfigError`` naming ``path:line``, the first in line order.  ``meta``
+    maps each comment key to its text; the trajectories are views of the
     column arrays.
     """
     from .config import ConfigError  # config imports this module through plants
-    paths = list(paths)
-    rows, widths, sizes, faults = [], [], [], []
-    for k, path in enumerate(paths):
-        with open(path, "rb", buffering=0) as fh:
-            lines = fh.read().splitlines()
-        head = lines[0] if lines else b""
-        if head not in _HEADERS:
-            faults.append((k, 1, f"{path}:1: unexpected trajectory header {_cells(head)}"))
-            break
-        rows += lines[1:]
-        widths.append(_HEADERS[head])
-        sizes.append(len(lines) - 1)
-    sizes = np.array(sizes, dtype=int)
-    first = np.cumsum(sizes) - sizes                  # each file's first row
-    file_of = np.repeat(np.arange(len(sizes)), sizes)
-    width = np.repeat(np.array(widths, dtype=int), sizes)
-
-    def bad_row(r):
-        k, line = int(file_of[r]), int(r - first[file_of[r]]) + 2
-        return k, line, f"{paths[k]}:{line}: bad trajectory row {_cells(rows[r])}"
+    with open(path, "rb", buffering=0) as fh:
+        lines = fh.read().splitlines()
+    (comment, head), rows = (lines + [b"", b""])[:2], lines[2:]
+    text = comment.decode(errors="replace")
+    tokens = text.split()
+    if tokens[:1] != ["#"] or not all("=" in tok for tok in tokens[1:]):
+        raise ConfigError(f"{path}:1: not a trajectory table comment {text!r}")
+    meta = dict(tok.partition("=")[::2] for tok in tokens[1:])
+    if head.decode(errors="replace") not in (TABLE_HEADER, TABLE_HEADER + ",y_noisy"):
+        raise ConfigError(f"{path}:2: unexpected trajectory header {_cells(head)}")
+    width = head.count(b",") + 1
+    if not rows:
+        raise ConfigError(f"{path}:3: no trajectory rows")
 
     # rows up to the first with a wrong field count split into cells in one pass
     seps = np.array(list(map(bytes.count, rows, repeat(b","))), dtype=int)
     wrong = np.flatnonzero(seps != width - 1)
     n = int(wrong[0]) if wrong.size else len(rows)
-    if wrong.size:
-        faults.append(bad_row(n))
     cells = b",".join(rows[:n]).split(b",") if n else []
-    start = np.cumsum(width[:n]) - width[:n]
-    noisy = width[:n] == 4
-    ucells = [cells[i] for i in (start + 1).tolist()]
-    has_u = np.array(list(map(len, ucells)), dtype=bool)
-    y, bad_y = parse_floats([cells[i] for i in (start + 2).tolist()])
-    yn, bad_n = parse_floats([cells[i] for i in (start[noisy] + 3).tolist()])
-    u, bad_u = parse_floats([c for c, h in zip(ucells, has_u) if h])
-    for bad, at in ((bad_y, np.arange(n)), (bad_n, np.flatnonzero(noisy)),
-                    (bad_u, np.flatnonzero(has_u))):
-        if bad is not None:
-            faults.append(bad_row(at[bad]))
-    # each complete file has an input in every row but the last
-    done = first + sizes <= n
-    inputs = np.bincount(file_of[:n], weights=has_u, minlength=len(sizes)).astype(int)
-    for k in np.flatnonzero(done & (inputs != sizes - 1)):
-        faults.append((k, math.inf, f"{paths[k]}: no trajectory rows" if sizes[k] == 0 else
-                       f"{paths[k]}: {sizes[k]} outputs need {sizes[k] - 1} inputs, "
-                       f"not {inputs[k]}"))
-    counted = done & (inputs == sizes - 1)
-    misplaced = np.flatnonzero(~has_u & counted[file_of[:n]])
-    misplaced = misplaced[misplaced != (first + sizes - 1)[file_of[misplaced]]]
-    if misplaced.size:
-        faults.append(bad_row(misplaced[0]))
+    k, t = (parse_floats(cells[c::width])[0] for c in (0, 1))
+    has_u = np.array(list(map(len, cells[2::width])), dtype=bool)
+    u, bad_u = parse_floats(list(compress(cells[2::width], has_u)))
+    y, bad_y = parse_floats(cells[3::width])
+    yn, bad_n = parse_floats(cells[4::width]) if width == 5 else (None, None)
+    # a block starts at t = 0; each row's traj is its block's number and its
+    # t the rows since the block's start
+    new, at = t == 0, np.arange(n)
+    in_seq = (k == np.cumsum(new) - 1) & (t == at - np.maximum.accumulate(np.where(new, at, 0)))
+    # a row ends its block when the next row, if in sequence, starts one
+    last, next_ok = np.r_[new[1:], True], np.r_[in_seq[1:], n == len(rows)]
+    faults = wrong[:1].tolist() + [bad for bad in (bad_y, bad_n) if bad is not None]
+    faults += np.flatnonzero(~in_seq | ((has_u == last) & next_ok))[:1].tolist()
+    if bad_u is not None:
+        faults.append(int(np.flatnonzero(has_u)[bad_u]))
     if faults:
-        raise ConfigError(min(faults)[2])
+        r = min(faults)
+        raise ConfigError(f"{path}:{r + 3}: bad trajectory row {_cells(rows[r])}")
 
-    # file k: outputs from row a, inputs from a - k (one fewer per file), noisy from b
-    noisy_rows = np.where(np.array(widths) == 4, sizes, 0)
-    spans = zip(first.tolist(), (np.cumsum(noisy_rows) - noisy_rows).tolist(),
-                sizes.tolist(), widths)
-    return [Trajectory(inputs=u[a - k:a - k + s - 1], outputs=y[a:a + s],
-                       noisy_outputs=yn[b:b + s] if w == 4 else None)
-            for k, (a, b, s, w) in enumerate(spans)]
-
-
-def read_trajectory(path) -> Trajectory:
-    """Read one ``write_trajectory`` file (see ``read_trajectories``)."""
-    return read_trajectories([path])[0]
+    # block j: outputs from row a to b, inputs from a - j (one fewer per block)
+    starts = np.flatnonzero(new).tolist() + [n]
+    trajs = [Trajectory(inputs=u[a - j:b - j - 1], outputs=y[a:b],
+                        noisy_outputs=None if yn is None else yn[a:b])
+             for j, (a, b) in enumerate(zip(starts, starts[1:]))]
+    if meta.get("count") != str(len(trajs)):
+        raise ConfigError(f"{path}:1: count={meta.get('count')} in the comment, "
+                          f"{len(trajs)} trajectories in the table")
+    return meta, trajs

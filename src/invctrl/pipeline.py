@@ -2,8 +2,7 @@
 
 Stage outputs live under the configured output directory:
 
-    trajectories/traj_NNNN.csv   collect
-    manifest.txt
+    trajectories.csv             collect
     model.txt                    build
     families/delta_*.npy
     families/delta_*.witness.npy (read by verify only)
@@ -11,6 +10,9 @@ Stage outputs live under the configured output directory:
     runs/ic_NN.csv               simulate
     summary.txt
     verify_report.txt            verify
+
+``trajectories.csv`` is the study's whole dataset (see ``narx``); its first
+line records the settings ``collect`` ran with, which later stages check.
 
 The family files are raw ``.npy`` tables (see ``levelsets``): per accuracy,
 the radius table, and the witness table that names, for each entry of levels
@@ -38,7 +40,7 @@ from .interpolant import dump_interpolant, fit_interpolant, load_interpolant
 from .levelsets import (build_level_family, check_nesting, dump_family,
                         load_family, load_witness, pairwise_distances)
 from .narx import (FLOAT_FMT, NarxDataset, TrajectoryError, build_dataset,
-                   read_trajectories, shift_state, write_trajectory)
+                   read_trajectories, shift_state, write_trajectories)
 from .plants import (STREAM_ONLINE_NOISE, InfeasibleInput, add_noise,
                      collect_numerical_trajectories,
                      collect_pendulum_trajectories, rng_stream)
@@ -55,8 +57,7 @@ def _paths(cfg: RunConfig):
     out = cfg.outdir
     return {
         "out": out,
-        "trajdir": os.path.join(out, "trajectories"),
-        "manifest": os.path.join(out, "manifest.txt"),
+        "trajectories": os.path.join(out, "trajectories.csv"),
         "model": os.path.join(out, "model.txt"),
         "famdir": os.path.join(out, "families"),
         "build_report": os.path.join(out, "build_report.txt"),
@@ -74,13 +75,21 @@ def _family_path(paths, delta):
 # ---------------------------------------------------------------- collect
 
 
+def _collected(cfg: RunConfig):
+    """The settings ``collect`` records in the trajectory table's comment, as text."""
+    meta = {"plant": cfg.plant, "seed": str(cfg.seed), "noisy": str(int(cfg.noisy))}
+    if cfg.noisy:
+        meta["sigma_d"] = _fmt(cfg.sigma_d)
+    return meta
+
+
 def cmd_collect(cfg: RunConfig, log=print):
-    """Write trajectory files and a manifest; idempotent for a fixed seed."""
+    """Write the trajectory table; idempotent for a fixed seed."""
     if cfg.noisy and cfg.plant != "pendulum":
         raise ConfigError("the measurement-noise study is defined for the "
                           "pendulum benchmark only")
     paths = _paths(cfg)
-    os.makedirs(paths["trajdir"], exist_ok=True)
+    os.makedirs(paths["out"], exist_ok=True)
     if cfg.plant == "numerical":
         trajs = collect_numerical_trajectories(seed=cfg.seed)
     else:
@@ -88,50 +97,28 @@ def cmd_collect(cfg: RunConfig, log=print):
         if cfg.noisy:
             trajs = [add_noise(t, cfg.sigma_d, cfg.seed, stream_offset=k)
                      for k, t in enumerate(trajs)]
-    names = []
-    for k, traj in enumerate(trajs):
-        name = f"traj_{k:04d}.csv"
-        write_trajectory(os.path.join(paths["trajdir"], name), traj)
-        names.append(name)
-    with open(paths["manifest"], "w") as fh:
-        fh.write(f"plant = {cfg.plant}\n")
-        fh.write(f"seed = {cfg.seed}\n")
-        fh.write(f"noisy = {int(cfg.noisy)}\n")
-        if cfg.noisy:
-            fh.write(f"sigma_d = {_fmt(cfg.sigma_d)}\n")
-        fh.write(f"count = {len(names)}\n")
-        for name in names:
-            fh.write(f"file = {name}\n")
-    log(f"collect: wrote {len(names)} trajectories to {paths['trajdir']}")
-    return names
-
-
-def _read_manifest(paths):
-    names = []
-    with open(paths["manifest"]) as fh:
-        for line in fh:
-            key, _, val = line.partition("=")
-            if key.strip() == "file":
-                names.append(val.strip())
-    return names
+    write_trajectories(paths["trajectories"], trajs, _collected(cfg))
+    log(f"collect: wrote {len(trajs)} trajectories to {paths['trajectories']}")
 
 
 def load_dataset(cfg: RunConfig) -> NarxDataset:
-    """Rebuild the training dataset from the collected trajectory files:
-    read every file the manifest lists in one ``read_trajectories`` pass,
-    then window them all in one ``build_dataset`` call.  A manifest listing
-    no file, a malformed file (a bad header, row, value or input count; see
-    ``read_trajectories``), or a file that yields no records raises
-    ``ConfigError`` naming it."""
-    paths = _paths(cfg)
-    files = [os.path.join(paths["trajdir"], name) for name in _read_manifest(paths)]
-    if not files:
-        raise ConfigError(f"{paths['manifest']}: lists no trajectory files")
-    trajs = read_trajectories(files)
+    """Rebuild the training dataset from the trajectory table: read it in one
+    ``read_trajectories`` pass, then window it in one ``build_dataset`` call.
+    A malformed table, a comment whose settings differ from the config's (the
+    seed only where collect draws from it, so not for the noise-free
+    pendulum), or a trajectory that yields no records raises ``ConfigError``
+    naming the line or the trajectory."""
+    path = _paths(cfg)["trajectories"]
+    meta, trajs = read_trajectories(path)
+    seeded = cfg.plant == "numerical" or cfg.noisy  # noise-free pendulum data draw no seed
+    for key, val in _collected(cfg).items():
+        if meta.get(key) != val and (key != "seed" or seeded):
+            raise ConfigError(f"{path}:1: collected with {key}={meta.get(key)}, "
+                              f"the config has {key}={val}")
     try:
         return build_dataset(trajs, cfg.order, cfg.delay, noisy=cfg.noisy)
     except TrajectoryError as exc:
-        raise ConfigError(f"{files[exc.index]}: {exc}") from None
+        raise ConfigError(f"{path}: trajectory {exc.index}: {exc}") from None
 
 
 # ---------------------------------------------------------------- build

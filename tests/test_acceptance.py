@@ -163,16 +163,19 @@ def test_criterion_09_geometry_soundness(numerical_artifacts):
     under_ok = worst_gap <= 1e-9
 
     # level recursion: 200 samples from every entry's successor inradius ball
-    # must lie in the previous level's union, tested against every ball
+    # must lie in the previous level's union: each is tested against the
+    # entry's witness ball, and only the samples outside it against every ball
     rng2 = rng_stream(numerical_artifacts["cfg"].seed, 91)
     checked = escapes = 0
-    for fam, inr in zip(numerical_artifacts["controller"].families,
-                        numerical_artifacts["inradii"]):
+    for fam, inr, wit in zip(numerical_artifacts["controller"].families,
+                             numerical_artifacts["inradii"], numerical_artifacts["witnesses"]):
         for j in range(1, len(fam.radius)):
             prev_c, prev_r = fam.centers_radii(j - 1)
             for i in fam.present(j):
                 pts = sample_in_ball(rng2, fam.dataset.succ_states[i], inr[j - 1, i], 200)
-                d = np.linalg.norm(pts[:, None, :] - prev_c[None, :, :], axis=2)
+                k = wit[j - 1, i]
+                out = np.linalg.norm(pts - fam.centers(j - 1)[k], axis=1) > fam.radius[j - 1, k]
+                d = np.linalg.norm(pts[out][:, None, :] - prev_c[None, :, :], axis=2)
                 escapes += not (d <= prev_r).any(axis=1).all()
                 checked += 1
     report(9, under_ok and escapes == 0 and checked > 0,

@@ -4,8 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from invctrl.config import ConfigError
 from invctrl.narx import (NarxDataset, Trajectory, TrajectoryError, build_dataset,
-                          read_trajectories, read_trajectory, shift_state,
-                          write_trajectory)
+                          read_trajectories, shift_state, write_trajectories)
 from invctrl.plants import (add_noise, collect_numerical_trajectories,
                             collect_pendulum_trajectories)
 
@@ -221,17 +220,20 @@ def test_windowing_equals_per_record_loop_bitwise(n, delay, noisy):
 
 
 def test_trajectory_io_round_trip(tmp_path):
-    t = traj(6, seed=9)
+    trajs = [traj(6, seed=9), traj(2, seed=10)]
     p = tmp_path / "t.csv"
-    write_trajectory(p, t)
-    back = read_trajectory(p)
-    assert np.array_equal(back.inputs, t.inputs)
-    assert np.array_equal(back.outputs, t.outputs)
-    assert back.noisy_outputs is None
-    # last row has an empty input cell
-    lines = p.read_text().strip().splitlines()
-    assert lines[0] == "t,u,y"
-    assert lines[-1].split(",")[1] == ""
+    write_trajectories(p, trajs, {"plant": "x", "seed": 9})
+    meta, back = read_trajectories(p)
+    assert meta == {"plant": "x", "seed": "9", "count": "2"}
+    for t, b in zip(trajs, back, strict=True):
+        assert np.array_equal(b.inputs, t.inputs)
+        assert np.array_equal(b.outputs, t.outputs)
+        assert b.noisy_outputs is None
+    # each trajectory's last row has an empty input cell
+    lines = p.read_text().splitlines()
+    assert lines[:2] == ["# plant=x seed=9 count=2", "traj,t,u,y"]
+    assert lines[8].startswith("0,6,,") and lines[9].startswith("1,0,")
+    assert lines[-1].startswith("1,2,,")
 
 
 def test_trajectory_io_noisy_column(tmp_path):
@@ -239,24 +241,26 @@ def test_trajectory_io_noisy_column(tmp_path):
     t = Trajectory(inputs=t.inputs, outputs=t.outputs,
                    noisy_outputs=t.outputs + 0.01)
     p = tmp_path / "t.csv"
-    write_trajectory(p, t)
-    back = read_trajectory(p)
+    write_trajectories(p, [t], {})
+    meta, (back,) = read_trajectories(p)
     assert np.array_equal(back.noisy_outputs, t.noisy_outputs)
-    assert p.read_text().splitlines()[0] == "t,u,y,y_noisy"
+    assert p.read_text().splitlines()[:2] == ["# count=1", "traj,t,u,y,y_noisy"]
 
 
 def reference_read(path):
-    """Per-cell ``float()`` reader: the oracle for the bulk reader."""
-    rows = [line.split(",") for line in open(path, newline="").read().splitlines()]
-    noisy = rows[0] == ["t", "u", "y", "y_noisy"]
-    return ([float(r[1]) for r in rows[1:-1]], [float(r[2]) for r in rows[1:]],
-            [float(r[3]) for r in rows[1:]] if noisy else None)
+    """Per-cell ``float()`` reader: the oracle for the bulk reader, as
+    (inputs, outputs, noisy outputs or None) per trajectory."""
+    rows = [line.split(",") for line in open(path, newline="").read().splitlines()[1:]]
+    noisy = rows[0] == ["traj", "t", "u", "y", "y_noisy"]
+    blocks = {}
+    for row in rows[1:]:
+        blocks.setdefault(int(row[0]), []).append(row)
+    return [([float(r[2]) for r in b[:-1]], [float(r[3]) for r in b],
+             [float(r[4]) for r in b] if noisy else None) for b in blocks.values()]
 
 
-def assert_read_bitwise(trajs, paths):
-    assert len(trajs) == len(paths)
-    for t, path in zip(trajs, paths):
-        u, y, yn = reference_read(path)
+def assert_read_bitwise(trajs, path):
+    for t, (u, y, yn) in zip(trajs, reference_read(path), strict=True):
         assert t.inputs.tobytes() == np.array(u).tobytes()
         assert t.outputs.tobytes() == np.array(y).tobytes()
         if yn is None:
@@ -268,32 +272,30 @@ def assert_read_bitwise(trajs, paths):
 @pytest.mark.parametrize("newline", ["\r\n", "\n"])
 def test_read_trajectories_equals_per_cell_float(tmp_path, newline):
     # hand-written cells: signed zeros, 17 digits, exponent forms, extremes;
-    # clean and noisy files mixed in one call
+    # a clean and a noisy table
     cells = ["0", "-0.0", "0.0", "-0", "0.12345678901234568", "-1.2345678901234567e-05",
              "1e300", "2.2250738585072014e-308", "5e-324", "1E+05", "-3.5e2",
              "1.7976931348623157e+308", "+7", ".5", "5.", "12345678901234567890"]
-    paths = []
-    for k, noisy in enumerate([False, True, True, False]):
-        rows = ["t,u,y,y_noisy" if noisy else "t,u,y"]
-        T = len(cells) + k  # every cell in every column of every file
-        for t in range(T + 1):
-            row = [str(t), cells[(t + k) % len(cells)] if t < T else "",
-                   cells[(t + 5 * k) % len(cells)]]
-            rows.append(",".join(row + [cells[(t + 7) % len(cells)]] if noisy else row))
-        paths.append(tmp_path / f"t{k}.csv")
-        paths[-1].write_bytes(newline.join(rows).encode() + newline.encode())
-    trajs = read_trajectories(paths)
-    assert_read_bitwise(trajs, paths)
-    zeros = np.concatenate([t.outputs for t in trajs])
-    assert np.signbit(zeros[zeros == 0]).any() and not np.signbit(zeros[zeros == 0]).all()
-    assert [t.noisy_outputs is not None for t in trajs] == [False, True, True, False]
-    one = read_trajectory(paths[1])
-    assert one.noisy_outputs.tobytes() == trajs[1].noisy_outputs.tobytes()
+    for noisy in (False, True):
+        rows = ["# count=4", "traj,t,u,y,y_noisy" if noisy else "traj,t,u,y"]
+        for k in range(4):
+            T = len(cells) + k  # every cell in every column of every trajectory
+            for t in range(T + 1):
+                row = [str(k), str(t), cells[(t + k) % len(cells)] if t < T else "",
+                       cells[(t + 5 * k) % len(cells)]]
+                rows.append(",".join(row + [cells[(t + 7) % len(cells)]] if noisy else row))
+        path = tmp_path / f"noisy{int(noisy)}.csv"
+        path.write_bytes(newline.join(rows).encode() + newline.encode())
+        meta, trajs = read_trajectories(path)
+        assert_read_bitwise(trajs, path)
+        assert [t.noisy_outputs is not None for t in trajs] == [noisy] * 4
+        zeros = np.concatenate([t.outputs for t in trajs])
+        assert np.signbit(zeros[zeros == 0]).any() and not np.signbit(zeros[zeros == 0]).all()
 
 
 @pytest.mark.parametrize("plant", ["numerical", "pendulum", "pendulum-noisy"])
 def test_read_trajectories_of_collected_files(tmp_path, plant):
-    # the files ``collect`` writes: the reader returns the written arrays,
+    # the table ``collect`` writes: the reader returns the written arrays,
     # and per-cell float() agrees bit for bit
     if plant == "numerical":
         trajs = collect_numerical_trajectories(seed=3)
@@ -301,12 +303,12 @@ def test_read_trajectories_of_collected_files(tmp_path, plant):
         trajs = collect_pendulum_trajectories()
         if plant == "pendulum-noisy":
             trajs = [add_noise(t, 0.01, 3, stream_offset=k) for k, t in enumerate(trajs)]
-    paths = [tmp_path / f"traj_{k:04d}.csv" for k in range(len(trajs))]
-    for path, t in zip(paths, trajs):
-        write_trajectory(path, t)
-    back = read_trajectories(paths)
-    assert_read_bitwise(back, paths)
-    for t, b in zip(trajs, back):
+    path = tmp_path / "trajectories.csv"
+    write_trajectories(path, trajs, {"plant": plant})
+    meta, back = read_trajectories(path)
+    assert meta == {"plant": plant, "count": str(len(trajs))}
+    assert_read_bitwise(back, path)
+    for t, b in zip(trajs, back, strict=True):
         assert t.inputs.tobytes() == b.inputs.tobytes()
         assert t.outputs.tobytes() == b.outputs.tobytes()
         if t.noisy_outputs is not None:
@@ -318,47 +320,94 @@ def write_rows(path, *rows):
     return path
 
 
+ONE = "# count=1"  # the comment of a one-trajectory table
+
+
 @pytest.mark.parametrize("rows,message", [
-    (("t,u,x", "0,1,2", "1,,3"), "a.csv:1: unexpected trajectory header ['t', 'u', 'x']"),
-    ((), "a.csv:1: unexpected trajectory header []"),
-    (("t,u,y",), "a.csv: no trajectory rows"),
-    (("t,u,y", "0,0.5,0.1,9.9", "1,,0.2"),
-     "a.csv:2: bad trajectory row ['0', '0.5', '0.1', '9.9']"),
-    (("t,u,y,y_noisy", "0,0.5,0.1", "1,,0.2,0.3"), "a.csv:2: bad trajectory row ['0', '0.5', '0.1']"),
-    (("t,u,y", "0,0.5,0.1", "", "1,,0.2"), "a.csv:3: bad trajectory row []"),
-    (("t,u,y", "0,0.5,nan", "1,,0.2"), "a.csv:2: bad trajectory row ['0', '0.5', 'nan']"),
-    (("t,u,y", "0,-inf,0.1", "1,,0.2"), "a.csv:2: bad trajectory row ['0', '-inf', '0.1']"),
-    (("t,u,y,y_noisy", "0,0.5,0.1,1e999", "1,,0.2,0.3"), "a.csv:2: bad trajectory row"),
-    (("t,u,y", "0,0.5,0.1", "1,,0.2", "2,0.1,0.3"), "a.csv:3: bad trajectory row ['1', '', '0.2']"),
-    (("t,u,y", "0,0.5,0.1", "1,0.1,0.3"), "a.csv: 2 outputs need 1 inputs, not 2"),
-    (("t,u,y", "0,,0.1", "1,0.5,0.2", "2,,0.3"), "a.csv: 3 outputs need 2 inputs, not 1"),
-    (("t,u,y", "0,0.5,0.1", "1,,0.2", "2,,0.3"), "a.csv: 3 outputs need 2 inputs, not 1"),
-], ids=["header", "empty_file", "header_only", "extra_field", "missing_field", "blank_line",
-        "nan_output", "inf_input", "overflow_noisy", "input_missing_midway", "last_input_present",
-        "inputs_missing", "inputs_missing_last"])
+    ((ONE, "traj,t,u,x", "0,0,1,2", "0,1,,3"),
+     "a.csv:2: unexpected trajectory header ['traj', 't', 'u', 'x']"),
+    ((ONE, "t,u,y", "0,1,2", "1,,3"), "a.csv:2: unexpected trajectory header ['t', 'u', 'y']"),
+    ((), "a.csv:1: not a trajectory table comment ''"),
+    (("traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2"),
+     "a.csv:1: not a trajectory table comment 'traj,t,u,y'"),
+    (("# count=1 noisy", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2"),
+     "a.csv:1: not a trajectory table comment '# count=1 noisy'"),
+    (("# count=2", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2"),
+     "a.csv:1: count=2 in the comment, 1 trajectories in the table"),
+    (("# plant=x", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2"),
+     "a.csv:1: count=None in the comment, 1 trajectories in the table"),
+    ((ONE, "traj,t,u,y"), "a.csv:3: no trajectory rows"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1,9.9", "0,1,,0.2"),
+     "a.csv:3: bad trajectory row ['0', '0', '0.5', '0.1', '9.9']"),
+    ((ONE, "traj,t,u,y,y_noisy", "0,0,0.5,0.1", "0,1,,0.2,0.3"),
+     "a.csv:3: bad trajectory row ['0', '0', '0.5', '0.1']"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "", "0,1,,0.2"), "a.csv:4: bad trajectory row []"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,nan", "0,1,,0.2"),
+     "a.csv:3: bad trajectory row ['0', '0', '0.5', 'nan']"),
+    ((ONE, "traj,t,u,y", "0,0,-inf,0.1", "0,1,,0.2"),
+     "a.csv:3: bad trajectory row ['0', '0', '-inf', '0.1']"),
+    ((ONE, "traj,t,u,y,y_noisy", "0,0,0.5,0.1,1e999", "0,1,,0.2,0.3"),
+     "a.csv:3: bad trajectory row"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2", "0,2,0.1,0.3"),
+     "a.csv:4: bad trajectory row ['0', '1', '', '0.2']"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,1,0.1,0.3"),
+     "a.csv:4: bad trajectory row ['0', '1', '0.1', '0.3']"),
+    ((ONE, "traj,t,u,y", "0,0,,0.1", "0,1,0.5,0.2", "0,2,,0.3"),
+     "a.csv:3: bad trajectory row ['0', '0', '', '0.1']"),
+    (("# count=2", "traj,t,u,y", "0,0,0.5,0.1", "0,1,0.5,0.2", "1,0,0.5,0.3", "1,1,,0.4"),
+     "a.csv:4: bad trajectory row ['0', '1', '0.5', '0.2']"),
+    ((ONE, "traj,t,u,y", "abc,0,0.5,0.1", "0,1,,0.2"),
+     "a.csv:3: bad trajectory row ['abc', '0', '0.5', '0.1']"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,,,0.2"),
+     "a.csv:4: bad trajectory row ['0', '', '', '0.2']"),
+    ((ONE, "traj,t,u,y", "1,0,0.5,0.1", "1,1,,0.2"),
+     "a.csv:3: bad trajectory row ['1', '0', '0.5', '0.1']"),
+    (("# count=2", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2", "2,0,0.5,0.3", "2,1,,0.4"),
+     "a.csv:5: bad trajectory row ['2', '0', '0.5', '0.3']"),
+    (("# count=2", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2", "1,0,0.5,0.3", "0,1,,0.4"),
+     "a.csv:6: bad trajectory row ['0', '1', '', '0.4']"),
+    ((ONE, "traj,t,u,y", "0,1,0.5,0.1", "0,2,,0.2"),
+     "a.csv:3: bad trajectory row ['0', '1', '0.5', '0.1']"),
+    (("# count=2", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2", "1,2,0.5,0.3", "1,3,,0.4"),
+     "a.csv:5: bad trajectory row ['1', '2', '0.5', '0.3']"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,0,,0.2"),
+     "a.csv:4: bad trajectory row ['0', '0', '', '0.2']"),
+    ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,0.5,0.5,0.2", "0,2,,0.3"),
+     "a.csv:4: bad trajectory row ['0', '0.5', '0.5', '0.2']"),
+], ids=["header", "old_header", "empty_file", "no_comment", "comment_token", "count_mismatch",
+        "count_missing", "header_only", "extra_field", "missing_field", "blank_line", "nan_output",
+        "inf_input", "overflow_noisy", "input_missing_midway", "last_input_present",
+        "inputs_missing", "inputs_missing_last", "traj_text", "t_empty", "traj_from_one",
+        "traj_skips", "traj_goes_back", "t_from_one", "t_no_restart", "t_repeats", "t_fraction"])
 def test_read_trajectories_rejects(tmp_path, rows, message):
     with pytest.raises(ConfigError) as info:
-        read_trajectories([write_rows(tmp_path / "a.csv", *rows)])
+        read_trajectories(write_rows(tmp_path / "a.csv", *rows))
     assert str(info.value).startswith(str(tmp_path / message.split(" ")[0]))
     assert message in str(info.value)
 
 
-def test_read_trajectories_reports_the_first_fault_in_file_and_line_order(tmp_path):
-    good = ("t,u,y", "0,0.5,0.1", "1,,0.2")
-    a = write_rows(tmp_path / "a.csv", "t,u,y", "0,abc,0.1", "1,,0.2")
-    b = write_rows(tmp_path / "b.csv", "t,u")
-    c = write_rows(tmp_path / "c.csv", "t,u,y", "0,0.5,0.1,7", "1,,nan")
-    d = write_rows(tmp_path / "d.csv", "t,u,y", "0,1,nan", "1,,0.2,7")
-    e = write_rows(tmp_path / "e.csv", "t,u,y", "0,0.5,0.1", "1,0.5,0.2")
-    g = write_rows(tmp_path / "g.csv", *good)
-    cases = [([g, a, b], f"{a}:2: bad trajectory row ['0', 'abc', '0.1']"),
-             ([g, b, a], f"{b}:1: unexpected trajectory header ['t', 'u']"),
-             ([g, c, a], f"{c}:2: bad trajectory row ['0', '0.5', '0.1', '7']"),
-             ([d, c], f"{d}:2: bad trajectory row ['0', '1', 'nan']"),
-             ([e, d], f"{e}: 2 outputs need 1 inputs, not 2"),
-             ([g, d, e], f"{d}:2: bad trajectory row")]
-    for paths, message in cases:
+def test_read_trajectories_reports_the_first_fault_in_line_order(tmp_path):
+    good = ("# count=2", "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2", "1,0,0.5,0.3", "1,1,,0.4")
+
+    def fault(**lines):
+        # ``good`` with the rows at line ``lN`` replaced
+        rows = list(good)
+        for key, text in lines.items():
+            rows[int(key[1:]) - 1] = text
         with pytest.raises(ConfigError) as info:
-            read_trajectories(paths)
-        assert str(info.value).startswith(message)
-    assert len(read_trajectories([g, g])) == 2
+            read_trajectories(write_rows(tmp_path / "a.csv", *rows))
+        return str(info.value)[len(str(tmp_path / "a.csv")):]
+
+    assert fault(l3="0,0,abc,0.1", l4="0,1,,0.2,7") == (
+        ":3: bad trajectory row ['0', '0', 'abc', '0.1']")
+    assert fault(l4="0,1,,0.2,7", l5="1,0,0.5,nan").startswith(":4: bad trajectory row")
+    assert fault(l4="x,1,,0.2", l5="1,0,0.5,nan").startswith(":4: bad trajectory row")
+    assert fault(l4="0,1,,nan", l5="1,0,,0.3").startswith(":4: bad trajectory row")
+    assert fault(l3="0,0,,0.1", l5="1,0,nan,0.3").startswith(":3: bad trajectory row")
+    assert fault(l5="1,0,0.5,nan", l6="1,1,0.5,0.4").startswith(":5: bad trajectory row")
+    # a row whose successor is out of order or unsplit is not blamed for
+    # where its trajectory seems to end
+    assert fault(l4="0,1,0.5,0.2", l5="x,0,0.5,0.3").startswith(":5: bad trajectory row")
+    assert fault(l4="0,1,0.5,0.2", l5="1,0,0.5").startswith(":5: bad trajectory row")
+    assert fault(l1="# count=3", l5="1,0,0.5,nan").startswith(":5: bad trajectory row")
+    assert len(read_trajectories(write_rows(tmp_path / "a.csv", *good))[1]) == 2

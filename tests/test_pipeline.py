@@ -155,10 +155,10 @@ def test_pipeline_determinism(tmp_path):
         pipeline.cmd_simulate(cfg, log=lambda *a: None)
         outs.append(out)
     a, b = outs
-    for rel in ("manifest.txt", "model.txt", "build_report.txt", "summary.txt"):
+    for rel in ("trajectories.csv", "model.txt", "build_report.txt", "summary.txt"):
         assert filecmp.cmp(os.path.join(a, rel), os.path.join(b, rel),
                            shallow=False), rel
-    for sub in ("trajectories", "families", "runs"):
+    for sub in ("families", "runs"):
         names = sorted(os.listdir(os.path.join(a, sub)))
         assert names == sorted(os.listdir(os.path.join(b, sub)))
         for nm in names:
@@ -171,11 +171,8 @@ def test_collect_idempotent(numerical_cfg, tmp_path):
     cfg = default_config("numerical")
     cfg.outdir = out
     pipeline.cmd_collect(cfg, log=lambda *a: None)
-    src = os.path.join(numerical_cfg.outdir, "trajectories")
-    dst = os.path.join(out, "trajectories")
-    for nm in sorted(os.listdir(src)):
-        assert filecmp.cmp(os.path.join(src, nm), os.path.join(dst, nm),
-                           shallow=False)
+    assert filecmp.cmp(os.path.join(numerical_cfg.outdir, "trajectories.csv"),
+                       os.path.join(out, "trajectories.csv"), shallow=False)
 
 
 def test_build_report_contents(numerical_cfg):
@@ -802,27 +799,34 @@ def test_cli_verify_fails_negative_certified_radius(pendulum_cfg, tmp_path):
 
 
 @pytest.mark.parametrize("name,line,text,message,stage", [
-    ("trajectories/traj_0000.csv", None, "garbage",
-     "traj_0000.csv:5: bad trajectory row ['garbage']", "simulate"),
-    ("trajectories/traj_0000.csv", 3, "1,abc,0.5", "traj_0000.csv:3: bad trajectory row",
+    ("trajectories.csv", None, "garbage",
+     "trajectories.csv:843: bad trajectory row ['garbage']", "simulate"),
+    ("trajectories.csv", 4, "0,1,abc,0.5", "trajectories.csv:4: bad trajectory row",
      "simulate"),
     ("model.txt", 10, "0.1,-1,-1,0,abc,146.3", "model.txt:10: bad model row", "simulate"),
-    ("trajectories/traj_0000.csv", 3, "1,,-1", "traj_0000.csv: 3 outputs need 2 inputs, not 1",
-     "simulate"),
+    ("trajectories.csv", 4, "0,1,,-1",
+     "trajectories.csv:4: bad trajectory row ['0', '1', '', '-1']", "simulate"),
     ("model.txt", 1, None, "model.txt: not a model dump (KeyError: 'family')", "simulate"),
     ("model.txt", 9, None, "model.txt: not a model dump (ValueError: rows of shape (279, 6)",
      "simulate"),
-    ("trajectories/traj_0000.csv", 4, "2,,nan",
-     "traj_0000.csv:4: bad trajectory row ['2', '', 'nan']", "build"),
+    ("trajectories.csv", 5, "0,2,,nan",
+     "trajectories.csv:5: bad trajectory row ['0', '2', '', 'nan']", "build"),
     ("model.txt", 10, "0.1,-1,-1,0,0.5,nan", "model.txt:10: bad model row", "simulate"),
     ("model.txt", 10, "0.1,-1,-1,0,0.5,146.3,1", "model.txt:10: bad model row", "simulate"),
-    ("trajectories/traj_0000.csv", 2, "0,0.5,0.1,9.9",
-     "traj_0000.csv:2: bad trajectory row ['0', '0.5', '0.1', '9.9']", "build"),
-    ("trajectories/traj_0000.csv", (2, 4), None, "traj_0000.csv: no trajectory rows", "build"),
+    ("trajectories.csv", 3, "0,0,0.5,0.1,9.9",
+     "trajectories.csv:3: bad trajectory row ['0', '0', '0.5', '0.1', '9.9']", "build"),
+    ("trajectories.csv", (3, None), None, "trajectories.csv:3: no trajectory rows", "build"),
+    ("trajectories.csv", 6, "abc,0,0,-1",
+     "trajectories.csv:6: bad trajectory row ['abc', '0', '0', '-1']", "build"),
+    ("trajectories.csv", 5, "0,,,0.5",
+     "trajectories.csv:5: bad trajectory row ['0', '', '', '0.5']", "build"),
+    ("trajectories.csv", (840, 842), None,
+     "trajectories.csv:1: count=280 in the comment, 279 trajectories in the table", "build"),
 ], ids=["trajectory_extra_line", "trajectory_text_value", "trajectory_input_missing",
         "model_text_value", "model_without_family", "model_row_missing",
         "trajectory_nan_output", "model_nan_weight", "model_extra_field",
-        "trajectory_extra_field", "trajectory_header_only"])
+        "trajectory_extra_field", "trajectory_header_only", "trajectory_traj_text",
+        "trajectory_t_empty", "trajectory_count"])
 def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
                                        name, line, text, message, stage):
     # lines ``line`` (a number, or a (first, last) range) are replaced by
@@ -844,31 +848,48 @@ def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
     assert err.startswith("config error:") and message in err
 
 
-@pytest.mark.parametrize("case,stages,message", [
-    ("too_short", ["build"],
-     "trajectories/traj_0000.csv: trajectory too short: horizon 1 < 3"),
-    ("not_noisy", ["build"],
-     "trajectories/traj_0000.csv: trajectory has no noisy outputs"),
-    ("no_files", ["build", "simulate"], "manifest.txt: lists no trajectory files"),
-])
-def test_cli_rejects_trajectories_without_records(tmp_path, capsys, case, stages, message):
+@pytest.mark.parametrize("case,flags,stages,message", [
+    ("too_short", [], ["build"],
+     "trajectories.csv: trajectory 0: trajectory too short: horizon 1 < 3"),
+    ("not_noisy", ["--noisy"], ["build"],
+     "trajectories.csv:1: collected with noisy=0, the config has noisy=1"),
+    ("no_rows", [], ["build", "simulate"], "trajectories.csv:3: no trajectory rows"),
+    ("plant_mismatch", ["--plant", "numerical"], ["build", "simulate"],
+     "trajectories.csv:1: collected with plant=pendulum, the config has plant=numerical"),
+    ("noisy_seed_mismatch", ["--noisy", "--seed", "4"], ["build"],
+     "trajectories.csv:1: collected with seed=0, the config has seed=4"),
+    ("sigma_mismatch", ["--noisy"], ["build"],
+     "trajectories.csv:1: collected with sigma_d=0.02, the config has sigma_d=0.01"),
+], ids=["too_short", "not_noisy", "no_rows", "plant_mismatch", "noisy_seed_mismatch",
+        "sigma_mismatch"])
+def test_cli_rejects_trajectories_without_records(tmp_path, capsys, case, flags, stages,
+                                                  message):
+    # the table collect writes for the default pendulum study (noisy where
+    # the case damages the noisy comment), then damaged per ``case``
     out = str(tmp_path / case)
     cfg = default_config("pendulum")
-    cfg.outdir = out
+    cfg.outdir, cfg.noisy = out, case in ("noisy_seed_mismatch", "sigma_mismatch")
     pipeline.cmd_collect(cfg, log=lambda *a: None)
-    manifest = os.path.join(out, "manifest.txt")
+    path = os.path.join(out, "trajectories.csv")
+    lines = open(path).read().splitlines()
     if case == "too_short":
-        open(os.path.join(out, "trajectories", "traj_0000.csv"), "w").write(
-            "t,u,y\n0,0.5,0.1\n1,,0.2\n")
-    elif case == "no_files":
-        lines = open(manifest).read().splitlines()
-        open(manifest, "w").write("\n".join(l for l in lines if not l.startswith("file")))
-    flags = ["--noisy"] if case == "not_noisy" else []
+        lines = [lines[0].replace("count=6", "count=1"), lines[1], "0,0,0.5,0.1", "0,1,,0.2"]
+    elif case == "no_rows":
+        lines = lines[:2]
+    elif case == "sigma_mismatch":
+        lines[0] = lines[0].replace("sigma_d=0.01", "sigma_d=0.02")
+    open(path, "w").write("\n".join(lines) + "\n")
     for stage in stages:
         capsys.readouterr()
         assert main([stage, "--plant", "pendulum", "--out", out, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+
+def test_load_dataset_ignores_the_seed_for_noise_free_pendulum_data(pendulum_cfg):
+    # the noise-free pendulum data draw no seed, so the table loads under any
+    cfg = replace(pendulum_cfg, seed=pendulum_cfg.seed + 7)
+    assert len(pipeline.load_dataset(cfg)) == len(pipeline.load_dataset(pendulum_cfg))
 
 
 def test_cli_simulate_rejects_model_with_infeasible_input(numerical_cfg, tmp_path, capsys):
