@@ -9,7 +9,7 @@ benchmark plants.
 from .bounds import DeviationBounds
 from .controller import Controller, StepCertificate
 from .interpolant import Interpolant, fit_interpolant
-from .kernels import ArdMatern52Kernel, IsotropicKernel, make_kernel
+from .kernels import Kernel
 from .levelsets import LevelFamily, build_level_family, check_nesting
 from .narx import NarxDataset, Trajectory, build_dataset, shift_state
 from .plants import (NumericalPlant, PendulumPlant, add_noise,
@@ -20,8 +20,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DeviationBounds", "Controller", "StepCertificate", "Interpolant",
-    "fit_interpolant", "ArdMatern52Kernel",
-    "IsotropicKernel", "make_kernel", "LevelFamily", "build_level_family",
+    "fit_interpolant", "Kernel", "LevelFamily", "build_level_family",
     "check_nesting", "NarxDataset", "Trajectory", "build_dataset",
     "shift_state", "NumericalPlant", "PendulumPlant",
     "add_noise", "collect_numerical_trajectories",

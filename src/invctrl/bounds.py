@@ -6,7 +6,8 @@ Lipschitz constant of the inverse model ``lip_c``, RKHS-norm bound
 
 * ``interp_err(eps)``  -- bound on the inverse-model estimation error at
   distance ``eps`` from the training features:
-  ``rkhs_bound * sqrt(1 - kbar(eps)/kbar(0))`` from the kernel profile.
+  ``rkhs_bound * sqrt(1 - kbar(s)/kbar(0))`` from the kernel's profile at
+  the radius ``s = eps / kernel.radius_scale``.
 * ``input_dev(eps)  = lip_c * eps + interp_err(eps)``
 * ``output_dev(eps) = lip_f * (eps + input_dev(eps))``   (delay 1 only)
 * ``state_dev(eps)``:  ``input_dev + output_dev + eps`` for delay 1,
@@ -22,16 +23,17 @@ Each bound is one private formula; the public methods check ``eps >= 0`` and
 call it, the bisection calls it directly, and ``kbar(0)`` is read once.
 
 The profile ``interp_err`` is one concrete choice of class-K error
-bound; tighter bounds exist for specific kernels.  For anisotropic kernels
-pass the profile evaluated at the most conservative (smallest) length scale.
+bound; tighter bounds exist for specific kernels.  An anisotropic kernel's
+``radius_scale`` takes its most conservative (smallest) length scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
+
+from .kernels import Kernel
 
 __all__ = ["DeviationBounds"]
 
@@ -50,9 +52,8 @@ class DeviationBounds:
     lip_f: float
     lip_c: float
     rkhs_bound: float
+    kernel: Kernel  # interp_err reads its profile
     delay: int = 1
-    profile: Optional[Callable] = None          # scalar kernel profile kbar(r)
-    profile_deficit: Optional[Callable] = None  # kbar(0) - kbar(r), stably
     gamma_mode: str = "composed"
     gamma_slope: float = 0.0
 
@@ -65,12 +66,10 @@ class DeviationBounds:
             raise ValueError("delay must be 1 or 2")
         if self.gamma_mode not in ("composed", "linear"):
             raise ValueError(f"unknown gamma_mode {self.gamma_mode!r}")
-        if self.profile is None or self.profile_deficit is None:
-            raise ValueError("interp_err needs the kernel profile and its deficit")
         if self.gamma_mode == "linear" and self.gamma_slope <= 0:
             raise ValueError("linear gamma mode needs a positive slope")
         # kbar(0), read once: every interp_err evaluation divides by it
-        object.__setattr__(self, "_k0", float(self.profile(0.0)))
+        object.__setattr__(self, "_k0", float(self.kernel.profile(0.0)))
 
     def _checked(self, formula, eps):
         """``formula`` at checked ``eps``; a float for scalar ``eps``."""
@@ -81,7 +80,7 @@ class DeviationBounds:
         return float(out) if np.ndim(out) == 0 else out
 
     def _interp_err(self, eps):
-        deficit = np.asarray(self.profile_deficit(eps), dtype=float)
+        deficit = self.kernel.profile_deficit(eps / self.kernel.radius_scale)
         return self.rkhs_bound * np.sqrt(np.maximum(0.0, deficit / self._k0))
 
     def _input_dev(self, eps):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Tuple
 
 from .bounds import DeviationBounds
-from .kernels import make_kernel
+from .kernels import Kernel
 from .plants import NumericalPlant, PendulumPlant
 
 __all__ = ["ConfigError", "RunConfig", "default_config", "load_config"]
@@ -73,17 +73,13 @@ class RunConfig:
         return PLANTS[self.plant]()
 
     def make_kernel(self):
-        return make_kernel(self.kernel_family, self.sigma_f, self.sigma_l)
+        return Kernel(self.kernel_family, self.sigma_f, self.sigma_l)
 
     def make_bounds(self, kernel) -> DeviationBounds:
-        """Bounds on the kernel's scalar profile, taken at the radius
-        ``distance / kernel.radius_scale``."""
-        scale = kernel.radius_scale
+        """Bounds on ``kernel``'s profile and this config's constants."""
         return DeviationBounds(
-            lip_f=self.lip_f, lip_c=self.lip_c, rkhs_bound=self.rkhs_bound,
-            delay=self.delay, profile=lambda r: kernel.profile(r / scale),
-            profile_deficit=lambda r: kernel.profile_deficit(r / scale),
-            gamma_mode=self.gamma_mode, gamma_slope=self.gamma_slope)
+            lip_f=self.lip_f, lip_c=self.lip_c, rkhs_bound=self.rkhs_bound, kernel=kernel,
+            delay=self.delay, gamma_mode=self.gamma_mode, gamma_slope=self.gamma_slope)
 
     def effective_lam(self):
         """Ridge weight actually used by build: noisy pendulum runs default to

@@ -33,7 +33,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .config import ConfigError
-from .kernels import make_kernel
+from .kernels import Kernel
 from .narx import FLOAT_FMT, NarxDataset, parse_floats
 
 __all__ = [
@@ -126,7 +126,7 @@ class Interpolant:
             K = self.kernel.gram(self.train_x) if gram is None else gram
             self._chol = cho_factor(K + (self.lam + self.jitter) * np.eye(len(self)), lower=True)
         sol = cho_solve(self._chol, kx)
-        k0 = float(self.kernel.profile(0.0))  # k(x, x) for both kernel classes
+        k0 = float(self.kernel.profile(0.0))  # k(x, x)
         return np.sqrt(np.maximum(0.0, k0 - np.sum(kx * sol, axis=0)))
 
 
@@ -180,7 +180,8 @@ def load_interpolant(path) -> Interpolant:
     bitwise equal to ``float()`` of each cell.  A row without ``dim + 2``
     fields or with a value that is not a finite number raises ``ConfigError``
     at ``path:line``; a missing or bad header key, or a row count other than
-    ``N``, raises ``ConfigError`` at ``path`` ("not a model dump")."""
+    ``N``, or a kernel that does not take ``dim``-dimensional points, raises
+    ``ConfigError`` at ``path`` ("not a model dump")."""
     with open(path, "rb", buffering=0) as fh:
         lines = fh.read().splitlines()
     meta, h = {}, len(lines)
@@ -194,10 +195,11 @@ def load_interpolant(path) -> Interpolant:
         key, _, val = line.partition("=")
         meta[key.strip()] = val.strip()
     try:
-        kernel = make_kernel(meta["family"], float(meta["sigma_f"]),
-                             [float(v) for v in meta["sigma_l"].split(",")])
+        kernel = Kernel(meta["family"], float(meta["sigma_f"]),
+                        [float(v) for v in meta["sigma_l"].split(",")])
         dim, lam, jitter = int(meta["dim"]), float(meta["lambda"]), float(meta["jitter"])
         N = int(meta["N"])
+        kernel.embed(np.empty((0, dim)))  # the kernel must take dim-dimensional points
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: not a model dump ({type(exc).__name__}: {exc})") from None
     rows = list(filter(None, map(bytes.strip, lines[h:])))

@@ -10,20 +10,17 @@ from hypothesis import given, settings, strategies as st
 from invctrl import verify
 from invctrl.bounds import DeviationBounds
 from invctrl.config import default_config
-from invctrl.kernels import IsotropicKernel
+from invctrl.kernels import Kernel
 from invctrl.levelsets import build_level_family, pairwise_distances, successor_inradii
 
 from conftest import inradius_by_level
 
-SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
+SE = Kernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 
 # the benchmark's constants: lip_f = 6.5, lip_c = 0.22, norm bound 1
-BENCH = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
-                        profile=SE.profile, profile_deficit=SE.profile_deficit)
+BENCH = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, kernel=SE, delay=1)
 
-LINEAR = DeviationBounds(lip_f=3.59, lip_c=336000.0, rkhs_bound=20.0, delay=2,
-                         profile=SE.profile,
-                         profile_deficit=SE.profile_deficit,
+LINEAR = DeviationBounds(lip_f=3.59, lip_c=336000.0, rkhs_bound=20.0, kernel=SE, delay=2,
                          gamma_mode="linear", gamma_slope=1.005)
 
 
@@ -83,9 +80,7 @@ def test_state_dev_composed_identity():
 
 
 def test_state_dev_delay_two_form():
-    b = DeviationBounds(lip_f=3.0, lip_c=2.0, rkhs_bound=1.0, delay=2,
-                        profile=SE.profile,
-                        profile_deficit=SE.profile_deficit)
+    b = DeviationBounds(lip_f=3.0, lip_c=2.0, rkhs_bound=1.0, kernel=SE, delay=2)
     e = 0.37
     expected = b.input_dev(e) + (1.0 + 3.0) * e
     assert b.state_dev(e) == pytest.approx(expected, rel=1e-14)
@@ -141,15 +136,14 @@ def test_class_k_grid():
 
 def test_invalid_configurations_rejected():
     with pytest.raises(ValueError):
-        DeviationBounds(lip_f=0.0, lip_c=1.0, rkhs_bound=1.0)
+        DeviationBounds(lip_f=0.0, lip_c=1.0, rkhs_bound=1.0, kernel=SE)
+    with pytest.raises(TypeError):
+        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0)  # no kernel
     with pytest.raises(ValueError):
-        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0)  # no profile
+        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0, kernel=SE, delay=3)
     with pytest.raises(ValueError):
-        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0, delay=3,
-                        profile=SE.profile)
-    with pytest.raises(ValueError):
-        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0,
-                        profile=SE.profile, gamma_mode="linear")
+        DeviationBounds(lip_f=1.0, lip_c=1.0, rkhs_bound=1.0, kernel=SE,
+                        gamma_mode="linear")
 
 
 @given(st.floats(1e-8, 1e3), st.floats(1.01, 3.0))
@@ -207,14 +201,15 @@ def counting_deficit(bounds):
     """``bounds`` with its kernel-deficit calls counted in the returned list."""
     calls = []
 
-    def deficit(e):
-        calls.append(np.size(e))
-        return bounds.profile_deficit(e)
-    return replace(bounds, profile_deficit=deficit), calls
+    class Counting(Kernel):
+        def profile_deficit(self, r):
+            calls.append(np.size(r))
+            return super().profile_deficit(r)
+    k = bounds.kernel
+    return replace(bounds, kernel=Counting(k.family, k.sigma_f, k.sigma_l)), calls
 
 
-DELAY2_COMPOSED = DeviationBounds(lip_f=3.59, lip_c=2.0, rkhs_bound=20.0, delay=2,
-                                  profile=SE.profile, profile_deficit=SE.profile_deficit)
+DELAY2_COMPOSED = DeviationBounds(lip_f=3.59, lip_c=2.0, rkhs_bound=20.0, kernel=SE, delay=2)
 
 
 def inversion_cases(numerical_artifacts):
@@ -331,3 +326,28 @@ def test_config_bounds_equal_the_profile_formula_bitwise(plant):
     assert np.array_equal(bounds.interp_err(eps), eta)
     assert np.array_equal(bounds.state_dev(eps), dev)
     assert 0.0 < eta.min() and eta.max() <= cfg.rkhs_bound
+
+
+@pytest.mark.parametrize("plant", ["numerical", "pendulum"])
+def test_config_bounds_equal_the_two_lambda_form_bitwise(request, plant):
+    # bounds built on the kernel equal bounds built on the two profile
+    # lambdas that scale a distance by radius_scale, on state_dev and on
+    # batched inversions of the study's successor inradius rows
+    art = request.getfixturevalue(f"{plant}_artifacts")
+    cfg, kernel = art["cfg"], art["model"].kernel
+    scale = kernel.radius_scale
+    lambdas = SimpleNamespace(radius_scale=1.0,
+                              profile=lambda r: kernel.profile(r / scale),
+                              profile_deficit=lambda r: kernel.profile_deficit(r / scale))
+    bounds = cfg.make_bounds(kernel)
+    reference = replace(bounds, kernel=lambdas)
+    eps = np.logspace(-9, 3, 1000)
+    assert bounds.state_dev(eps).tobytes() == reference.state_dev(eps).tobytes()
+    assert bounds.interp_err(eps).tobytes() == reference.interp_err(eps).tobytes()
+    rows = 0
+    for fam, inradius in zip(art["controller"].families[:3], art["inradii"][:3]):
+        for j, row in enumerate(inradius_by_level(fam, inradius)[:4]):
+            r = row[fam.present(j)]
+            assert bounds.state_dev_inv(r).tobytes() == reference.state_dev_inv(r).tobytes()
+            rows += 1
+    assert rows >= 6

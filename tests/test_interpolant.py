@@ -8,10 +8,10 @@ from scipy.linalg import cho_factor, cho_solve
 from invctrl.config import ConfigError
 from invctrl.interpolant import (FitError, dump_interpolant, fit_interpolant,
                                  load_interpolant)
-from invctrl.kernels import IsotropicKernel
+from invctrl.kernels import Kernel
 from invctrl.narx import NarxDataset
 
-SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
+SE = Kernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
 
 
 def make_dataset(features, controls, order=2):

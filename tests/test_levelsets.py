@@ -7,7 +7,7 @@ from scipy.spatial.distance import cdist
 
 from invctrl.bounds import DeviationBounds
 from invctrl.config import ConfigError
-from invctrl.kernels import IsotropicKernel
+from invctrl.kernels import Kernel
 from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFamily,
                                build_level_family, check_nesting, dump_family,
                                index_set_slab, load_family, load_witness, margin,
@@ -16,10 +16,8 @@ from invctrl.levelsets import (ABSENT, MIN_INRADIUS, NEAR_K, SCAN_ROWS, LevelFam
 
 from conftest import sample_in_ball, sampled_inradius, synth_dataset, synth_family
 
-SE = IsotropicKernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
-BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
-                         profile=SE.profile,
-                         profile_deficit=SE.profile_deficit)
+SE = Kernel("squared_exponential", 1.0, 2.0 * math.sqrt(2.0))
+BOUNDS = DeviationBounds(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, kernel=SE, delay=1)
 
 
 # ------------------------------------------------------------- primitives
@@ -356,8 +354,7 @@ def test_build_inverts_levels_above_zero_once_each():
             calls.append(len(r))
             return super().state_dev_inv(r)
 
-    bounds = Counting(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, delay=1,
-                      profile=SE.profile, profile_deficit=SE.profile_deficit)
+    bounds = Counting(lip_f=6.5, lip_c=0.22, rkhs_bound=1.0, kernel=SE, delay=1)
     fam, witness = build_level_family(random_records(np.random.default_rng(11), 200),
                                       bounds, 0.5, 6)
     assert len(fam.radius) > 2 and len(witness) == len(fam.radius) - 1

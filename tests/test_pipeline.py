@@ -822,11 +822,17 @@ def test_cli_verify_fails_negative_certified_radius(pendulum_cfg, tmp_path):
      "trajectories.csv:5: bad trajectory row ['0', '', '', '0.5']", "build"),
     ("trajectories.csv", (840, 842), None,
      "trajectories.csv:1: count=280 in the comment, 279 trajectories in the table", "build"),
+    # an ARD kernel with one scale does not take the 4-dimensional features
+    ("model.txt", 1, "family = ard_matern52",
+     "model.txt: not a model dump (ValueError: expected dimension 1, got 4)", "simulate"),
+    ("model.txt", 1, "family = ard_matern52",
+     "model.txt: not a model dump (ValueError: expected dimension 1, got 4)", "verify"),
 ], ids=["trajectory_extra_line", "trajectory_text_value", "trajectory_input_missing",
         "model_text_value", "model_without_family", "model_row_missing",
         "trajectory_nan_output", "model_nan_weight", "model_extra_field",
         "trajectory_extra_field", "trajectory_header_only", "trajectory_traj_text",
-        "trajectory_t_empty", "trajectory_count"])
+        "trajectory_t_empty", "trajectory_count", "model_ard_one_scale-simulate",
+        "model_ard_one_scale-verify"])
 def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
                                        name, line, text, message, stage):
     # lines ``line`` (a number, or a (first, last) range) are replaced by
@@ -846,6 +852,24 @@ def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
     assert main([stage, "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("stage", ["simulate", "verify"])
+def test_cli_rejects_pendulum_model_missing_a_scale(pendulum_cfg, tmp_path, capsys, stage):
+    # a pendulum dump that lists 3 of its 4 ARD scales does not fit its features
+    import shutil
+    out = str(tmp_path / "three_scales")
+    shutil.copytree(pendulum_cfg.outdir, out)
+    path = os.path.join(out, "model.txt")
+    lines = open(path).read().splitlines()
+    assert lines[2].startswith("sigma_l = ") and lines[2].count(",") == 3
+    lines[2] = lines[2].rpartition(",")[0]
+    open(path, "w").write("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert main([stage, "--plant", "pendulum", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "model.txt: not a model dump (ValueError: expected dimension 3, got 4)" in err
 
 
 @pytest.mark.parametrize("case,flags,stages,message", [
