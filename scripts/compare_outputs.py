@@ -12,7 +12,11 @@ run logs, summary, verify report) is then compared byte for byte, as is each
 stage's exit code; stdout is not, since it carries wall-clock timings.  A
 differing run log (``runs/*.csv``) is named with the columns that differ,
 read from its header, and on how many rows each, for example
-``runs/ic_04.csv differs in slack (1 row)``.  When one tree still writes the
+``runs/ic_04.csv differs in slack (1 row)``.  A differing ``summary.txt``
+whose lines carry the same ``ic_NN`` tags is named with the fields that
+differ, and on how many lines each; a field on one side only is named as
+added or removed, for example ``summary.txt differs in certified (4 lines),
+heuristic added (4 lines)``.  When one tree still writes the
 older trajectory layout (``manifest.txt`` plus ``trajectories/traj_NNNN.csv``)
 and the other ``trajectories.csv``, the table is rebuilt from the older files
 and compared byte for byte with the new one: a match is reported as a layout
@@ -89,8 +93,35 @@ def column_diff(old_path, new_path):
             return None
         for name, x, y in zip(counts, a, b):
             counts[name] += x != y
-    return "in " + ", ".join(f"{name} ({n} row{'s' if n != 1 else ''})"
-                             for name, n in counts.items() if n)
+    return "in " + ", ".join(f"{name} ({_plural(n, 'row')})" for name, n in counts.items() if n)
+
+
+def _plural(n, noun):
+    return f"{n} {noun}{'s' if n != 1 else ''}"
+
+
+def summary_diff(old_path, new_path):
+    """``in <field> (<n> lines), <field> added (<n> lines), ...`` for two
+    summaries whose lines carry the same ``ic_NN`` tags in the same order,
+    else None.  A field is ``added`` or ``removed`` when it is absent from
+    every line of one side."""
+    old, new = ([line.partition(":") for line in Path(p).read_text().splitlines()]
+                for p in (old_path, new_path))
+    if [tag for tag, _, _ in old] != [tag for tag, _, _ in new]:
+        return None
+    counts, names = {}, [set(), set()]
+    for (_, _, a), (_, _, b) in zip(old, new):
+        a, b = (dict(tok.partition("=")[::2] for tok in rest.split()) for rest in (a, b))
+        names[0].update(a)
+        names[1].update(b)
+        for name in {**a, **b}:
+            counts[name] = counts.get(name, 0) + (a.get(name) != b.get(name))
+    parts = []
+    for name, n in counts.items():
+        change = " added" if name not in names[0] else " removed" if name not in names[1] else ""
+        if n:
+            parts.append(f"{name}{change} ({_plural(n, 'line')})")
+    return "in " + ", ".join(parts) if parts else None
 
 
 def table_text(top):
@@ -140,9 +171,11 @@ def compare_dirs(name, old, new):
             side = "new" if rel not in new_files else "old"
             diffs.append(f"{name}: {rel} missing from the {side} tree")
         elif not filecmp.cmp(old / rel, new / rel, shallow=False):
-            log = Path(rel).match("runs/*.csv")
-            cols = column_diff(old / rel, new / rel) if log else None
-            diffs.append(f"{name}: {rel} differs" + (f" {cols}" if cols else ""))
+            if Path(rel).match("runs/*.csv"):
+                named = column_diff(old / rel, new / rel)
+            else:
+                named = summary_diff(old / rel, new / rel) if rel == "summary.txt" else None
+            diffs.append(f"{name}: {rel} differs" + (f" {named}" if named else ""))
     return diffs
 
 

@@ -32,13 +32,13 @@ def main():
     results = pipeline.cmd_simulate(cfg)
 
     print("\nclosed-loop summary")
-    print(f"{'initial condition':>22} {'metric':>10} {'certified':>10} "
+    print(f"{'initial condition':>22} {'metric':>10} {'certified':>10} {'heuristic':>10} "
           f"{'violations':>11} {'|y| tail':>9}")
     for r in results:
         tail = np.abs(r.outputs[4:]).max()
         ic = ",".join(format(v, "g") for v in r.initial_condition)
         print(f"{ic:>22} {r.rmse:>10.6f} {r.certified_fraction:>10.1%} "
-              f"{r.descent_violations:>11d} {tail:>9.4f}")
+              f"{r.heuristic_fraction:>10.1%} {r.descent_violations:>11d} {tail:>9.4f}")
 
     if not args.skip_verify:
         ok = pipeline.cmd_verify(cfg)

@@ -69,6 +69,12 @@ class RunConfig:
     def delay(self):
         return PLANTS[self.plant].delay
 
+    @property
+    def sound(self):
+        """Whether the families certify the plant: composed bound, noise-free
+        data (the linear slope is a heuristic; noisy data certify themselves)."""
+        return self.gamma_mode == "composed" and not self.noisy
+
     def make_plant(self):
         return PLANTS[self.plant]()
 

@@ -11,12 +11,13 @@ reference is the stored target of the level's record of largest slack
 ``radius - dist`` (ties by lowest index); the interpolant is applied at
 ``[reference; state]``.
 
-When no family covers the state the nearest-training-neighbour fallback is
-used: the record minimizing the state distance supplies the reference
-(distance ties broken toward the smallest-magnitude target, then lowest
-index) and the step is flagged uncertified.  Certificate bookkeeping stays
-honest either way; descent of a certified step is asserted against the same
-family one level down, as ``margin >= 0`` there.
+A step in a family ball is ``certified`` when the families were built on a
+sound bound, else ``heuristic``.  When no family covers the state the
+nearest-training-neighbour fallback is used: the record minimizing the state
+distance supplies the reference (distance ties broken toward the
+smallest-magnitude target, then lowest index).  Descent of every step in a
+family ball is asserted against the same family one level down, as ``margin
+>= 0`` there.
 """
 
 from __future__ import annotations
@@ -39,16 +40,24 @@ class StepCertificate:
     delta: Optional[float]   # None on fallback
     kappa: Optional[int]
     index: int               # selected record (reference provider)
-    slack: Optional[float]   # radius - distance, >= 0 when certified
-    certified: bool
+    slack: Optional[float]   # radius - distance, >= 0 in a family ball
+    certified: bool          # in a family ball built on a sound bound
+
+    @property
+    def label(self):
+        """``certified``, ``heuristic`` (a ball of unsound families) or ``fallback``."""
+        if self.delta is None:
+            return "fallback"
+        return "certified" if self.certified else "heuristic"
 
 
 class Controller:
     """Immutable online controller over one dataset's families."""
 
-    def __init__(self, families, interpolant):
+    def __init__(self, families, interpolant, *, sound):
         """``families``: list of LevelFamily with strictly ascending,
-        positive accuracies, all built over the same dataset."""
+        positive accuracies, all built over the same dataset; ``sound``: they
+        were built on a sound bound, so their balls certify the plant."""
         families = sorted(families, key=lambda f: f.delta)
         deltas = [f.delta for f in families]
         if any(d <= 0 for d in deltas):
@@ -57,6 +66,7 @@ class Controller:
             raise ValueError("duplicate accuracy values")
         self.families = families
         self.interpolant = interpolant
+        self.sound = bool(sound)
         self.dataset = families[0].dataset
         for f in families:
             if f.dataset is not self.dataset:
@@ -97,7 +107,7 @@ class Controller:
                 "containment reported but no covering entry found; "
                 "tolerance inconsistency between locate and select")
         cert = StepCertificate(delta=delta, kappa=int(kappa), index=k,
-                               slack=float(slack[k]), certified=True)
+                               slack=float(slack[k]), certified=self.sound)
         return cert, float(self.dataset.targets[k])
 
     def _fallback(self, d):
@@ -120,9 +130,9 @@ class Controller:
         return self.interpolant.predict(x), cert
 
     def assert_descent(self, certificate: StepCertificate, next_state):
-        """True when the successor of a certified step sits one level down
-        in the same family; None (skipped) for uncertified steps."""
-        if not certificate.certified:
+        """True when the successor of a step in a family ball sits one level
+        down in the same family; None (skipped) for fallback steps."""
+        if certificate.delta is None:
             return None
         fam = self.family(certificate.delta)
         return fam.contains(certificate.kappa - 1, next_state)

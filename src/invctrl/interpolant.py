@@ -52,10 +52,6 @@ class FitError(RuntimeError):
     """SPD factorization failed even after maximum jitter escalation."""
 
 
-def _signal_variance(kernel):
-    return float(kernel.sigma_f) ** 2
-
-
 def _factor(K, lam, sf2):
     """Cholesky of K + lam*I with escalating jitter; returns (factor, jitter)."""
     N = K.shape[0]
@@ -139,7 +135,7 @@ def fit_interpolant(kernel, dataset: NarxDataset, lam: float = 0.0) -> Interpola
     X = dataset.features
     u = dataset.controls
     K = kernel.gram(X)
-    chol, jitter = _factor(K, lam, _signal_variance(kernel))
+    chol, jitter = _factor(K, lam, kernel.sigma_f**2)
     alpha = cho_solve(chol, u)
     return Interpolant(kernel=kernel, train_x=X.copy(), train_u=u.copy(),
                        alpha=alpha, lam=float(lam), jitter=jitter, _chol=chol)

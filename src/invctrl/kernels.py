@@ -1,27 +1,21 @@
 """Strictly positive definite kernels and Gram-matrix assembly.
 
-One class, :class:`Kernel`, serves four families.  Each kernel is
-``k(a, b) = kbar(||embed(a) - embed(b)||)`` with a non-increasing scalar
-profile ``kbar``:
+One immutable class, :class:`Kernel`, serves four families, each
+``k(a, b) = kbar(||embed(a) - embed(b)||)`` with a non-increasing profile:
 
 - ``squared_exponential``:  ``sigma_f^2 * exp(-r^2 / (2 sigma_l^2))``
 - ``laplacian``:            ``sigma_f^2 * exp(-r / sigma_l)``
 - ``matern52``:             ``sigma_f^2 (1 + sqrt(5) s + 5 s^2 / 3) exp(-sqrt(5) s)``
-- ``ard_matern52``:         the same profile with one length scale per input
-  dimension (automatic relevance determination).
+- ``ard_matern52``:         the same with one length scale per input dimension.
 
-The first two embed by the identity, so their profile takes the plain
-distance ``r``.  The two Matern families embed by dividing each coordinate
-by ``sqrt(2) sigma_l_i``, so their profile takes the scaled radius
-``s = sqrt(sum_i (a_i - b_i)^2 / (2 sigma_l_i^2))``.
-
-Kernels are immutable values; evaluation is pure and thread-safe.  Every
-``cross`` is ``profile(cdist(embed(a), embed(b)))``, so a fixed point set can
-be embedded once.  The error bounds read the profile directly: a distance
-``r`` between points maps to a profile radius of at most ``r /
-radius_scale`` (1, or ``sqrt(2) min sigma_l`` for the Matern families), and
-the profile is non-increasing, so ``profile_deficit(r / radius_scale)``
-over-estimates the deficit ``kbar(0) - k(a, b)``.
+The first two embed by the identity and take the plain distance ``r``; the
+Matern families divide each coordinate by ``sqrt(2) sigma_l_i`` and take
+``s = sqrt(sum_i (a_i - b_i)^2 / (2 sigma_l_i^2))``.  Every ``cross`` is
+``profile(cdist(embed(a), embed(b)))``, so a point set can be embedded once.
+The error bounds read the profile directly: a point distance ``r`` is a
+profile radius of at most ``r / radius_scale`` (1, or ``sqrt(2) min
+sigma_l`` for the Matern families), so ``profile_deficit(r / radius_scale)``
+over-estimates ``kbar(0) - k(a, b)``.
 """
 
 from __future__ import annotations
@@ -88,29 +82,29 @@ class Kernel:
             raise ValueError("sigma_f and all length scales must be positive")
         matern = self.family.endswith("matern52")
         # embed's divisor (None: identity) and the distance -> profile radius divisor;
-        # neither is a field, so equality and hashing see the parameters only
+        # not fields, so equality and hashing see the parameters only
         object.__setattr__(self, "_scale", np.sqrt(2.0) * np.asarray(sl) if matern else None)
         object.__setattr__(self, "radius_scale", np.sqrt(2.0) * min(sl) if matern else 1.0)
+
+    def _exponent(self, r):
+        """The exponent of the two exponential profiles at radius r."""
+        if self.family == "squared_exponential":
+            return -(r * r) / (2.0 * self.sigma_l[0]**2)
+        return -r / self.sigma_l[0]
 
     def profile(self, r):
         """Scalar profile kbar at profile radius r >= 0; scalars or arrays."""
         r = np.asarray(r, dtype=float)
-        sf2 = self.sigma_f**2
-        if self.family == "squared_exponential":
-            return sf2 * np.exp(-(r * r) / (2.0 * self.sigma_l[0]**2))
-        if self.family == "laplacian":
-            return sf2 * np.exp(-r / self.sigma_l[0])
-        return sf2 * _matern52_profile(r)
+        if self._scale is not None:
+            return self.sigma_f**2 * _matern52_profile(r)
+        return self.sigma_f**2 * np.exp(self._exponent(r))
 
     def profile_deficit(self, r):
         """kbar(0) - kbar(r), evaluated without cancellation at small r."""
         r = np.asarray(r, dtype=float)
-        sf2 = self.sigma_f**2
-        if self.family == "squared_exponential":
-            return sf2 * -np.expm1(-(r * r) / (2.0 * self.sigma_l[0]**2))
-        if self.family == "laplacian":
-            return sf2 * -np.expm1(-r / self.sigma_l[0])
-        return sf2 * _matern52_deficit(r)
+        if self._scale is not None:
+            return self.sigma_f**2 * _matern52_deficit(r)
+        return self.sigma_f**2 * -np.expm1(self._exponent(r))
 
     def embed(self, points):
         """Points as an (N, d) float array in which the profile takes plain

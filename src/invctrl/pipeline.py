@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import os
 import time
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -172,7 +172,7 @@ def load_artifacts(cfg: RunConfig):
     model = load_interpolant(paths["model"])
     families = [load_family(_family_path(paths, delta), dataset, delta, cfg.depth)
                 for delta in cfg.deltas]
-    controller = Controller(families, model)
+    controller = Controller(families, model, sound=cfg.sound)
     return dataset, model, controller
 
 
@@ -196,17 +196,18 @@ def _choice(texts):
     return texts.__getitem__, {text: v for v, text in texts.items()}.__getitem__
 
 
-# (name, format, parse) of each run-log column; descent_ok is None unless certified
+# (name, format, parse) of each run-log column; ``certified`` holds the step's
+# ``StepCertificate.label``; descent_ok is None on fallback steps
 COLUMNS = (("t", str, int), ("delta", *_opt("{:g}".format, float)), ("kappa", *_opt(str, int)),
            ("i1", str, int), ("slack", *_opt(_fmt, float)),
-           ("certified", *_choice({True: "1", False: "0"})), ("u", _fmt, float),
-           ("y_next", _fmt, float),
+           ("certified", *_choice({"certified": "1", "heuristic": "heuristic", "fallback": "0"})),
+           ("u", _fmt, float), ("y_next", _fmt, float),
            ("descent_ok", *_choice({True: "1", False: "0", None: "skip"})))
 # (name, format, parse) of each summary field after a line's ``ic_NN:`` tag
 FIELDS = (("ic", lambda ic: ",".join(map("{:g}".format, ic)),
            lambda s: tuple(map(float, s.split(",")))), ("rmse", _fmt, float),
-          ("certified", "{:.3f}".format, float), ("descent_violations", str, int),
-          ("fallbacks", str, int))
+          ("certified", "{:.3f}".format, float), ("heuristic", "{:.3f}".format, float),
+          ("descent_violations", str, int), ("fallbacks", str, int))
 Step = namedtuple("Step", [name for name, _, _ in COLUMNS])
 Summary = namedtuple("Summary", [name for name, _, _ in FIELDS])
 
@@ -227,9 +228,10 @@ def _parse(table, cells, where):
 
 
 def tally(rows):
-    """(certified, descent_violations, fallbacks): step counts of ``rows``."""
-    ncert = sum(r.certified for r in rows)
-    return ncert, sum(r.descent_ok is False for r in rows), len(rows) - ncert
+    """(certified, heuristic, descent_violations, fallbacks): step counts of ``rows``."""
+    labels = Counter(r.certified for r in rows)
+    return (labels["certified"], labels["heuristic"], sum(r.descent_ok is False for r in rows),
+            labels["fallback"])
 
 
 @dataclass
@@ -239,6 +241,7 @@ class RunResult:
     rows: list[Step]               # per-step log rows
     rmse: float
     certified_fraction: float
+    heuristic_fraction: float
     descent_violations: int
     fallback_steps: int
     wall_clock: float
@@ -265,13 +268,14 @@ def simulate_one(cfg: RunConfig, plant, controller, ic, ic_index) -> RunResult:
                               f"from initial condition {ic_index} ({exc})") from None
         y_meas = y_next + (rng.normal(0.0, cfg.sigma) if noisy else 0.0)
         meas = shift_state(meas, y_meas, u)
-        rows.append(Step(t, cert.delta, cert.kappa, cert.index, cert.slack, cert.certified,
+        rows.append(Step(t, cert.delta, cert.kappa, cert.index, cert.slack, cert.label,
                          u, y_next, controller.assert_descent(cert, meas)))
         outputs.append(y_next)
     outputs = np.array(outputs)
-    ncert, nviol, nfall = tally(rows)
+    ncert, nheur, nviol, nfall = tally(rows)
     return RunResult(tuple(float(v) for v in ic), outputs, rows, displayed_rmse(outputs),
-                     certified_fraction=ncert / cfg.horizon, descent_violations=nviol,
+                     certified_fraction=ncert / cfg.horizon,
+                     heuristic_fraction=nheur / cfg.horizon, descent_violations=nviol,
                      fallback_steps=nfall, wall_clock=time.perf_counter() - t0)
 
 
@@ -292,11 +296,13 @@ def cmd_simulate(cfg: RunConfig, log=print) -> list[RunResult]:
         res = simulate_one(cfg, plant, controller, ic, k)
         results.append(res)
         _write_run_log(os.path.join(paths["rundir"], f"ic_{k:02d}.csv"), res)
-        row = (ic, res.rmse, res.certified_fraction, res.descent_violations, res.fallback_steps)
+        row = (ic, res.rmse, res.certified_fraction, res.heuristic_fraction,
+               res.descent_violations, res.fallback_steps)
         summary.append(f"ic_{k:02d}: " + " ".join(
             map("{}={}".format, Summary._fields, _cells(FIELDS, row))))
         log(f"simulate ic_{k:02d}: rmse={res.rmse:.6f} certified={res.certified_fraction:.1%} "
-            f"violations={res.descent_violations} ({res.wall_clock:.2f}s)")
+            f"heuristic={res.heuristic_fraction:.1%} violations={res.descent_violations} "
+            f"({res.wall_clock:.2f}s)")
     with open(paths["summary"], "w") as fh:
         fh.write("\n".join(summary) + "\n")
     return results
@@ -339,9 +345,9 @@ def read_summary(path):
 def cmd_report(cfg: RunConfig, log=print):
     """Recompute each run's summary fields from its log and check them.
 
-    ``rmse`` must agree to 1e-12; ``ic``, ``certified``, ``descent_violations``
-    and ``fallbacks`` must print as the summary prints them (``ic`` to ``g``
-    precision).  A mismatch names the run and the fields and returns False."""
+    ``rmse`` must agree to 1e-12; ``ic``, ``certified``, ``heuristic``,
+    ``descent_violations`` and ``fallbacks`` must print as the summary prints
+    them (``ic`` to ``g`` precision).  A mismatch names the run and the fields and returns False."""
     paths = _paths(cfg)
     stored = read_summary(paths["summary"])
     ok = True
@@ -355,13 +361,14 @@ def cmd_report(cfg: RunConfig, log=print):
         if tag not in stored:
             raise ConfigError(f"{paths['summary']}: no rmse for {tag}")
         rmse = displayed_rmse([ic[cfg.order - 1]] + [r.y_next for r in rows])
-        ncert, nviol, nfall = tally(rows)
-        got = Summary(ic, rmse, ncert / cfg.horizon, nviol, nfall)
+        ncert, nheur, nviol, nfall = tally(rows)
+        got = Summary(ic, rmse, ncert / cfg.horizon, nheur / cfg.horizon, nviol, nfall)
         wrong = [name for (name, fmt, _), a, b in zip(FIELDS, got, stored[tag])
                  if (not abs(a - b) <= 1e-12 if name == "rmse" else fmt(a) != fmt(b))]
         ok = ok and not wrong
         log(f"{tag}: rmse={rmse:.6f} recompute={'MISMATCH ' + ','.join(wrong) if wrong else 'ok'} "
-            f"certified={ncert}/{len(rows)} descent_violations={nviol}")
+            f"certified={ncert}/{len(rows)} heuristic={nheur}/{len(rows)} "
+            f"descent_violations={nviol}")
     return ok
 
 

@@ -100,7 +100,7 @@ def test_criterion_04_delayed_map_bounds(pendulum_artifacts):
 
 def test_criterion_05_certified_descent(numerical_runs):
     results, _ = numerical_runs
-    ncert = sum(1 for r in results for row in r.rows if row.certified)
+    ncert = sum(1 for r in results for row in r.rows if row.certified == "certified")
     nviol = sum(r.descent_violations for r in results)
     report(5, ncert > 0 and nviol == 0,
            f"{ncert} certified steps across 5 runs, {nviol} descent violations")

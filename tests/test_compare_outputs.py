@@ -73,3 +73,44 @@ def test_layout_change_names_the_first_differing_row(tmp_path):
     (new / "trajectories.csv").write_text("# plant=numerical seed=4 noisy=0 count=2\n")
     assert compare_outputs.compare_dirs("numerical", old, new) == [
         "numerical: trajectory layout differs, and its contents at the comment"]
+
+
+SUMMARY = ["ic_00: ic=0.1 rmse=0.5 certified=1.000 descent_violations=3 fallbacks=0",
+           "ic_01: ic=0.2 rmse=0.25 certified=0.900 descent_violations=0 fallbacks=1"]
+
+
+def summary_diff(tmp_path, old, new):
+    paths = tmp_path / "old.txt", tmp_path / "new.txt"
+    for path, lines in zip(paths, (old, new)):
+        path.write_text("\n".join(lines) + "\n")
+    return compare_outputs.summary_diff(*paths)
+
+
+def test_summary_diff_names_fields_and_lines(tmp_path):
+    new = [SUMMARY[0].replace("certified=1.000", "certified=0.000 heuristic=1.000"),
+           SUMMARY[1].replace("certified=0.900", "certified=0.900 heuristic=0.000")]
+    assert summary_diff(tmp_path, SUMMARY, new) == "in certified (1 line), heuristic added (2 lines)"
+    assert summary_diff(tmp_path, new, SUMMARY) == (
+        "in certified (1 line), heuristic removed (2 lines)")
+    edited = [SUMMARY[0], SUMMARY[1].replace("rmse=0.25", "rmse=0.3").replace("=1", "=2")]
+    assert summary_diff(tmp_path, SUMMARY, edited) == "in rmse (1 line), fallbacks (1 line)"
+
+
+def test_summary_diff_gives_up_on_other_tags(tmp_path):
+    assert summary_diff(tmp_path, SUMMARY, SUMMARY[:1]) is None
+    assert summary_diff(tmp_path, SUMMARY, SUMMARY[::-1]) is None
+    assert summary_diff(tmp_path, SUMMARY, [SUMMARY[0].replace("ic_00", "ic_02"),
+                                            SUMMARY[1]]) is None
+    # the same fields and values in another order: nothing to name
+    swapped = [SUMMARY[0].replace("ic=0.1 rmse=0.5", "rmse=0.5 ic=0.1"), SUMMARY[1]]
+    assert summary_diff(tmp_path, SUMMARY, swapped) is None
+
+
+def test_compare_dirs_names_summary_fields(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    for top, lines in ((old, SUMMARY), (new, [SUMMARY[0].replace("fallbacks=0", "fallbacks=9"),
+                                              SUMMARY[1]])):
+        top.mkdir()
+        (top / "summary.txt").write_text("\n".join(lines) + "\n")
+    assert compare_outputs.compare_dirs("numerical", old, new) == [
+        "numerical: summary.txt differs in fallbacks (1 line)"]

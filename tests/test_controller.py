@@ -47,13 +47,13 @@ def synth():
 
 def test_locate_uncovered(synth):
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     assert ctl.locate(row(ctl, np.array([100.0, 100.0, 100.0]))) is None
 
 
 def test_locate_prefers_smaller_accuracy_then_level(synth):
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     # state at record 0's state: contained in 0.1's level 1 and 0.5's level 1
     assert ctl.locate(row(ctl, ds.states[0])) == (0.1, 1)
     # state only slightly off: outside 0.1's tiny certificates, inside 0.5's
@@ -66,7 +66,7 @@ def test_locate_prefers_smaller_accuracy_then_level(synth):
         [],
         [(0, 0.002)],
     ])
-    ctl2 = Controller([fam_01b, fam_05], IdentityModel())
+    ctl2 = Controller([fam_01b, fam_05], IdentityModel(), sound=True)
     assert ctl2.locate(row(ctl2, ds.states[0])) == (0.1, 2)
 
 
@@ -89,8 +89,9 @@ def assert_locate_matches_brute(ctl, states):
         want = brute_locate(ctl.families, state)
         assert ctl.locate(row(ctl, state)) == want
         _, cert = ctl.control(state)
-        assert (cert.delta, cert.kappa) == (want if cert.certified else (None, None))
-        assert cert.certified == (want is not None)
+        assert (cert.delta, cert.kappa) == (want or (None, None))
+        assert (cert.label != "fallback") == (want is not None)
+        assert cert.certified == (ctl.sound and want is not None)
         hits += want is not None
     return hits
 
@@ -103,7 +104,7 @@ def test_locate_matches_brute_force_synth(synth):
         [],
         [(1, 0.3)],
     ])
-    ctl = Controller([fam_01, fam_05, fam_02], IdentityModel())
+    ctl = Controller([fam_01, fam_05, fam_02], IdentityModel(), sound=True)
     level0_only = ds.succ_states[2]
     assert fam_02.contains(0, level0_only)
     assert brute_locate(ctl.families, level0_only) is None
@@ -139,7 +140,7 @@ def test_locate_skips_family_without_action_levels(synth):
     level0 = synth_family(ds, 0.05, [[(i, 0.04) for i in range(3)], [], []])
     level0 = replace(level0, radius=level0.radius[:1])
     assert level0.truncated_at == 1
-    ctl = Controller([level0, fam_01, fam_05], IdentityModel())
+    ctl = Controller([level0, fam_01, fam_05], IdentityModel(), sound=True)
     assert ctl.locate(row(ctl, ds.states[0])) == (0.1, 1)
     assert ctl.locate(row(ctl, ds.states[1])) == (0.5, 1)
     assert ctl.locate(row(ctl, ds.states[2])) is None
@@ -220,7 +221,7 @@ def test_locate_matches_bisection_synth():
         [(3, 10.0)],
         [(0, 25.0)],
     ])
-    ctl = Controller([level0, shrink, wide], IdentityModel())
+    ctl = Controller([level0, shrink, wide], IdentityModel(), sound=True)
     origin = np.zeros(3)
     probes = [origin, ds.states[1], ds.states[3],
               ds.states[3] + [1.0, 0.0, 0.0], ds.states[3] + [0.5, 0.0, 0.0]]
@@ -255,7 +256,7 @@ def test_locate_shrinking_column_picks_lowest_holding_level():
         [(0, 6.0)],
         [(1, 51.0), (0, 2.0)],
     ])
-    ctl = Controller([fam], IdentityModel())
+    ctl = Controller([fam], IdentityModel(), sound=True)
     cases = {
         (0.0, 0.0, 1.5): 2,   # inside both of record 0's balls
         (3.0, 4.0, 0.0): 2,   # d = 5, outside its shrunk level-3 ball
@@ -275,7 +276,7 @@ def test_controller_init_keeps_no_table_copy(pendulum_artifacts):
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
-        ctl = Controller(art["controller"].families, art["model"])
+        ctl = Controller(art["controller"].families, art["model"], sound=False)
         kept = tracemalloc.get_traced_memory()[0] - base
     finally:
         tracemalloc.stop()
@@ -294,7 +295,7 @@ def test_locate_deepest_stored_level(synth):
         [(0, 0.02)],
         [(2, 0.001), (1, 0.5)],
     ])
-    ctl = Controller([fam, fam_05], IdentityModel())
+    ctl = Controller([fam, fam_05], IdentityModel(), sound=True)
     probe = ds.states[1] + np.array([0.5, 0.0, 0.0])
     assert brute_locate(ctl.families, probe) == (0.1, 4)
     assert ctl.locate(row(ctl, probe)) == (0.1, 4)
@@ -307,7 +308,7 @@ def test_locate_deepest_stored_level(synth):
 def test_control_calls_locate_and_select_by_attribute(synth):
     # a wrapper set on the instance sees every call control() makes
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     calls = []
 
     def wrap(name):
@@ -326,7 +327,7 @@ def test_control_calls_locate_and_select_by_attribute(synth):
 
 def test_select_reference_single_and_argmax(synth):
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     cert, ref = ctl.select_reference(row(ctl, ds.states[0]), 0.1, 1)
     assert cert.index == 0 and ref == ds.targets[0] and cert.certified
     # two covering entries: pick the larger slack
@@ -335,7 +336,7 @@ def test_select_reference_single_and_argmax(synth):
         [(0, 0.45), (1, 0.4)],
         [(0, 1.80), (1, 1.87)],
     ])
-    ctl2 = Controller([fam_wide], IdentityModel())
+    ctl2 = Controller([fam_wide], IdentityModel(), sound=True)
     cert2, _ = ctl2.select_reference(row(ctl2, mid), 0.5, 1)
     d0 = np.linalg.norm(ds.states[0] - mid)
     d1 = np.linalg.norm(ds.states[1] - mid)
@@ -352,17 +353,39 @@ def test_slack_scaling_invariance(synth):
             [(0, 0.45)],
             [(0, 1.80 * scale), (1, 1.87 * scale)],
         ])
-        ctl = Controller([fam], IdentityModel())
+        ctl = Controller([fam], IdentityModel(), sound=True)
         cert, _ = ctl.select_reference(row(ctl, mid), 0.5, 1)
         assert cert.index == 1  # argmax invariant under positive scaling
 
 
 def test_control_certified_uses_prediction(synth):
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     u, cert = ctl.control(ds.states[0])
     assert cert.certified
     assert u == ds.targets[cert.index]  # identity model returns the reference
+
+
+def test_heuristic_controller_takes_the_same_decisions(synth):
+    # families built on a heuristic bound: the same (delta, kappa, record,
+    # slack) and input, labelled heuristic, and descent is still asserted
+    ds, fam_01, fam_05 = synth
+    sound = Controller([fam_01, fam_05], IdentityModel(), sound=True)
+    heuristic = Controller([fam_01, fam_05], IdentityModel(), sound=False)
+    for state in (ds.states[0], ds.states[1], np.array([50.0, 50.0, 50.0])):
+        u, cert = sound.control(state)
+        u_h, cert_h = heuristic.control(state)
+        assert u_h == u and (cert_h.delta, cert_h.kappa, cert_h.index, cert_h.slack) == (
+            cert.delta, cert.kappa, cert.index, cert.slack)
+        assert not cert_h.certified
+        if cert.delta is None:
+            assert cert.label == cert_h.label == "fallback"
+            assert heuristic.assert_descent(cert_h, ds.succ_states[0]) is None
+        else:
+            assert (cert.label, cert_h.label) == ("certified", "heuristic")
+            for nxt in (ds.succ_states[cert.index], np.array([50.0, 50.0, 50.0])):
+                assert (heuristic.assert_descent(cert_h, nxt)
+                        == sound.assert_descent(cert, nxt)) in (True, False)
 
 
 def test_control_level_zero_relocates(synth):
@@ -372,7 +395,7 @@ def test_control_level_zero_relocates(synth):
         [(0, 0.45)],
         [],
     ])
-    ctl = Controller([fam], IdentityModel())
+    ctl = Controller([fam], IdentityModel(), sound=True)
     u, cert = ctl.control(ds.succ_states[0])
     assert not cert.certified  # fell through to the fallback
     # with a second family covering at level 1, the re-location certifies
@@ -380,14 +403,14 @@ def test_control_level_zero_relocates(synth):
         [(0, 0.55)],
         [(0, 10.0)],
     ])
-    ctl2 = Controller([fam, fam2], IdentityModel())
+    ctl2 = Controller([fam, fam2], IdentityModel(), sound=True)
     u2, cert2 = ctl2.control(ds.succ_states[0])
     assert cert2.certified and cert2.delta == 0.6 and cert2.kappa == 1
 
 
 def test_fallback_nearest_with_tie_break(synth):
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     far = np.array([50.0, 50.0, 50.0])
     u, cert = ctl.control(far)
     assert not cert.certified and cert.delta is None and cert.slack is None
@@ -399,7 +422,7 @@ def test_fallback_nearest_with_tie_break(synth):
         controls=[0.5, 0.5, 0.5],
     )
     fam_tie = synth_family(ds_tie, 0.5, [[(0, 0.1)], []])
-    ctl_tie = Controller([fam_tie], IdentityModel())
+    ctl_tie = Controller([fam_tie], IdentityModel(), sound=True)
     _, cert_tie = ctl_tie.control(np.array([30.0, 0.0, 0.0]))
     assert cert_tie.index == 1
     # distance and |target| both tie: the lowest index wins
@@ -409,14 +432,14 @@ def test_fallback_nearest_with_tie_break(synth):
         controls=[0.5] * 4,
     )
     fam_tie2 = synth_family(ds_tie2, 0.5, [[(0, 0.1)], []])
-    _, cert_tie2 = Controller([fam_tie2], IdentityModel()).control(
+    _, cert_tie2 = Controller([fam_tie2], IdentityModel(), sound=True).control(
         np.array([30.0, 0.0, 0.0]))
     assert cert_tie2.index == 1
 
 
 def test_assert_descent(synth):
     ds, fam_01, fam_05 = synth
-    ctl = Controller([fam_01, fam_05], IdentityModel())
+    ctl = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     _, cert = ctl.control(ds.states[0])
     assert cert.certified and cert.kappa >= 1
     inside = ds.succ_states[cert.index]
@@ -430,7 +453,7 @@ def test_assert_descent(synth):
 def test_controller_rejects_bad_families(synth):
     ds, fam_01, fam_05 = synth
     with pytest.raises(ValueError):
-        Controller([fam_01, fam_01], IdentityModel())
+        Controller([fam_01, fam_01], IdentityModel(), sound=True)
 
 
 def test_closed_loop_determinism(numerical_artifacts):
@@ -539,6 +562,9 @@ def test_closed_loop_matches_reference_path(pendulum_artifacts, ic):
         if t % 20 == 0:
             want = brute_locate(ctl.families, state)
             assert (cert.delta, cert.kappa) == (want or (None, None))
-        fallbacks += not cert.certified
+        # the pendulum's linear slope is a heuristic: no step is certified
+        assert cert.label == ("fallback" if cert.delta is None else "heuristic")
+        assert not cert.certified
+        fallbacks += cert.label == "fallback"
         _, state = plant.advance(state, u)
     assert fallbacks == (60 if ic[0] < 0 else 0)

@@ -533,6 +533,7 @@ def test_cli_report_rejects_summary_without_run(numerical_cfg, tmp_path, capsys)
     ({"ic": "9,9,9"}, "ic"),
     ({"certified": "0.500"}, "certified"),
     ({"rmse": "nan"}, "rmse"),  # NaN compares unequal to every recomputed rmse
+    ({"certified": "1.000", "heuristic": "0.000"}, "certified,heuristic"),
 ])
 def test_cli_report_checks_every_summary_field(pendulum_cfg, tmp_path, capsys, edit, fields):
     # a summary value the run log does not reproduce fails the report (exit
@@ -983,18 +984,57 @@ def test_run_log_round_trip(numerical_cfg, tmp_path):
         summary = stored[f"ic_{k:02d}"]
         assert (summary.rmse, summary.descent_violations, summary.fallbacks) == (
             result.rmse, result.descent_violations, result.fallback_steps)
+        assert (summary.certified, summary.heuristic) == (
+            round(result.certified_fraction, 3), round(result.heuristic_fraction, 3))
         ic, rows = pipeline.read_run_log(os.path.join(cfg.outdir, "runs", f"ic_{k:02d}.csv"))
         assert ic == result.initial_condition
         assert len(rows) == cfg.horizon
         # every field, the empty cells of fallback steps included, reads back as simulated
         assert rows == result.rows
         assert pipeline.tally(rows) == (round(result.certified_fraction * cfg.horizon),
+                                        round(result.heuristic_fraction * cfg.horizon),
                                         result.descent_violations, result.fallback_steps)
         outputs = [ic[cfg.order - 1]] + [r.y_next for r in rows]
         assert pipeline.displayed_rmse(outputs) == pytest.approx(result.rmse, abs=1e-15)
     steps = [r for result in results for r in result.rows]
-    assert any(r.certified for r in steps) and any(not r.certified for r in steps)
+    assert {r.certified for r in steps} == {"certified", "fallback"}  # a sound study
     assert {r.descent_ok for r in steps} >= {True, None}
+
+
+def _simulated_summary(cfg, tmp_path):
+    """(summary lines, run logs) of ``cfg``'s build simulated in a copy."""
+    import shutil
+    out = str(tmp_path / cfg.plant)
+    shutil.copytree(cfg.outdir, out)
+    assert main(["simulate", "--plant", cfg.plant, "--out", out]) == 0
+    assert main(["report", "--plant", cfg.plant, "--out", out]) == 0
+    logs = [pipeline.read_run_log(os.path.join(out, "runs", f"ic_{k:02d}.csv"))[1]
+            for k in range(len(cfg.initial_conditions))]
+    return open(os.path.join(out, "summary.txt")).read().splitlines(), logs
+
+
+def test_summaries_label_heuristic_steps(numerical_cfg, pendulum_cfg, tmp_path):
+    # the pendulum's linear slope is a heuristic bound: every step is in a
+    # family ball, none of them certified; the numerical study is sound and
+    # keeps its certified fractions
+    lines, logs = _simulated_summary(pendulum_cfg, tmp_path)
+    assert len(lines) == 4
+    for line, rows in zip(lines, logs):
+        assert " certified=0.000 heuristic=1.000 " in line and line.endswith(" fallbacks=0")
+        assert {r.certified for r in rows} == {"heuristic"}
+        assert sum(r.descent_ok is False for r in rows) > 200  # still asserted on every step
+    lines, logs = _simulated_summary(numerical_cfg, tmp_path)
+    certified = [line.split("certified=")[1].split()[0] for line in lines]
+    assert certified == ["0.900", "0.900", "1.000", "0.900", "0.900"]
+    assert all(" heuristic=0.000 " in line for line in lines)
+    assert {r.certified for rows in logs for r in rows} == {"certified", "fallback"}
+
+
+def test_noisy_data_makes_the_steps_heuristic(numerical_cfg):
+    # families built from noisy data certify that dataset, not the plant
+    cfg = default_config("pendulum")
+    assert not cfg.sound and not replace(cfg, gamma_mode="composed", noisy=True).sound
+    assert replace(cfg, gamma_mode="composed").sound and numerical_cfg.sound
 
 
 def test_pendulum_build_report_family_count(pendulum_cfg):
