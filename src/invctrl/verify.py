@@ -223,7 +223,7 @@ def run_all(cfg, dataset, model, controller, witnesses, plant, bounds, log=print
     add("family_slab_soundness", slab is None, slab or "level-0 balls inside the output slab")
     bound = ("composed bound" if bounds.gamma_mode == "composed"
              else f"linear gamma slope {bounds.gamma_slope:g}")
-    bound += "" if cfg.sound else ", heuristic"  # the families certify the plant or not
+    bound += "" if cfg.sound else ", heuristic"
     add("family_certificate_consistency", cert is None,
         f"{cert or 'state_dev(cert_radius) <= inradius'}, exact, every entry; {bound}")
 

@@ -1030,11 +1030,11 @@ def test_summaries_label_heuristic_steps(numerical_cfg, pendulum_cfg, tmp_path):
     assert {r.certified for rows in logs for r in rows} == {"certified", "fallback"}
 
 
-def test_noisy_data_makes_the_steps_heuristic(numerical_cfg):
+def test_sound_needs_the_composed_bound_and_noise_free_data():
     # families built from noisy data certify that dataset, not the plant
     cfg = default_config("pendulum")
     assert not cfg.sound and not replace(cfg, gamma_mode="composed", noisy=True).sound
-    assert replace(cfg, gamma_mode="composed").sound and numerical_cfg.sound
+    assert replace(cfg, gamma_mode="composed").sound and default_config("numerical").sound
 
 
 def test_pendulum_build_report_family_count(pendulum_cfg):
