@@ -372,20 +372,23 @@ def test_heuristic_controller_takes_the_same_decisions(synth):
     ds, fam_01, fam_05 = synth
     sound = Controller([fam_01, fam_05], IdentityModel(), sound=True)
     heuristic = Controller([fam_01, fam_05], IdentityModel(), sound=False)
+    labels, descents = [], []
     for state in (ds.states[0], ds.states[1], np.array([50.0, 50.0, 50.0])):
         u, cert = sound.control(state)
         u_h, cert_h = heuristic.control(state)
         assert u_h == u and (cert_h.delta, cert_h.kappa, cert_h.index, cert_h.slack) == (
             cert.delta, cert.kappa, cert.index, cert.slack)
         assert not cert_h.certified
+        labels.append(cert_h.label)
         if cert.delta is None:
             assert cert.label == cert_h.label == "fallback"
             assert heuristic.assert_descent(cert_h, ds.succ_states[0]) is None
         else:
             assert (cert.label, cert_h.label) == ("certified", "heuristic")
             for nxt in (ds.succ_states[cert.index], np.array([50.0, 50.0, 50.0])):
-                assert (heuristic.assert_descent(cert_h, nxt)
-                        == sound.assert_descent(cert, nxt)) in (True, False)
+                descents.append(sound.assert_descent(cert, nxt))
+                assert heuristic.assert_descent(cert_h, nxt) == descents[-1]
+    assert set(labels) == {"heuristic", "fallback"} and set(descents) == {True, False}
 
 
 def test_control_level_zero_relocates(synth):
