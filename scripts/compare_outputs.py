@@ -16,14 +16,9 @@ read from its header, and on how many rows each, for example
 whose lines carry the same ``ic_NN`` tags is named with the fields that
 differ, and on how many lines each; a field on one side only is named as
 added or removed, for example ``summary.txt differs in certified (4 lines),
-heuristic added (4 lines)``.  When one tree still writes the
-older trajectory layout (``manifest.txt`` plus ``trajectories/traj_NNNN.csv``)
-and the other ``trajectories.csv``, the table is rebuilt from the older files
-and compared byte for byte with the new one: a match is reported as a layout
-change with identical contents, a mismatch names the first differing
-trajectory and row.  For each study and tree it also
-prints the artifact bytes: ``model.txt`` plus everything under ``families/``,
-the quantity perfbench reports as ``artifact_mb``.  Exits 0 when everything
+heuristic added (4 lines)``.  For each study and tree it also prints the
+artifact bytes: ``model.txt`` plus everything under ``families/``, the
+quantity perfbench reports as ``artifact_mb``.  Exits 0 when everything
 matches and 1 after naming each difference.  With ``--keep DIR`` the outputs
 stay in ``DIR/old/<study>`` and ``DIR/new/<study>`` instead of a temporary
 directory.
@@ -35,7 +30,6 @@ import os
 import subprocess
 import sys
 import tempfile
-from itertools import zip_longest
 from pathlib import Path
 
 STUDIES = {
@@ -124,48 +118,11 @@ def summary_diff(old_path, new_path):
     return "in " + ", ".join(parts) if parts else None
 
 
-def table_text(top):
-    """The trajectory table of output directory ``top`` as text: its
-    ``trajectories.csv``, else the table rebuilt from the older layout's
-    ``manifest.txt`` and ``trajectories/traj_NNNN.csv`` files."""
-    top = Path(top)
-    if (top / "trajectories.csv").is_file():
-        return (top / "trajectories.csv").read_text()
-    pairs = [line.partition("=")[::2] for line in (top / "manifest.txt").read_text().splitlines()]
-    pairs = [(key.strip(), val.strip()) for key, val in pairs]
-    lines = ["# " + " ".join(f"{key}={val}" for key, val in pairs if key != "file")]
-    for k, name in enumerate(val for key, val in pairs if key == "file"):
-        head, *rows = (top / "trajectories" / name).read_text().splitlines()
-        lines += [f"traj,{head}"] * (k == 0) + [f"{k},{row}" for row in rows]
-    return "\n".join(lines) + "\n"
-
-
-def table_diff(old, new):
-    """Where two trajectory table texts first differ: ``the comment``, ``the
-    header`` or ``trajectory K row T``; None when they are equal."""
-    for k, (a, b) in enumerate(zip_longest(old.splitlines(), new.splitlines())):
-        if a != b:
-            if k < 2:
-                return ("the comment", "the header")[k]
-            traj, t = ((a or b).split(",") + ["?", "?"])[:2]
-            return f"trajectory {traj} row {t}"
-    return None
-
-
 def compare_dirs(name, old, new):
     """Differences between output directories ``old`` and ``new`` of study
     ``name``, as readable lines."""
     diffs = []
     old_files, new_files = files_under(old), files_under(new)
-    if ("manifest.txt" in old_files) != ("manifest.txt" in new_files):
-        where = table_diff(table_text(old), table_text(new))
-        if where:
-            diffs.append(f"{name}: trajectory layout differs, and its contents at {where}")
-        else:
-            print(f"{name}: trajectory layout differs, contents identical")
-        for files in (old_files, new_files):
-            files -= {rel for rel in files if rel in ("manifest.txt", "trajectories.csv")
-                      or Path(rel).parts[0] == "trajectories"}
     for rel in sorted(old_files | new_files):
         if rel not in new_files or rel not in old_files:
             side = "new" if rel not in new_files else "old"

@@ -38,7 +38,6 @@ from .kernels import Kernel
 __all__ = ["DeviationBounds"]
 
 _INV_TOL = 1e-11  # stop once r - state_dev(lo) <= _INV_TOL * max(1, r)
-_MAX_DOUBLINGS = 10**6
 _BISECT_ITERS = 200
 
 
@@ -145,17 +144,12 @@ class DeviationBounds:
         if pos.any():
             rp = r[pos]
             hi = np.ones_like(rp)
-            for _ in range(_MAX_DOUBLINGS):
-                bad = self._state_dev(hi) < rp
-                if not bad.any():
-                    break
+            while (bad := self._state_dev(hi) < rp).any():
                 hi[bad] *= 2.0
-                if np.any(np.isinf(hi)):
+                if np.any(np.isinf(hi)):  # after at most 1024 doublings
                     raise ValueError(
                         "state_dev does not reach the requested radius; "
                         "bounds are not class K-infinity")
-            else:
-                raise ValueError("bracket growth exceeded the doubling budget")
             lo, at_lo = np.zeros_like(rp), np.zeros_like(rp)
             tol = _INV_TOL * np.maximum(1.0, rp)
             for _ in range(_BISECT_ITERS):

@@ -12,6 +12,7 @@ import os
 import sys
 
 from .config import ConfigError, default_config, load_config
+from .interpolant import FitError
 from .pipeline import cmd_build, cmd_collect, cmd_report, cmd_simulate, cmd_verify
 
 _STAGES = {
@@ -67,7 +68,7 @@ def main(argv=None):
     try:
         result = stage(cfg)
         sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
-    except ConfigError as exc:
+    except (ConfigError, FitError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:  # not a bad artifact; the final flush must not raise again

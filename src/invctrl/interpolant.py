@@ -33,7 +33,6 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.spatial.distance import cdist
 
 from .config import ConfigError
-from .kernels import Kernel
 from .narx import FLOAT_FMT, NarxDataset, parse_floats
 
 __all__ = [
@@ -49,12 +48,18 @@ JITTER_MAX = 1e-6
 
 
 class FitError(RuntimeError):
-    """SPD factorization failed even after maximum jitter escalation."""
+    """The kernel matrix cannot be factored, even at maximum jitter."""
 
 
 def _factor(K, lam, sf2):
-    """Cholesky of K + lam*I with escalating jitter; returns (factor, jitter)."""
+    """Cholesky of K + lam*I with escalating jitter; returns (factor, jitter).
+    A non-finite K, or a base jitter that underflows to zero (so that escalation
+    would never end), raises ``FitError``."""
     N = K.shape[0]
+    if not np.isfinite(K).all():
+        raise FitError("the kernel matrix is not finite; check the kernel's scales")
+    if not JITTER_BASE * sf2 > 0:
+        raise FitError(f"the base jitter {JITTER_BASE:g} * sigma_f^2 underflows to zero")
     A = K if lam == 0 else K + lam * np.eye(N)
     jitter = 0.0
     while True:
@@ -75,8 +80,8 @@ def _factor(K, lam, sf2):
 
 @dataclass
 class Interpolant:
-    """Fitted inverse-model estimate; immutable after fit but for the factor
-    that ``power`` caches, safe for concurrent prediction."""
+    """Fitted inverse-model estimate; immutable after fit, safe for concurrent
+    prediction."""
 
     kernel: object
     train_x: np.ndarray     # (N, d)
@@ -84,7 +89,6 @@ class Interpolant:
     alpha: np.ndarray       # (N,) solves (K + lam I) alpha = u
     lam: float
     jitter: float
-    _chol: object = None    # factor of K + lam I + jitter I, made on first use
     _train_e: np.ndarray = field(init=False, repr=False)  # kernel.embed(train_x)
 
     def __post_init__(self):
@@ -106,58 +110,50 @@ class Interpolant:
             raise ValueError("RKHS norm estimate is undefined for lam > 0")
         return float(np.sqrt(max(0.0, float(self.train_u @ self.alpha))))
 
-    def power(self, x):
-        """Pointwise error multiplier sqrt(k(x,x) - k(x)^T K^{-1} k(x)) >= 0."""
-        x = np.asarray(x, dtype=float)
-        val = self.power_of_columns(self.kernel.cross(self.train_x, np.atleast_2d(x)))
-        return float(val[0]) if x.ndim == 1 else val
-
-    def power_of_columns(self, kx, gram=None):
-        """``power`` at the points whose kernel columns ``k(train_x, x)`` are the
-        columns of the C-contiguous ``kx`` (N, M); ``gram`` may carry the
-        training kernel matrix for the factor, which is otherwise built once."""
+    def power(self, x, gram=None):
+        """Pointwise error multiplier sqrt(k(x,x) - k(x)^T K^{-1} k(x)) >= 0 at
+        one point (d,) or a batch (M, d).  Each call factors ``K + jitter I``;
+        ``gram`` may carry the training kernel matrix ``K``, else it is built."""
         if self.lam != 0:
             raise ValueError("power function is undefined for lam > 0")
-        if self._chol is None:
-            K = self.kernel.gram(self.train_x) if gram is None else gram
-            self._chol = cho_factor(K + (self.lam + self.jitter) * np.eye(len(self)), lower=True)
-        sol = cho_solve(self._chol, kx)
+        x = np.asarray(x, dtype=float)
+        kx = self.kernel.cross(self.train_x, np.atleast_2d(x))
+        K = self.kernel.gram(self.train_x) if gram is None else gram
+        sol = cho_solve(cho_factor(K + self.jitter * np.eye(len(self)), lower=True), kx)
         k0 = float(self.kernel.profile(0.0))  # k(x, x)
-        return np.sqrt(np.maximum(0.0, k0 - np.sum(kx * sol, axis=0)))
+        val = np.sqrt(np.maximum(0.0, k0 - np.sum(kx * sol, axis=0)))
+        return float(val[0]) if x.ndim == 1 else val
 
 
 def fit_interpolant(kernel, dataset: NarxDataset, lam: float = 0.0) -> Interpolant:
-    """Fit the minimal-norm interpolant (lam = 0) or its ridge variant."""
+    """Fit the minimal-norm interpolant (lam = 0) or its ridge variant on the dataset's arrays."""
     if len(dataset) == 0:
         raise ValueError("empty dataset")
     if lam < 0:
         raise ValueError("lam must be >= 0")
     X = dataset.features
     u = dataset.controls
-    K = kernel.gram(X)
-    chol, jitter = _factor(K, lam, kernel.sigma_f**2)
-    alpha = cho_solve(chol, u)
-    return Interpolant(kernel=kernel, train_x=X.copy(), train_u=u.copy(),
-                       alpha=alpha, lam=float(lam), jitter=jitter, _chol=chol)
+    chol, jitter = _factor(kernel.gram(X), lam, kernel.sigma_f**2)
+    return Interpolant(kernel=kernel, train_x=X, train_u=u, alpha=cho_solve(chol, u),
+                       lam=float(lam), jitter=jitter)
+
+
+def _header(kernel, lam, records, dim):
+    """The dump's header values that the kernel, lambda and the training set
+    fix, key -> text as written."""
+    return {"family": kernel.family, "sigma_f": format(kernel.sigma_f, FLOAT_FMT),
+            "sigma_l": ",".join(format(v, FLOAT_FMT) for v in kernel.sigma_l),
+            "lambda": format(lam, FLOAT_FMT), "N": str(records), "dim": str(dim)}
 
 
 def dump_interpolant(path, model: Interpolant):
-    """Full-precision text dump sufficient to reload without refitting.
-
-    Header lines are ``key = value``; then one row per training point with
-    the feature coordinates and the weight ``alpha_i``.
+    """Full-precision text dump: the ``key = value`` header lines, then one row
+    per training point with the feature coordinates, the control ``u_i`` and
+    the weight ``alpha_i``.
     """
-    k = model.kernel
-    lines = [
-        f"family = {k.family}",
-        f"sigma_f = {format(k.sigma_f, FLOAT_FMT)}",
-        f"sigma_l = {','.join(format(v, FLOAT_FMT) for v in np.atleast_1d(k.sigma_l))}",
-        f"lambda = {format(model.lam, FLOAT_FMT)}",
-        f"jitter = {format(model.jitter, FLOAT_FMT)}",
-        f"N = {len(model)}",
-        f"dim = {model.train_x.shape[1]}",
-        "columns = x..., u, alpha",
-    ]
+    fixed = list(_header(model.kernel, model.lam, *model.train_x.shape).items())
+    pairs = fixed[:4] + [("jitter", format(model.jitter, FLOAT_FMT))] + fixed[4:]
+    lines = [f"{key} = {text}" for key, text in pairs] + ["columns = x..., u, alpha"]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         for xi, ui, ai in zip(model.train_x, model.train_u, model.alpha):
@@ -167,17 +163,19 @@ def dump_interpolant(path, model: Interpolant):
             fh.write(",".join(row) + "\n")
 
 
-def load_interpolant(path) -> Interpolant:
-    """Reload a dumped model without refitting (the Cholesky factor is rebuilt
-    on the first ``power`` call).
+def load_interpolant(path, kernel, lam, dataset: NarxDataset) -> Interpolant:
+    """The model ``dump_interpolant`` wrote for ``kernel``, ``lam`` and
+    ``dataset``, reloaded without refitting: only ``jitter`` and the weights
+    are read from the dump.
 
     The leading ``key = value`` lines are the header; every later non-blank
-    line is a model row, and all rows are converted to floats in one call,
-    bitwise equal to ``float()`` of each cell.  A row without ``dim + 2``
-    fields or with a value that is not a finite number raises ``ConfigError``
-    at ``path:line``; a missing or bad header key, or a row count other than
-    ``N``, or a kernel that does not take ``dim``-dimensional points, raises
-    ``ConfigError`` at ``path`` ("not a model dump")."""
+    line is a model row, all converted to floats in one call, bitwise equal to
+    ``float()`` of each cell.  ``ConfigError`` names ``path`` for a missing
+    header key or a row count other than ``N`` ("not a model dump") and for a
+    header key whose text is not the one the dump holds for these inputs; it
+    names ``path:line`` for a row without ``dim + 2`` fields or with a value
+    that is not a finite number, and for the first row whose features or
+    control differ from the dataset's bit for bit."""
     with open(path, "rb", buffering=0) as fh:
         lines = fh.read().splitlines()
     meta, h = {}, len(lines)
@@ -190,27 +188,40 @@ def load_interpolant(path) -> Interpolant:
             break
         key, _, val = line.partition("=")
         meta[key.strip()] = val.strip()
+    N, dim = dataset.features.shape
+    fixed = _header(kernel, lam, N, dim)
     try:
-        kernel = Kernel(meta["family"], float(meta["sigma_f"]),
-                        [float(v) for v in meta["sigma_l"].split(",")])
-        dim, lam, jitter = int(meta["dim"]), float(meta["lambda"]), float(meta["jitter"])
-        N = int(meta["N"])
-        kernel.embed(np.empty((0, dim)))  # the kernel must take dim-dimensional points
+        built = {key: meta[key] for key in fixed}
+        jitter = float(meta["jitter"])
     except (KeyError, ValueError) as exc:
         raise ConfigError(f"{path}: not a model dump ({type(exc).__name__}: {exc})") from None
+    for key, text in fixed.items():
+        if built[key] != text:
+            raise ConfigError(f"{path}: built with {key}={built[key]}, not {key}={text}")
     rows = list(filter(None, map(bytes.strip, lines[h:])))
+    linenos = [i for i, raw in enumerate(lines[h:], h + 1) if raw.strip()]
     wrong = np.flatnonzero(np.array(list(map(bytes.count, rows, repeat(b","))), dtype=int)
                            != dim + 1)
     n = int(wrong[0]) if wrong.size else len(rows)
     vals, bad = parse_floats(b",".join(rows[:n]).split(b",") if n else [])
     if bad is not None or wrong.size:
         r = n if bad is None else bad // (dim + 2)
-        lineno = [i for i, raw in enumerate(lines[h:], h + 1) if raw.strip()][r]
-        raise ConfigError(f"{path}:{lineno}: bad model row "
+        raise ConfigError(f"{path}:{linenos[r]}: bad model row "
                           f"{rows[r].decode(errors='replace')!r}")
     data = vals.reshape(n, dim + 2)
     if data.shape != (N, dim + 2):
         raise ConfigError(f"{path}: not a model dump (ValueError: rows of shape "
                           f"{data.shape}, N = {N}, dim = {dim})")
-    return Interpolant(kernel=kernel, train_x=data[:, :dim], train_u=data[:, dim],
+    records = np.column_stack([dataset.features, dataset.controls])
+    differ = np.flatnonzero((data[:, :dim + 1].view(np.int64)
+                             != records.view(np.int64)).any(axis=1))
+    if differ.size:
+        r = differ[0]
+        raise ConfigError(f"{path}:{linenos[r]}: features or control differ from "
+                          f"the dataset's record {r}")
+    # ``alpha`` stays a strided column of the parsed table: OpenBLAS runs another
+    # ``ddot`` kernel for a strided vector than for a contiguous one, so a
+    # contiguous copy changes single-point ``predict`` in the last bits (batched
+    # ``predict`` does not change), and with it every study's outputs
+    return Interpolant(kernel=kernel, train_x=dataset.features, train_u=dataset.controls,
                        alpha=data[:, dim + 1], lam=lam, jitter=jitter)

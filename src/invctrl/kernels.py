@@ -1,25 +1,26 @@
 """Strictly positive definite kernels and Gram-matrix assembly.
 
-One immutable class, :class:`Kernel`, serves four families, each
-``k(a, b) = kbar(||embed(a) - embed(b)||)`` with a non-increasing profile:
+One immutable class, :class:`Kernel`, serves the two families the studies
+use, each ``k(a, b) = kbar(||embed(a) - embed(b)||)`` with a non-increasing
+profile:
 
 - ``squared_exponential``:  ``sigma_f^2 * exp(-r^2 / (2 sigma_l^2))``
-- ``laplacian``:            ``sigma_f^2 * exp(-r / sigma_l)``
-- ``matern52``:             ``sigma_f^2 (1 + sqrt(5) s + 5 s^2 / 3) exp(-sqrt(5) s)``
-- ``ard_matern52``:         the same with one length scale per input dimension.
+- ``ard_matern52``:         ``sigma_f^2 (1 + sqrt(5) s + 5 s^2 / 3) exp(-sqrt(5) s)``
+  with one length scale per input dimension.
 
-The first two embed by the identity and take the plain distance ``r``; the
-Matern families divide each coordinate by ``sqrt(2) sigma_l_i`` and take
+The first embeds by the identity and takes the plain distance ``r``; the
+second divides each coordinate by ``sqrt(2) sigma_l_i`` and takes
 ``s = sqrt(sum_i (a_i - b_i)^2 / (2 sigma_l_i^2))``.  Every ``cross`` is
 ``profile(cdist(embed(a), embed(b)))``, so a point set can be embedded once.
 The error bounds read the profile directly: a point distance ``r`` is a
 profile radius of at most ``r / radius_scale`` (1, or ``sqrt(2) min
-sigma_l`` for the Matern families), so ``profile_deficit(r / radius_scale)``
+sigma_l`` for ``ard_matern52``), so ``profile_deficit(r / radius_scale)``
 over-estimates ``kbar(0) - k(a, b)``.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,7 +30,7 @@ __all__ = ["Kernel"]
 
 _SQRT5 = np.sqrt(5.0)
 
-FAMILIES = ("squared_exponential", "laplacian", "matern52", "ard_matern52")
+FAMILIES = ("squared_exponential", "ard_matern52")
 
 
 def _matern52_profile(s):
@@ -64,6 +65,9 @@ class Kernel:
     sigma_l : tuple of float
         One length scale, in the units of the input space, or one per input
         dimension for ``ard_matern52``.
+
+    Every scale must be positive with a normal float square: a square that
+    underflows or overflows degenerates the Gram matrix or the fit's jitter.
     """
 
     family: str
@@ -78,19 +82,19 @@ class Kernel:
             raise ValueError(f"unknown kernel family {self.family!r}")
         if len(sl) != 1 and self.family != "ard_matern52":
             raise ValueError(f"family {self.family!r} takes a single length scale")
-        if not (self.sigma_f > 0 and sl and all(v > 0 for v in sl)):
-            raise ValueError("sigma_f and all length scales must be positive")
-        matern = self.family.endswith("matern52")
+        if not (sl and all(v > 0 and sys.float_info.min <= v * v <= sys.float_info.max
+                           for v in (self.sigma_f, *sl))):
+            raise ValueError("sigma_f and all length scales must be positive, "
+                             "with squares in the normal float range")
+        ard = self.family == "ard_matern52"
         # embed's divisor (None: identity) and the distance -> profile radius divisor;
         # not fields, so equality and hashing see the parameters only
-        object.__setattr__(self, "_scale", np.sqrt(2.0) * np.asarray(sl) if matern else None)
-        object.__setattr__(self, "radius_scale", np.sqrt(2.0) * min(sl) if matern else 1.0)
+        object.__setattr__(self, "_scale", np.sqrt(2.0) * np.asarray(sl) if ard else None)
+        object.__setattr__(self, "radius_scale", np.sqrt(2.0) * min(sl) if ard else 1.0)
 
     def _exponent(self, r):
-        """The exponent of the two exponential profiles at radius r."""
-        if self.family == "squared_exponential":
-            return -(r * r) / (2.0 * self.sigma_l[0]**2)
-        return -r / self.sigma_l[0]
+        """The exponent of the squared-exponential profile at radius r."""
+        return -(r * r) / (2.0 * self.sigma_l[0]**2)
 
     def profile(self, r):
         """Scalar profile kbar at profile radius r >= 0; scalars or arrays."""
@@ -112,26 +116,18 @@ class Kernel:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self._scale is None:
             return pts
-        if self.family == "ard_matern52" and pts.shape[1] != len(self.sigma_l):
+        if pts.shape[1] != len(self.sigma_l):
             raise ValueError(f"expected dimension {len(self.sigma_l)}, got {pts.shape[1]}")
         return pts / self._scale
-
-    def __call__(self, a, b):
-        """k(a, b) for two points of equal dimension."""
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
-        if a.shape != b.shape or a.ndim != 1:
-            raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-        return float(self.cross(a, b)[0, 0])
 
     def cross(self, rows, cols):
         """Matrix k(rows_i, cols_j); rows (N,d), cols (M,d) -> (N,M)."""
         return self.profile(cdist(self.embed(rows), self.embed(cols)))
 
     def gram(self, points):
-        """Symmetric N x N kernel matrix of a point set."""
-        K = self.cross(points, points)
-        return 0.5 * (K + K.T)
+        """N x N kernel matrix of a point set, symmetric bit for bit because
+        ``cdist`` is."""
+        return self.cross(points, points)
 
 
 # ``perfbench/spans.py`` imports and patches the two former class names

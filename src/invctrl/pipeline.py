@@ -166,10 +166,11 @@ def cmd_build(cfg: RunConfig, log=print):
 
 
 def load_artifacts(cfg: RunConfig):
-    """(dataset, model, controller) reloaded from the build outputs."""
+    """(dataset, model, controller) reloaded from the build outputs; the model is
+    the config's kernel and lambda on the dataset with the dump's weights."""
     paths = _paths(cfg)
     dataset = load_dataset(cfg)
-    model = load_interpolant(paths["model"])
+    model = load_interpolant(paths["model"], cfg.make_kernel(), cfg.effective_lam(), dataset)
     families = [load_family(_family_path(paths, delta), dataset, delta, cfg.depth)
                 for delta in cfg.deltas]
     controller = Controller(families, model, sound=cfg.sound)

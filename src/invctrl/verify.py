@@ -23,6 +23,7 @@ rows at once; each estimate is a one-row product, bit for bit ``predict``.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -106,7 +107,7 @@ def oracle_violations(plant, dataset, model, bounds, rng, box):
         lim = bounds.state_dev(eps)
     else:
         viol_y = np.zeros(ORACLE_DRAWS, dtype=bool)
-        lim = bounds.input_dev(eps) + (1.0 + bounds.lip_f) * eps
+        lim = replace(bounds, gamma_mode="composed").state_dev(eps)
     viol_g = gap > lim + 1e-9
     return (int(viol_u.sum()), int((viol_y & feasible).sum()),
             int((viol_g & feasible).sum()), int((~feasible).sum()))
@@ -129,8 +130,8 @@ def run_all(cfg, dataset, model, controller, witnesses, plant, bounds, log=print
 
     # kernels -------------------------------------------------------------
     pts = rng.uniform(-1.0, 1.0, size=(40, dataset.feature_dim))
-    sym = max(abs(kernel(a, b) - kernel(b, a))
-              for a in pts[:10] for b in pts[10:20])
+    a, b = pts[:10], pts[10:20]
+    sym = np.max(np.abs(kernel.cross(a, b) - kernel.cross(b, a).T))
     add("kernel_symmetry", sym == 0.0, f"max asymmetry {sym:g}")
     rr = np.linspace(0.0, 10.0, 2001)
     prof = np.asarray(kernel.profile(rr))
@@ -152,17 +153,12 @@ def run_all(cfg, dataset, model, controller, witnesses, plant, bounds, log=print
     if model.lam != 0.0:
         add("interpolation_exactness", True,
             f"skipped (ridge fit, lambda={model.lam:g})")
-    elif not np.array_equal(model.train_x, dataset.features):
-        add("interpolation_exactness", False,
-            "the model's training features are not the dataset's features")
     else:
-        # equals ``gram`` bit for bit: cdist is symmetric bit for bit
-        K = kernel.cross(dataset.features, model.train_x)
+        K = kernel.gram(dataset.features)  # the loader makes them the model's training features
         resid = np.max(np.abs(K @ model.alpha - dataset.controls))
         add("interpolation_exactness", resid <= 1e-8, f"max residual {resid:.2e}")
         sub = rng.choice(len(dataset), size=min(64, len(dataset)), replace=False)
-        # the columns copied C-contiguous, as ``power`` passes its own
-        pw = np.max(model.power_of_columns(np.ascontiguousarray(K[:, sub]), gram=K))
+        pw = np.max(model.power(dataset.features[sub], gram=K))
         add("power_function_at_data", pw <= 1e-3 * kernel.sigma_f,
             f"max power at data {pw:.2e}")
 

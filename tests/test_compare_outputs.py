@@ -30,51 +30,6 @@ def test_column_diff_gives_up_on_layout_changes(tmp_path):
     assert column_diff(tmp_path, LOG, LOG[:-1] + ["2,0.2,3e-3"]) is None
 
 
-def output_dirs(tmp_path, new_rows):
-    """An output directory in the older trajectory layout (``manifest.txt``
-    plus one CSV per trajectory, rows ending in CRLF) and one holding a
-    ``trajectories.csv`` with ``new_rows``, each with the same model file."""
-    old, new = tmp_path / "old", tmp_path / "new"
-    (old / "trajectories").mkdir(parents=True)
-    new.mkdir()
-    (old / "manifest.txt").write_text("plant = numerical\nseed = 3\nnoisy = 0\ncount = 2\n"
-                                      "file = traj_0000.csv\nfile = traj_0001.csv\n")
-    for name, rows in (("traj_0000.csv", ["0,0.5,-1", "1,,0.25"]),
-                       ("traj_0001.csv", ["0,1e-05,2", "1,0.5,3", "2,,4"])):
-        (old / "trajectories" / name).write_bytes("".join(
-            f"{row}\r\n" for row in ["t,u,y"] + rows).encode())
-    (new / "trajectories.csv").write_text("".join(
-        f"{row}\n" for row in ["# plant=numerical seed=3 noisy=0 count=2", "traj,t,u,y"]
-        + new_rows))
-    for top in (old, new):
-        (top / "model.txt").write_text("weights\n")
-    return old, new
-
-
-NEW_ROWS = ["0,0,0.5,-1", "0,1,,0.25", "1,0,1e-05,2", "1,1,0.5,3", "1,2,,4"]
-
-
-def test_layout_change_with_identical_contents(tmp_path, capsys):
-    old, new = output_dirs(tmp_path, NEW_ROWS)
-    assert compare_outputs.compare_dirs("numerical", old, new) == []
-    assert compare_outputs.compare_dirs("numerical", new, old) == []
-    assert "numerical: trajectory layout differs, contents identical" in capsys.readouterr().out
-
-
-def test_layout_change_names_the_first_differing_row(tmp_path):
-    old, new = output_dirs(tmp_path, NEW_ROWS[:3] + ["1,1,0.5,3.0000000000000004", "1,2,,4"])
-    (new / "model.txt").write_text("other weights\n")
-    assert compare_outputs.compare_dirs("numerical", old, new) == [
-        "numerical: trajectory layout differs, and its contents at trajectory 1 row 1",
-        "numerical: model.txt differs"]
-    old, new = output_dirs(tmp_path / "short", NEW_ROWS[:-1])
-    assert compare_outputs.compare_dirs("numerical", old, new) == [
-        "numerical: trajectory layout differs, and its contents at trajectory 1 row 2"]
-    (new / "trajectories.csv").write_text("# plant=numerical seed=4 noisy=0 count=2\n")
-    assert compare_outputs.compare_dirs("numerical", old, new) == [
-        "numerical: trajectory layout differs, and its contents at the comment"]
-
-
 SUMMARY = ["ic_00: ic=0.1 rmse=0.5 certified=1.000 descent_violations=3 fallbacks=0",
            "ic_01: ic=0.2 rmse=0.25 certified=0.900 descent_violations=0 fallbacks=1"]
 

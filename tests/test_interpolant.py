@@ -156,6 +156,25 @@ def test_fit_failure_reports_diagnostics():
         fit_interpolant(IndefiniteKernel(), ds, lam=0.0)
 
 
+@pytest.mark.parametrize("sigma_f,gram,message", [
+    (1.0, [[1.0, np.nan], [np.nan, 1.0]], "the kernel matrix is not finite"),
+    (1.0, [[1.0, np.inf], [np.inf, 1.0]], "the kernel matrix is not finite"),
+    # sigma_f^2 underflows: the jitter would stay zero while it escalates
+    (1e-200, [[0.0, 0.0], [0.0, 0.0]], "underflows to zero"),
+])
+def test_fit_rejects_a_degenerate_kernel_matrix_or_jitter(sigma_f, gram, message):
+    class StubKernel:
+        def __init__(self):
+            self.sigma_f = sigma_f
+
+        def gram(self, X):
+            return np.array(gram)
+
+    ds = make_dataset(np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0]]), [0.0, 1.0])
+    with pytest.raises(FitError, match=message):
+        fit_interpolant(StubKernel(), ds, lam=0.0)
+
+
 def test_empty_dataset_rejected():
     ds = random_dataset(3)
     empty = NarxDataset(order=2, delay=1, features=ds.features[:0],
@@ -170,7 +189,7 @@ def test_dump_load_round_trip(tmp_path):
     m = fit_interpolant(SE, ds, lam=0.0)
     p = tmp_path / "model.txt"
     dump_interpolant(p, m)
-    back = load_interpolant(p)
+    back = load_interpolant(p, SE, 0.0, ds)
     q = np.random.default_rng(13).uniform(-1, 1, size=(7, 4))
     assert np.array_equal(back.predict(q), m.predict(q))  # bitwise, 17g round-trip
     assert back.lam == m.lam and back.jitter == m.jitter
@@ -181,8 +200,7 @@ def assert_same_model_bits(back, m):
     for got, want in [(back.train_x, m.train_x), (back.train_u, m.train_u),
                       (back.alpha, m.alpha)]:
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    assert (back.lam, back.jitter, back.kernel.family) == (m.lam, m.jitter, m.kernel.family)
-    assert np.array_equal(back.kernel.sigma_l, m.kernel.sigma_l)
+    assert (back.lam, back.jitter, back.kernel) == (m.lam, m.jitter, m.kernel)
 
 
 @pytest.mark.parametrize("artifacts", [None, "numerical_artifacts", "pendulum_artifacts"])
@@ -194,14 +212,32 @@ def test_dump_load_round_trip_bitwise(request, tmp_path, artifacts):
         ds.features[3, 1], ds.features[4, 2] = -0.0, 0.0
         m = fit_interpolant(SE, ds, lam=0.0)
     else:
-        m = request.getfixturevalue(artifacts)["model"]
+        ds, m = (request.getfixturevalue(artifacts)[key] for key in ("dataset", "model"))
     path = tmp_path / "model.txt"
     dump_interpolant(path, m)
-    assert_same_model_bits(load_interpolant(path), m)
+    assert_same_model_bits(load_interpolant(path, m.kernel, m.lam, ds), m)
     path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
-    assert_same_model_bits(load_interpolant(path), m)
+    assert_same_model_bits(load_interpolant(path, m.kernel, m.lam, ds), m)
     if artifacts is None:
-        assert np.signbit(load_interpolant(path).train_x[3, 1])
+        # the signed zero is parsed as written: unsigned, its row is not the record's
+        lines = path.read_bytes().split(b"\r\n")
+        assert lines[11].split(b",")[1] == b"-0"
+        lines[11] = lines[11].replace(b",-0,", b",0,", 1)
+        path.write_bytes(b"\r\n".join(lines))
+        with pytest.raises(ConfigError, match="model.txt:12: features or control differ "
+                                              "from the dataset's record 3"):
+            load_interpolant(path, SE, 0.0, ds)
+
+
+@pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
+def test_loaded_alpha_is_a_strided_column_of_the_table(request, artifacts):
+    # single-point predict reads alpha through a strided ddot; a contiguous
+    # copy takes another BLAS kernel and changes the last bits of the studies
+    art = request.getfixturevalue(artifacts)
+    alpha, dim = art["model"].alpha, art["dataset"].feature_dim
+    assert not alpha.flags.c_contiguous and alpha.strides == ((dim + 2) * 8,)
+    assert alpha.base is not None and alpha.base.shape == (len(alpha) * (dim + 2),)
+    assert art["model"].train_x is art["dataset"].features
 
 
 @pytest.mark.parametrize("edit,message", [
@@ -214,29 +250,59 @@ def test_dump_load_round_trip_bitwise(request, tmp_path, artifacts):
     (lambda ls: ls[:8], "model.txt: not a model dump (ValueError: rows of shape (0, 6), "
                         "N = 18, dim = 4)"),
     (lambda ls: ls[:5] + ls[6:], "model.txt: not a model dump (KeyError: 'N')"),
+    (lambda ls: ls[:4] + ["jitter = small"] + ls[5:],
+     "model.txt: not a model dump (ValueError: could not convert string to float: 'small')"),
+    (lambda ls: ["family = ard_matern52"] + ls[1:],
+     "model.txt: built with family=ard_matern52, not family=squared_exponential"),
+    (lambda ls: ls[:1] + ["sigma_f = 1.0000000000000002"] + ls[2:],
+     "model.txt: built with sigma_f=1.0000000000000002, not sigma_f=1"),
+    (lambda ls: ls[:2] + ["sigma_l = 3"] + ls[3:],
+     "model.txt: built with sigma_l=3, not sigma_l=2.8284271247461903"),
+    (lambda ls: ls[:3] + ["lambda = 1e-09"] + ls[4:],
+     "model.txt: built with lambda=1e-09, not lambda=0"),
+    (lambda ls: ls[:5] + ["N = 17"] + ls[6:], "model.txt: built with N=17, not N=18"),
+    (lambda ls: ls[:6] + ["dim = 3"] + ls[7:], "model.txt: built with dim=3, not dim=4"),
+    (lambda ls: ls[:10] + [nudge(ls[10], 2)] + ls[11:],
+     "model.txt:11: features or control differ from the dataset's record 2"),
+    (lambda ls: ls[:25] + [nudge(ls[25], 4)] + ls[26:],
+     "model.txt:26: features or control differ from the dataset's record 17"),
+    (lambda ls: ls[:25] + [nudge(ls[25], 5)] + ls[26:], None),
+    (lambda ls: ls[:8] + ls[9:10] + ls[8:9] + ls[10:],
+     "model.txt:9: features or control differ from the dataset's record 0"),
 ], ids=["extra_field", "missing_field", "nan_weight", "inf_feature", "blank_lines",
-        "late_header", "no_rows", "no_count"])
+        "late_header", "no_rows", "no_count", "jitter_text", "other_family", "other_sigma_f",
+        "other_sigma_l", "other_lambda", "other_count", "other_dim", "feature_nudged",
+        "control_nudged", "weight_nudged", "rows_swapped"])
 def test_load_interpolant_rejects_malformed_dump(tmp_path, edit, message):
-    m = fit_interpolant(SE, random_dataset(18, seed=15), lam=0.0)
+    ds = random_dataset(18, seed=15)
+    m = fit_interpolant(SE, ds, lam=0.0)
     path = tmp_path / "model.txt"
     dump_interpolant(path, m)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     if message is None:
-        assert_same_model_bits(load_interpolant(path), m)
+        back = load_interpolant(path, SE, 0.0, ds)
+        assert back.train_x is ds.features and back.train_u is ds.controls
         return
     with pytest.raises(ConfigError) as info:
-        load_interpolant(path)
+        load_interpolant(path, SE, 0.0, ds)
     assert str(info.value).startswith(str(tmp_path / message))
+
+
+def nudge(row, column):
+    """A model row with one cell moved by 1e-6."""
+    cells = row.split(",")
+    cells[column] = repr(float(cells[column]) + 1e-6)
+    return ",".join(cells)
 
 
 @pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
 def test_benchmark_loaded_power_equals_fitted(request, artifacts, tmp_path):
-    # the loaded model factors on its first power call, to the fitted bits
+    # the loaded model's power equals the fitted one's, bit for bit
     art = request.getfixturevalue(artifacts)
     ds = art["dataset"]
     m = fit_interpolant(art["model"].kernel, ds, lam=0.0)
     dump_interpolant(tmp_path / "model.txt", m)
-    back = load_interpolant(tmp_path / "model.txt")
+    back = load_interpolant(tmp_path / "model.txt", m.kernel, 0.0, ds)
     q = ds.features[::5] + 1e-3
     assert np.array_equal(back.power(q), m.power(q))
     assert np.array_equal(back.power(q[0]), m.power(q[0]))

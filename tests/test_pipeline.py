@@ -114,6 +114,11 @@ def test_cli_exit_code_on_config_error(tmp_path):
      "initial_conditions must be finite"),
     ("id = numerical\n[levels]\ndeltas = 0.5, inf\n", "deltas must be finite"),
     ("id = pendulum\n[kernel]\nsigma_l = 1, 1, 1\n", "needs 4 length scales"),
+    # scales whose squares leave the normal float range
+    ("id = numerical\n[kernel]\nsigma_f = 1e200\n", "squares in the normal float range"),
+    ("id = numerical\n[kernel]\nsigma_l = 1e-200\n", "squares in the normal float range"),
+    ("id = pendulum\n[kernel]\nsigma_l = 1e-200, 0.058, 0.058, 0.97\n",
+     "squares in the normal float range"),
 ])
 def test_cli_config_error_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.cfg"
@@ -430,27 +435,15 @@ def test_verify_fails_bound_oracle_on_shrunk_constants(request, artifacts, scale
 @pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
 def test_verify_kernel_matrix_equals_predict_and_power(request, artifacts):
     # run_all's one training kernel matrix gives the batched predict residual
-    # and the power at data of a freshly loaded model, bit for bit
+    # and the power at data of a loaded model, bit for bit
     art = request.getfixturevalue(artifacts)
     ds, model = art["dataset"], art["model"]
-    K = model.kernel.cross(ds.features, model.train_x)
-    assert np.array_equal(K, model.kernel.gram(model.train_x))
+    assert model.train_x is ds.features
+    K = model.kernel.gram(ds.features)
     assert np.array_equal(K @ model.alpha, model.predict(ds.features))
     sub = np.random.default_rng(0).choice(len(ds), size=64, replace=False)
-    got = replace(model, _chol=None).power_of_columns(np.ascontiguousarray(K[:, sub]), gram=K)
-    want = replace(model, _chol=None).power(ds.features[sub])
-    assert got.tobytes() == want.tobytes()
-
-
-def test_verify_fails_model_trained_on_other_features(numerical_artifacts):
-    art = numerical_artifacts
-    model = replace(art["model"], train_x=art["model"].train_x + 1e-3, _chol=None)
-    lines = []
-    verify.run_all(art["cfg"], art["dataset"], model, art["controller"], art["witnesses"],
-                   art["plant"], art["bounds"], log=lines.append)
-    assert ("verify FAIL interpolation_exactness: the model's training features are not "
-            "the dataset's features") in lines
-    assert not any("power_function_at_data" in line for line in lines)
+    got = model.power(ds.features[sub], gram=K)
+    assert got.tobytes() == model.power(ds.features[sub]).tobytes()
 
 
 def test_bound_oracle_matches_reference_with_one_blas_thread():
@@ -823,21 +816,28 @@ def test_cli_verify_fails_negative_certified_radius(pendulum_cfg, tmp_path):
      "trajectories.csv:5: bad trajectory row ['0', '', '', '0.5']", "build"),
     ("trajectories.csv", (840, 842), None,
      "trajectories.csv:1: count=280 in the comment, 279 trajectories in the table", "build"),
-    # an ARD kernel with one scale does not take the 4-dimensional features
+    # an ARD kernel with one scale: not the config's family
     ("model.txt", 1, "family = ard_matern52",
-     "model.txt: not a model dump (ValueError: expected dimension 1, got 4)", "simulate"),
+     "model.txt: built with family=ard_matern52, not family=squared_exponential", "simulate"),
     ("model.txt", 1, "family = ard_matern52",
-     "model.txt: not a model dump (ValueError: expected dimension 1, got 4)", "verify"),
+     "model.txt: built with family=ard_matern52, not family=squared_exponential", "verify"),
+    # the first row's first feature moved by 1e-6: not the dataset's record 0
+    ("model.txt", 9, "nudge",
+     "model.txt:9: features or control differ from the dataset's record 0", "simulate"),
+    ("model.txt", 9, "nudge",
+     "model.txt:9: features or control differ from the dataset's record 0", "verify"),
 ], ids=["trajectory_extra_line", "trajectory_text_value", "trajectory_input_missing",
         "model_text_value", "model_without_family", "model_row_missing",
         "trajectory_nan_output", "model_nan_weight", "model_extra_field",
         "trajectory_extra_field", "trajectory_header_only", "trajectory_traj_text",
         "trajectory_t_empty", "trajectory_count", "model_ard_one_scale-simulate",
-        "model_ard_one_scale-verify"])
+        "model_ard_one_scale-verify", "model_feature_nudged-simulate",
+        "model_feature_nudged-verify"])
 def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
                                        name, line, text, message, stage):
     # lines ``line`` (a number, or a (first, last) range) are replaced by
-    # ``text`` (appended if ``line`` is None, deleted if ``text`` is None)
+    # ``text`` (appended if ``line`` is None, deleted if ``text`` is None;
+    # ``nudge`` moves the line's first cell by 1e-6)
     import shutil
     out = str(tmp_path / "damaged")
     shutil.copytree(numerical_cfg.outdir, out)
@@ -846,6 +846,9 @@ def test_cli_rejects_malformed_artifact(numerical_cfg, tmp_path, capsys,
     first, last = line if isinstance(line, tuple) else (line, line)
     if line is None:
         lines.append(text)
+    elif text == "nudge":
+        head, _, rest = lines[line - 1].partition(",")
+        lines[line - 1] = f"{float(head) + 1e-6!r},{rest}"
     else:
         lines[first - 1:last] = [] if text is None else [text]
     open(path, "w").write("\n".join(lines) + "\n")
@@ -870,7 +873,58 @@ def test_cli_rejects_pendulum_model_missing_a_scale(pendulum_cfg, tmp_path, caps
     assert main([stage, "--plant", "pendulum", "--out", out]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:")
-    assert "model.txt: not a model dump (ValueError: expected dimension 3, got 4)" in err
+    assert f"model.txt: built with sigma_l={lines[2][10:]}, not sigma_l=" in err
+
+
+@pytest.mark.parametrize("stage", ["simulate", "verify"])
+@pytest.mark.parametrize("key,text", [
+    ("sigma_l", "[kernel]\nsigma_l = 3\n"), ("sigma_f", "[kernel]\nsigma_f = 2\n"),
+    ("lambda", "[interpolant]\nlambda = 1e-9\n")])
+def test_cli_rejects_model_built_under_another_config(numerical_cfg, tmp_path, capsys,
+                                                      key, text, stage):
+    # the default build's model, loaded under a config with another kernel or lambda
+    import shutil
+    out = str(tmp_path / "built")
+    shutil.copytree(numerical_cfg.outdir, out)
+    config = tmp_path / "other.cfg"
+    config.write_text(f"[plant]\nid = numerical\n{text}")
+    capsys.readouterr()
+    assert main([stage, "--config", str(config), "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {os.path.join(out, 'model.txt')}: built with {key}=")
+
+
+def test_cli_build_with_an_underflowing_signal_scale_exits_2(numerical_cfg, tmp_path):
+    # sigma_f^2 underflows to zero, so the fit's jitter would escalate from zero
+    # forever; the config is refused before any stage runs
+    import shutil
+    out = str(tmp_path / "tiny_sigma_f")
+    shutil.copytree(numerical_cfg.outdir, out)
+    config = tmp_path / "tiny.cfg"
+    config.write_text("[plant]\nid = numerical\n[kernel]\nsigma_f = 1e-200\n")
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"),
+                                                        os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "invctrl.cli", "build", "--config",
+                           str(config), "--out", out], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("config error: [kernel] sigma_f and all length scales "
+                                  "must be positive")
+
+
+def test_cli_build_exits_2_on_a_kernel_matrix_it_cannot_factor(pendulum_cfg, tmp_path,
+                                                               capsys):
+    # every squared scale is a normal float, but the embedded distances overflow
+    import shutil
+    out = str(tmp_path / "tiny_scales")
+    shutil.copytree(pendulum_cfg.outdir, out)
+    config = tmp_path / "tiny.cfg"
+    config.write_text("[plant]\nid = pendulum\n[kernel]\nsigma_l = " + ", ".join(
+        ["1.5e-154"] * 4) + "\n")
+    capsys.readouterr()
+    assert main(["build", "--config", str(config), "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error: the kernel matrix is not finite")
 
 
 @pytest.mark.parametrize("case,flags,stages,message", [
