@@ -53,13 +53,10 @@ class FitError(RuntimeError):
 
 def _factor(K, lam, sf2):
     """Cholesky of K + lam*I with escalating jitter; returns (factor, jitter).
-    A non-finite K, or a base jitter that underflows to zero (so that escalation
-    would never end), raises ``FitError``."""
+    A non-finite K raises ``FitError``."""
     N = K.shape[0]
     if not np.isfinite(K).all():
         raise FitError("the kernel matrix is not finite; check the kernel's scales")
-    if not JITTER_BASE * sf2 > 0:
-        raise FitError(f"the base jitter {JITTER_BASE:g} * sigma_f^2 underflows to zero")
     A = K if lam == 0 else K + lam * np.eye(N)
     jitter = 0.0
     while True:

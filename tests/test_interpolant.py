@@ -156,22 +156,16 @@ def test_fit_failure_reports_diagnostics():
         fit_interpolant(IndefiniteKernel(), ds, lam=0.0)
 
 
-@pytest.mark.parametrize("sigma_f,gram,message", [
-    (1.0, [[1.0, np.nan], [np.nan, 1.0]], "the kernel matrix is not finite"),
-    (1.0, [[1.0, np.inf], [np.inf, 1.0]], "the kernel matrix is not finite"),
-    # sigma_f^2 underflows: the jitter would stay zero while it escalates
-    (1e-200, [[0.0, 0.0], [0.0, 0.0]], "underflows to zero"),
-])
-def test_fit_rejects_a_degenerate_kernel_matrix_or_jitter(sigma_f, gram, message):
+@pytest.mark.parametrize("cell", [np.nan, np.inf])
+def test_fit_rejects_a_kernel_matrix_that_is_not_finite(cell):
     class StubKernel:
-        def __init__(self):
-            self.sigma_f = sigma_f
+        sigma_f = 1.0
 
         def gram(self, X):
-            return np.array(gram)
+            return np.array([[1.0, cell], [cell, 1.0]])
 
     ds = make_dataset(np.array([[0.0, 0, 0, 0], [1.0, 0, 0, 0]]), [0.0, 1.0])
-    with pytest.raises(FitError, match=message):
+    with pytest.raises(FitError, match="the kernel matrix is not finite"):
         fit_interpolant(StubKernel(), ds, lam=0.0)
 
 
@@ -266,13 +260,12 @@ def test_loaded_alpha_is_a_strided_column_of_the_table(request, artifacts):
      "model.txt:11: features or control differ from the dataset's record 2"),
     (lambda ls: ls[:25] + [nudge(ls[25], 4)] + ls[26:],
      "model.txt:26: features or control differ from the dataset's record 17"),
-    (lambda ls: ls[:25] + [nudge(ls[25], 5)] + ls[26:], None),
     (lambda ls: ls[:8] + ls[9:10] + ls[8:9] + ls[10:],
      "model.txt:9: features or control differ from the dataset's record 0"),
 ], ids=["extra_field", "missing_field", "nan_weight", "inf_feature", "blank_lines",
         "late_header", "no_rows", "no_count", "jitter_text", "other_family", "other_sigma_f",
         "other_sigma_l", "other_lambda", "other_count", "other_dim", "feature_nudged",
-        "control_nudged", "weight_nudged", "rows_swapped"])
+        "control_nudged", "rows_swapped"])
 def test_load_interpolant_rejects_malformed_dump(tmp_path, edit, message):
     ds = random_dataset(18, seed=15)
     m = fit_interpolant(SE, ds, lam=0.0)
@@ -280,8 +273,7 @@ def test_load_interpolant_rejects_malformed_dump(tmp_path, edit, message):
     dump_interpolant(path, m)
     path.write_text("\n".join(edit(path.read_text().splitlines())) + "\n")
     if message is None:
-        back = load_interpolant(path, SE, 0.0, ds)
-        assert back.train_x is ds.features and back.train_u is ds.controls
+        assert_same_model_bits(load_interpolant(path, SE, 0.0, ds), m)
         return
     with pytest.raises(ConfigError) as info:
         load_interpolant(path, SE, 0.0, ds)
@@ -293,6 +285,21 @@ def nudge(row, column):
     cells = row.split(",")
     cells[column] = repr(float(cells[column]) + 1e-6)
     return ",".join(cells)
+
+
+def test_load_interpolant_keeps_the_dumped_weights(tmp_path):
+    # the weights are read from the dump, not checked against a refit
+    ds = random_dataset(18, seed=15)
+    m = fit_interpolant(SE, ds, lam=0.0)
+    path = tmp_path / "model.txt"
+    dump_interpolant(path, m)
+    lines = path.read_text().splitlines()
+    lines[25] = nudge(lines[25], 5)
+    path.write_text("\n".join(lines) + "\n")
+    back = load_interpolant(path, SE, 0.0, ds)
+    assert np.flatnonzero(back.alpha != m.alpha).tolist() == [17]
+    assert back.alpha[17] == m.alpha[17] + 1e-6
+    assert back.train_x is ds.features and back.train_u is ds.controls
 
 
 @pytest.mark.parametrize("artifacts", ["numerical_artifacts", "pendulum_artifacts"])
