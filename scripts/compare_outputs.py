@@ -12,7 +12,10 @@ run logs, summary, verify report) is then compared byte for byte, as is each
 stage's exit code; stdout is not, since it carries wall-clock timings.  A
 differing run log (``runs/*.csv``) is named with the columns that differ,
 read from its header, and on how many rows each, for example
-``runs/ic_04.csv differs in slack (1 row)``.  A differing ``summary.txt``
+``runs/ic_04.csv differs in slack (1 row)``; a differing
+``trajectories.csv`` is named the same way, or by its header when that
+changed, for example ``trajectories.csv differs in header
+traj,t,u,y,y_noisy -> traj,t,u,y``.  A differing ``summary.txt``
 whose lines carry the same ``ic_NN`` tags is named with the fields that
 differ, and on how many lines each; a field on one side only is named as
 added or removed, for example ``summary.txt differs in certified (4 lines),
@@ -73,6 +76,14 @@ def artifact_bytes(top):
     return sum(p.stat().st_size for p in paths if p.is_file())
 
 
+def header_diff(old_path, new_path):
+    """``in header <old> -> <new>`` for two tables whose first line after
+    the ``#`` lines differs, else None."""
+    old, new = ([line for line in Path(p).read_text().splitlines() if not line.startswith("#")]
+                for p in (old_path, new_path))
+    return f"in header {old[0]} -> {new[0]}" if old and new and old[0] != new[0] else None
+
+
 def column_diff(old_path, new_path):
     """``in <column> (<n> rows), ...`` for two run logs that differ only in
     cells, else None: the ``#`` lines, the header and the row count must match."""
@@ -130,6 +141,8 @@ def compare_dirs(name, old, new):
         elif not filecmp.cmp(old / rel, new / rel, shallow=False):
             if Path(rel).match("runs/*.csv"):
                 named = column_diff(old / rel, new / rel)
+            elif rel == "trajectories.csv":
+                named = header_diff(old / rel, new / rel) or column_diff(old / rel, new / rel)
             else:
                 named = summary_diff(old / rel, new / rel) if rel == "summary.txt" else None
             diffs.append(f"{name}: {rel} differs" + (f" {named}" if named else ""))

@@ -241,10 +241,21 @@ def load_config(path, base_plant=None) -> RunConfig:
     """Parse a config file on top of the plant defaults.
 
     The plant id comes from the file's [plant] section or ``base_plant``;
-    unknown sections or keys, and type errors, raise ConfigError.
+    a file that is not UTF-8 ``key = value`` sections, unknown sections or
+    keys, and type errors raise ConfigError.  A ``%`` in a value is literal.
     """
-    parser = configparser.ConfigParser()
-    read = parser.read(path)
+    parser = configparser.ConfigParser(interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+    except (configparser.DuplicateSectionError, configparser.DuplicateOptionError) as exc:
+        what = f"key {exc.option!r} in " if hasattr(exc, "option") else "section "
+        raise ConfigError(f"{path}:{exc.lineno}: {what}[{exc.section}] given twice") from None
+    except configparser.ParsingError as exc:  # a key before any section, a line without '='
+        line = getattr(exc, "lineno", None) or exc.errors[0][0]
+        raise ConfigError(f"{path}:{line}: expected a [section] header or, inside "
+                          f"a section, a key = value line") from None
     if not read:
         raise ConfigError(f"cannot read config file {path}")
     plant = base_plant

@@ -31,7 +31,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import compress, repeat
-from typing import Optional
 
 import numpy as np
 
@@ -46,7 +45,7 @@ __all__ = [
 ]
 
 FLOAT_FMT = ".17g"
-TABLE_HEADER = "traj,t,u,y"  # then ",y_noisy" when the outputs were measured with noise
+TABLE_HEADER = "traj,t,u,y"
 
 
 @dataclass
@@ -54,21 +53,15 @@ class Trajectory:
     """Input/output record of one experiment.
 
     ``inputs`` has length T, ``outputs`` length T+1 (one more output than
-    inputs).  ``noisy_outputs``, when present, is a measurement-corrupted
-    copy of ``outputs``.
+    inputs); the outputs are as measured, with noise in a noisy study.
     """
 
     inputs: np.ndarray
     outputs: np.ndarray
-    noisy_outputs: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.inputs = np.asarray(self.inputs, dtype=float)
         self.outputs = np.asarray(self.outputs, dtype=float)
-        if self.noisy_outputs is not None:
-            self.noisy_outputs = np.asarray(self.noisy_outputs, dtype=float)
-            if self.noisy_outputs.shape != self.outputs.shape:
-                raise ValueError("noisy_outputs must match outputs in length")
         if len(self.outputs) != len(self.inputs) + 1:
             raise ValueError(
                 f"need len(outputs) == len(inputs)+1, got {len(self.outputs)} "
@@ -140,14 +133,11 @@ class TrajectoryError(ValueError):
         self.index = index
 
 
-def build_dataset(trajs, order: int, delay: int = 1,
-                  noisy: bool = False) -> NarxDataset:
+def build_dataset(trajs, order: int, delay: int = 1) -> NarxDataset:
     """Window one trajectory, or a sequence of them, into inverse-model
     training records, keeping the first of each bitwise-distinct feature row.
 
-    With ``noisy=True`` the records are built from ``noisy_outputs``
-    (inputs are always exact).  A trajectory too short for one record, or
-    without the noisy outputs asked for, raises ``TrajectoryError``.
+    A trajectory too short for one record raises ``TrajectoryError``.
     """
     if isinstance(trajs, Trajectory):
         trajs = [trajs]
@@ -157,14 +147,10 @@ def build_dataset(trajs, order: int, delay: int = 1,
     if not trajs:
         raise ValueError("no trajectories to window")
     min_T = n if delay == 1 else n + 1
-    ys = []
     for k, traj in enumerate(trajs):
         if traj.horizon < min_T:
             raise TrajectoryError(k, f"trajectory too short: horizon {traj.horizon} < {min_T}")
-        if noisy and traj.noisy_outputs is None:
-            raise TrajectoryError(k, "trajectory has no noisy outputs")
-        ys.append(traj.noisy_outputs if noisy else traj.outputs)
-    yu = np.concatenate(ys + [traj.inputs for traj in trajs])
+    yu = np.concatenate([traj.outputs for traj in trajs] + [traj.inputs for traj in trajs])
     horizons = np.array([traj.horizon for traj in trajs])
     counts = horizons - min_T + 1
     # decision time t of each record, n-1 .. n-2+N in its own trajectory,
@@ -192,15 +178,13 @@ def build_dataset(trajs, order: int, delay: int = 1,
 
 def write_trajectories(path, trajs, meta):
     """Write ``trajs`` as one table: a ``# key=value`` comment holding
-    ``meta`` in order and then ``count``, a ``traj,t,u,y[,y_noisy]`` header,
-    and the rows of every trajectory in order, with the input cell empty on
-    each trajectory's last row."""
-    noisy = trajs[0].noisy_outputs is not None
+    ``meta`` in order and then ``count``, a ``traj,t,u,y`` header, and the
+    rows of every trajectory in order, with the input cell empty on each
+    trajectory's last row."""
     pairs = [f"{key}={val}" for key, val in {**meta, "count": len(trajs)}.items()]
-    lines = ["# " + " ".join(pairs), TABLE_HEADER + (",y_noisy" if noisy else "")]
+    lines = ["# " + " ".join(pairs), TABLE_HEADER]
     for k, traj in enumerate(trajs):
-        cols = [traj.inputs, traj.outputs] + ([traj.noisy_outputs] if noisy else [])
-        cells = [[format(v, FLOAT_FMT) for v in col] for col in cols]
+        cells = [[format(v, FLOAT_FMT) for v in col] for col in (traj.inputs, traj.outputs)]
         cells[0].append("")
         lines += map(",".join, zip(repeat(str(k)), map(str, range(len(traj.outputs))), *cells))
     with open(path, "w") as fh:
@@ -238,10 +222,10 @@ def read_trajectories(path):
     floats in one call, bitwise equal to ``float()`` of each cell.
 
     Line 1 must be a ``# key=value ...`` comment whose ``count`` is the number
-    of trajectories, line 2 a ``traj,t,u,y[,y_noisy]`` header, and rows must
-    follow, each with the header's field count and finite numbers; ``traj``
-    counts 0, 1, ... in contiguous blocks, ``t`` runs 0, 1, ... within each,
-    and every row but a block's last has an input.  A fault raises
+    of trajectories, line 2 a ``traj,t,u,y`` header, and rows must follow,
+    each with four fields and finite numbers; ``traj`` counts 0, 1, ... in
+    contiguous blocks, ``t`` runs 0, 1, ... within each, and every row but a
+    block's last has an input.  A fault raises
     ``ConfigError`` naming ``path:line``, the first in line order.  ``meta``
     maps each comment key to its text; the trajectories are views of the
     column arrays.
@@ -255,29 +239,27 @@ def read_trajectories(path):
     if tokens[:1] != ["#"] or not all("=" in tok for tok in tokens[1:]):
         raise ConfigError(f"{path}:1: not a trajectory table comment {text!r}")
     meta = dict(tok.partition("=")[::2] for tok in tokens[1:])
-    if head.decode(errors="replace") not in (TABLE_HEADER, TABLE_HEADER + ",y_noisy"):
+    if head.decode(errors="replace") != TABLE_HEADER:
         raise ConfigError(f"{path}:2: unexpected trajectory header {_cells(head)}")
-    width = head.count(b",") + 1
     if not rows:
         raise ConfigError(f"{path}:3: no trajectory rows")
 
     # rows up to the first with a wrong field count split into cells in one pass
     seps = np.array(list(map(bytes.count, rows, repeat(b","))), dtype=int)
-    wrong = np.flatnonzero(seps != width - 1)
+    wrong = np.flatnonzero(seps != 3)
     n = int(wrong[0]) if wrong.size else len(rows)
     cells = b",".join(rows[:n]).split(b",") if n else []
-    k, t = (parse_floats(cells[c::width])[0] for c in (0, 1))
-    has_u = np.array(list(map(len, cells[2::width])), dtype=bool)
-    u, bad_u = parse_floats(list(compress(cells[2::width], has_u)))
-    y, bad_y = parse_floats(cells[3::width])
-    yn, bad_n = parse_floats(cells[4::width]) if width == 5 else (None, None)
+    k, t = (parse_floats(cells[c::4])[0] for c in (0, 1))
+    has_u = np.array(list(map(len, cells[2::4])), dtype=bool)
+    u, bad_u = parse_floats(list(compress(cells[2::4], has_u)))
+    y, bad_y = parse_floats(cells[3::4])
     # a block starts at t = 0; each row's traj is its block's number and its
     # t the rows since the block's start
     new, at = t == 0, np.arange(n)
     in_seq = (k == np.cumsum(new) - 1) & (t == at - np.maximum.accumulate(np.where(new, at, 0)))
     # a row ends its block when the next row, if in sequence, starts one
     last, next_ok = np.r_[new[1:], True], np.r_[in_seq[1:], n == len(rows)]
-    faults = wrong[:1].tolist() + [bad for bad in (bad_y, bad_n) if bad is not None]
+    faults = wrong[:1].tolist() + ([bad_y] if bad_y is not None else [])
     faults += np.flatnonzero(~in_seq | ((has_u == last) & next_ok))[:1].tolist()
     if bad_u is not None:
         faults.append(int(np.flatnonzero(has_u)[bad_u]))
@@ -287,8 +269,7 @@ def read_trajectories(path):
 
     # block j: outputs from row a to b, inputs from a - j (one fewer per block)
     starts = np.flatnonzero(new).tolist() + [n]
-    trajs = [Trajectory(inputs=u[a - j:b - j - 1], outputs=y[a:b],
-                        noisy_outputs=None if yn is None else yn[a:b])
+    trajs = [Trajectory(inputs=u[a - j:b - j - 1], outputs=y[a:b])
              for j, (a, b) in enumerate(zip(starts, starts[1:]))]
     if meta.get("count") != str(len(trajs)):
         raise ConfigError(f"{path}:1: count={meta.get('count')} in the comment, "

@@ -116,7 +116,7 @@ def load_dataset(cfg: RunConfig) -> NarxDataset:
             raise ConfigError(f"{path}:1: collected with {key}={meta.get(key)}, "
                               f"the config has {key}={val}")
     try:
-        return build_dataset(trajs, cfg.order, cfg.delay, noisy=cfg.noisy)
+        return build_dataset(trajs, cfg.order, cfg.delay)
     except TrajectoryError as exc:
         raise ConfigError(f"{path}: trajectory {exc.index}: {exc}") from None
 
@@ -329,17 +329,21 @@ def read_run_log(path):
     return ic, rows
 
 
-def read_summary(path):
-    """{tag: ``Summary``} from a summary file; ``ConfigError`` on a malformed line."""
+def read_summary(path, tags):
+    """{tag: ``Summary``} from a summary file; ``ConfigError`` on a malformed
+    line, or on a tag not in ``tags`` or given twice."""
     stored = {}
     with open(path) as fh:
         for lineno, line in enumerate(map(str.strip, fh), start=1):
-            tag, _, rest = line.partition(":")
+            tag, _, rest = map(str.strip, line.partition(":"))
             pairs = [tok.partition("=") for tok in rest.split()]
             named = tuple(name for name, _, _ in pairs) == Summary._fields
             cells = [cell for _, _, cell in pairs] if named else []  # [] has the wrong count
-            where = (path, lineno, "summary line", line)
-            stored[tag.strip()] = Summary(*_parse(FIELDS, cells, where))
+            summary = Summary(*_parse(FIELDS, cells, (path, lineno, "summary line", line)))
+            if tag not in tags or tag in stored:
+                raise ConfigError(f"{path}:{lineno}: run {tag!r} is not one of the config's "
+                                  f"{len(tags)} or repeats")
+            stored[tag] = summary
     return stored
 
 
@@ -348,17 +352,22 @@ def cmd_report(cfg: RunConfig, log=print):
 
     ``rmse`` must agree to 1e-12; ``ic``, ``certified``, ``heuristic``,
     ``descent_violations`` and ``fallbacks`` must print as the summary prints
-    them (``ic`` to ``g`` precision).  A mismatch names the run and the fields and returns False."""
+    them (``ic`` to ``g`` precision).  A mismatch names the run and the fields and returns False.
+    A run the config does not have, or a log whose ``t`` column is not
+    0, 1, ..., horizon - 1, raises ``ConfigError`` naming the line."""
     paths = _paths(cfg)
-    stored = read_summary(paths["summary"])
+    tags = [f"ic_{k:02d}" for k in range(len(cfg.initial_conditions))]
+    stored = read_summary(paths["summary"], tags)
     ok = True
-    for k in range(len(cfg.initial_conditions)):
-        tag = f"ic_{k:02d}"
+    for tag in tags:
         path = os.path.join(paths["rundir"], f"{tag}.csv")
         ic, rows = read_run_log(path)
         if len(ic) != 2 * cfg.order - 1:
             raise ConfigError(f"{path}:1: initial condition has {len(ic)} values, "
                               f"the order-{cfg.order} state has {2 * cfg.order - 1}")
+        if [r.t for r in rows] != list(range(cfg.horizon)):
+            k = next((k for k, r in enumerate(rows) if r.t != k), min(len(rows), cfg.horizon))
+            raise ConfigError(f"{path}:{k + 3}: run log t is not 0..{cfg.horizon - 1}")
         if tag not in stored:
             raise ConfigError(f"{paths['summary']}: no rmse for {tag}")
         rmse = displayed_rmse([ic[cfg.order - 1]] + [r.y_next for r in rows])

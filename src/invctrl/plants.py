@@ -127,18 +127,12 @@ class PendulumPlant:
     order = 2
     delay = 2
 
-    def __init__(self, mass=1.0, friction=0.4, gravity=9.8, length=0.3,
-                 ts=0.001):
-        self.mass = mass
-        self.friction = friction
-        self.gravity = gravity
-        self.length = length
-        self.ts = ts
-        ml2 = mass * length**2
-        self.coef_a = 2.0 - friction * ts / ml2
-        self.coef_b = -1.0 + friction * ts / ml2
-        self.coef_c = gravity * ts**2 / length
-        self.coef_d = ts**2 / ml2
+    # the study's mass m, friction b, gravity g, length l and sampling time Ts
+    mass, friction, gravity, length, ts = 1.0, 0.4, 9.8, 0.3, 0.001
+    coef_a = 2.0 - friction * ts / (mass * length**2)
+    coef_b = -1.0 + friction * ts / (mass * length**2)
+    coef_c = gravity * ts**2 / length
+    coef_d = ts**2 / (mass * length**2)
 
     def free_output(self, state):
         """y(t+1); fixed by the state alone (the input acts two steps out)."""
@@ -173,22 +167,25 @@ class PendulumPlant:
         return float(out) if out.ndim == 0 else out
 
 
-def collect_numerical_trajectories(seed=0, grid_outputs=7, grid_inputs=4,
-                                   inputs_per_cell=10):
+# the numerical collection grid: output levels, past-input levels, inputs per cell
+GRID_OUTPUTS, GRID_INPUTS, INPUTS_PER_CELL = 7, 4, 10
+
+
+def collect_numerical_trajectories(seed):
     """One-step experiments on the initial-condition grid.
 
-    Initial states tie the two past outputs on a uniform output grid and take
-    the past input from a uniform grid over [0, 1]; each cell gets
-    ``inputs_per_cell`` independent feasible random inputs, one experiment
-    each (so 7 * 4 * 10 = 280 windows in the default configuration).
+    Initial states tie the two past outputs on a uniform output grid over
+    [-1, 1] and take the past input from a uniform grid over [0, 1]; each
+    cell gets ``INPUTS_PER_CELL`` independent feasible random inputs, one
+    experiment each (7 * 4 * 10 = 280 windows).
     """
     plant = NumericalPlant()
     rng = rng_stream(seed, STREAM_COLLECT)
     trajs = []
-    for g in np.linspace(-1.0, 1.0, grid_outputs):
-        for ug in np.linspace(0.0, 1.0, grid_inputs):
+    for g in np.linspace(-1.0, 1.0, GRID_OUTPUTS):
+        for ug in np.linspace(0.0, 1.0, GRID_INPUTS):
             state0 = np.array([g, g, ug])
-            for _ in range(inputs_per_cell):
+            for _ in range(INPUTS_PER_CELL):
                 u0 = plant.sample_feasible_input(state0, rng)
                 y1 = plant.step(state0, u0)
                 trajs.append(Trajectory(inputs=np.array([ug, u0]),
@@ -199,18 +196,19 @@ def collect_numerical_trajectories(seed=0, grid_outputs=7, grid_inputs=4,
 PI_GAIN_TRIPLES = ((20.0, 0.01, 0.22), (20.0, 0.01, -0.22),
                    (15.0, 0.01, 0.18), (15.0, 0.01, -0.18),
                    (12.5, 0.01, 0.16), (12.5, 0.01, -0.16))
+PI_HORIZON = 200  # inputs per expert trajectory
 
 
-def pi_trajectory(plant: PendulumPlant, kp, ki, amplitude, horizon=200):
+def pi_trajectory(plant: PendulumPlant, kp, ki, amplitude):
     """Closed-loop trajectory under a proportional-integral law from the
     initial state [a; a; 0].
 
     The integral state starts at zero and accumulates ``Ts * e`` from the
     second sample on, so the first applied input is the pure proportional
-    term.  The file horizon counts the initial resting input, so the PI law
-    runs horizon-1 steps.
+    term.  The horizon counts the initial resting input, so the PI law runs
+    ``PI_HORIZON - 1`` steps.
     """
-    T = horizon
+    T = PI_HORIZON
     u = np.zeros(T)
     y = np.zeros(T + 1)
     y[0] = y[1] = amplitude
@@ -224,18 +222,17 @@ def pi_trajectory(plant: PendulumPlant, kp, ki, amplitude, horizon=200):
     return Trajectory(inputs=u, outputs=y)
 
 
-def collect_pendulum_trajectories(horizon=200):
+def collect_pendulum_trajectories():
     """Six deterministic expert-mimicking trajectories (three PI gain pairs,
     two symmetric initial amplitudes each)."""
     plant = PendulumPlant()
-    return [pi_trajectory(plant, kp, ki, a, horizon) for kp, ki, a in PI_GAIN_TRIPLES]
+    return [pi_trajectory(plant, kp, ki, a) for kp, ki, a in PI_GAIN_TRIPLES]
 
 
 def add_noise(traj: Trajectory, sigma_d, seed, stream_offset=0) -> Trajectory:
-    """Attach noisy outputs: zero-mean Gaussian of std ``sigma_d``, keyed by
-    ``seed``, on every output sample; inputs untouched.  ``stream_offset``
-    distinguishes trajectories within one collection."""
+    """``traj`` as measured with noise: zero-mean Gaussian of std ``sigma_d``,
+    keyed by ``seed``, added to every output sample; inputs untouched.
+    ``stream_offset`` distinguishes trajectories within one collection."""
     rng = rng_stream(seed, STREAM_DATA_NOISE + 10 * stream_offset)
     noisy = traj.outputs + rng.normal(0.0, sigma_d, size=traj.outputs.shape)
-    return Trajectory(inputs=traj.inputs.copy(), outputs=traj.outputs.copy(),
-                      noisy_outputs=noisy)
+    return Trajectory(inputs=traj.inputs.copy(), outputs=noisy)

@@ -69,3 +69,18 @@ def test_compare_dirs_names_summary_fields(tmp_path):
         (top / "summary.txt").write_text("\n".join(lines) + "\n")
     assert compare_outputs.compare_dirs("numerical", old, new) == [
         "numerical: summary.txt differs in fallbacks (1 line)"]
+
+
+def test_compare_dirs_names_trajectory_table_changes(tmp_path):
+    old, new = tmp_path / "old", tmp_path / "new"
+    table = ["# plant=pendulum noisy=1 count=1", "traj,t,u,y,y_noisy", "0,0,0.5,0.1,0.11",
+             "0,1,,0.2,0.19"]
+    for top, lines in ((old, table), (new, [table[0], "traj,t,u,y", "0,0,0.5,0.11",
+                                            "0,1,,0.19"])):
+        top.mkdir()
+        (top / "trajectories.csv").write_text("\n".join(lines) + "\n")
+    assert compare_outputs.compare_dirs("pendulum-noisy", old, new) == [
+        "pendulum-noisy: trajectories.csv differs in header traj,t,u,y,y_noisy -> traj,t,u,y"]
+    (new / "trajectories.csv").write_text("\n".join(table[:3] + ["0,1,,0.2,0.2"]) + "\n")
+    assert compare_outputs.compare_dirs("pendulum-noisy", old, new) == [
+        "pendulum-noisy: trajectories.csv differs in y_noisy (1 row)"]

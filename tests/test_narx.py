@@ -129,9 +129,6 @@ def test_merge_rejects_mismatched_shape():
     with pytest.raises(TrajectoryError, match="horizon 1 < 2") as exc:
         build_dataset([traj(6), traj(6), traj(1)], order=2, delay=1)
     assert exc.value.index == 2
-    with pytest.raises(TrajectoryError, match="no noisy outputs") as exc:
-        build_dataset([traj(6)], order=2, delay=1, noisy=True)
-    assert exc.value.index == 0
 
 
 def test_duplicate_features_dropped_bitwise():
@@ -153,7 +150,7 @@ def test_build_invariants_random(seed, T, n):
     assert np.array_equal(again.features, ds.features)
 
 
-def reference_dataset(trajs, n, delay, noisy):
+def reference_dataset(trajs, n, delay):
     """The per-record loop: each window built with ``concatenate`` and
     ``shift_state``, first occurrences of each feature row's bytes kept per
     trajectory, then again over all trajectories.  Returns features,
@@ -166,8 +163,7 @@ def reference_dataset(trajs, n, delay, noisy):
 
     records = []
     for traj in trajs:
-        y = traj.noisy_outputs if noisy else traj.outputs
-        u = traj.inputs
+        y, u = traj.outputs, traj.inputs
         rows = []
         for i in range(1, traj.horizon - n + (2 if delay == 1 else 1)):
             t = i + n - 2
@@ -179,24 +175,24 @@ def reference_dataset(trajs, n, delay, noisy):
     return [np.array(col) for col in zip(*first_occurrences(records))]
 
 
-def mixed_trajectories(seed):
+def mixed_trajectories(seed, noisy):
     """Trajectories of mixed length over four values, signed zeros among
-    them, so feature rows repeat within and across files."""
+    them, so feature rows repeat within and across files.  Each draws a
+    clean and a noisy output sequence, and ``noisy`` picks which one is
+    measured."""
     rng = np.random.default_rng(seed)
     values = np.array([0.0, -0.0, 0.5, -1.25])
 
     def draw(T):
-        return Trajectory(inputs=rng.choice(values, T),
-                          outputs=rng.choice(values, T + 1),
-                          noisy_outputs=rng.choice(values, T + 1))
+        u, y, y_noisy = (rng.choice(values, size) for size in (T, T + 1, T + 1))
+        return Trajectory(inputs=u, outputs=y_noisy if noisy else y)
     def zeros_flipped(x):
         out = x.copy()
         out[out == 0] *= -1.0
         return out
     a, b, c = draw(12), draw(5), draw(30)
-    flat = Trajectory(inputs=np.full(8, 0.5), outputs=np.full(9, 0.5),
-                      noisy_outputs=np.full(9, -0.0))
-    twin = Trajectory(*(zeros_flipped(x) for x in (a.inputs, a.outputs, a.noisy_outputs)))
+    flat = Trajectory(inputs=np.full(8, 0.5), outputs=np.full(9, -0.0 if noisy else 0.5))
+    twin = Trajectory(zeros_flipped(a.inputs), zeros_flipped(a.outputs))
     return [a, b, a, c, flat, b, twin]
 
 
@@ -204,9 +200,9 @@ def mixed_trajectories(seed):
 @pytest.mark.parametrize("delay", [1, 2])
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_windowing_equals_per_record_loop_bitwise(n, delay, noisy):
-    trajs = mixed_trajectories(seed=10 * n + delay)
-    ds = build_dataset(trajs, order=n, delay=delay, noisy=noisy)
-    want = reference_dataset(trajs, n, delay, noisy)
+    trajs = mixed_trajectories(10 * n + delay, noisy)
+    ds = build_dataset(trajs, order=n, delay=delay)
+    want = reference_dataset(trajs, n, delay)
     got = [ds.features, ds.states, ds.targets, ds.controls, ds.succ_states]
     for g, w in zip(got, want):
         assert g.shape == w.shape and g.dtype == w.dtype
@@ -228,7 +224,6 @@ def test_trajectory_io_round_trip(tmp_path):
     for t, b in zip(trajs, back, strict=True):
         assert np.array_equal(b.inputs, t.inputs)
         assert np.array_equal(b.outputs, t.outputs)
-        assert b.noisy_outputs is None
     # each trajectory's last row has an empty input cell
     lines = p.read_text().splitlines()
     assert lines[:2] == ["# plant=x seed=9 count=2", "traj,t,u,y"]
@@ -237,60 +232,51 @@ def test_trajectory_io_round_trip(tmp_path):
 
 
 def test_trajectory_io_noisy_column(tmp_path):
-    t = traj(4, seed=13)
-    t = Trajectory(inputs=t.inputs, outputs=t.outputs,
-                   noisy_outputs=t.outputs + 0.01)
+    # a noisy study's table holds only the measured outputs, in its y column
+    t = add_noise(traj(4, seed=13), 0.01, 3)
     p = tmp_path / "t.csv"
-    write_trajectories(p, [t], {})
+    write_trajectories(p, [t], {"noisy": 1})
     meta, (back,) = read_trajectories(p)
-    assert np.array_equal(back.noisy_outputs, t.noisy_outputs)
-    assert p.read_text().splitlines()[:2] == ["# count=1", "traj,t,u,y,y_noisy"]
+    assert back.outputs.tobytes() == t.outputs.tobytes()
+    assert back.inputs.tobytes() == t.inputs.tobytes()
+    assert p.read_text().splitlines()[:2] == ["# noisy=1 count=1", "traj,t,u,y"]
 
 
 def reference_read(path):
     """Per-cell ``float()`` reader: the oracle for the bulk reader, as
-    (inputs, outputs, noisy outputs or None) per trajectory."""
-    rows = [line.split(",") for line in open(path, newline="").read().splitlines()[1:]]
-    noisy = rows[0] == ["traj", "t", "u", "y", "y_noisy"]
+    (inputs, outputs) per trajectory."""
+    rows = [line.split(",") for line in open(path, newline="").read().splitlines()[2:]]
     blocks = {}
-    for row in rows[1:]:
+    for row in rows:
         blocks.setdefault(int(row[0]), []).append(row)
-    return [([float(r[2]) for r in b[:-1]], [float(r[3]) for r in b],
-             [float(r[4]) for r in b] if noisy else None) for b in blocks.values()]
+    return [([float(r[2]) for r in b[:-1]], [float(r[3]) for r in b]) for b in blocks.values()]
 
 
 def assert_read_bitwise(trajs, path):
-    for t, (u, y, yn) in zip(trajs, reference_read(path), strict=True):
+    for t, (u, y) in zip(trajs, reference_read(path), strict=True):
         assert t.inputs.tobytes() == np.array(u).tobytes()
         assert t.outputs.tobytes() == np.array(y).tobytes()
-        if yn is None:
-            assert t.noisy_outputs is None
-        else:
-            assert t.noisy_outputs.tobytes() == np.array(yn).tobytes()
 
 
 @pytest.mark.parametrize("newline", ["\r\n", "\n"])
 def test_read_trajectories_equals_per_cell_float(tmp_path, newline):
-    # hand-written cells: signed zeros, 17 digits, exponent forms, extremes;
-    # a clean and a noisy table
+    # hand-written cells: signed zeros, 17 digits, exponent forms, extremes
     cells = ["0", "-0.0", "0.0", "-0", "0.12345678901234568", "-1.2345678901234567e-05",
              "1e300", "2.2250738585072014e-308", "5e-324", "1E+05", "-3.5e2",
              "1.7976931348623157e+308", "+7", ".5", "5.", "12345678901234567890"]
-    for noisy in (False, True):
-        rows = ["# count=4", "traj,t,u,y,y_noisy" if noisy else "traj,t,u,y"]
-        for k in range(4):
-            T = len(cells) + k  # every cell in every column of every trajectory
-            for t in range(T + 1):
-                row = [str(k), str(t), cells[(t + k) % len(cells)] if t < T else "",
-                       cells[(t + 5 * k) % len(cells)]]
-                rows.append(",".join(row + [cells[(t + 7) % len(cells)]] if noisy else row))
-        path = tmp_path / f"noisy{int(noisy)}.csv"
-        path.write_bytes(newline.join(rows).encode() + newline.encode())
-        meta, trajs = read_trajectories(path)
-        assert_read_bitwise(trajs, path)
-        assert [t.noisy_outputs is not None for t in trajs] == [noisy] * 4
-        zeros = np.concatenate([t.outputs for t in trajs])
-        assert np.signbit(zeros[zeros == 0]).any() and not np.signbit(zeros[zeros == 0]).all()
+    rows = ["# count=4", "traj,t,u,y"]
+    for k in range(4):
+        T = len(cells) + k  # every cell in every column of every trajectory
+        for t in range(T + 1):
+            rows.append(",".join([str(k), str(t), cells[(t + k) % len(cells)] if t < T else "",
+                                  cells[(t + 5 * k) % len(cells)]]))
+    path = tmp_path / "t.csv"
+    path.write_bytes(newline.join(rows).encode() + newline.encode())
+    meta, trajs = read_trajectories(path)
+    assert len(trajs) == 4
+    assert_read_bitwise(trajs, path)
+    zeros = np.concatenate([t.outputs for t in trajs])
+    assert np.signbit(zeros[zeros == 0]).any() and not np.signbit(zeros[zeros == 0]).all()
 
 
 @pytest.mark.parametrize("plant", ["numerical", "pendulum", "pendulum-noisy"])
@@ -311,8 +297,6 @@ def test_read_trajectories_of_collected_files(tmp_path, plant):
     for t, b in zip(trajs, back, strict=True):
         assert t.inputs.tobytes() == b.inputs.tobytes()
         assert t.outputs.tobytes() == b.outputs.tobytes()
-        if t.noisy_outputs is not None:
-            assert t.noisy_outputs.tobytes() == b.noisy_outputs.tobytes()
 
 
 def write_rows(path, *rows):
@@ -339,15 +323,17 @@ ONE = "# count=1"  # the comment of a one-trajectory table
     ((ONE, "traj,t,u,y"), "a.csv:3: no trajectory rows"),
     ((ONE, "traj,t,u,y", "0,0,0.5,0.1,9.9", "0,1,,0.2"),
      "a.csv:3: bad trajectory row ['0', '0', '0.5', '0.1', '9.9']"),
-    ((ONE, "traj,t,u,y,y_noisy", "0,0,0.5,0.1", "0,1,,0.2,0.3"),
-     "a.csv:3: bad trajectory row ['0', '0', '0.5', '0.1']"),
+    ((ONE, "traj,t,u,y", "0,0,0.5", "0,1,,0.2"),
+     "a.csv:3: bad trajectory row ['0', '0', '0.5']"),
     ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "", "0,1,,0.2"), "a.csv:4: bad trajectory row []"),
     ((ONE, "traj,t,u,y", "0,0,0.5,nan", "0,1,,0.2"),
      "a.csv:3: bad trajectory row ['0', '0', '0.5', 'nan']"),
     ((ONE, "traj,t,u,y", "0,0,-inf,0.1", "0,1,,0.2"),
      "a.csv:3: bad trajectory row ['0', '0', '-inf', '0.1']"),
-    ((ONE, "traj,t,u,y,y_noisy", "0,0,0.5,0.1,1e999", "0,1,,0.2,0.3"),
-     "a.csv:3: bad trajectory row"),
+    (("# noisy=1 count=1", "traj,t,u,y", "0,0,0.5,1e999", "0,1,,0.2"),
+     "a.csv:3: bad trajectory row ['0', '0', '0.5', '1e999']"),
+    ((ONE, "traj,t,u,y,y_noisy", "0,0,0.5,0.1,0.2", "0,1,,0.2,0.3"),
+     "a.csv:2: unexpected trajectory header ['traj', 't', 'u', 'y', 'y_noisy']"),
     ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,1,,0.2", "0,2,0.1,0.3"),
      "a.csv:4: bad trajectory row ['0', '1', '', '0.2']"),
     ((ONE, "traj,t,u,y", "0,0,0.5,0.1", "0,1,0.1,0.3"),
@@ -376,9 +362,10 @@ ONE = "# count=1"  # the comment of a one-trajectory table
      "a.csv:4: bad trajectory row ['0', '0.5', '0.5', '0.2']"),
 ], ids=["header", "old_header", "empty_file", "no_comment", "comment_token", "count_mismatch",
         "count_missing", "header_only", "extra_field", "missing_field", "blank_line", "nan_output",
-        "inf_input", "overflow_noisy", "input_missing_midway", "last_input_present",
-        "inputs_missing", "inputs_missing_last", "traj_text", "t_empty", "traj_from_one",
-        "traj_skips", "traj_goes_back", "t_from_one", "t_no_restart", "t_repeats", "t_fraction"])
+        "inf_input", "overflow_noisy", "old_noisy_header", "input_missing_midway",
+        "last_input_present", "inputs_missing", "inputs_missing_last", "traj_text", "t_empty",
+        "traj_from_one", "traj_skips", "traj_goes_back", "t_from_one", "t_no_restart",
+        "t_repeats", "t_fraction"])
 def test_read_trajectories_rejects(tmp_path, rows, message):
     with pytest.raises(ConfigError) as info:
         read_trajectories(write_rows(tmp_path / "a.csv", *rows))

@@ -16,7 +16,9 @@ from invctrl.cli import build_parser, main
 from invctrl.config import ConfigError, default_config, load_config
 from invctrl.levelsets import (ABSENT, LevelFamily, load_family, paired_distances,
                                successor_inradii)
-from invctrl.plants import NumericalPlant, PendulumPlant, rng_stream
+from invctrl.narx import build_dataset
+from invctrl.plants import (NumericalPlant, PendulumPlant, add_noise,
+                            collect_pendulum_trajectories, rng_stream)
 
 # the scope and the bound the certificate check names on each plant's verify line
 NUM_SCOPE = "exact, every entry; composed bound"
@@ -120,6 +122,12 @@ def test_cli_exit_code_on_config_error(tmp_path):
     ("id = numerical\n[kernel]\nsigma_l = 1e-200\n", "squares in the normal float range"),
     ("id = pendulum\n[kernel]\nsigma_l = 1e-200, 0.058, 0.058, 0.97\n",
      "squares in the normal float range"),
+    ("id = numerical\n[kernel]\nsigma_f = 1\nsigma_f = 2\n",
+     "bad.cfg:5: key 'sigma_f' in [kernel] given twice"),
+    ("id = numerical\n[kernel]\nsigma_f = 1\n[kernel]\nsigma_l = 2\n",
+     "bad.cfg:5: section [kernel] given twice"),
+    # a % is read literally, so a seed of %(x)s is a bad value, not a failed lookup
+    ("id = numerical\n[run]\nseed = %(x)s\n", "bad value for [run] seed: '%(x)s'"),
 ])
 def test_cli_config_error_exits_2(tmp_path, capsys, text, message):
     bad = tmp_path / "bad.cfg"
@@ -129,6 +137,27 @@ def test_cli_config_error_exits_2(tmp_path, capsys, text, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and message in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("raw,message", [
+    (b"id = numerical\n[kernel]\nsigma_f = 1\n", "bad.cfg:1: expected a [section] header"),
+    (b"\xff\xfe[plant]\nid = numerical\n", "bad.cfg: not UTF-8 text"),
+], ids=["key_before_section", "utf16_bom"])
+def test_cli_unparsable_config_exits_2(tmp_path, capsys, raw, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(raw)
+    capsys.readouterr()
+    assert main(["collect", "--plant", "numerical", "--config", str(bad),
+                 "--out", str(tmp_path / "x")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_reads_a_percent_literally(tmp_path):
+    p = tmp_path / "percent.cfg"
+    p.write_text("[plant]\nid = numerical\n[run]\nout = %(x)s/100%\n")
+    assert load_config(p).outdir == "%(x)s/100%"
 
 
 def test_cli_rejects_noisy_numerical(tmp_path):
@@ -488,6 +517,7 @@ def test_cli_report_rejects_broken_log_header(numerical_cfg, tmp_path, capsys, h
     # a dict sets the named cells of a row that is otherwise left as written
     (2, {"certified": "yes"}, "ic_00.csv:3: bad run log row"),
     (3, {"descent_ok": "maybe"}, "ic_00.csv:4: bad run log row"),
+    (4, {"t": "5"}, "ic_00.csv:5: run log t is not 0..9"),
 ])
 def test_cli_report_rejects_malformed_log_line(numerical_cfg, tmp_path, capsys,
                                                line, edit, message):
@@ -520,6 +550,39 @@ def test_cli_report_rejects_summary_without_run(numerical_cfg, tmp_path, capsys)
     assert main(["report", "--plant", "numerical", "--out", out]) == 2
     err = capsys.readouterr().err
     assert "summary.txt" in err and "ic_00" in err
+
+
+@pytest.mark.parametrize("stage", ["report", "verify"])
+@pytest.mark.parametrize("damage,message", [
+    ("extra_run", "summary.txt:6: run 'ic_05' is not one of the config's 5"),
+    ("repeated_run", "summary.txt:6: run 'ic_00' is not one of the config's 5 or repeats"),
+    ("short_log", "ic_00.csv:9: run log t is not 0..9"),
+    ("long_log", "ic_00.csv:13: run log t is not 0..9"),
+], ids=["extra_run", "repeated_run", "short_log", "long_log"])
+def test_cli_report_rejects_runs_the_config_does_not_have(numerical_cfg, tmp_path, capsys,
+                                                          stage, damage, message):
+    # the config has 5 runs of 10 steps; a summary or log of other runs is a
+    # bad artifact (exit 2), not a failed recompute (exit 1)
+    import shutil
+    out = str(tmp_path / damage)
+    shutil.copytree(numerical_cfg.outdir, out)
+    assert main(["simulate", "--plant", "numerical", "--out", out]) == 0
+    summary, log_path = os.path.join(out, "summary.txt"), os.path.join(out, "runs", "ic_00.csv")
+    lines, rows = open(summary).read().splitlines(), open(log_path).read().splitlines()
+    if damage == "extra_run":
+        lines.append(lines[-1].replace("ic_04:", "ic_05:"))
+    elif damage == "repeated_run":
+        lines.append(lines[0])
+    elif damage == "short_log":
+        rows = rows[:8]  # the comment, the header and the first 6 steps
+    else:
+        rows.append("10" + rows[-1][1:])
+    open(summary, "w").write("\n".join(lines) + "\n")
+    open(log_path, "w").write("\n".join(rows) + "\n")
+    capsys.readouterr()
+    assert main([stage, "--plant", "numerical", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 @pytest.mark.parametrize("edit,fields", [
@@ -921,15 +984,18 @@ def test_cli_build_exits_2_on_a_kernel_matrix_it_cannot_factor(pendulum_cfg, tmp
      "trajectories.csv:1: collected with seed=0, the config has seed=4"),
     ("sigma_mismatch", ["--noisy"], ["build"],
      "trajectories.csv:1: collected with sigma_d=0.02, the config has sigma_d=0.01"),
+    ("older_noisy_layout", ["--noisy"], ["build"],
+     "trajectories.csv:2: unexpected trajectory header"),
 ], ids=["too_short", "not_noisy", "no_rows", "plant_mismatch", "noisy_seed_mismatch",
-        "sigma_mismatch"])
+        "sigma_mismatch", "older_noisy_layout"])
 def test_cli_rejects_trajectories_without_records(tmp_path, capsys, case, flags, stages,
                                                   message):
     # the table collect writes for the default pendulum study (noisy where
-    # the case damages the noisy comment), then damaged per ``case``
+    # the case damages a noisy table), then damaged per ``case``
     out = str(tmp_path / case)
     cfg = default_config("pendulum")
-    cfg.outdir, cfg.noisy = out, case in ("noisy_seed_mismatch", "sigma_mismatch")
+    cfg.outdir = out
+    cfg.noisy = case in ("noisy_seed_mismatch", "sigma_mismatch", "older_noisy_layout")
     pipeline.cmd_collect(cfg, log=lambda *a: None)
     path = os.path.join(out, "trajectories.csv")
     lines = open(path).read().splitlines()
@@ -939,12 +1005,27 @@ def test_cli_rejects_trajectories_without_records(tmp_path, capsys, case, flags,
         lines = lines[:2]
     elif case == "sigma_mismatch":
         lines[0] = lines[0].replace("sigma_d=0.01", "sigma_d=0.02")
+    elif case == "older_noisy_layout":  # a y_noisy column after y
+        lines[1:] = [lines[1] + ",y_noisy"] + [r + "," + r.rsplit(",", 1)[1] for r in lines[2:]]
     open(path, "w").write("\n".join(lines) + "\n")
     for stage in stages:
         capsys.readouterr()
         assert main([stage, "--plant", "pendulum", "--out", out, *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error:") and message in err
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_noisy_dataset_windows_the_noisy_collection(tmp_path, seed):
+    # the table holds the measured outputs, which build windows bit for bit
+    cfg = replace(default_config("pendulum"), outdir=str(tmp_path), noisy=True, seed=seed)
+    pipeline.cmd_collect(cfg, log=lambda *a: None)
+    got = pipeline.load_dataset(cfg)
+    want = build_dataset([add_noise(t, 0.01, seed, stream_offset=k)
+                          for k, t in enumerate(collect_pendulum_trajectories())], 2, 2)
+    for name in ("features", "states", "targets", "controls", "succ_states"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), name
 
 
 def test_load_dataset_ignores_the_seed_for_noise_free_pendulum_data(pendulum_cfg):
@@ -1015,7 +1096,8 @@ def test_run_log_round_trip(numerical_cfg, tmp_path):
     import shutil
     shutil.copytree(numerical_cfg.outdir, cfg.outdir)
     results = pipeline.cmd_simulate(cfg, log=lambda *a: None)
-    stored = pipeline.read_summary(os.path.join(cfg.outdir, "summary.txt"))
+    tags = [f"ic_{k:02d}" for k in range(len(cfg.initial_conditions))]
+    stored = pipeline.read_summary(os.path.join(cfg.outdir, "summary.txt"), tags)
     for k, result in enumerate(results):
         summary = stored[f"ic_{k:02d}"]
         assert (summary.rmse, summary.descent_violations, summary.fallbacks) == (

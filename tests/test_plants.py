@@ -128,6 +128,14 @@ def test_pendulum_coefficient():
     # arithmetic oracle: 2 - b Ts / (m l^2) with the study parameters
     assert PEND.coef_a == pytest.approx(2.0 - 0.4 * 0.001 / 0.09, rel=1e-15)
     assert PEND.coef_a == pytest.approx(1.9955555555555557, rel=1e-12)
+    # bit for bit: A = 2 - b Ts/(m l^2), B = -1 + b Ts/(m l^2), C = g Ts^2 / l,
+    # D = Ts^2/(m l^2) with m = 1, b = 0.4, g = 9.8, l = 0.3 and Ts = 0.001
+    m, b, g, l, ts = 1.0, 0.4, 9.8, 0.3, 0.001
+    assert PEND.ts == ts
+    want = (2.0 - b * ts / (m * l**2), -1.0 + b * ts / (m * l**2), g * ts**2 / l,
+            ts**2 / (m * l**2))
+    got = (PEND.coef_a, PEND.coef_b, PEND.coef_c, PEND.coef_d)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
 
 
 def test_pendulum_oracle_inverse_identity():
@@ -175,8 +183,9 @@ def test_pendulum_lipschitz_bounds_dominate_samples():
 
 def test_pi_trajectory_integral_recursion():
     kp, ki, a = 15.0, 0.01, 0.18
-    t = pi_trajectory(PEND, kp, ki, a, horizon=50)
-    # oracle: independent reimplementation of the integral update
+    t = pi_trajectory(PEND, kp, ki, a)
+    # oracle: independent reimplementation of the integral update, over the
+    # first 50 inputs and 51 outputs
     integral = 0.0
     assert t.inputs[0] == 0.0
     for k in range(49):
@@ -185,7 +194,7 @@ def test_pi_trajectory_integral_recursion():
             integral += PEND.ts * err
         assert t.inputs[k + 1] == pytest.approx(-kp * err - ki * integral, rel=1e-14)
     # outputs follow the one-step recursion
-    for k in range(48):
+    for k in range(49):
         z = np.array([t.outputs[k], t.outputs[k + 1], t.inputs[k]])
         assert t.outputs[k + 2] == pytest.approx(PEND.free_output(z), rel=1e-14)
 
@@ -210,7 +219,7 @@ def test_collect_pendulum_initial_amplitudes():
 def test_add_noise_zero_sigma_identity():
     t = collect_pendulum_trajectories()[0]
     out = add_noise(t, 0.0, 0)
-    assert np.array_equal(out.noisy_outputs, t.outputs)
+    assert np.array_equal(out.outputs, t.outputs)
     assert np.array_equal(out.inputs, t.inputs)
 
 
@@ -218,9 +227,10 @@ def test_add_noise_reproducible_and_seed_sensitive():
     t = collect_pendulum_trajectories()[0]
     a = add_noise(t, 0.01, 3)
     b = add_noise(t, 0.01, 3)
-    assert np.array_equal(a.noisy_outputs, b.noisy_outputs)
+    assert np.array_equal(a.outputs, b.outputs)
+    assert not np.array_equal(a.outputs, t.outputs)
     c = add_noise(t, 0.01, 4)
-    assert not np.array_equal(a.noisy_outputs, c.noisy_outputs)
+    assert not np.array_equal(a.outputs, c.outputs)
 
 
 def test_noise_mean_law_of_large_numbers():
